@@ -464,17 +464,17 @@ def _record(res: SuiteResult, ok: bool, witness: str, exact: bool = True,
         res.failures.append(witness)
 
 
-def _suite_feuerbach32(field: str, eps: float, rng, count: int) -> SuiteResult:
+def _suite_feuerbach32(eps: float, rng, count: int) -> SuiteResult:
     res = _result("feuerbach32")
     q = fixture_quadrangle("t0")
-    rep = touch.feuerbach_verify(q, eps=0.0 if field == "exact" else eps)
+    rep = touch.feuerbach_verify(q)
     for label, circle, kind, exact in rep.entries:
         ok = kind.value in ("InternalTangent", "ExternalTangent")
         _record(res, ok, f"touch circle {label} not tangent", exact)
     return res
 
 
-def _suite_euler(field: str, eps: float, rng, count: int) -> SuiteResult:
+def _suite_euler(eps: float, rng, count: int) -> SuiteResult:
     res = _result("euler-harmonic")
     q = fixture_quadrangle("t0")
     for lab in LABELS:
@@ -513,7 +513,7 @@ APOCRYPHA_SLOPES = {
 }
 
 
-def _suite_trisequence(field, eps, rng, count) -> SuiteResult:
+def _suite_trisequence(eps, rng, count) -> SuiteResult:
     res = _trisequence_slope_suite(
         "trisequence-table", Point(F(-62), F(117)), 11, TRISEQUENCE_SLOPES
     )
@@ -527,13 +527,13 @@ def _suite_trisequence(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_apocrypha(field, eps, rng, count) -> SuiteResult:
+def _suite_apocrypha(eps, rng, count) -> SuiteResult:
     return _trisequence_slope_suite(
         "apocrypha-table", Point(F(-190), F(21)), 17, APOCRYPHA_SLOPES
     )
 
 
-def _suite_three_cycles(field, eps, rng, count) -> SuiteResult:
+def _suite_three_cycles(eps, rng, count) -> SuiteResult:
     res = _result("three-cycles")
     q = fixture_quadrangle("t0")
     tc = wallace.three_cycles(q)
@@ -564,7 +564,7 @@ SODDY_CASES = [
 ]
 
 
-def _suite_soddy(field, eps, rng, count) -> SuiteResult:
+def _suite_soddy(eps, rng, count) -> SuiteResult:
     res = _result("soddy")
     for sides, want in SODDY_CASES:
         got = touch.classify_soddy(*[F(s) for s in sides])
@@ -586,7 +586,7 @@ def _suite_soddy(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_wallace_sweep(field, eps, rng, count) -> SuiteResult:
+def _suite_wallace_sweep(eps, rng, count) -> SuiteResult:
     res = _result("wallace-sweep")
     q = fixture_quadrangle("t0")
     tri = q.face(7)
@@ -606,7 +606,7 @@ def _suite_wallace_sweep(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_deltoid(field, eps, rng, count) -> SuiteResult:
+def _suite_deltoid(eps, rng, count) -> SuiteResult:
     res = _result("deltoid")
     for _ in range(count):
         t = F(rng.randint(1, 400), rng.randint(1, 400))
@@ -614,7 +614,7 @@ def _suite_deltoid(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_droz_farny(field, eps, rng, count) -> SuiteResult:
+def _suite_droz_farny(eps, rng, count) -> SuiteResult:
     res = _result("droz-farny")
     q = fixture_quadrangle("t0")
     tri = q.face(7)
@@ -656,7 +656,7 @@ def _suite_droz_farny(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_malfatti(field, eps, rng, count) -> SuiteResult:
+def _suite_malfatti(eps, rng, count) -> SuiteResult:
     res = _result("malfatti")
     state = (F(2, 9), F(1, 4), F(1, 3))
     sols = malfatti.solution_states(state)
@@ -688,7 +688,7 @@ def _suite_malfatti(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_morley(field, eps, rng, count) -> SuiteResult:
+def _suite_morley(eps, rng, count) -> SuiteResult:
     res = _result("morley")
     for _ in range(count):
         pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
@@ -728,7 +728,7 @@ def _suite_morley(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_lighthouse(field, eps, rng, count) -> SuiteResult:
+def _suite_lighthouse(eps, rng, count) -> SuiteResult:
     res = _result("lighthouse")
     b, c = Point(-1.0, 0.0), Point(1.0, 0.0)
     for n in range(2, 7):
@@ -760,7 +760,7 @@ def _suite_lighthouse(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_thrice_sixteen(field, eps, rng, count) -> SuiteResult:
+def _suite_thrice_sixteen(eps, rng, count) -> SuiteResult:
     res = _result("thrice-sixteen")
     for _ in range(count):
         while True:
@@ -783,7 +783,7 @@ def _suite_thrice_sixteen(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_hexaflex(field, eps, rng, count) -> SuiteResult:
+def _suite_hexaflex(eps, rng, count) -> SuiteResult:
     res = _result("hexaflex")
     q = fixture_quadrangle("t0")
     hx = touch.hexaflex(*q.face(7))
@@ -796,7 +796,7 @@ def _suite_hexaflex(field, eps, rng, count) -> SuiteResult:
     return res
 
 
-def _suite_rendering(field, eps, rng, count) -> SuiteResult:
+def _suite_rendering(eps, rng, count) -> SuiteResult:
     res = _result("rendering")
     for recipe in sorted(RECIPES):
         scene1 = build_scene("t0", recipe)
@@ -830,11 +830,10 @@ SUITES: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
 
 
 def run_suite(
-    name: str, field: str = "exact", eps: float = 1e-9, seed: int = 0,
-    count: int = 100,
+    name: str, eps: float = 1e-9, seed: int = 0, count: int = 100
 ) -> SuiteResult:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
     runner, _ = SUITES[name]
     rng = random.Random(seed)
-    return runner(field, eps, rng, count)
+    return runner(eps, rng, count)

@@ -81,12 +81,6 @@ def as_fraction(x: Number) -> Fraction:
     return Fraction(x).limit_denominator(10**15)
 
 
-def scalar_is_zero(x: Number, eps: float = DEFAULT_EPS) -> bool:
-    if is_exact(x):
-        return x == 0
-    return abs(x) <= eps
-
-
 def sqrt_scalar(x: Number) -> Number:
     """Square root; exact when x is a rational perfect square, else float."""
     if is_exact(x):
@@ -549,18 +543,13 @@ def ceva_product(
     tri: Sequence[Point], cuts: Sequence[Point]
 ) -> Number:
     """Signed product BA′/A′C · CB′/B′A · AC′/C′B for cuts (A′ on BC,
-    B′ on CA, C′ on AB). Equals +1 iff the cevians concur (Ceva)."""
+    B′ on CA, C′ on AB). Equals +1 iff the cevians concur (Ceva) and −1
+    iff the cuts are collinear (Menelaus)."""
     a, b, c = tri
     a1, b1, c1 = cuts
     return (
         _edge_ratio(b, c, a1) * _edge_ratio(c, a, b1) * _edge_ratio(a, b, c1)
     )
-
-
-def menelaus_product(tri: Sequence[Point], cuts: Sequence[Point]) -> Number:
-    """Same signed ratio product; equals −1 iff the cuts are collinear
-    (Menelaus)."""
-    return ceva_product(tri, cuts)
 
 
 def concurrent(lines: Iterable[Line], eps: float = 0.0) -> Optional[Point]:

@@ -5,6 +5,7 @@ six-tangent star configuration, and the converse constructions."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import string
 from dataclasses import dataclass, field
@@ -70,8 +71,6 @@ def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceDat
     edges = (Line.through(q, r), Line.through(r, p), Line.through(p, q))
     feet = tuple(foot_of_perpendicular(s, e) for e in edges)
     degenerate = s in (p, q, r)
-    distinct = [f for f in feet if f != s]
-    base = [f for f in feet if True]
     # line through two distinct feet
     pts = []
     for f in feet:
@@ -412,12 +411,16 @@ class StarOfDavid:
     thetas: List[float]
 
 
-def star_of_david(q: LabeledQuadrangle, eps: float = 1e-9) -> StarOfDavid:
+def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     """Six tangents to the Central Circle: the Wallace line touches it at
     three symmetric positions, and the twin triangle contributes the three
     parallel tangents on the opposite side (central reflections).  The two
     triples bound two equilateral triangles, mutual reflections through the
-    Centre (approximate backend)."""
+    Centre (approximate backend).
+
+    With the face-7 vertices a, b, c as complex numbers on the unit
+    circumcircle, the Wallace line of s touches the Central Circle exactly
+    when s³ = −abc, so the three positions are arg(−abc)/3 + 2πk/3."""
     tri = [
         Point(float(p.x), float(p.y)) for p in (q.face(7))
     ]
@@ -425,38 +428,17 @@ def star_of_david(q: LabeledQuadrangle, eps: float = 1e-9) -> StarOfDavid:
     cx, cy = float(circ.center.x), float(circ.center.y)
     rad = math.sqrt(float(circ.r2))
     c0x, c0y = float(q.center.x), float(q.center.y)
-    target = math.sqrt(float(q.central_circle.r2))
 
     def wl(theta: float) -> Line:
         s = Point(cx + rad * math.cos(theta), cy + rad * math.sin(theta))
         return wallace_line(tri, s, eps=1e-6 * rad * rad).line
 
-    def dist(theta: float) -> float:
-        line = wl(theta)
-        return abs(line.evaluate(Point(c0x, c0y))) / math.hypot(
-            float(line.a), float(line.b)
-        )
-
-    # locate the six maxima of dist (they attain the Central radius)
-    n = 2000
-    samples = [dist(2 * math.pi * i / n) for i in range(n)]
-    thetas = []
-    for i in range(n):
-        prev, cur, nxt = samples[i - 1], samples[i], samples[(i + 1) % n]
-        if cur >= prev and cur > nxt and cur > 0.95 * target:
-            lo = 2 * math.pi * (i - 1) / n
-            hi = 2 * math.pi * (i + 1) / n
-            for _ in range(80):  # ternary search for the maximum
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if dist(m1) < dist(m2):
-                    lo = m1
-                else:
-                    hi = m2
-            thetas.append((lo + hi) / 2)
+    neg_abc = -math.prod(complex(p.x - cx, p.y - cy) / rad for p in tri)
+    thetas = sorted(
+        (cmath.phase(neg_abc) / 3 + 2 * math.pi * k / 3) % (2 * math.pi)
+        for k in range(3)
+    )
     primary = [wl(th) for th in thetas]
-    if len(primary) != 3:
-        raise DegenerateInput(f"expected 3 tangent positions, found {len(primary)}")
     mirrored = [_homothety_line(l, Point(c0x, c0y), -1) for l in primary]
     lines = primary + mirrored
 

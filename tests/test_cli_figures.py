@@ -175,7 +175,7 @@ class TestSuites:
 
     def test_all_suites_pass_smoke(self):
         for name in sorted(SUITES):
-            res = run_suite(name, field="approx", count=5)
+            res = run_suite(name, count=5)
             assert res.passed, (name, res.failures[:3])
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadgeo.kernel import Line, Point, cross_ratio, DegenerateInput
 from quadgeo.quadrangle import (
@@ -185,6 +185,7 @@ class TestCensus:
         st.integers(min_value=-20, max_value=20),
     )
     @settings(max_examples=150)
+    @example(-12, 17, -19, 3, 9, 17)  # faces 2 and 7 are isosceles
     def test_requadration_reproduces_point_set(self, x1, y1, x2, y2, x3, y3):
         pts = [Point(F(x1), F(y1)), Point(F(x2), F(y2)), Point(F(x3), F(y3))]
         try:
@@ -193,5 +194,8 @@ class TestCensus:
             return
         original = set(qq.vertices.values())
         for l in LABELS:
-            qq2 = quadrate(*qq.face(l))
+            try:
+                qq2 = quadrate(*qq.face(l))
+            except AmbiguousLabeling:
+                continue  # an isosceles face of a scalene seed
             assert set(qq2.vertices.values()) == original

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadgeo.kernel import Line, Point, collinear, concurrent
+from quadgeo import wallace
 from quadgeo.quadrangle import quadrate
 from quadgeo.wallace import (
     PointNotOnCircumcircle,
@@ -310,16 +311,35 @@ class TestDeltoid:
 
 
 class TestStarOfDavid:
-    def test_six_tangents_two_equilateral_triangles(self, q):
-        star = star_of_david(q)
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            ((36, 103), (-204, -77), (132, -77)),
+            ((-1, 47), (3, -45), (-17, 15)),
+            ((12, 1), (50, -12), (11, -5)),
+        ],
+        ids=["t0", "tri1", "tri2"],
+    )
+    def test_six_tangents_two_equilateral_triangles(self, verts, monkeypatch):
+        qq = quadrate(*(Point(F(x), F(y)) for x, y in verts))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wallace_line(*args, **kwargs)
+
+        monkeypatch.setattr(wallace, "wallace_line", counted)
+        star = star_of_david(qq)
+        assert len(calls) == 3  # one per tangent position, no search
         assert len(star.tangent_lines) == 6
-        target2 = float(q.central_circle.r2)
+        cx, cy = float(qq.center.x), float(qq.center.y)
+        target2 = float(qq.central_circle.r2)
         for line in star.tangent_lines:
             a, b, c = float(line.a), float(line.b), float(line.c)
-            d2 = (a * 0 + b * 0 - c) ** 2 / (a * a + b * b)
+            d2 = (a * cx + b * cy - c) ** 2 / (a * a + b * b)
             assert abs(d2 - target2) < 1e-6 * target2
         for tri in star.triangles:
-            assert is_equilateral(tri, 1e-6)
+            assert is_equilateral(tri, 1e-12)
 
     def test_triangles_are_central_reflections(self, q):
         star = star_of_david(q)
