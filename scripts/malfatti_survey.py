@@ -21,7 +21,7 @@ def random_state(rng: random.Random):
         w = F(rng.randint(1, 20), rng.randint(21, 60))
         try:
             return complete_state(v, w)
-        except (ZeroDivisionError, ValueError):
+        except PoleEncountered:
             continue
 
 

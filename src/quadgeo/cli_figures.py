@@ -668,12 +668,12 @@ def _suite_malfatti(eps, rng, count) -> SuiteResult:
     try:
         gl = malfatti.guylines(state)
         _record(res, len(gl) == 64, "guyline count != 64 (48 vertical + 16 Nails)")
-    except AssertionError as exc:
+    except GeometryError as exc:
         _record(res, False, f"guyline incidence: {exc}")
     try:
         pg = malfatti.pegs(state)
         _record(res, len(pg) == 16, "peG count != 16")
-    except AssertionError as exc:
+    except GeometryError as exc:
         _record(res, False, f"peG incidence: {exc}")
     audit = malfatti.group_audit(state)
     _record(res, audit.order == 32, "group order != 32")

@@ -313,9 +313,25 @@ def oddpoint(label: Tuple[int, int, int], state: State) -> Barycentric:
     return point_coords(label, state)
 
 
+Table = Tuple[Tuple[Fraction, ...], ...]
+
+
+def _component_table(state: State, coord: Callable[[Fraction], Fraction]) -> Table:
+    """T[pos][d] = coord(g_d(state[pos])): the 12 components from which the
+    point of digits (i, j, k) is (T[0][i], T[1][j], T[2][k]).  Raises
+    PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    return tuple(tuple(coord(_g(d, t)) for d in range(4)) for t in state)
+
+
+def _at(table: Table, label: Tuple[int, int, int]) -> Barycentric:
+    i, j, k = label
+    return Barycentric(table[0][i], table[1][j], table[2][k])
+
+
 def all_radpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
+    rc = _component_table(state, radcoord)
     return {
-        lab: point_coords(lab, state)
+        lab: _at(rc, lab)
         for lab in product(range(4), repeat=3)
         if sum(lab) % 2 == 0
     }
@@ -323,8 +339,9 @@ def all_radpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
 
 def all_oddpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
     """16 one-points (digit sum ≡ 1 mod 4) and 16 three-points (≡ 3)."""
+    rc = _component_table(state, radcoord)
     return {
-        lab: point_coords(lab, state)
+        lab: _at(rc, lab)
         for lab in product(range(4), repeat=3)
         if sum(lab) % 2 == 1
     }
@@ -425,34 +442,48 @@ def _nagel_suffix(onepoint: Tuple[int, int, int]) -> str:
 
 def guylines(state: State) -> List[GuyLine]:
     """48 vertical guylines [*jk], [i*k], [ij*] (each through one vertex,
-    two radpoints and two oddpoints) and 16 Nails through Nagel points."""
+    two radpoints and two oddpoints) and 16 Nails through Nagel points.
+
+    Every ⟨ijk⟩ is read from the component table
+    R[pos][d] = radcoord(g_d(state[pos])), so ⟨ijk⟩ = (x, y, z) =
+    (R[0][i], R[1][j], R[2][k]).  The vertical guyline [*jk] is the cevian
+    (0, z·Δ, -y·Δ) with Δ = R[0][1] - R[0][0]; [i*k] is (-z·Δ, 0, x·Δ) and
+    [ij*] is (y·Δ, -x·Δ, 0), each with the Δ of its own column.  These are
+    the joins of the members with digits 0 and 1 in the starred position,
+    and the vertex and all four members lie on them identically.  Each Nail
+    is the join of ⟨i+1 j+1 k+1⟩ and ⟨i-1 j-1 k-1⟩ and must pass through its
+    Nagel point; IdentityViolated if it does not."""
+    rc = _component_table(state, radcoord)
     out: List[GuyLine] = []
     for pos, vertex in enumerate("ABC"):
+        delta = rc[pos][1] - rc[pos][0]
+        n1, n2 = (pos + 1) % 3, (pos + 2) % 3
         for rest in product(range(4), repeat=2):
             members = []
             for d in range(4):
                 lab = list(rest)
                 lab.insert(pos, d)
                 members.append(tuple(lab))
-            pts = [point_coords(m, state) for m in members]
-            line = _join(pts[0], pts[1])
-            for p in pts[2:] + [_VERTICES[vertex]]:
-                assert _on(line, p), f"guyline through {vertex} fails"
+            c = [rc[p][d] for p, d in enumerate(members[0])]
+            line = [Fraction(0)] * 3
+            line[n1], line[n2] = c[n2] * delta, -c[n1] * delta
             text = "".join(
                 "*" if i == pos else str(rest[i if i < pos else i - 1])
                 for i in range(3)
             )
-            out.append(GuyLine("vertical", vertex, f"[{text}]", line, tuple(members)))
+            out.append(
+                GuyLine("vertical", vertex, f"[{text}]", tuple(line), tuple(members))
+            )
     nagels = nagel_points(state)
     for lab in product(range(4), repeat=3):
         if sum(lab) % 4 != 1:
             continue
         plus = tuple((d + 1) % 4 for d in lab)
         minus = tuple((d - 1) % 4 for d in lab)
-        p1, p2 = point_coords(plus, state), point_coords(minus, state)
-        line = _join(p1, p2)
+        line = _join(_at(rc, plus), _at(rc, minus))
         suffix = _nagel_suffix(lab)
-        assert _on(line, nagels[suffix]), f"Nail {lab} misses N_{suffix}"
+        if not _on(line, nagels[suffix]):
+            raise IdentityViolated(f"Nail {lab} misses N_{suffix}")
         out.append(
             GuyLine(
                 "nail",
@@ -466,18 +497,22 @@ def guylines(state: State) -> List[GuyLine]:
 
 
 def pegs(state: State) -> List[GuyLine]:
-    """16 peGs: each joins a 1-point to its antipodal 3-point and passes
-    through a Gergonne point."""
+    """16 peGs: each joins a 1-point ⟨ijk⟩ to its antipodal 3-point
+    ⟨i+2 j+2 k+2⟩, both read from the component table
+    R[pos][d] = radcoord(g_d(state[pos])) as (R[0][i], R[1][j], R[2][k]),
+    and must pass through a Gergonne point; IdentityViolated if it does
+    not."""
+    rc = _component_table(state, radcoord)
     gergs = gergonne_points(state)
     out: List[GuyLine] = []
     for lab in product(range(4), repeat=3):
         if sum(lab) % 4 != 1:
             continue
         anti = tuple((d + 2) % 4 for d in lab)
-        p1, p2 = point_coords(lab, state), point_coords(anti, state)
-        line = _join(p1, p2)
+        line = _join(_at(rc, lab), _at(rc, anti))
         suffix = _nagel_suffix(lab)
-        assert _on(line, gergs[suffix]), f"peG {lab} misses G_{suffix}"
+        if not _on(line, gergs[suffix]):
+            raise IdentityViolated(f"peG {lab} misses G_{suffix}")
         out.append(
             GuyLine(
                 "peg",
@@ -589,15 +624,11 @@ ZERO_COLLINEARITIES = (
 
 def zero_points(state: State) -> Dict[str, Barycentric]:
     """The sixteen points ⟨u/(1+u²), v/(1+v²), w/(1+w²)⟩ and their digit
-    extraversions (digits 0 and 2, or 1 and 3, differ only in sign)."""
-    u, v, w = state
-    out: Dict[str, Barycentric] = {}
-    for text in ZERO_POINT_LABELS:
-        i, j, k = (int(ch) for ch in text)
-        out[text] = Barycentric(
-            zerocoord(_g(i, u)), zerocoord(_g(j, v)), zerocoord(_g(k, w))
-        )
-    return out
+    extraversions (digits 0 and 2, or 1 and 3, differ only in sign).  The
+    point labelled ijk is (Z[0][i], Z[1][j], Z[2][k]) in the component table
+    Z[pos][d] = zerocoord(g_d(state[pos]))."""
+    zc = _component_table(state, zerocoord)
+    return {text: _at(zc, tuple(map(int, text))) for text in ZERO_POINT_LABELS}
 
 
 def zero_point_collinearities(state: State) -> int:
@@ -710,9 +741,8 @@ def malfatti_circles(
     )
     r_centre = tangents[0].intersect(tangents[1])
     scale = max(abs(float(v)) for p in (a, b, c) for v in (p.x, p.y))
-    assert abs(float(tangents[2].evaluate(r_centre))) < 1e-6 * max(1.0, scale), (
-        "transverse tangents fail to concur"
-    )
+    if not abs(float(tangents[2].evaluate(r_centre))) < 1e-6 * max(1.0, scale):
+        raise IdentityViolated("transverse tangents fail to concur")
     circles = (
         _corner_circle(a, b, c, tangents[1]),   # tangent to AB, AC, YY'
         _corner_circle(b, c, a, tangents[2]),

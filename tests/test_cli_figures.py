@@ -19,7 +19,7 @@ from quadgeo.cli_figures import (
     run_suite,
     table_text,
 )
-from quadgeo.kernel import Circle, Point
+from quadgeo.kernel import Barycentric, Circle, Point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_RECIPES = (
@@ -129,6 +129,10 @@ class TestTables:
         assert sum(1 for l in lines if "| nail" in l) == 16
         assert sum(1 for l in lines if "| peg" in l) == 16
 
+    def test_guylines_golden(self):
+        want = (GOLDEN / "guylines.txt").read_bytes()
+        assert table_text("guylines").encode() == want
+
     def test_unknown_table(self):
         with pytest.raises(UnknownSuite):
             table_text("nonexistent")
@@ -172,6 +176,19 @@ class TestSuites:
             "drozfarny",
             "cli_figures",
         }
+
+    def test_malfatti_incidence_failure_recorded(self, monkeypatch):
+        from quadgeo import malfatti
+
+        def far(state):
+            return {k: Barycentric(1, 1, 1) for k in "oabc"}
+
+        monkeypatch.setattr(malfatti, "nagel_points", far)
+        monkeypatch.setattr(malfatti, "gergonne_points", far)
+        res = run_suite("malfatti")
+        assert not res.passed
+        assert any(f.startswith("guyline incidence: Nail") for f in res.failures)
+        assert any(f.startswith("peG incidence: peG") for f in res.failures)
 
     def test_all_suites_pass_smoke(self):
         for name in sorted(SUITES):

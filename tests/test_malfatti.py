@@ -4,18 +4,24 @@ incidences, and the Malfatti circle construction."""
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgeo.kernel import Barycentric, DegenerateInput, Point
+import quadgeo.malfatti as malfatti
+from quadgeo.kernel import Barycentric, DegenerateInput, Line, Point
 from quadgeo.malfatti import (
     GuyLine,
     IdentityViolated,
     PoleEncountered,
     SHAPES,
     WrongParity,
+    ZERO_POINT_LABELS,
+    _g,
+    _join,
+    _on,
     all_oddpoints,
     all_radpoints,
     complete_state,
@@ -42,6 +48,7 @@ from quadgeo.malfatti import (
     vertical_guyline_equation,
     zero_point_collinearities,
     zero_points,
+    zerocoord,
 )
 
 STATE = (F(2, 9), F(1, 4), F(1, 3))
@@ -250,6 +257,129 @@ class TestGuylines:
                 assert len(pegs(s)) == 16
             except PoleEncountered:
                 continue
+
+
+def bits_state(rng, bits):
+    """A state with v, w quotients of random bits-bit integers, off the
+    poles 0, 1 and -1."""
+    while True:
+        v = F(rng.randrange(1, 2**bits), rng.randrange(1, 2**bits))
+        w = F(rng.randrange(1, 2**bits), rng.randrange(1, 2**bits))
+        try:
+            s = complete_state(v, w)
+        except PoleEncountered:
+            continue
+        if all(t not in (0, 1, -1) for t in s):
+            return s
+
+
+def reference_lines(state):
+    """guylines and peGs built label by label from point_coords and _join."""
+    pc = lambda lab: point_coords(lab, state)
+    verticals, nails, pgs = [], [], []
+    for pos, vertex in enumerate("ABC"):
+        for rest in product(range(4), repeat=2):
+            members = tuple(rest[:pos] + (d,) + rest[pos:] for d in range(4))
+            pts = [pc(m) for m in members]
+            line = _join(pts[0], pts[1])
+            assert all(_on(line, p) for p in pts[2:])
+            assert line[pos] == 0
+            text = "".join(
+                "*" if i == pos else str(members[0][i]) for i in range(3)
+            )
+            verticals.append(GuyLine("vertical", vertex, f"[{text}]", line, members))
+    for lab in product(range(4), repeat=3):
+        if sum(lab) % 4 != 1:
+            continue
+        odd = [d % 2 for d in lab]
+        suffix = "o" if all(odd) else "abc"[odd.index(1)]
+        plus = tuple((d + 1) % 4 for d in lab)
+        minus = tuple((d - 1) % 4 for d in lab)
+        anti = tuple((d + 2) % 4 for d in lab)
+        name = "".join(map(str, lab))
+        nails.append(GuyLine(
+            "nail", suffix, f"[{name}{suffix}]", _join(pc(plus), pc(minus)),
+            (plus, minus),
+        ))
+        pgs.append(GuyLine(
+            "peg", suffix, f"[{''.join(map(str, anti))}{suffix}]",
+            _join(pc(lab), pc(anti)), (lab, anti),
+        ))
+    return verticals + nails, pgs
+
+
+def coefficient_types(lines):
+    return [tuple(map(type, g.line)) for g in lines]
+
+
+class TestComponentTable:
+    """The component-table constructions equal the label-by-label ones."""
+
+    @pytest.mark.parametrize("bits", [4, 64])
+    def test_equals_point_by_point_reference(self, bits):
+        rng = random.Random(bits)
+        for _ in range(8):
+            s = bits_state(rng, bits)
+            ref_gl, ref_pegs = reference_lines(s)
+            for got, want in ((guylines(s), ref_gl), (pegs(s), ref_pegs)):
+                assert got == want
+                assert coefficient_types(got) == coefficient_types(want)
+            labels = list(product(range(4), repeat=3))
+            assert all_radpoints(s) == {
+                lab: point_coords(lab, s) for lab in labels if sum(lab) % 2 == 0
+            }
+            assert all_oddpoints(s) == {
+                lab: point_coords(lab, s) for lab in labels if sum(lab) % 2 == 1
+            }
+            zc = lambda d, t: zerocoord(_g(d, t))
+            assert zero_points(s) == {
+                text: Barycentric(*(zc(int(d), t) for d, t in zip(text, s)))
+                for text in ZERO_POINT_LABELS
+            }
+
+    @pytest.mark.parametrize("t", [F(0), F(1), F(-1)], ids=str)
+    @pytest.mark.parametrize(
+        "fn",
+        [guylines, pegs, zero_points, zero_point_collinearities,
+         all_radpoints, all_oddpoints],
+        ids=lambda f: f.__name__,
+    )
+    def test_pole_is_typed(self, fn, t):
+        for pos in range(3):
+            state = list(STATE)
+            state[pos] = t
+            with pytest.raises(PoleEncountered):
+                fn(tuple(state))
+
+
+class TestIncidenceChecks:
+    """The Nagel, Gergonne and Steiner incidences raise IdentityViolated
+    (not assert, which ``python -O`` strips) when they fail."""
+
+    @staticmethod
+    def centroids(state):
+        return {k: Barycentric(1, 1, 1) for k in "oabc"}
+
+    def test_nail_misses_nagel_point(self, monkeypatch):
+        monkeypatch.setattr(malfatti, "nagel_points", self.centroids)
+        with pytest.raises(IdentityViolated, match="Nail"):
+            guylines(STATE)
+
+    def test_peg_misses_gergonne_point(self, monkeypatch):
+        monkeypatch.setattr(malfatti, "gergonne_points", self.centroids)
+        with pytest.raises(IdentityViolated, match="peG"):
+            pegs(STATE)
+
+    def test_transverse_tangents_miss(self, monkeypatch):
+        reflect = malfatti._reflect_line_in
+
+        def shifted(mirror, line):
+            r = reflect(mirror, line)
+            return Line(r.a, r.b, r.c + 1)
+
+        monkeypatch.setattr(malfatti, "_reflect_line_in", shifted)
+        with pytest.raises(IdentityViolated, match="concur"):
+            malfatti_circles(Point(0, 0), Point(4, 0), Point(1, 3))
 
 
 class TestLabelAudit:
