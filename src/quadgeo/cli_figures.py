@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .kernel import (
     Circle,
     GeometryError,
+    IdentityViolated,
     Line,
     Point,
     collinear,
@@ -697,6 +698,9 @@ def _suite_morley(eps, rng, count) -> SuiteResult:
             continue
         try:
             cfg = morley.morley_config(*pts)
+        except IdentityViolated as exc:
+            _record(res, False, f"morley incidence: {exc}", exact=False)
+            continue
         except GeometryError:
             _record(res, True, "", exact=False)
             continue

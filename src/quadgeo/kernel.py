@@ -36,6 +36,10 @@ class DegenerateInput(GeometryError):
     pass
 
 
+class IdentityViolated(GeometryError):
+    """A theorem's incidence or concurrence failed to hold."""
+
+
 class ConcentricCircles(GeometryError):
     pass
 

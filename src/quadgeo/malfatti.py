@@ -20,6 +20,7 @@ from .kernel import (
     Circle,
     DegenerateInput,
     GeometryError,
+    IdentityViolated,
     Line,
     Point,
     barycentric_collinear,
@@ -28,10 +29,6 @@ from .kernel import (
 )
 
 State = Tuple[Fraction, Fraction, Fraction]
-
-
-class IdentityViolated(GeometryError):
-    pass
 
 
 class PoleEncountered(GeometryError):
@@ -347,19 +344,22 @@ def all_oddpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
     }
 
 
+def _solution_radpoint(s: State) -> Barycentric:
+    return Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
+
+
 def radpoint_of_solution(label: str, state: State) -> Barycentric:
     """Radical centre of a solution's circle triple: the radcoord transform
     of the solution's own quarter-angle tangents."""
-    s = solution_states(state)[label]
-    return Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
+    return _solution_radpoint(solution_states(state)[label])
 
 
 def solution_digit_map(state: State = _GENERIC_STATE) -> Dict[str, Tuple[int, int, int]]:
     """Bijection between the 32 solution labels and the 32 ⟨ijk⟩ radpoints."""
     rads = all_radpoints(state)
     out: Dict[str, Tuple[int, int, int]] = {}
-    for lab in solution_states(state):
-        p = radpoint_of_solution(lab, state)
+    for lab, s in solution_states(state).items():
+        p = _solution_radpoint(s)
         matches = [ijk for ijk, q in rads.items() if p.same_point(q)]
         if len(matches) != 1:
             raise DegenerateInput(f"solution {lab} matches {len(matches)} radpoints")
@@ -372,8 +372,15 @@ def solution_digit_map(state: State = _GENERIC_STATE) -> Dict[str, Tuple[int, in
 # ---------------------------------------------------------------------------
 
 
+def _no_poles(state: State) -> State:
+    if any(t in (0, 1, -1) for t in state):
+        raise PoleEncountered(f"{state} has a quarter-angle tangent 0, 1 or -1")
+    return state
+
+
 def nagel_points(state: State) -> Dict[str, Barycentric]:
-    u, v, w = state
+    """PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    u, v, w = _no_poles(state)
     ir = lambda t: (1 - t * t) / (2 * t)        # (I-R)/2 = cot(θ/2)/2
     ts = lambda t: 2 * t / (t * t - 1)           # (T-S)/2 = -2 tan(θ/2)...
     return {
@@ -385,7 +392,8 @@ def nagel_points(state: State) -> Dict[str, Barycentric]:
 
 
 def gergonne_points(state: State) -> Dict[str, Barycentric]:
-    u, v, w = state
+    """PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    u, v, w = _no_poles(state)
     tn = lambda t: t / (1 - t * t)               # tan(θ/2)/2
     ct = lambda t: (t * t - 1) / (2 * t)         # -cot(θ/2)/2
     return {
@@ -574,10 +582,6 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
     ok = True
     example: Tuple[str, str, str] = ("", "", "")
 
-    def coords_of(label: str) -> Barycentric:
-        s = sols[label]
-        return Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
-
     for row, r in _ROW_DIGIT.items():
         for flip, f in _FLIP_DIGIT.items():
             sigma = 7 ^ r ^ f
@@ -585,7 +589,8 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
             for q in _EVIL:
                 lab1 = f"{q}{suffix}"
                 lab2 = f"{q ^ sigma}{suffix}"
-                p1, p2 = coords_of(lab1), coords_of(lab2)
+                p1 = _solution_radpoint(sols[lab1])
+                p2 = _solution_radpoint(sols[lab2])
                 line = _join(p1, p2)
                 through = (
                     nagels[flip] if row == "N" else _VERTICES[row]

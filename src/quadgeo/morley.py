@@ -20,8 +20,8 @@ from .kernel import (
     Circle,
     DegenerateInput,
     GeometryError,
+    IdentityViolated,
     Line,
-    Number,
     Point,
     circumcircle,
     collinear,
@@ -361,12 +361,58 @@ def _associated_label(line_label: str) -> str:
     return "".join(str(x) for x in out)
 
 
+# The incidences of the configuration depend on the labels alone.  Point
+# (x, y, j, k, label) is beam j from lighthouse x meeting beam k from y; the
+# star marks the vertex left out and the digits sit at the positions of x
+# and y in ABC order.
+_POINT_LABELS: Tuple[Tuple[str, str, int, int, str], ...] = tuple(
+    (x, y, j, k, _point_label(star, *((j, k) if x < y else (k, j))))
+    for (x, y), star in _PAIR_STAR.items()
+    for j in range(3)
+    for k in range(3)
+)
+_LINE_POINTS: Dict[str, Tuple[str, ...]] = {
+    ll: tuple(pl for *_, pl in _POINT_LABELS if _on_morley_line(pl, ll))
+    for ll in _LINE_LABELS
+}
+# Guy Faux triangle g of the lighthouses x, y: beam pairs with j + k = -g
+_GF_TRIANGLES: Dict[str, Tuple[str, str, str]] = {
+    f"{x}{y}{g}": tuple(
+        _point_label(star, j, k)
+        for j in range(3)
+        for k in range(3)
+        if (j + k) % 3 == (-g) % 3
+    )
+    for (x, y), star in _PAIR_STAR.items()
+    for g in range(3)
+}
+# a GF circle meets a Morley line where two of its triangle's points lie on it
+_CIRCLE_LINES: Dict[str, Tuple[str, str, str]] = {
+    name: tuple(
+        ll for ll in _LINE_LABELS
+        if sum(1 for pl in labels if pl in _LINE_POINTS[ll]) == 2
+    )
+    for name, labels in _GF_TRIANGLES.items()
+}
+_LINE_CIRCLES: Dict[str, Tuple[str, str, str]] = {
+    ll: tuple(n for n, met in _CIRCLE_LINES.items() if ll in met)
+    for ll in _LINE_LABELS
+}
+
+
 def morley_config(
     a: Point, b: Point, c: Point, eps: float = DEFAULT_EPS
 ) -> MorleyConfig:
     """27 trisector intersections, 9 Morley lines carrying 6 points each,
     18 equilateral Morley triangles, 9 Guy Faux triangles whose circumcircles
-    concur in threes at 9 associated points (besides the vertices)."""
+    concur in threes at 9 associated points (besides the vertices).
+
+    The label incidences are fixed tables.  The three GF circles of a line
+    come one from each pair of lighthouses, so the first two share exactly
+    one vertex V; their second meet, the associated point, is the
+    reflection of V in the line of their centres.  It coincides with V when
+    V is a right angle.  IdentityViolated if a point leaves its Morley line
+    or a GF circle misses a lighthouse or the associated point."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     verts = {"A": a, "B": b, "C": c}
     if abs((b - a).cross(c - a)) < eps:
@@ -377,8 +423,9 @@ def morley_config(
         "C": abs(_signed_angle(a - c, b - c)),
     }
 
-    def beams(x: str, y: str, z: str) -> List[Line]:
-        vx, vy, vz = verts[x], verts[y], verts[z]
+    def beams(x: str, y: str) -> List[Line]:
+        vx, vy = verts[x], verts[y]
+        vz = verts[({"A", "B", "C"} - {x, y}).pop()]
         theta = _angle_of(vy - vx)
         sigma = 1.0 if (vy - vx).cross(vz - vx) > 0 else -1.0
         return [
@@ -388,35 +435,20 @@ def morley_config(
             for j in range(3)
         ]
 
-    order = "ABC"
-    points: Dict[str, Point] = {}
-    for (x, y), star in _PAIR_STAR.items():
-        z = ({"A", "B", "C"} - {x, y}).pop()
-        bx = beams(x, y, z)
-        by = beams(y, x, z)
-        for j in range(3):
-            for k in range(3):
-                # label digits sit at the positions of x and y in ABC order
-                digits = ["", "", ""]
-                digits[star] = "*"
-                digits[order.index(x)] = str(j)
-                digits[order.index(y)] = str(k)
-                points["".join(digits)] = bx[j].intersect(by[k])
+    fans = {(x, y): beams(x, y) for x in verts for y in verts if x != y}
+    points: Dict[str, Point] = {
+        label: fans[x, y][j].intersect(fans[y, x][k])
+        for x, y, j, k, label in _POINT_LABELS
+    }
 
     scale = _scale(list(points.values()))
     lines: Dict[str, Line] = {}
-    line_points: Dict[str, Tuple[str, ...]] = {}
-    for label in _LINE_LABELS:
-        members = tuple(pl for pl in points if _on_morley_line(pl, label))
-        assert len(members) == 6, f"line {label} has {len(members)} points"
+    for label, members in _LINE_POINTS.items():
         pts = [points[m] for m in members]
         line = Line.through(pts[0], pts[1])
-        for p in pts[2:]:
-            assert abs(line.evaluate(p)) < eps * scale * 100, (
-                f"point off Morley line {label}"
-            )
+        if any(abs(line.evaluate(p)) >= eps * scale * 100 for p in pts[2:]):
+            raise IdentityViolated(f"point off Morley line {label}")
         lines[label] = line
-        line_points[label] = members
 
     morley_tris: Dict[str, Tuple[Point, Point, Point]] = {}
     for p in range(3):
@@ -430,88 +462,37 @@ def morley_config(
                     points[f"{p}{q}*"],
                 )
 
-    gf_tris: Dict[str, Tuple[str, str, str]] = {}
     gf_circles: Dict[str, Circle] = {}
-    for (x, y), star in _PAIR_STAR.items():
-        for g in range(3):
-            labels = tuple(
-                _point_label(star, j, k)
-                for j in range(3)
-                for k in range(3)
-                if (j + k) % 3 == (-g) % 3
-            )
-            name = f"{x}{y}{g}"
-            gf_tris[name] = labels
-            circ = circumcircle(*(points[l] for l in labels))
-            for v in (verts[x], verts[y]):
-                assert circ.contains(v, eps=eps * scale * scale * 1000), (
-                    f"GF circle {name} misses a lighthouse"
-                )
-            gf_circles[name] = circ
-
-    # circle <-> line incidence and the nine associated concurrence points
-    circle_lines: Dict[str, Tuple[str, str, str]] = {}
-    for name, labels in gf_tris.items():
-        met = tuple(
-            ll
-            for ll in _LINE_LABELS
-            if sum(1 for pl in labels if pl in line_points[ll]) == 2
-        )
-        assert len(met) == 3, f"circle {name} meets {len(met)} lines"
-        circle_lines[name] = met
+    for name, labels in _GF_TRIANGLES.items():
+        circ = circumcircle(*(points[l] for l in labels))
+        for v in name[:2]:
+            if not circ.contains(verts[v], eps=eps * scale * scale * 1000):
+                raise IdentityViolated(f"GF circle {name} misses a lighthouse")
+        gf_circles[name] = circ
 
     associated: Dict[str, Point] = {}
-    for label in _LINE_LABELS:
-        triple = [n for n, met in circle_lines.items() if label in met]
-        assert len(triple) == 3
-        c1, c2, c3 = (gf_circles[n] for n in triple)
-        pt = _second_circle_intersection(c1, c2, verts, eps, scale)
-        assert abs(c3.power(pt)) < eps * scale * scale * 1000, (
-            f"third GF circle misses the associated point of line {label}"
-        )
+    for label, (n1, n2, n3) in _LINE_CIRCLES.items():
+        (v,) = set(n1[:2]) & set(n2[:2])
+        c1, c2 = gf_circles[n1], gf_circles[n2]
+        pt = reflect_point_in_line(verts[v], Line.through(c1.center, c2.center))
+        if abs(gf_circles[n3].power(pt)) >= eps * scale * scale * 1000:
+            raise IdentityViolated(
+                f"third GF circle misses the associated point of line {label}"
+            )
         associated[_associated_label(label)] = pt
 
     return MorleyConfig(
         verts,
         points,
         lines,
-        line_points,
+        dict(_LINE_POINTS),
         morley_tris,
-        gf_tris,
+        dict(_GF_TRIANGLES),
         gf_circles,
         associated,
-        circle_lines,
+        dict(_CIRCLE_LINES),
         eps,
     )
-
-
-def _second_circle_intersection(
-    c1: Circle, c2: Circle, verts: Dict[str, Point], eps: float, scale: float
-) -> Point:
-    """Intersection of two circles that is not a triangle vertex."""
-    d = c2.center - c1.center
-    d2 = float(d.norm2())
-    if d2 < 1e-18:
-        raise DegenerateInput("concentric GF circles")
-    t = (float(c1.r2) - float(c2.r2) + d2) / (2 * d2)
-    mid = Point(c1.center.x + t * d.x, c1.center.y + t * d.y)
-    h2 = float(c1.r2) - float((mid - c1.center).norm2())
-    if h2 < 0:
-        h2 = 0.0
-    h = math.sqrt(h2)
-    nrm = math.sqrt(d2)
-    perp = Point(-d.y / nrm, d.x / nrm)
-    cands = [
-        Point(mid.x + h * perp.x, mid.y + h * perp.y),
-        Point(mid.x - h * perp.x, mid.y - h * perp.y),
-    ]
-    for cand in cands:
-        if all(
-            math.hypot(float(cand.x - v.x), float(cand.y - v.y)) > eps * scale * 1000
-            for v in verts.values()
-        ):
-            return cand
-    return cands[0]
 
 
 def equilateral_residual(tri: Sequence[Point]) -> float:
@@ -863,13 +844,28 @@ def _in_excentres(tri: Sequence[Point]) -> List[Point]:
     return out
 
 
+# The 8 lines of the Thrice Sixteen grid, in two perpendicular families of
+# four parallels, over the vertices numbered 0..3 counterclockwise about
+# their circumcentre: "ab" is the incentre of the triangle omitting vertex a
+# when b == a, else its excentre opposite vertex b.
+_GRID = (
+    ("00 10 23 33", "01 11 22 32", "02 12 21 31", "03 13 20 30"),
+    ("00 11 21 30", "01 10 20 31", "02 13 23 32", "03 12 22 33"),
+)
+
+
 def thrice_sixteen(
     quad: Sequence[Point], eps: float = DEFAULT_EPS
 ) -> ThriceSixteenReport:
     """For four concyclic points: the 16 in/excentres of the four inscribed
     triangles form a rectangular 4×4 grid; the 24 segment midpoints coincide
     in 12 antipodal pairs on the circumcircle of the quadrangle; the 16
-    circumcentres are the central reflections of the centres."""
+    circumcentres are the central reflections of the centres.
+
+    The grid is the fixed label table ``_GRID`` once the vertices are sorted
+    counterclockwise about the circumcentre; each tabled line, the
+    parallelism within each family and the perpendicularity between them
+    are checked, and DegenerateInput raised if one fails."""
     pts = [_fp(p) for p in quad]
     if len(pts) != 4:
         raise DegenerateInput("need four points")
@@ -890,36 +886,26 @@ def thrice_sixteen(
     cpts = [centers[l] for l in labels]
 
     # the two perpendicular quadruples of parallel 4-point lines
-    lines_found: List[Tuple[Line, Tuple[int, ...]]] = []
     tol = eps * scale * 1e4
-    for i, j in combinations(range(16), 2):
-        if math.hypot(
-            float(cpts[i].x - cpts[j].x), float(cpts[i].y - cpts[j].y)
-        ) < tol:
-            continue
-        line = Line.through(cpts[i], cpts[j])
-        members = tuple(
-            k for k in range(16) if abs(float(line.evaluate(cpts[k]))) < tol
-        )
-        if len(members) == 4 and not any(
-            set(members) == set(m) for _, m in lines_found
-        ):
-            lines_found.append((line, members))
-    if len(lines_found) != 8:
-        raise DegenerateInput(f"grid detection found {len(lines_found)} lines")
-    ref = lines_found[0][0]
-    fam1 = [l for l, _ in lines_found if _parallel_float(l, ref, eps)]
-    fam2 = [l for l, _ in lines_found if not _parallel_float(l, ref, eps)]
-    if len(fam1) != 4 or len(fam2) != 4:
-        raise DegenerateInput("grid families are not 4 + 4")
-    if abs(float(ref.a * fam2[0].a + ref.b * fam2[0].b)) > eps * 100:
+    ccw = sorted(range(4), key=lambda i: _angle_of(pts[i] - base.center))
+    grid_members: List[Tuple[str, ...]] = []
+    families: List[List[Line]] = []
+    for family in _GRID:
+        lines = []
+        for row in family:
+            members = tuple(f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split())
+            on = [centers[m] for m in members]
+            line = Line.through(on[0], on[1])
+            if any(abs(float(line.evaluate(p))) >= tol for p in on[2:]):
+                raise DegenerateInput(f"centres {' '.join(members)} not collinear")
+            if lines and not _parallel_float(line, lines[0], eps):
+                raise DegenerateInput("grid families are not parallel")
+            lines.append(line)
+            grid_members.append(members)
+        families.append(lines)
+    fam1, fam2 = families
+    if abs(float(fam1[0].a * fam2[0].a + fam1[0].b * fam2[0].b)) > eps * 100:
         raise DegenerateInput("grid families are not perpendicular")
-    grid_members = [
-        tuple(labels[k] for k in members) for _, members in lines_found
-    ]
-    latin = all(
-        {lab[0] for lab in mem} == {"0", "1", "2", "3"} for mem in grid_members
-    )
 
     # midpoints coincide in 12 pairs on the circumcircle of the quadrangle
     mids: List[Point] = []
@@ -945,20 +931,17 @@ def thrice_sixteen(
             used[i] = used[j] = True
             pair_count += 1
 
-    # circumcentres reflect through the 16-point centre; circles congruent
+    # circumcentres reflect through the 16-point centre; circles congruent.
+    # Each centre is the orthocentre of the other three of its triangle.
     centre = base.center
     reflect_ok = True
     congruent_ok = True
     r_big = None
     for omit in range(4):
-        tri = [pts[i] for i in range(4) if i != omit]
-        inc_labels = [f"{omit}{omit}"] + [
-            f"{omit}{v}" for v in range(4) if v != omit
-        ]
-        for lab in inc_labels:
+        own = [f"{omit}{omit}"] + [f"{omit}{v}" for v in range(4) if v != omit]
+        for lab in own:
             h = centers[lab]
-            rest = _orthocentric_mates(h, tri)
-            circ = circumcircle(*rest)
+            circ = circumcircle(*(centers[m] for m in own if m != lab))
             mirrored = Point(2 * centre.x - h.x, 2 * centre.y - h.y)
             if (
                 math.hypot(
@@ -979,24 +962,10 @@ def thrice_sixteen(
         grid_members,
         base,
         pair_count,
-        latin,
+        True,  # every _GRID row holds one centre of each triangle
         reflect_ok,
         congruent_ok,
     )
-
-
-def _orthocentric_mates(h: Point, tri: Sequence[Point]) -> List[Point]:
-    """The triangle of which h is the orthocentre, within the orthocentric
-    quadruple {h} ∪ tri: that is simply tri itself when h is a centre of the
-    in/excentral system — each centre is the orthocentre of the other three
-    centres of its triangle."""
-    inc, *excs = _in_excentres(tri)
-    quad = [inc] + excs
-    best = min(
-        range(4),
-        key=lambda i: math.hypot(float(quad[i].x - h.x), float(quad[i].y - h.y)),
-    )
-    return [quad[i] for i in range(4) if i != best]
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +1002,8 @@ def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
     AC (and cyclically).  AA', BB', CC' concur at the circumcentre; the
     proximal treblers α', β', γ' are the reflections of the vertices in the
     opposite edges, and Aα', Bβ', Cγ' concur at the orthocentre; four triads
-    of the cross points α, β, γ are collinear."""
+    of the cross points α, β, γ are collinear.  IdentityViolated if any of
+    these exact incidences fails."""
     ab, bc, ca = Line.through(a, b), Line.through(b, c), Line.through(c, a)
     a_p = _reflect_line(bc, ab).intersect(_reflect_line(bc, ca))
     b_p = _reflect_line(ca, bc).intersect(_reflect_line(ca, ab))
@@ -1045,18 +1015,22 @@ def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
     beta_p = reflect_point_in_line(b, ca)
     gamma_p = reflect_point_in_line(c, ab)
     o = Line.through(a, a_p).intersect(Line.through(b, b_p))
-    assert Line.through(c, c_p).contains(o), "AA', BB', CC' fail to concur"
-    assert circumcircle(a, b, c).center == o, "concurrence is not the circumcentre"
+    if not Line.through(c, c_p).contains(o):
+        raise IdentityViolated("AA', BB', CC' fail to concur")
+    if circumcircle(a, b, c).center != o:
+        raise IdentityViolated("concurrence is not the circumcentre")
     h = orthocentre(a, b, c)
     for v, vp in ((a, alpha_p), (b, beta_p), (c, gamma_p)):
-        assert Line.through(v, vp).contains(h), "treblers miss the orthocentre"
+        if not Line.through(v, vp).contains(h):
+            raise IdentityViolated("treblers miss the orthocentre")
     for triad in (
         (alpha, beta, gamma),
         (alpha, beta_p, gamma_p),
         (alpha_p, beta, gamma_p),
         (alpha_p, beta_p, gamma),
     ):
-        assert collinear(*triad), "Desargues triad fails"
+        if not collinear(*triad):
+            raise IdentityViolated("Desargues triad fails")
     return InsideOutData(
         a_p, b_p, c_p, alpha, beta, gamma, alpha_p, beta_p, gamma_p, o, h
     )

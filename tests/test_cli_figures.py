@@ -190,6 +190,22 @@ class TestSuites:
         assert any(f.startswith("guyline incidence: Nail") for f in res.failures)
         assert any(f.startswith("peG incidence: peG") for f in res.failures)
 
+    def test_morley_incidence_failure_recorded(self, monkeypatch):
+        from quadgeo import morley
+
+        real = morley.reflect_point_in_line
+
+        def shifted(p, line):
+            q = real(p, line)
+            return Point(q.x + 0.1, q.y)
+
+        monkeypatch.setattr(morley, "reflect_point_in_line", shifted)
+        res = run_suite("morley", count=5)
+        assert not res.passed
+        assert any(
+            f.startswith("morley incidence: third GF circle") for f in res.failures
+        )
+
     def test_all_suites_pass_smoke(self):
         for name in sorted(SUITES):
             res = run_suite(name, count=5)

@@ -196,6 +196,29 @@ class TestRadpoints:
         for lab, ijk in dm.items():
             assert sum(ijk) % 2 == 0
 
+    def test_solution_digit_map_matches_per_label_reference(self):
+        # the label-by-label construction: rebuild the 32 states per label
+        rng = random.Random(41)
+        for s in [STATE] + [random_state(rng) for _ in range(3)]:
+            rads = all_radpoints(s)
+            ref = {}
+            for lab in solution_states(s):
+                p = radpoint_of_solution(lab, s)
+                (ref[lab],) = [ijk for ijk, q in rads.items() if p.same_point(q)]
+            assert solution_digit_map(s) == ref
+
+    def test_solution_digit_map_builds_states_once(self, monkeypatch):
+        calls = []
+        real = malfatti.solution_states
+
+        def counted(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(malfatti, "solution_states", counted)
+        solution_digit_map(STATE)
+        assert len(calls) == 1
+
     def test_shape_sign_pairs(self):
         u, _, _ = STATE
         for big, small in (("I", "i"), ("R", "r"), ("S", "s"), ("T", "t")):
@@ -341,7 +364,7 @@ class TestComponentTable:
     @pytest.mark.parametrize(
         "fn",
         [guylines, pegs, zero_points, zero_point_collinearities,
-         all_radpoints, all_oddpoints],
+         all_radpoints, all_oddpoints, nagel_points, gergonne_points],
         ids=lambda f: f.__name__,
     )
     def test_pole_is_typed(self, fn, t):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgeo.kernel import Point, circumcircle
+import quadgeo.morley as morley
+from quadgeo.kernel import IdentityViolated, Point, circumcircle
 from quadgeo.morley import (
     FULL,
     SIXTY,
@@ -265,6 +266,96 @@ class TestMorleyConfig:
         )
 
 
+def _rotated(tri, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return tuple((c * x - s * y, s * x + c * y) for x, y in tri)
+
+
+RIGHT_345 = ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
+SLIVER = (
+    (-2.9312259638636196, 2.91075986027284),
+    (-3.0184824199130507, 4.212950994944062),
+    (-2.2075322244902518, -8.697919126501814),
+)
+
+
+class TestMorleyHardTriangles:
+    """Right angles, where three associated points fall on the right-angle
+    vertex, and a sliver (angles 3.1369, 0.0042, 0.0005) whose far
+    associated point sits on GF circles of radius about 4175."""
+
+    @pytest.mark.parametrize(
+        "tri",
+        [
+            RIGHT_345,
+            ((0.0, 0.0), (12.0, 0.0), (0.0, 5.0)),
+            ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+            _rotated(RIGHT_345, 1e-6),
+            SLIVER,
+        ],
+        ids=["3-4-5", "5-12-13", "isosceles-right", "3-4-5-rotated", "sliver"],
+    )
+    def test_configuration_holds(self, tri):
+        cfg = morley_config(*(Point(x, y) for x, y in tri))
+        assert max(
+            equilateral_residual(t) for t in cfg.morley_triangles.values()
+        ) < EPS
+        assert edge_direction_classes(cfg.morley_triangles) == 1
+        assert len(cfg.associated_points) == 9
+        # each GF circle passes through the associated points of the three
+        # lines it meets; the power is taken relative to max(1, r²), as the
+        # sliver's circles are far larger than the unit
+        for name, _, _, assoc in table_rows(cfg):
+            circ = cfg.gf_circles[name]
+            for al in assoc.split():
+                power = abs(float(circ.power(cfg.associated_points[al])))
+                assert power < 1e-6 * max(1.0, float(circ.r2)), (name, al)
+
+    def test_right_angle_vertex_is_associated(self):
+        cfg = morley_config(*(Point(x, y) for x, y in RIGHT_345))
+        at_a = [
+            al for al, p in cfg.associated_points.items()
+            if math.hypot(p.x, p.y) < 1e-9
+        ]
+        assert len(at_a) == 3
+
+
+class TestMorleyIdentityChecks:
+    """Failed incidences raise IdentityViolated, which ``python -O`` keeps."""
+
+    TRI = (Point(0.0, 0.0), Point(7.0, 0.3), Point(2.0, 5.0))
+
+    def test_point_off_morley_line(self, monkeypatch):
+        members = morley._LINE_POINTS["100"]
+        monkeypatch.setitem(
+            morley._LINE_POINTS, "100", members[:5] + ("*00",)
+        )
+        with pytest.raises(IdentityViolated, match="Morley line 100"):
+            morley_config(*self.TRI)
+
+    def test_gf_circle_misses_lighthouse(self, monkeypatch):
+        real = morley.circumcircle
+
+        def grown(p, q, r):
+            c = real(p, q, r)
+            return type(c)(c.center, c.r2 + 1.0)
+
+        monkeypatch.setattr(morley, "circumcircle", grown)
+        with pytest.raises(IdentityViolated, match="lighthouse"):
+            morley_config(*self.TRI)
+
+    def test_third_circle_misses_associated_point(self, monkeypatch):
+        real = morley.reflect_point_in_line
+
+        def shifted(p, line):
+            q = real(p, line)
+            return Point(q.x + 0.1, q.y)
+
+        monkeypatch.setattr(morley, "reflect_point_in_line", shifted)
+        with pytest.raises(IdentityViolated, match="third GF circle"):
+            morley_config(*self.TRI)
+
+
 class TestRationalMorley:
     def test_pythagorean_member(self):
         rep = rational_morley("pythagorean", Fraction(1, 4))
@@ -354,6 +445,40 @@ class TestThriceSixteen:
             < 1e-6
         )
 
+    @pytest.mark.parametrize(
+        "degrees", [(0, 90, 180, 270), (0, 60, 180, 300)], ids=["square", "kite"]
+    )
+    def test_symmetric_quadrangles(self, degrees):
+        # extra collinearities among the centres once defeated a grid search
+        quad = [
+            Point(5 * math.cos(math.radians(d)), 5 * math.sin(math.radians(d)))
+            for d in degrees
+        ]
+        rep = thrice_sixteen(quad)
+        assert len(rep.grid_members) == 8
+        assert rep.midpoint_pairs == 12
+        assert rep.latin_square
+        assert rep.circumcentres_reflect
+        assert rep.circumcircles_congruent
+
+    def test_vertex_order_does_not_matter(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            quad = self.quad(rng)
+            perm = list(range(4))
+            rng.shuffle(perm)
+            shuffled = [quad[i] for i in perm]
+            rep = thrice_sixteen(quad)
+            rep_s = thrice_sixteen(shuffled)
+            # shuffled vertex i is vertex perm[i] of the sorted quadrangle
+            back = {
+                frozenset(f"{perm[int(a)]}{perm[int(b)]}" for a, b in mem)
+                for mem in rep_s.grid_members
+            }
+            assert back == {frozenset(mem) for mem in rep.grid_members}
+            assert rep_s.midpoint_pairs == 12
+            assert rep_s.circumcentres_reflect and rep_s.circumcircles_congruent
+
     def test_non_concyclic_rejected(self):
         with pytest.raises(DegenerateInput):
             thrice_sixteen(
@@ -389,5 +514,16 @@ class TestInsideOut:
             a, b, c = pts
             if (b - a).cross(c - a) == 0:
                 continue
-            io = inside_out(a, b, c)  # concurrences asserted internally
+            io = inside_out(a, b, c)  # concurrences checked internally
             assert io.orthocentre == orthocentre(a, b, c)
+
+    def test_missed_orthocentre_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            morley, "orthocentre", lambda a, b, c: Point(Fraction(1), Fraction(1))
+        )
+        with pytest.raises(IdentityViolated, match="orthocentre"):
+            inside_out(
+                Point(Fraction(60), Fraction(60)),
+                Point(Fraction(0), Fraction(0)),
+                Point(Fraction(180), Fraction(0)),
+            )
