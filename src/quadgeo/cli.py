@@ -28,16 +28,15 @@ def main() -> None:
 @main.command()
 @click.option("--suite", "suites", multiple=True,
               help="Suite name; repeat for several, omit for all.")
-@click.option("--eps", type=float, default=1e-9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--count", type=int, default=100, show_default=True)
-def verify(suites, eps, seed, count) -> None:
+def verify(suites, seed, count) -> None:
     """Run verification suites; exit 0 iff everything passes."""
     names = list(suites) if suites else sorted(SUITES)
     failed = False
     for name in names:
         try:
-            result = run_suite(name, eps=eps, seed=seed, count=count)
+            result = run_suite(name, seed=seed, count=count)
         except UnknownSuite as exc:
             click.echo(str(exc), err=True)
             sys.exit(2)

@@ -17,6 +17,7 @@ from .kernel import (
     ConicKind,
     DegenerateInput,
     GeometryError,
+    IdentityViolated,
     Line,
     Number,
     Parabola,
@@ -27,6 +28,7 @@ from .kernel import (
     collinear,
     foot_of_perpendicular,
     perpendicular_bisector,
+    reflect_line_in_line,
     reflect_point_in_line,
 )
 from .quadrangle import LabeledQuadrangle, orthocentre
@@ -121,12 +123,9 @@ def df_line(
         for n in "XYZ"
     )
     if ratio == Fraction(1, 2) or ratio == 0.5:
-        if tol == 0.0:
-            assert collinear(*mids), "Droz-Farny midpoints are not collinear"
-        else:
-            assert approx_collinear(*mids, eps=1e-6), (
-                "Droz-Farny midpoints are not collinear"
-            )
+        on_line = collinear(*mids) if tol == 0.0 else approx_collinear(*mids, eps=1e-6)
+        if not on_line:
+            raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
     circ = circumcircle(a, b, c)
@@ -191,10 +190,8 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
         # circle centred at p through h meets the edge at p ± √s · d
         s = p.dist2(h) / d.norm2()
         chords.append((p, d, s))
-        # the chord ends seen from H are perpendicular:
-        # (v + √s d)·(v − √s d) = |v|² − s|d|² = 0 by construction
-        v = h - p
-        assert v.dot(v) - s * d.norm2() == 0
+        # the chord ends seen from H are perpendicular: with v = h − p,
+        # (v + √s d)·(v − √s d) = |v|² − s|d|² = 0 by the choice of s
     pair = _recovered_pair(h, chords)
     return DFConverse(tuple(tri), h, m, df, tuple(cut_pts), tuple(chords), pair)
 
@@ -333,8 +330,10 @@ def df_parabola(inst: DFInstance) -> Parabola:
     ]
     directrix = Line.through(refs[0], refs[1])
     tol = 0.0 if inst.m.is_exact() and refs[2].is_exact() else 1e-9
-    assert directrix.contains(refs[2], tol)
-    assert directrix.contains(inst.orthocentre, tol)
+    if not directrix.contains(refs[2], tol):
+        raise IdentityViolated("reflections of M in the edges are not collinear")
+    if not directrix.contains(inst.orthocentre, tol):
+        raise IdentityViolated("directrix misses the orthocentre")
     if directrix.contains(inst.m, tol):
         raise DegenerateInstance("focus on directrix")
     return Parabola(inst.m, directrix)
@@ -444,7 +443,8 @@ def miquel_point(tri: Sequence[Point], x: Point, y: Point, z: Point) -> Point:
     p = reflect_point_in_line(z, Line.through(c1.center, c2.center))
     if p.close_to(z, 0.0 if p.is_exact() else 1e-12):
         p = z  # tangent circles: Miquel point is the shared point itself
-    assert c3.contains(p, 0.0 if p.is_exact() else 1e-9)
+    if not c3.contains(p, 0.0 if p.is_exact() else 1e-9):
+        raise IdentityViolated("circle CXY misses the Miquel point")
     return p
 
 
@@ -457,19 +457,13 @@ def theorem_r(tri: Sequence[Point], line: Line) -> Point:
     if not line.contains(h):
         raise LineNotThroughOrthocentre("line must pass through the orthocentre")
     reflected = [
-        _reflect_line_in_line(line, Line.through(p, q))
+        reflect_line_in_line(line, Line.through(p, q))
         for p, q in ((b, c), (c, a), (a, b))
     ]
     p = reflected[0].intersect(reflected[1])
-    assert reflected[2].contains(p, 0.0 if p.is_exact() else 1e-9)
-    assert circumcircle(a, b, c).contains(p, 0.0 if p.is_exact() else 1e-9)
+    tol = 0.0 if p.is_exact() else 1e-9
+    if not reflected[2].contains(p, tol):
+        raise IdentityViolated("reflected lines fail to concur")
+    if not circumcircle(a, b, c).contains(p, tol):
+        raise IdentityViolated("concurrence point misses the circumcircle")
     return p
-
-
-def _reflect_line_in_line(line: Line, mirror: Line) -> Line:
-    p = foot_of_perpendicular(Point(0, 0), line)
-    d = line.direction()
-    q = Point(p.x + d.x, p.y + d.y)
-    return Line.through(
-        reflect_point_in_line(p, mirror), reflect_point_in_line(q, mirror)
-    )

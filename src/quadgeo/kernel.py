@@ -425,6 +425,16 @@ def reflect_point_in_line(p: Point, line: Line) -> Point:
     return Point(p.x - t * line.a / n2, p.y - t * line.b / n2)
 
 
+def reflect_line_in_line(line: Line, mirror: Line) -> Line:
+    """Image of ``line`` under reflection in ``mirror`` (m₁x + m₂y = m_c):
+    with k = 2(a·m₁ + b·m₂)/(m₁² + m₂²) it is
+    (a − k·m₁)x + (b − k·m₂)y = c − k·m_c."""
+    k = 2 * (line.a * mirror.a + line.b * mirror.b) / (
+        mirror.a * mirror.a + mirror.b * mirror.b
+    )
+    return Line(line.a - k * mirror.a, line.b - k * mirror.b, line.c - k * mirror.c)
+
+
 def foot_of_perpendicular(p: Point, line: Line) -> Point:
     n2 = line.a * line.a + line.b * line.b
     t = line.evaluate(p)
@@ -481,7 +491,7 @@ class Tangency(Enum):
     NESTED = "Nested"
 
 
-def tangency_classify(c1: Circle, c2: Circle, eps: float = 0.0) -> Tangency:
+def tangency_classify(c1: Circle, c2: Circle) -> Tangency:
     """Classification via squared quantities only: with d² = |c₁c₂|²,
     tangent iff (d² − r2₁ − r2₂)² = 4·r2₁·r2₂ (internal when d² < r2₁+r2₂)."""
     if c1 == c2:
@@ -489,10 +499,6 @@ def tangency_classify(c1: Circle, c2: Circle, eps: float = 0.0) -> Tangency:
     d2 = c1.center.dist2(c2.center)
     lhs = d2 - c1.r2 - c2.r2
     disc = lhs * lhs - 4 * c1.r2 * c2.r2
-    if eps > 0.0 and not (is_exact(disc)):
-        scale = max(abs(float(d2)), abs(float(c1.r2)), abs(float(c2.r2)), 1.0) ** 2
-        if abs(disc) <= eps * scale:
-            disc = 0
     if disc == 0:
         return (
             Tangency.INTERNAL_TANGENT
@@ -556,13 +562,11 @@ def ceva_product(
     )
 
 
-def concurrent(lines: Iterable[Line], eps: float = 0.0) -> Optional[Point]:
+def concurrent(lines: Iterable[Line]) -> Optional[Point]:
     """Common point of three or more lines, or None."""
     lines = list(lines)
     p = lines[0].intersect(lines[1])
     for line in lines[2:]:
-        v = line.evaluate(p)
-        ok = v == 0 if eps == 0.0 else abs(v) <= eps
-        if not ok:
+        if line.evaluate(p) != 0:
             return None
     return p

@@ -16,6 +16,7 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
+    DEFAULT_EPS,
     Barycentric,
     Circle,
     DegenerateInput,
@@ -25,7 +26,7 @@ from .kernel import (
     Point,
     barycentric_collinear,
     foot_of_perpendicular,
-    reflect_point_in_line,
+    reflect_line_in_line,
 )
 
 State = Tuple[Fraction, Fraction, Fraction]
@@ -714,7 +715,7 @@ def _bisector_direction(vertex: Point, e1: Point, e2: Point) -> Point:
 
 
 def malfatti_circles(
-    a: Point, b: Point, c: Point, eps: float = 1e-9
+    a: Point, b: Point, c: Point
 ) -> Tuple[Tuple[Circle, Circle, Circle], MalfattiTrace]:
     """Steiner's construction: incircles of BIC, CIA, AIB; their touch
     points X, Y, Z on the edges; the transverse tangents XX', YY', ZZ'
@@ -722,7 +723,7 @@ def malfatti_circles(
     the radical centre; the Malfatti circles are the incircles of the
     corner quadrilaterals."""
     a, b, c = (Point(float(p.x), float(p.y)) for p in (a, b, c))
-    if abs(float((b - a).cross(c - a))) < eps:
+    if abs(float((b - a).cross(c - a))) < DEFAULT_EPS:
         raise DegenerateInput("degenerate triangle")
     inc = _incircle_of(a, b, c)
     i = inc.center
@@ -742,7 +743,7 @@ def malfatti_circles(
     )
     bisectors = (Line.through(a, i), Line.through(b, i), Line.through(c, i))
     tangents = tuple(
-        _reflect_line_in(mirror, bis) for bis, mirror in zip(bisectors, joins)
+        reflect_line_in_line(bis, mirror) for bis, mirror in zip(bisectors, joins)
     )
     r_centre = tangents[0].intersect(tangents[1])
     scale = max(abs(float(v)) for p in (a, b, c) for v in (p.x, p.y))
@@ -756,15 +757,6 @@ def malfatti_circles(
     near_far = _near_far(circles, (a, b, c))
     trace = MalfattiTrace(i, sub, touch, tangents, r_centre, near_far)
     return circles, trace
-
-
-def _reflect_line_in(mirror: Line, line: Line) -> Line:
-    p = foot_of_perpendicular(Point(0.0, 0.0), line)
-    d = line.direction()
-    q = Point(p.x + d.x, p.y + d.y)
-    return Line.through(
-        reflect_point_in_line(p, mirror), reflect_point_in_line(q, mirror)
-    )
 
 
 def _near_far(circles: Sequence[Circle], verts: Sequence[Point]) -> str:
@@ -788,13 +780,19 @@ def _near_far(circles: Sequence[Circle], verts: Sequence[Point]) -> str:
     return "".join(out)
 
 
+#: relative tolerances of the float checks on Malfatti circles
+_TANGENCY_TOL = 1e-7
+_CONTACT_CIRCLE_TOL = 1e-6
+
+
 def verify_malfatti(
-    circles: Sequence[Circle], a: Point, b: Point, c: Point, eps: float = 1e-7
+    circles: Sequence[Circle], a: Point, b: Point, c: Point
 ) -> bool:
-    """Mutual tangency and double edge tangency."""
+    """Mutual tangency and double edge tangency, within ``_TANGENCY_TOL``
+    relative to the largest vertex coordinate."""
     a, b, c = (Point(float(p.x), float(p.y)) for p in (a, b, c))
     scale = max(abs(float(v)) for p in (a, b, c) for v in (p.x, p.y))
-    tol = eps * max(1.0, scale)
+    tol = _TANGENCY_TOL * max(1.0, scale)
     edges = {
         0: (Line.through(a, b), Line.through(a, c)),
         1: (Line.through(b, c), Line.through(b, a)),
@@ -822,11 +820,11 @@ def variant_contact_circle(
     a: Point,
     b: Point,
     c: Point,
-    eps: float = 1e-6,
 ) -> bool:
     """The circle centred at X (sub-incircle contact on BC) with radius
     r(1+u)/2 passes through the contacts of the B- and C-Malfatti circles
-    with BC and with each other (cyclically for Y, Z)."""
+    with BC and with each other (cyclically for Y, Z), within
+    ``_CONTACT_CIRCLE_TOL`` relative to the largest vertex coordinate."""
     u, v, w = quarter_angles(a, b, c)
     r = math.sqrt(float(_incircle_of(a, b, c).r2))
     scale = max(abs(float(t)) for p in (a, b, c) for t in (p.x, p.y))
@@ -856,6 +854,6 @@ def variant_contact_circle(
         )
         for p in contacts:
             got = math.hypot(float(p.x - centre.x), float(p.y - centre.y))
-            if abs(got - rad) > eps * max(1.0, scale):
+            if abs(got - rad) > _CONTACT_CIRCLE_TOL * max(1.0, scale):
                 return False
     return True

@@ -2,10 +2,10 @@
 Thrice Sixteen, and the inside-out trebler construction.
 
 Angle trisection is not rational, so everything driven by actual beam
-angles runs on the float backend with an explicit tolerance; statements
-about rational edge *lengths* (the Pythagorean and two-parameter families,
-the 1001-jigsaw) are checked exactly, working in Q(√3) where sines of the
-relevant angles are √3 times a rational.
+angles runs on the float backend with fixed tolerances scaled from
+``DEFAULT_EPS``; statements about rational edge *lengths* (the Pythagorean
+and two-parameter families, the 1001-jigsaw) are checked exactly, working
+in Q(√3) where sines of the relevant angles are √3 times a rational.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
+    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -25,12 +26,10 @@ from .kernel import (
     Point,
     circumcircle,
     collinear,
-    foot_of_perpendicular,
+    reflect_line_in_line,
     reflect_point_in_line,
 )
 from .quadrangle import orthocentre
-
-DEFAULT_EPS = 1e-9
 
 
 class InvalidParameters(GeometryError):
@@ -111,7 +110,7 @@ def _beam_lines(
 
 
 def lighthouse(
-    b: Point, c: Point, beta: float, gamma: float, n: int, eps: float = DEFAULT_EPS
+    b: Point, c: Point, beta: float, gamma: float, n: int
 ) -> LighthouseConfig:
     """Two pencils of n equally spaced beams meet in n² points forming n
     regular n-gons whose circumcircles all pass through both lighthouses
@@ -153,11 +152,11 @@ def circle_through_two(b: Point, c: Point, gon: Sequence[Point]) -> Optional[Cir
     return circumcircle(b, c, gon[0])
 
 
-def _parallel_float(l1: Line, l2: Line, eps: float = DEFAULT_EPS) -> bool:
-    return abs(float(l1.a * l2.b - l1.b * l2.a)) < eps * 100
+def _parallel_float(l1: Line, l2: Line) -> bool:
+    return abs(float(l1.a * l2.b - l1.b * l2.a)) < DEFAULT_EPS * 100
 
 
-def ngon_is_regular(gon: Sequence[Point], eps: float = DEFAULT_EPS) -> bool:
+def ngon_is_regular(gon: Sequence[Point]) -> bool:
     """Vertices concyclic and equally spaced by 2π/n around the centre."""
     n = len(gon)
     if n < 2:
@@ -166,9 +165,9 @@ def ngon_is_regular(gon: Sequence[Point], eps: float = DEFAULT_EPS) -> bool:
     cy = sum(float(p.y) for p in gon) / n
     radii = [math.hypot(float(p.x) - cx, float(p.y) - cy) for p in gon]
     r = sum(radii) / n
-    if r < eps:
+    if r < DEFAULT_EPS:
         return False
-    if max(abs(x - r) for x in radii) > eps * max(1.0, r):
+    if max(abs(x - r) for x in radii) > DEFAULT_EPS * max(1.0, r):
         return False
     angles = sorted(
         math.atan2(float(p.y) - cy, float(p.x) - cx) % (2 * math.pi) for p in gon
@@ -176,22 +175,22 @@ def ngon_is_regular(gon: Sequence[Point], eps: float = DEFAULT_EPS) -> bool:
     gaps = [
         (angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)
     ]
-    return max(abs(g - 2 * math.pi / n) for g in gaps) < eps * 10
+    return max(abs(g - 2 * math.pi / n) for g in gaps) < DEFAULT_EPS * 10
 
 
-def lighthouse_verify(cfg: LighthouseConfig, eps: float = DEFAULT_EPS) -> bool:
+def lighthouse_verify(cfg: LighthouseConfig) -> bool:
     """Regularity, coaxality through both lighthouses, and the parallel-edge
     lemma (all edge directions congruent mod π/n)."""
     scale2 = _scale([cfg.b, cfg.c] + [p for g in cfg.ngons for p in g]) ** 2
     for gon, circ in zip(cfg.ngons, cfg.circles):
         if len(gon) != cfg.n:
             continue
-        if not ngon_is_regular(gon, eps):
+        if not ngon_is_regular(gon):
             return False
         if circ is None:
             return False
         for p in list(gon) + [cfg.b, cfg.c]:
-            if not circ.contains(p, eps=eps * scale2 * 100):
+            if not circ.contains(p, eps=DEFAULT_EPS * scale2 * 100):
                 return False
     # the Lighthouse Lemma: every edge of every n-gon in n direction classes
     base = None
@@ -202,7 +201,7 @@ def lighthouse_verify(cfg: LighthouseConfig, eps: float = DEFAULT_EPS) -> bool:
                 base = ang
                 continue
             diff = (ang - base) % (math.pi / cfg.n)
-            if min(diff, math.pi / cfg.n - diff) > eps * 100:
+            if min(diff, math.pi / cfg.n - diff) > DEFAULT_EPS * 100:
                 return False
     return True
 
@@ -224,7 +223,7 @@ class DuplicationData:
 
 
 def duplication(
-    b: Point, c: Point, beta: float, gamma: float, n: int, eps: float = DEFAULT_EPS
+    b: Point, c: Point, beta: float, gamma: float, n: int
 ) -> DuplicationData:
     """Edges of one n-gon through a vertex P cut the parallel edge of the
     neighbouring n-gon at points lying on beams of doubled phase."""
@@ -251,9 +250,7 @@ def duplication(
     return DuplicationData(q, r, beam2b, beam2c, residual)
 
 
-def bisector_quadrangle(
-    d: Point, e: Point, f: Point, eps: float = DEFAULT_EPS
-) -> Dict[str, Point]:
+def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:
     """n=2 lighthouses at E and F phased at half the triangle angles: the
     four beam intersections are the incentre and the three excentres of
     triangle DEF."""
@@ -272,7 +269,7 @@ def bisector_quadrangle(
     }
 
 
-def is_orthocentric(points: Sequence[Point], eps: float = DEFAULT_EPS) -> bool:
+def is_orthocentric(points: Sequence[Point]) -> bool:
     """Each point is the orthocentre of the other three."""
     pts = [_fp(p) for p in points]
     if len(pts) != 4:
@@ -281,14 +278,13 @@ def is_orthocentric(points: Sequence[Point], eps: float = DEFAULT_EPS) -> bool:
     for i in range(4):
         rest = [pts[j] for j in range(4) if j != i]
         h = orthocentre(*rest)
-        if math.hypot(float(h.x - pts[i].x), float(h.y - pts[i].y)) > eps * scale * 100:
+        miss = math.hypot(float(h.x - pts[i].x), float(h.y - pts[i].y))
+        if miss > DEFAULT_EPS * scale * 100:
             return False
     return True
 
 
-def altitude_quadrangle(
-    a: Point, b: Point, c: Point, eps: float = DEFAULT_EPS
-) -> Dict[str, Point]:
+def altitude_quadrangle(a: Point, b: Point, c: Point) -> Dict[str, Point]:
     """n=2 lighthouses at E = AC ∩ BH and F = AB ∩ CH, phased through the
     orthocentre: the four beam intersections are A, B, C, H."""
     a, b, c = _fp(a), _fp(b), _fp(c)
@@ -322,7 +318,6 @@ class MorleyConfig:
     gf_circles: Dict[str, Circle]
     associated_points: Dict[str, Point]         # per line label
     circle_lines: Dict[str, Tuple[str, str, str]]  # lines met by each circle
-    eps: float
 
 
 def _point_label(star_pos: int, j: int, k: int) -> str:
@@ -400,9 +395,7 @@ _LINE_CIRCLES: Dict[str, Tuple[str, str, str]] = {
 }
 
 
-def morley_config(
-    a: Point, b: Point, c: Point, eps: float = DEFAULT_EPS
-) -> MorleyConfig:
+def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
     """27 trisector intersections, 9 Morley lines carrying 6 points each,
     18 equilateral Morley triangles, 9 Guy Faux triangles whose circumcircles
     concur in threes at 9 associated points (besides the vertices).
@@ -415,7 +408,7 @@ def morley_config(
     or a GF circle misses a lighthouse or the associated point."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     verts = {"A": a, "B": b, "C": c}
-    if abs((b - a).cross(c - a)) < eps:
+    if abs((b - a).cross(c - a)) < DEFAULT_EPS:
         raise DegenerateInput("degenerate triangle")
     angles = {
         "A": abs(_signed_angle(b - a, c - a)),
@@ -446,7 +439,7 @@ def morley_config(
     for label, members in _LINE_POINTS.items():
         pts = [points[m] for m in members]
         line = Line.through(pts[0], pts[1])
-        if any(abs(line.evaluate(p)) >= eps * scale * 100 for p in pts[2:]):
+        if any(abs(line.evaluate(p)) >= DEFAULT_EPS * scale * 100 for p in pts[2:]):
             raise IdentityViolated(f"point off Morley line {label}")
         lines[label] = line
 
@@ -466,7 +459,7 @@ def morley_config(
     for name, labels in _GF_TRIANGLES.items():
         circ = circumcircle(*(points[l] for l in labels))
         for v in name[:2]:
-            if not circ.contains(verts[v], eps=eps * scale * scale * 1000):
+            if not circ.contains(verts[v], eps=DEFAULT_EPS * scale * scale * 1000):
                 raise IdentityViolated(f"GF circle {name} misses a lighthouse")
         gf_circles[name] = circ
 
@@ -475,7 +468,7 @@ def morley_config(
         (v,) = set(n1[:2]) & set(n2[:2])
         c1, c2 = gf_circles[n1], gf_circles[n2]
         pt = reflect_point_in_line(verts[v], Line.through(c1.center, c2.center))
-        if abs(gf_circles[n3].power(pt)) >= eps * scale * scale * 1000:
+        if abs(gf_circles[n3].power(pt)) >= DEFAULT_EPS * scale * scale * 1000:
             raise IdentityViolated(
                 f"third GF circle misses the associated point of line {label}"
             )
@@ -491,7 +484,6 @@ def morley_config(
         gf_circles,
         associated,
         dict(_CIRCLE_LINES),
-        eps,
     )
 
 
@@ -506,16 +498,14 @@ def equilateral_residual(tri: Sequence[Point]) -> float:
     return (max(d) - min(d)) / max(d)
 
 
-def edge_direction_classes(
-    tris: Dict[str, Tuple[Point, Point, Point]], eps: float = DEFAULT_EPS
-) -> int:
+def edge_direction_classes(tris: Dict[str, Tuple[Point, Point, Point]]) -> int:
     """Number of distinct edge directions mod π/3 over all triangles."""
     classes: List[float] = []
     for tri in tris.values():
         for i in range(3):
             ang = _angle_of(tri[(i + 1) % 3] - tri[i]) % (math.pi / 3)
             if not any(
-                min(abs(ang - cl), math.pi / 3 - abs(ang - cl)) < eps * 1000
+                min(abs(ang - cl), math.pi / 3 - abs(ang - cl)) < DEFAULT_EPS * 1000
                 for cl in classes
             ):
                 classes.append(ang)
@@ -788,9 +778,7 @@ def _trisection_check(inner, outer, assembled) -> bool:
     return matched == 3
 
 
-def orthocentric_morley_parallel(
-    a: Point, b: Point, c: Point, eps: float = DEFAULT_EPS
-) -> bool:
+def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> bool:
     """The four triangles of the orthocentric quadrangle {A, B, C, H} have
     mutually parallel Morley triangles (72 triangles in 1 direction class
     mod π/3)."""
@@ -803,10 +791,10 @@ def orthocentric_morley_parallel(
         "CHA": (c, h, a),
         "AHB": (a, h, b),
     }.items():
-        cfg = morley_config(p, q, r, eps)
+        cfg = morley_config(p, q, r)
         for key, tri in cfg.morley_triangles.items():
             tris[f"{name}:{key}"] = tri
-    return edge_direction_classes(tris, eps) == 1
+    return edge_direction_classes(tris) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +842,7 @@ _GRID = (
 )
 
 
-def thrice_sixteen(
-    quad: Sequence[Point], eps: float = DEFAULT_EPS
-) -> ThriceSixteenReport:
+def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     """For four concyclic points: the 16 in/excentres of the four inscribed
     triangles form a rectangular 4×4 grid; the 24 segment midpoints coincide
     in 12 antipodal pairs on the circumcircle of the quadrangle; the 16
@@ -871,7 +857,7 @@ def thrice_sixteen(
         raise DegenerateInput("need four points")
     base = circumcircle(pts[0], pts[1], pts[2])
     scale = _scale(pts)
-    if abs(float(base.power(pts[3]))) > eps * scale * scale * 100:
+    if abs(float(base.power(pts[3]))) > DEFAULT_EPS * scale * scale * 100:
         raise DegenerateInput("points are not concyclic")
 
     centers: Dict[str, Point] = {}
@@ -886,7 +872,7 @@ def thrice_sixteen(
     cpts = [centers[l] for l in labels]
 
     # the two perpendicular quadruples of parallel 4-point lines
-    tol = eps * scale * 1e4
+    tol = DEFAULT_EPS * scale * 1e4
     ccw = sorted(range(4), key=lambda i: _angle_of(pts[i] - base.center))
     grid_members: List[Tuple[str, ...]] = []
     families: List[List[Line]] = []
@@ -898,13 +884,13 @@ def thrice_sixteen(
             line = Line.through(on[0], on[1])
             if any(abs(float(line.evaluate(p))) >= tol for p in on[2:]):
                 raise DegenerateInput(f"centres {' '.join(members)} not collinear")
-            if lines and not _parallel_float(line, lines[0], eps):
+            if lines and not _parallel_float(line, lines[0]):
                 raise DegenerateInput("grid families are not parallel")
             lines.append(line)
             grid_members.append(members)
         families.append(lines)
     fam1, fam2 = families
-    if abs(float(fam1[0].a * fam2[0].a + fam1[0].b * fam2[0].b)) > eps * 100:
+    if abs(float(fam1[0].a * fam2[0].a + fam1[0].b * fam2[0].b)) > DEFAULT_EPS * 100:
         raise DegenerateInput("grid families are not perpendicular")
 
     # midpoints coincide in 12 pairs on the circumcircle of the quadrangle
@@ -914,7 +900,7 @@ def thrice_sixteen(
             continue  # same-triangle segments only (4 × 6 midpoints)
         mids.append(cpts[i].midpoint(cpts[j]))
     on_circle = [
-        m for m in mids if abs(float(base.power(m))) < eps * scale * scale * 1e4
+        m for m in mids if abs(float(base.power(m))) < DEFAULT_EPS * scale * scale * 1e4
     ]
     pair_count = 0
     used = [False] * len(on_circle)
@@ -954,7 +940,7 @@ def thrice_sixteen(
             r = math.sqrt(float(circ.r2))
             if r_big is None:
                 r_big = r
-            elif abs(r - r_big) > eps * scale * 100:
+            elif abs(r - r_big) > DEFAULT_EPS * scale * 100:
                 congruent_ok = False
     return ThriceSixteenReport(
         centers,
@@ -988,15 +974,6 @@ class InsideOutData:
     orthocentre: Point
 
 
-def _reflect_line(line: Line, mirror: Line) -> Line:
-    p = foot_of_perpendicular(Point(Fraction(0), Fraction(0)), line)
-    d = line.direction()
-    q = Point(p.x + d.x, p.y + d.y)
-    return Line.through(
-        reflect_point_in_line(p, mirror), reflect_point_in_line(q, mirror)
-    )
-
-
 def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
     """Distal treblers: A' is the meet of the reflections of BC in AB and in
     AC (and cyclically).  AA', BB', CC' concur at the circumcentre; the
@@ -1005,9 +982,9 @@ def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
     of the cross points α, β, γ are collinear.  IdentityViolated if any of
     these exact incidences fails."""
     ab, bc, ca = Line.through(a, b), Line.through(b, c), Line.through(c, a)
-    a_p = _reflect_line(bc, ab).intersect(_reflect_line(bc, ca))
-    b_p = _reflect_line(ca, bc).intersect(_reflect_line(ca, ab))
-    c_p = _reflect_line(ab, bc).intersect(_reflect_line(ab, ca))
+    a_p = reflect_line_in_line(bc, ab).intersect(reflect_line_in_line(bc, ca))
+    b_p = reflect_line_in_line(ca, bc).intersect(reflect_line_in_line(ca, ab))
+    c_p = reflect_line_in_line(ab, bc).intersect(reflect_line_in_line(ab, ca))
     alpha = bc.intersect(Line.through(b_p, c_p))
     beta = ca.intersect(Line.through(c_p, a_p))
     gamma = ab.intersect(Line.through(a_p, b_p))

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
+    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -93,45 +94,30 @@ class LabeledQuadrangle:
         )
 
 
-def _is_right_or_isosceles(pts: Sequence[Point], eps: float = 0.0) -> bool:
+def _is_right_or_isosceles(pts: Sequence[Point]) -> bool:
     a2 = pts[1].dist2(pts[2])
     b2 = pts[2].dist2(pts[0])
     c2 = pts[0].dist2(pts[1])
-    sides = [a2, b2, c2]
-    for i in range(3):
-        rest = sides[:i] + sides[i + 1 :]
-        if _near(sides[i], rest[0] + rest[1], eps):  # right angle
-            return True
     return (
-        _near(a2, b2, eps) or _near(b2, c2, eps) or _near(c2, a2, eps)
+        a2 == b2 + c2 or b2 == c2 + a2 or c2 == a2 + b2  # right angle
+        or a2 == b2 or b2 == c2 or c2 == a2
     )
 
 
-def _near(x: Number, y: Number, eps: float) -> bool:
-    return x == y if eps == 0.0 else abs(x - y) <= eps * max(abs(float(x)), 1.0)
-
-
-def quadrate(p1: Point, p2: Point, p3: Point, eps: float = 0.0) -> LabeledQuadrangle:
+def quadrate(p1: Point, p2: Point, p3: Point) -> LabeledQuadrangle:
     """Quadrate a triangle: adjoin its orthocentre, assign nim-sum labels
     {1,2,4,7} (the vertex interior to the other three — the orthocentre of
     the acute face — gets 7), and populate twins, midpoints, diagonal
     points and the Central Circle."""
     h = orthocentre(p1, p2, p3)
     pts = [p1, p2, p3, h]
-    if _is_right_or_isosceles([p1, p2, p3], eps):
+    if _is_right_or_isosceles([p1, p2, p3]):
         raise AmbiguousLabeling("right or isosceles seed cannot be labeled")
 
-    # label 7 = the unique point that is the orthocentre of an acute triangle
-    # on the other three (equivalently: the obtuse vertex of every face
-    # containing it).
-    seven_idx = None
-    for i, cand in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if _is_acute(others, eps):
-            seven_idx = i
-            break
-    if seven_idx is None:
-        raise AmbiguousLabeling("no acute face found (degenerate seed)")
+    # label 7: the orthocentre of an acute seed, else the seed's obtuse
+    # vertex (the one with a negative dot product)
+    dots = _vertex_dots(p1, p2, p3)
+    seven_idx = next((i for i, d in enumerate(dots) if d < 0), 3)
 
     rest = [q for j, q in enumerate(pts) if j != seven_idx]
     vertices = {1: rest[0], 2: rest[1], 4: rest[2], 7: pts[seven_idx]}
@@ -163,10 +149,14 @@ def quadrate(p1: Point, p2: Point, p3: Point, eps: float = 0.0) -> LabeledQuadra
     return LabeledQuadrangle(vertices, twins, center, midpoints, diagonals, central)
 
 
-def _is_acute(tri: Sequence[Point], eps: float = 0.0) -> bool:
-    a, b, c = tri
-    dots = [(b - a).dot(c - a), (a - b).dot(c - b), (a - c).dot(b - c)]
-    return all(d > 0 for d in dots)
+def _vertex_dots(a: Point, b: Point, c: Point) -> Tuple[Number, Number, Number]:
+    """Dot products of the two edge vectors at each vertex; negative at an
+    obtuse angle."""
+    return (b - a).dot(c - a), (a - b).dot(c - b), (a - c).dot(b - c)
+
+
+def _is_acute(tri: Sequence[Point]) -> bool:
+    return all(d > 0 for d in _vertex_dots(*tri))
 
 
 def twin(q: LabeledQuadrangle) -> LabeledQuadrangle:
@@ -310,8 +300,8 @@ def extraversion_tables(A: float, B: float, C: float) -> List[Tuple[float, float
     ]
 
 
-def _check_angle_sum(A: float, B: float, C: float, eps: float = 1e-9) -> None:
-    if abs(A + B + C - math.pi) > eps:
+def _check_angle_sum(A: float, B: float, C: float) -> None:
+    if abs(A + B + C - math.pi) > DEFAULT_EPS:
         raise InvalidAngleSum("angles must sum to pi")
 
 

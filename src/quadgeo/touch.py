@@ -7,27 +7,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
+    DEFAULT_EPS,
     Barycentric,
     Circle,
     DegenerateInput,
     GeometryError,
+    IdentityViolated,
     Line,
     Number,
     Point,
     Tangency,
     ceva_product,
     collinear,
-    concurrent,
     foot_of_perpendicular,
     format_scalar,
     is_exact,
     perpendicular_bisector,
     radical_axis,
-    reflect_point_in_line,
+    reflect_line_in_line,
     sqrt_scalar,
     tangency_classify,
 )
@@ -116,7 +116,7 @@ class FeuerbachReport:
         return out
 
 
-def feuerbach_verify(q: LabeledQuadrangle, eps: float = 0.0) -> FeuerbachReport:
+def feuerbach_verify(q: LabeledQuadrangle) -> FeuerbachReport:
     """Tangency of all 32 touch-circles (4 faces × 2 twins × 4 circles) to
     the Central Circle, via the exact squared identity."""
     entries = []
@@ -124,7 +124,7 @@ def feuerbach_verify(q: LabeledQuadrangle, eps: float = 0.0) -> FeuerbachReport:
         for label in LABELS:
             face = quad.face(label)
             for tc in touch_circles(*face, triangle_label=f"{label}{bar}"):
-                kind = tangency_classify(tc.circle, q.central_circle, eps=eps)
+                kind = tangency_classify(tc.circle, q.central_circle)
                 exact = tc.circle.center.is_exact() and is_exact(tc.circle.r2)
                 entries.append((tc.label, tc.circle, kind, exact))
     return FeuerbachReport(entries)
@@ -371,16 +371,13 @@ def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
         Line.through(r, p),
         Line.through(p, q),
     )
-    internal: Dict[int, Line] = {}
-    external: Dict[int, Line] = {}
     t_int: Dict[int, Line] = {}
     t_ext: Dict[int, Line] = {}
     for i, v in enumerate(tri):
         bis = Line.through(v, incentre)
         ext = bis.perpendicular_through(v)
-        internal[i], external[i] = bis, ext
-        t_int[i] = _reflect_line(edges[i], bis)
-        t_ext[i] = _reflect_line(edges[i], ext)
+        t_int[i] = reflect_line_in_line(edges[i], bis)
+        t_ext[i] = reflect_line_in_line(edges[i], ext)
 
     tangent_lines = {
         "tA": t_int[0], "tB": t_int[1], "tC": t_int[2],
@@ -406,36 +403,25 @@ def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
     return HexaflexData(tangent_lines, contact_points, perspectors)
 
 
-def _reflect_line(line: Line, mirror: Line) -> Line:
-    # reflect two points of the line
-    p0 = _point_on_line(line)
-    p1 = p0 + line.direction()
-    return Line.through(
-        reflect_point_in_line(p0, mirror), reflect_point_in_line(p1, mirror)
-    )
-
-
-def _point_on_line(line: Line) -> Point:
-    if line.b != 0:
-        return Point(0 * line.a, line.c / line.b)
-    return Point(line.c / line.a, 0 * line.a)
-
-
 def _perspector(contacts: Sequence[Point], mids: Sequence[Point]) -> Point:
-    """Concurrence point of the joins contact↔midpoint under the pairing
-    that makes the three joins concur."""
-    for perm in permutations(range(3)):
-        try:
-            lines = [
-                Line.through(contacts[i], mids[perm[i]])
-                for i in range(3)
-                if contacts[i] != mids[perm[i]]
-            ]
-            if len(lines) < 3:
-                continue
-            pt = concurrent(lines)
-        except Exception:
-            continue
-        if pt is not None:
-            return pt
-    raise DegenerateInput("no concurrent contact/midpoint pairing found")
+    """Common point of the joins of each contact point to the midpoint of
+    the same edge (the contact triangle is the medial one scaled about it).
+    Where one contact point is its midpoint, that point is the perspector.
+    IdentityViolated if a join misses the perspector: exactly for exact
+    data, within ``DEFAULT_EPS`` relative to the coordinates for floats."""
+    pairs = list(zip(contacts, mids))
+    joins = [Line.through(c, m) for c, m in pairs if c != m]
+    if len(joins) < 2:
+        raise DegenerateInput("two contact points are their edge midpoints")
+    if len(joins) == 2:
+        pt = next(c for c, m in pairs if c == m)
+    else:
+        pt = joins[0].intersect(joins[1])
+    if all(p.is_exact() for p in (*contacts, *mids)):
+        ok = all(j.contains(pt) for j in joins)
+    else:
+        scale = max(abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
+        ok = all(j.contains(pt, DEFAULT_EPS * max(1.0, scale)) for j in joins)
+    if not ok:
+        raise IdentityViolated("contact/midpoint joins fail to concur")
+    return pt

@@ -16,6 +16,7 @@ from .kernel import (
     Circle,
     DegenerateInput,
     GeometryError,
+    IdentityViolated,
     Line,
     Number,
     Point,
@@ -211,8 +212,10 @@ def trisequence(
                 give_names.append(child.name)
                 queue.append(child.name)
         line = Line.through(images[0], images[1])
-        assert line.contains(images[2]), "images not collinear"
-        assert line.contains(q.vertices[node.host]), "line misses host vertex"
+        if not line.contains(images[2]):
+            raise IdentityViolated(f"images of {name} are not collinear")
+        if not line.contains(q.vertices[node.host]):
+            raise IdentityViolated(f"line {letter} misses host vertex {node.host}")
         lines[letter] = line
         rows.append(
             TrisequenceRow(
@@ -239,7 +242,8 @@ def midpoint_rs(q: LabeledQuadrangle, node: TrisequenceNode) -> Tuple[Point, Tup
     of the host face) lies on the Central Circle; return it with its
     half-angle parametrization (r, s): T/radius = ((r²−s²), 2rs)/(r²+s²)."""
     t = node.point.midpoint(q.vertices[node.host])
-    assert q.central_circle.contains(t)
+    if not q.central_circle.contains(t):
+        raise IdentityViolated(f"midpoint of {node.name} misses the Central Circle")
     rad2 = q.central_circle.r2
     rad = sqrt_scalar(rad2)
     if not is_exact(rad):
@@ -488,11 +492,13 @@ def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonDat
         perps[0].intersect(perps[1]),
     )
     circ = circumcircle(*tri)
-    assert circ.contains(p), "constructed circumcircle misses P"
+    if not circ.contains(p):
+        raise IdentityViolated("constructed circumcircle misses P")
     foot = foot_of_perpendicular(p, base)
     directrix = base.parallel_through(Point(2 * foot.x - p.x, 2 * foot.y - p.y))
     h = orthocentre(*tri)
-    assert directrix.contains(h), "orthocentre not on the directrix"
+    if not directrix.contains(h):
+        raise IdentityViolated("orthocentre not on the directrix")
     return ConverseSimsonData(tri, circ, directrix, h)
 
 

@@ -154,8 +154,20 @@ class TestSuites:
         assert res.passed
 
     def test_result_accounting(self):
-        res = run_suite("euler-harmonic")
-        assert res.exact_passes + res.approx_passes + len(res.failures) == res.cases
+        for name in ("euler-harmonic", "morley", "lighthouse"):
+            res = run_suite(name, count=20)
+            assert (
+                res.exact_passes + res.approx_passes + res.skipped + len(res.failures)
+                == res.cases
+            ), name
+
+    def test_skipped_draws_are_not_passes(self):
+        # seed-0 draw 10 has twice-area 0.014 < 1 and is not checked
+        res = run_suite("morley", seed=0, count=100)
+        assert (res.exact_passes, res.approx_passes, res.skipped, res.cases) == (
+            2, 99, 1, 102
+        )
+        assert "2 exact + 99 approx + 1 skipped of 102 cases" in res.summary()
 
     def test_determinism(self):
         a = run_suite("soddy", seed=3, count=20)
@@ -226,6 +238,11 @@ class TestCLI:
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
+
+    def test_verify_has_no_eps_option(self):
+        result = CliRunner().invoke(main, ["verify", "--eps", "1e-9"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_render(self, tmp_path):
         out = tmp_path / "twins.svg"

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quadgeo import drozfarny
 from quadgeo.drozfarny import (
     DegenerateChoice,
     EdgeParallel,
@@ -29,6 +30,7 @@ from quadgeo.drozfarny import (
 )
 from quadgeo.kernel import (
     Circle,
+    IdentityViolated,
     Line,
     Point,
     PointNotOnEdgeLine,
@@ -108,6 +110,19 @@ class TestDFLine:
         inst = df_line(TRI, rational_pair(F(1, 5)), ratio=F(1, 3))
         # no collinearity claim at ratio 1/3; instance still builds
         assert len(inst.midpoints) == 3
+
+    @pytest.mark.parametrize("t", [F(1, 5), 0.2], ids=["exact", "float"])
+    def test_midpoint_miss_raises(self, monkeypatch, t):
+        real = drozfarny._edge_cuts
+
+        def shifted(tri, pair):
+            cuts = real(tri, pair)
+            cuts["X1"] = Point(cuts["X1"].x + 1, cuts["X1"].y)
+            return cuts
+
+        monkeypatch.setattr(drozfarny, "_edge_cuts", shifted)
+        with pytest.raises(IdentityViolated, match="not collinear"):
+            df_line(TRI, rational_pair(t))
 
     def test_sweep_100_exact(self):
         count = 0

@@ -1,6 +1,8 @@
 """Kernel primitives: oracle examples plus property tests."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from quadgeo.kernel import (
     power_of_point,
     radical_axis,
     radical_center,
+    reflect_line_in_line,
     reflect_point_in_line,
     tangency_classify,
 )
@@ -67,6 +70,22 @@ class TestReflection:
             return
         line = Line.through(q, r)
         assert reflect_point_in_line(reflect_point_in_line(p, line), line) == p
+
+    @given(rational_points(), rational_points(), rational_points(), rational_points())
+    @settings(max_examples=100)
+    def test_line_image_is_line_of_point_images(self, p, q, r, s):
+        if p == q or r == s:
+            return
+        line, mirror = Line.through(p, q), Line.through(r, s)
+        assert reflect_line_in_line(line, mirror) == Line.through(
+            reflect_point_in_line(p, mirror), reflect_point_in_line(q, mirror)
+        )
+
+    def test_line_image_float(self):
+        line, mirror = Line(1.0, 2.0, 3.0), Line(-0.5, 1.5, 0.25)
+        image = reflect_line_in_line(line, mirror)
+        for p in (Point(3.0, 0.0), Point(-1.0, 2.0)):
+            assert image.contains(reflect_point_in_line(p, mirror), eps=1e-12)
 
 
 class TestCircumcircle:
@@ -260,3 +279,15 @@ class TestLineNormalization:
 
     def test_sign_canonical(self):
         assert Line(F(-1), F(2), F(3)) == Line(F(1), F(-2), F(-3))
+
+
+def test_no_assert_statements_in_package():
+    """Checks raise typed errors, so ``python -O`` cannot strip them."""
+    src = pathlib.Path(__file__).parent.parent / "src" / "quadgeo"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -394,13 +394,13 @@ class TestIncidenceChecks:
             pegs(STATE)
 
     def test_transverse_tangents_miss(self, monkeypatch):
-        reflect = malfatti._reflect_line_in
+        reflect = malfatti.reflect_line_in_line
 
-        def shifted(mirror, line):
-            r = reflect(mirror, line)
+        def shifted(line, mirror):
+            r = reflect(line, mirror)
             return Line(r.a, r.b, r.c + 1)
 
-        monkeypatch.setattr(malfatti, "_reflect_line_in", shifted)
+        monkeypatch.setattr(malfatti, "reflect_line_in_line", shifted)
         with pytest.raises(IdentityViolated, match="concur"):
             malfatti_circles(Point(0, 0), Point(4, 0), Point(1, 3))
 

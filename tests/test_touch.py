@@ -10,6 +10,7 @@ from quadgeo.kernel import (
     Line,
     Point,
     Tangency,
+    circumcircle,
     collinear,
     tangency_classify,
 )
@@ -248,6 +249,35 @@ class TestHexaflex:
         assert len(hd.perspectors) == 4
         for pt in hd.perspectors.values():
             assert pt.x * pt.x + pt.y * pt.y == 7225
+
+    def test_float_perspectors_on_nine_point_circle(self):
+        a, b, c = Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
+        hd = hexaflex(a, b, c)
+        npc = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
+        assert len(hd.perspectors) == 4
+        for pt in hd.perspectors.values():
+            assert abs(npc.power(pt)) < 1e-9 * npc.r2
+
+    def test_random_float_triangles(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            a, b, c = (
+                Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)
+            )
+            npc = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
+            for pt in hexaflex(a, b, c).perspectors.values():
+                assert abs(npc.power(pt)) < 1e-9 * npc.r2
+
+    def test_contact_at_midpoint_is_perspector(self):
+        # isosceles: the incircle and the C-excircle touch the base at its
+        # midpoint (3, 0), which is then their perspector
+        hd = hexaflex(Point(F(0), F(0)), Point(F(6), F(0)), Point(F(3), F(4)))
+        assert hd.perspectors == {
+            "o": Point(F(3), F(0)),
+            "a": Point(F(392, 89), F(200, 89)),
+            "b": Point(F(142, 89), F(200, 89)),
+            "c": Point(F(3), F(0)),
+        }
 
     def test_reflected_edges_parallel(self):
         hd = hexaflex(V1, V2, V4)

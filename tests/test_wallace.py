@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgeo.kernel import Line, Point, collinear, concurrent
+from quadgeo.kernel import (
+    Circle,
+    IdentityViolated,
+    Line,
+    Point,
+    collinear,
+    concurrent,
+)
 from quadgeo import wallace
 from quadgeo.quadrangle import quadrate
 from quadgeo.wallace import (
@@ -181,6 +188,17 @@ class TestTrisequence:
     def test_seed_off_circle_rejected(self, q):
         with pytest.raises(PointNotOnCircumcircle):
             trisequence(q, "7B", Point(F(0), F(0)), 3)
+
+    def test_image_miss_raises(self, q, monkeypatch):
+        real = wallace.reflect_point_in_line
+
+        def shifted(p, line):
+            r = real(p, line)
+            return Point(r.x + 1, r.y)
+
+        monkeypatch.setattr(wallace, "reflect_point_in_line", shifted)
+        with pytest.raises(IdentityViolated, match="misses host vertex"):
+            trisequence(q, "7B", SEED, 11)
 
 
 class TestApocrypha:
@@ -362,6 +380,25 @@ class TestConverseConstructions:
         wd = wallace_line(data.triangle, p)
         assert wd.line == Line.through(l, m)
 
+    @pytest.mark.parametrize(
+        "name, match",
+        [("circumcircle", "misses P"), ("orthocentre", "not on the directrix")],
+    )
+    def test_converse_simson_miss_raises(self, monkeypatch, name, match):
+        real = getattr(wallace, name)
+
+        def shifted(*pts):
+            out = real(*pts)
+            if name == "circumcircle":
+                return Circle(Point(out.center.x, out.center.y + 1), out.r2)
+            return Point(out.x, out.y + 1)
+
+        monkeypatch.setattr(wallace, name, shifted)
+        p = Point(F(0), F(5))
+        l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
+        with pytest.raises(IdentityViolated, match=match):
+            converse_simson(p, l, m, n)
+
     def test_fit_triangle(self, q):
         circ = q.face_circumcircle(7)
         wd = wallace_line(q.face(7), SEED)
@@ -390,4 +427,4 @@ class TestConcurrencyHelpers:
             by_host.setdefault(r.through, []).append(r.line)
         for host, lines in by_host.items():
             if len(lines) >= 3:
-                assert concurrent(lines, 0.0)
+                assert concurrent(lines)
