@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_EPS,
@@ -427,19 +427,46 @@ def table_text(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Check:
+    """One case of a suite: ``ok`` is True when it passed, False when it
+    failed (``witness`` says how) and None when it was drawn but could not
+    be checked."""
+
+    ok: Optional[bool]
+    witness: str
+    exact: bool = True
+    residual: float = 0.0
+
+
+SKIP = Check(None, "")
+
+
 @dataclass
 class SuiteResult:
     suite: str
-    cases: int
-    exact_passes: int
-    approx_passes: int
-    skipped: int                # drawn cases the suite could not check
-    max_residual: float
-    failures: List[str]
+    cases: int = 0
+    exact_passes: int = 0
+    approx_passes: int = 0
+    skipped: int = 0            # drawn cases the suite could not check
+    max_residual: float = 0.0
+    failures: List[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.failures and self.cases > 0
+
+    def add(self, check: Check) -> None:
+        self.cases += 1
+        self.max_residual = max(self.max_residual, abs(check.residual))
+        if check.ok is None:
+            self.skipped += 1
+        elif not check.ok:
+            self.failures.append(check.witness)
+        elif check.exact:
+            self.exact_passes += 1
+        else:
+            self.approx_passes += 1
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -451,61 +478,33 @@ class SuiteResult:
         )
 
 
-def _result(suite: str) -> SuiteResult:
-    return SuiteResult(suite, 0, 0, 0, 0, 0.0, [])
-
-
-def _record(res: SuiteResult, ok: bool, witness: str, exact: bool = True,
-            residual: float = 0.0) -> None:
-    res.cases += 1
-    res.max_residual = max(res.max_residual, abs(residual))
-    if ok:
-        if exact:
-            res.exact_passes += 1
-        else:
-            res.approx_passes += 1
-    else:
-        res.failures.append(witness)
-
-
-def _skip(res: SuiteResult) -> None:
-    res.cases += 1
-    res.skipped += 1
-
-
-def _suite_feuerbach32(rng, count: int) -> SuiteResult:
-    res = _result("feuerbach32")
+def _suite_feuerbach32(rng, count: int) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     rep = touch.feuerbach_verify(q)
     for label, circle, kind, exact in rep.entries:
         ok = kind.value in ("InternalTangent", "ExternalTangent")
-        _record(res, ok, f"touch circle {label} not tangent", exact)
-    return res
+        yield Check(ok, f"touch circle {label} not tangent", exact)
 
 
-def _suite_euler(rng, count: int) -> SuiteResult:
-    res = _result("euler-harmonic")
+def _suite_euler(rng, count: int) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     for lab in LABELS:
         er = euler_range(q, lab)
-        _record(res, er.harmonic(), f"range {lab} not harmonic")
+        yield Check(er.harmonic(), f"range {lab} not harmonic")
     er = euler_range(q, 7)
-    _record(
-        res,
+    yield Check(
         er.de_longchamps == Point(F(-108), F(-153)),
         "deL(124) mismatch",
     )
-    return res
 
 
-def _trisequence_slope_suite(name, seed, max_lines, expected) -> SuiteResult:
-    res = _result(name)
-    q = fixture_quadrangle("t0")
-    seq = wallace.trisequence(q, "7B", seed, max_lines)
+def _slope_checks(
+    seq: wallace.TrisequenceResult, expected: Dict[str, Fraction]
+) -> Iterator[Check]:
     slopes = {r.line_name: r.slope for r in seq.rows}
     for lname, want in expected.items():
-        _record(res, slopes.get(lname) == want, f"line {lname}: {slopes.get(lname)} != {want}")
-    return res
+        got = slopes.get(lname)
+        yield Check(got == want, f"line {lname}: {got} != {want}")
 
 
 TRISEQUENCE_SLOPES = {
@@ -522,31 +521,26 @@ APOCRYPHA_SLOPES = {
 }
 
 
-def _suite_trisequence(rng, count) -> SuiteResult:
-    res = _trisequence_slope_suite(
-        "trisequence-table", Point(F(-62), F(117)), 11, TRISEQUENCE_SLOPES
-    )
+def _suite_trisequence(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     seq = wallace.trisequence(q, "7B", Point(F(-62), F(117)), 11)
-    _record(
-        res,
+    yield from _slope_checks(seq, TRISEQUENCE_SLOPES)
+    yield Check(
         wallace.midpoint_rs(q, seq.nodes["7B"])[1] == (6, 7),
         "7B midpoint (r,s) != (6,7)",
     )
-    return res
 
 
-def _suite_apocrypha(rng, count) -> SuiteResult:
-    return _trisequence_slope_suite(
-        "apocrypha-table", Point(F(-190), F(21)), 17, APOCRYPHA_SLOPES
-    )
+def _suite_apocrypha(rng, count) -> Iterator[Check]:
+    q = fixture_quadrangle("t0")
+    seq = wallace.trisequence(q, "7B", Point(F(-190), F(21)), 17)
+    yield from _slope_checks(seq, APOCRYPHA_SLOPES)
 
 
-def _suite_three_cycles(rng, count) -> SuiteResult:
-    res = _result("three-cycles")
+def _suite_three_cycles(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     tc = wallace.three_cycles(q)
-    _record(res, len(tc.cycles) == 4, "did not find four 3-cycles")
+    yield Check(len(tc.cycles) == 4, "did not find four 3-cycles")
     want = {
         Point(F(-108), F(51)), Point(F(372), F(51)), Point(F(-300), F(51))
     }
@@ -554,14 +548,13 @@ def _suite_three_cycles(rng, count) -> SuiteResult:
         reflect_point_in_line(tc.antipodes[(1, 7)], q.edge(a, b))
         for a, b in ((2, 4), (4, 1), (1, 2))
     }
-    _record(res, got == want, "reflection triple of (-108,-205) mismatch")
-    _record(res, tc.trebled_circle.r2 == 65025, "trebled circle radius != 255")
+    yield Check(got == want, "reflection triple of (-108,-205) mismatch")
+    yield Check(tc.trebled_circle.r2 == 65025, "trebled circle radius != 255")
     homothety = all(
         tc.trebled[l] - q.center == (q.vertices[l] - q.center).scale(-3)
         for l in LABELS
     )
-    _record(res, homothety, "trebled quadrangle is not the -3 homothet")
-    return res
+    yield Check(homothety, "trebled quadrangle is not the -3 homothet")
 
 
 SODDY_CASES = [
@@ -573,14 +566,13 @@ SODDY_CASES = [
 ]
 
 
-def _suite_soddy(rng, count) -> SuiteResult:
-    res = _result("soddy")
+def _suite_soddy(rng, count) -> Iterator[Check]:
     for sides, want in SODDY_CASES:
         got = touch.classify_soddy(*[F(s) for s in sides])
-        _record(res, got.kind == want, f"{sides}: {got.kind} != {want}")
+        yield Check(got.kind == want, f"{sides}: {got.kind} != {want}")
     a, b, c = F(26), F(25), F(3)
     cos_a = (b * b + c * c - a * a) / (2 * b * c)
-    _record(res, cos_a == F(-7, 25), "(26,25,3) cosA != -7/25")
+    yield Check(cos_a == F(-7, 25), "(26,25,3) cosA != -7/25")
     done = 0
     while done < count:
         u = F(rng.randint(2, 50), rng.randint(1, 10))
@@ -590,13 +582,11 @@ def _suite_soddy(rng, count) -> SuiteResult:
         except touch.DegenerateParameters:
             continue
         got = touch.classify_soddy(*sides)
-        _record(res, got.kind == "Critical", f"bremner {u},{v} not critical")
+        yield Check(got.kind == "Critical", f"bremner {u},{v} not critical")
         done += 1
-    return res
 
 
-def _suite_wallace_sweep(rng, count) -> SuiteResult:
-    res = _result("wallace-sweep")
+def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     tri = q.face(7)
     circ = q.face_circumcircle(7)
@@ -611,20 +601,16 @@ def _suite_wallace_sweep(rng, count) -> SuiteResult:
             and wd.steiner_line.contains(h)
             and q.central_circle.contains(wd.midpoint_T)
         )
-        _record(res, ok, f"wallace failure at t={t}")
-    return res
+        yield Check(ok, f"wallace failure at t={t}")
 
 
-def _suite_deltoid(rng, count) -> SuiteResult:
-    res = _result("deltoid")
+def _suite_deltoid(rng, count) -> Iterator[Check]:
     for _ in range(count):
         t = F(rng.randint(1, 400), rng.randint(1, 400))
-        _record(res, wallace.deltoid_tangency_check(t), f"deltoid t={t}")
-    return res
+        yield Check(wallace.deltoid_tangency_check(t), f"deltoid t={t}")
 
 
-def _suite_droz_farny(rng, count) -> SuiteResult:
-    res = _result("droz-farny")
+def _suite_droz_farny(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     tri = q.face(7)
     h = q.vertex(7)
@@ -653,64 +639,57 @@ def _suite_droz_farny(rng, count) -> SuiteResult:
             and drozfarny.envelope_tangency(env, inst)
             and all(audit.values())
         )
-        _record(res, ok, f"droz-farny failure at t={t}")
+        yield Check(ok, f"droz-farny failure at t={t}")
         done += 1
-    _record(
-        res,
+    yield Check(
         env.axis2 == 28900
         and {env.conic.focus1, env.conic.focus2}
         == {Point(F(36), F(51)), Point(F(-36), F(-51))},
         "envelope foci/axis mismatch",
     )
-    return res
 
 
-def _suite_malfatti(rng, count) -> SuiteResult:
-    res = _result("malfatti")
+def _suite_malfatti(rng, count) -> Iterator[Check]:
     state = (F(2, 9), F(1, 4), F(1, 3))
-    sols = malfatti.solution_states(state)
     for lab in ("3b", "2b"):
-        s = sols[lab]
         p = malfatti.radpoint_of_solution(lab, state)
         eq = malfatti.vertical_guyline_equation("A", p, state)
-        _record(res, eq == (0, 17, 50), f"guyline via {lab}: {eq}")
+        yield Check(eq == (0, 17, 50), f"guyline via {lab}: {eq}")
     try:
-        gl = malfatti.guylines(state)
-        _record(res, len(gl) == 64, "guyline count != 64 (48 vertical + 16 Nails)")
+        yield Check(
+            len(malfatti.guylines(state)) == 64,
+            "guyline count != 64 (48 vertical + 16 Nails)",
+        )
     except GeometryError as exc:
-        _record(res, False, f"guyline incidence: {exc}")
+        yield Check(False, f"guyline incidence: {exc}")
     try:
-        pg = malfatti.pegs(state)
-        _record(res, len(pg) == 16, "peG count != 16")
+        yield Check(len(malfatti.pegs(state)) == 16, "peG count != 16")
     except GeometryError as exc:
-        _record(res, False, f"peG incidence: {exc}")
+        yield Check(False, f"peG incidence: {exc}")
     audit = malfatti.group_audit(state)
-    _record(res, audit.order == 32, "group order != 32")
-    _record(res, audit.relations_hold and audit.abc_equals_cba, "group relations fail")
-    _record(res, audit.centre == ("0", "3", "5", "6"), "group centre mismatch")
-    _record(res, audit.involutions == 19, "involution count != 19")
-    _record(
-        res,
+    yield Check(audit.order == 32, "group order != 32")
+    yield Check(audit.relations_hold and audit.abc_equals_cba, "group relations fail")
+    yield Check(audit.centre == ("0", "3", "5", "6"), "group centre mismatch")
+    yield Check(audit.involutions == 19, "involution count != 19")
+    yield Check(
         malfatti.zero_point_collinearities(state) == 24,
         "0-point collinearities != 24",
     )
-    return res
 
 
-def _suite_morley(rng, count) -> SuiteResult:
-    res = _result("morley")
+def _suite_morley(rng, count) -> Iterator[Check]:
     for _ in range(count):
         pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
         if abs(float((pts[1] - pts[0]).cross(pts[2] - pts[0]))) < 1.0:
-            _skip(res)
+            yield SKIP
             continue
         try:
             cfg = morley.morley_config(*pts)
         except IdentityViolated as exc:
-            _record(res, False, f"morley incidence: {exc}", exact=False)
+            yield Check(False, f"morley incidence: {exc}", exact=False)
             continue
         except GeometryError:
-            _skip(res)
+            yield SKIP
             continue
         resid = max(
             morley.equilateral_residual(t) for t in cfg.morley_triangles.values()
@@ -723,25 +702,21 @@ def _suite_morley(rng, count) -> SuiteResult:
             and len(cfg.gf_circles) == 9
             and len(cfg.associated_points) == 9
         )
-        _record(res, ok, f"morley residual {resid}", exact=False, residual=resid)
+        yield Check(ok, f"morley residual {resid}", exact=False, residual=resid)
     rep = morley.rational_morley("pythagorean", F(1, 4))
-    _record(
-        res,
+    yield Check(
         rep.integer_edges == (4888, 495, 4913)
         and 4888 ** 2 + 495 ** 2 == 4913 ** 2,
         "pythagorean t=1/4 triple mismatch",
     )
     jig = morley.jigsaw_check()
-    _record(
-        res,
+    yield Check(
         jig.area_matches and jig.vertex_sums and jig.trisection,
         "1001-jigsaw assembly fails",
     )
-    return res
 
 
-def _suite_lighthouse(rng, count) -> SuiteResult:
-    res = _result("lighthouse")
+def _suite_lighthouse(rng, count) -> Iterator[Check]:
     b, c = Point(-1.0, 0.0), Point(1.0, 0.0)
     for n in range(2, 7):
         for _ in range(count):
@@ -750,30 +725,26 @@ def _suite_lighthouse(rng, count) -> SuiteResult:
             try:
                 cfg = morley.lighthouse(b, c, beta, gamma, n)
             except morley.InvalidParameters:
-                _skip(res)
+                yield SKIP
                 continue
             if cfg.parallel_flag:
-                _skip(res)
+                yield SKIP
                 continue
-            ok = morley.lighthouse_verify(cfg)
-            _record(res, ok, f"lighthouse n={n}", exact=False)
+            yield Check(morley.lighthouse_verify(cfg), f"lighthouse n={n}", exact=False)
     dup = morley.duplication(b, c, 0.4, 0.7, 3)
-    _record(res, dup.residual < DEFAULT_EPS, "duplication beams off", exact=False,
-            residual=dup.residual)
+    yield Check(dup.residual < DEFAULT_EPS, "duplication beams off", exact=False,
+                residual=dup.residual)
     quad = morley.bisector_quadrangle(
         Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
     )
-    _record(
-        res,
+    yield Check(
         morley.is_orthocentric(list(quad.values())),
         "n=2 bisector grid not orthocentric",
         exact=False,
     )
-    return res
 
 
-def _suite_thrice_sixteen(rng, count) -> SuiteResult:
-    res = _result("thrice-sixteen")
+def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
     for _ in range(count):
         while True:
             ths = sorted(rng.uniform(0, 2 * math.pi) for _ in range(4))
@@ -791,58 +762,59 @@ def _suite_thrice_sixteen(rng, count) -> SuiteResult:
             and rep.circumcentres_reflect
             and rep.circumcircles_congruent
         )
-        _record(res, ok, "thrice-sixteen failure", exact=False)
-    return res
+        yield Check(ok, "thrice-sixteen failure", exact=False)
 
 
-def _suite_hexaflex(rng, count) -> SuiteResult:
-    res = _result("hexaflex")
+def _suite_hexaflex(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     hx = touch.hexaflex(*q.face(7))
     for ext, p in sorted(hx.perspectors.items()):
-        _record(
-            res,
+        yield Check(
             p.x * p.x + p.y * p.y == 7225,
             f"perspector {ext} off x²+y²=7225",
         )
-    return res
 
 
-def _suite_rendering(rng, count) -> SuiteResult:
-    res = _result("rendering")
+def _suite_rendering(rng, count) -> Iterator[Check]:
     for recipe in sorted(RECIPES):
         scene1 = build_scene("t0", recipe)
         scene2 = build_scene("t0", recipe)
-        _record(
-            res,
+        yield Check(
             render_svg(scene1) == render_svg(scene2),
             f"nondeterministic render for {recipe}",
         )
-    return res
 
 
-#: suite name -> (runner, modules whose invariants it exercises)
-SUITES: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
-    "feuerbach32": (_suite_feuerbach32, ("touch", "quadrangle", "kernel")),
-    "euler-harmonic": (_suite_euler, ("quadrangle", "kernel")),
-    "trisequence-table": (_suite_trisequence, ("wallace",)),
-    "apocrypha-table": (_suite_apocrypha, ("wallace",)),
-    "three-cycles": (_suite_three_cycles, ("wallace", "quadrangle")),
-    "soddy": (_suite_soddy, ("touch",)),
-    "wallace-sweep": (_suite_wallace_sweep, ("wallace", "kernel")),
-    "deltoid": (_suite_deltoid, ("wallace",)),
-    "droz-farny": (_suite_droz_farny, ("drozfarny", "kernel")),
-    "malfatti": (_suite_malfatti, ("malfatti",)),
-    "morley": (_suite_morley, ("morley",)),
-    "lighthouse": (_suite_lighthouse, ("morley",)),
-    "thrice-sixteen": (_suite_thrice_sixteen, ("morley",)),
-    "hexaflex": (_suite_hexaflex, ("touch",)),
-    "rendering": (_suite_rendering, ("cli_figures",)),
+#: suite name -> runner; a runner yields one Check per case
+SUITES: Dict[str, Callable[[random.Random, int], Iterator[Check]]] = {
+    "feuerbach32": _suite_feuerbach32,
+    "euler-harmonic": _suite_euler,
+    "trisequence-table": _suite_trisequence,
+    "apocrypha-table": _suite_apocrypha,
+    "three-cycles": _suite_three_cycles,
+    "soddy": _suite_soddy,
+    "wallace-sweep": _suite_wallace_sweep,
+    "deltoid": _suite_deltoid,
+    "droz-farny": _suite_droz_farny,
+    "malfatti": _suite_malfatti,
+    "morley": _suite_morley,
+    "lighthouse": _suite_lighthouse,
+    "thrice-sixteen": _suite_thrice_sixteen,
+    "hexaflex": _suite_hexaflex,
+    "rendering": _suite_rendering,
 }
 
 
 def run_suite(name: str, seed: int = 0, count: int = 100) -> SuiteResult:
+    """Tally the checks of one suite. A ``GeometryError`` that escapes the
+    suite, such as a theorem module's ``IdentityViolated``, is one failed
+    case named after the exception and ends the suite."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
-    runner, _ = SUITES[name]
-    return runner(random.Random(seed), count)
+    res = SuiteResult(name)
+    try:
+        for check in SUITES[name](random.Random(seed), count):
+            res.add(check)
+    except GeometryError as exc:
+        res.add(Check(False, f"{type(exc).__name__}: {exc}"))
+    return res

@@ -67,10 +67,6 @@ class DegenerateInstance(GeometryError):
 # ---------------------------------------------------------------------------
 
 
-def _line_exact(line: Line) -> bool:
-    return not any(isinstance(v, float) for v in (line.a, line.b, line.c))
-
-
 @dataclass(frozen=True)
 class DFInstance:
     triangle: Tuple[Point, Point, Point]
@@ -107,11 +103,10 @@ def df_line(
     a, b, c = tri
     h = orthocentre(a, b, c)
     l1, l2 = pair
-    tol = 0.0 if h.is_exact() and all(p.is_exact() for p in tri) and _line_exact(l1) and _line_exact(l2) else 1e-9
-    if not l1.is_perpendicular(l2, tol):
+    if not l1.is_perpendicular(l2, 1e-9):
         raise NotPerpendicular("pair is not perpendicular")
     for line in pair:
-        if not line.contains(h, tol):
+        if not line.contains(h, 1e-9):
             raise NotThroughVertex("pair must pass through the orthocentre")
     cuts = _edge_cuts(tri, pair)
     t = ratio
@@ -123,8 +118,7 @@ def df_line(
         for n in "XYZ"
     )
     if ratio == Fraction(1, 2) or ratio == 0.5:
-        on_line = collinear(*mids) if tol == 0.0 else approx_collinear(*mids, eps=1e-6)
-        if not on_line:
+        if not approx_collinear(*mids, eps=1e-6):
             raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
@@ -329,12 +323,11 @@ def df_parabola(inst: DFInstance) -> Parabola:
         for p, q in ((b, c), (c, a), (a, b))
     ]
     directrix = Line.through(refs[0], refs[1])
-    tol = 0.0 if inst.m.is_exact() and refs[2].is_exact() else 1e-9
-    if not directrix.contains(refs[2], tol):
+    if not directrix.contains(refs[2], 1e-9):
         raise IdentityViolated("reflections of M in the edges are not collinear")
-    if not directrix.contains(inst.orthocentre, tol):
+    if not directrix.contains(inst.orthocentre, 1e-9):
         raise IdentityViolated("directrix misses the orthocentre")
-    if directrix.contains(inst.m, tol):
+    if directrix.contains(inst.m, 1e-9):
         raise DegenerateInstance("focus on directrix")
     return Parabola(inst.m, directrix)
 
@@ -396,7 +389,7 @@ def locus_checks(
         foot = foot_of_perpendicular(h, inst.df)
         if q.central_circle.contains(foot):
             feet += 1
-        if foot.close_to(h.midpoint(inst.m), 0.0 if foot.is_exact() else 1e-9):
+        if foot.close_to(h.midpoint(inst.m), 1e-9):
             mids += 1
     return LocusReport(len(directions), refl, feet, mids)
 
@@ -438,12 +431,12 @@ def miquel_point(tri: Sequence[Point], x: Point, y: Point, z: Point) -> Point:
     c3 = circumcircle(c, x, y)
     # c1 and c2 share z; the second intersection is the reflection of z in
     # the line of centres
-    if c1.center.close_to(c2.center, 0.0 if c1.center.is_exact() else 1e-12):
+    if c1.center.close_to(c2.center, 1e-12):
         raise DegenerateInput("coincident circles")
     p = reflect_point_in_line(z, Line.through(c1.center, c2.center))
-    if p.close_to(z, 0.0 if p.is_exact() else 1e-12):
+    if p.close_to(z, 1e-12):
         p = z  # tangent circles: Miquel point is the shared point itself
-    if not c3.contains(p, 0.0 if p.is_exact() else 1e-9):
+    if not c3.contains(p, 1e-9):
         raise IdentityViolated("circle CXY misses the Miquel point")
     return p
 
@@ -461,9 +454,8 @@ def theorem_r(tri: Sequence[Point], line: Line) -> Point:
         for p, q in ((b, c), (c, a), (a, b))
     ]
     p = reflected[0].intersect(reflected[1])
-    tol = 0.0 if p.is_exact() else 1e-9
-    if not reflected[2].contains(p, tol):
+    if not reflected[2].contains(p, 1e-9):
         raise IdentityViolated("reflected lines fail to concur")
-    if not circumcircle(a, b, c).contains(p, tol):
+    if not circumcircle(a, b, c).contains(p, 1e-9):
         raise IdentityViolated("concurrence point misses the circumcircle")
     return p

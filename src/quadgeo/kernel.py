@@ -5,7 +5,10 @@ Every other module builds on these. Scalars are either exact
 terms) or approximate (`float`). All predicates that must stay exact are
 phrased in squared quantities so the exact backend never takes a square
 root; square roots appear only in the approximate backend (or when the
-radicand happens to be a perfect square).
+radicand happens to be a perfect square). A tolerance applies only to a
+float residual: an exact residual is compared with 0 whatever ``eps`` is.
+The predicates test ``isinstance(v, float)`` rather than ``is_exact(v)``,
+whose ``Fraction`` check is an ABC lookup that slows the float paths.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
 
 
 def approx_collinear(p: Point, q: Point, r: Point, eps: float = DEFAULT_EPS) -> bool:
-    return abs((q - p).cross(r - p)) <= eps
+    v = (q - p).cross(r - p)
+    return abs(v) <= eps if isinstance(v, float) else v == 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ class Line:
 
     def contains(self, p: Point, eps: float = 0.0) -> bool:
         v = self.evaluate(p)
-        if eps == 0.0:
+        if eps == 0.0 or not isinstance(v, float):
             return v == 0
         return abs(v) <= eps * math.hypot(float(self.a), float(self.b))
 
@@ -264,13 +268,12 @@ class Line:
             return None
         return -self.a / self.b if not is_exact(self.a) else Fraction(-self.a, self.b)
 
-    def is_parallel(self, other: "Line", eps: float = 0.0) -> bool:
-        v = self.a * other.b - self.b * other.a
-        return v == 0 if eps == 0.0 else abs(v) <= eps
+    def is_parallel(self, other: "Line") -> bool:
+        return self.a * other.b - self.b * other.a == 0
 
     def is_perpendicular(self, other: "Line", eps: float = 0.0) -> bool:
         v = self.a * other.a + self.b * other.b
-        return v == 0 if eps == 0.0 else abs(v) <= eps
+        return v == 0 if eps == 0.0 or not isinstance(v, float) else abs(v) <= eps
 
     def intersect(self, other: "Line") -> Point:
         det = self.a * other.b - self.b * other.a
@@ -309,7 +312,7 @@ class Circle:
 
     def contains(self, p: Point, eps: float = 0.0) -> bool:
         v = self.power(p)
-        if eps == 0.0:
+        if eps == 0.0 or not isinstance(v, float):
             return v == 0
         return abs(v) <= eps
 
@@ -459,10 +462,6 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
 def circle_from_diameter(p: Point, q: Point) -> Circle:
     m = p.midpoint(q)
     return Circle(m, m.dist2(p))
-
-
-def power_of_point(p: Point, circle: Circle) -> Number:
-    return circle.power(p)
 
 
 def radical_axis(c1: Circle, c2: Circle) -> Line:

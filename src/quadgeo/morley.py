@@ -138,18 +138,12 @@ def lighthouse(
     circles: List[Optional[Circle]] = []
     for gon in ngons:
         if len(gon) < 3:
-            circles.append(circle_through_two(b, c, gon) if gon else None)
+            circles.append(circumcircle(b, c, gon[0]) if gon else None)
             continue
         circles.append(circumcircle(gon[0], gon[1], gon[2]))
     return LighthouseConfig(
         b, c, beta, gamma, n, grid, ngons, circles, beams_b, beams_c, parallel
     )
-
-
-def circle_through_two(b: Point, c: Point, gon: Sequence[Point]) -> Optional[Circle]:
-    if not gon:
-        return None
-    return circumcircle(b, c, gon[0])
 
 
 def _parallel_float(l1: Line, l2: Line) -> bool:

@@ -228,11 +228,14 @@ def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
     b = sqrt_scalar(r.dist2(p))
     c = sqrt_scalar(p.dist2(q))
     s = (a + b + c) / 2
+    sa, sb, sc = s - a, s - b, s - c
+    if min(sa, sb, sc) <= 0:
+        raise DegenerateInput("sliver: a side rounds to the sum of the others")
     R = a * b * c / (4 * area)
     a2, b2, c2 = a * a, b * b, c * c
     return TriangleMetrics(
         a=a, b=b, c=c, s=s, area=area,
-        r=area / s, r1=area / (s - a), r2=area / (s - b), r3=area / (s - c),
+        r=area / s, r1=area / sa, r2=area / sb, r3=area / sc,
         R=R,
         sinA=a / (2 * R), sinB=b / (2 * R), sinC=c / (2 * R),
         cosA=(b2 + c2 - a2) / (2 * b * c),

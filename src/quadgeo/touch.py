@@ -417,11 +417,7 @@ def _perspector(contacts: Sequence[Point], mids: Sequence[Point]) -> Point:
         pt = next(c for c, m in pairs if c == m)
     else:
         pt = joins[0].intersect(joins[1])
-    if all(p.is_exact() for p in (*contacts, *mids)):
-        ok = all(j.contains(pt) for j in joins)
-    else:
-        scale = max(abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
-        ok = all(j.contains(pt, DEFAULT_EPS * max(1.0, scale)) for j in joins)
-    if not ok:
+    scale = max(abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
+    if not all(j.contains(pt, DEFAULT_EPS * max(1.0, scale)) for j in joins):
         raise IdentityViolated("contact/midpoint joins fail to concur")
     return pt

@@ -121,11 +121,7 @@ def wallace_quadrated(q: LabeledQuadrangle, s8: Point) -> QuadratedWallace:
 def rational_circle_point(circle: Circle, base: Point, t: Number) -> Point:
     """Rational parametrization of the circle through a known rational
     point `base`: second intersection of the line of slope t through base."""
-    # direction (1, t); solve |base + u·d - c|² = r², one root u=0
-    d = Point(1 + 0 * t, t)
-    b = base - circle.center
-    u = -2 * b.dot(d) / d.norm2()
-    return Point(base.x + u * d.x, base.y + u * d.y)
+    return second_intersection(circle, base, Point(1 + 0 * t, t))
 
 
 # ---------------------------------------------------------------------------

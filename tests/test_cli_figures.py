@@ -19,6 +19,7 @@ from quadgeo.cli_figures import (
     run_suite,
     table_text,
 )
+from quadgeo import drozfarny, wallace
 from quadgeo.kernel import Barycentric, Circle, Point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -174,20 +175,37 @@ class TestSuites:
         b = run_suite("soddy", seed=3, count=20)
         assert a == b
 
-    def test_registry_reaches_every_module(self):
-        covered = set()
-        for _, modules in SUITES.values():
-            covered.update(modules)
-        assert covered >= {
-            "kernel",
-            "quadrangle",
-            "touch",
-            "wallace",
-            "morley",
-            "malfatti",
-            "drozfarny",
-            "cli_figures",
-        }
+    @pytest.mark.parametrize(
+        "suite, module",
+        [
+            ("trisequence-table", wallace),
+            ("apocrypha-table", wallace),
+            ("droz-farny", drozfarny),
+        ],
+        ids=["trisequence-table", "apocrypha-table", "droz-farny"],
+    )
+    def test_theorem_miss_is_a_failed_case(self, monkeypatch, suite, module):
+        real = module.reflect_point_in_line
+
+        def shifted(p, line):
+            q = real(p, line)
+            return Point(q.x + 1, q.y)
+
+        monkeypatch.setattr(module, "reflect_point_in_line", shifted)
+        res = run_suite(suite, count=5)
+        assert not res.passed
+        assert res.failures[-1].startswith("IdentityViolated: ")
+        assert (
+            res.exact_passes + res.approx_passes + res.skipped + len(res.failures)
+            == res.cases
+        )
+        result = CliRunner().invoke(
+            main, ["verify", "--suite", suite, "--suite", "hexaflex", "--count", "5"]
+        )
+        assert result.exit_code == 1
+        assert f"{suite}: FAIL" in result.output
+        assert f"  failure: {res.failures[-1]}" in result.output
+        assert "hexaflex: PASS" in result.output
 
     def test_malfatti_incidence_failure_recorded(self, monkeypatch):
         from quadgeo import malfatti

@@ -18,6 +18,7 @@ from quadgeo.kernel import (
     NotCollinear,
     Point,
     Tangency,
+    approx_collinear,
     ceva_product,
     circumcircle,
     cross_ratio,
@@ -25,7 +26,6 @@ from quadgeo.kernel import (
     format_scalar,
     is_harmonic,
     parse_scalar,
-    power_of_point,
     radical_axis,
     radical_center,
     reflect_line_in_line,
@@ -108,15 +108,29 @@ class TestCircumcircle:
 class TestPower:
     def test_point_on_circle(self):
         c = circumcircle(V1, V2, V4)
-        assert power_of_point(V1, c) == 0
+        assert c.power(V1) == 0
 
     def test_center(self):
         c = Circle(Point(F(1), F(2)), F(9))
-        assert power_of_point(Point(F(1), F(2)), c) == -9
+        assert c.power(Point(F(1), F(2))) == -9
 
     def test_orthocentre_vs_edge_circle(self):
         c = Circle(Point(F(-84), F(13)), F(22500))
-        assert power_of_point(Point(F(36), F(51)), c) == -6656
+        assert c.power(Point(F(36), F(51))) == -6656
+
+
+
+@pytest.mark.parametrize("num, tolerated", [(F, False), (float, True)],
+                         ids=["exact", "float"])
+def test_eps_applies_to_float_residuals_only(num, tolerated):
+    d, zero, one = num(1) / num(10**12), num(0), num(1)
+    checks = (
+        Line(one, zero, zero).contains(Point(d, zero), eps=1e-9),
+        Circle(Point(zero, zero), one).contains(Point(one + d, zero), eps=1e-9),
+        Line(one, zero, zero).is_perpendicular(Line(d, one, zero), eps=1e-9),
+        approx_collinear(Point(zero, zero), Point(one, zero), Point(one, d)),
+    )
+    assert checks == (tolerated,) * 4
 
 
 class TestRadical:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadgeo import touch
 from quadgeo.kernel import Line, Point, cross_ratio, DegenerateInput
 from quadgeo.quadrangle import (
     LABELS,
@@ -128,6 +129,14 @@ class TestMedial:
         assert (m.r, m.r1) == (72, 360)
         assert m.R == 170
         assert (m.sinA, m.sinB, m.sinC) == (F(84, 85), F(3, 5), F(15, 17))
+
+    @pytest.mark.parametrize("x", [0.3, 2, 5, 9.7, 12, -3])
+    def test_float_sliver_rejected(self, x):
+        # s - a, s - b or s - c rounds to 0 in floats
+        tri = (Point(0.0, 0.0), Point(10.0, 0.0), Point(x, 1e-8))
+        for construct in (triangle_metrics, touch.touch_circles, touch.hexaflex):
+            with pytest.raises(DegenerateInput):
+                construct(*tri)
 
 
 class TestAngleTables:
