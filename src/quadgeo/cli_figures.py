@@ -17,19 +17,24 @@ from .kernel import (
     IdentityViolated,
     Line,
     Point,
+    Tangency,
     collinear,
-    cross_ratio,
     foot_of_perpendicular,
     format_scalar,
     reflect_point_in_line,
+    tangency_classify,
 )
 from . import drozfarny, malfatti, morley, touch, wallace
 from .quadrangle import (
     LABELS,
     LabeledQuadrangle,
+    acute_census,
+    altitudes,
     euler_range,
-    orthocentre,
+    medial_circles,
     quadrate,
+    quadration_edges,
+    triangle_metrics,
     twin,
 )
 
@@ -496,6 +501,24 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
         er.de_longchamps == Point(F(-108), F(-153)),
         "deL(124) mismatch",
     )
+    yield Check(
+        acute_census(q) == {"acute": 1, "obtuse": 3},
+        "acute census: not one acute and three obtuse faces",
+    )
+    face = q.face(7)
+    yield Check(
+        set(medial_circles(*face).radical_axes) == set(altitudes(*face)),
+        "radical axes of the median circles are not the altitudes",
+    )
+    # the derived triangles 2R·(sinA, cosB, cosC), ... are faces 1, 2, 4
+    edges = quadration_edges(triangle_metrics(*face))
+    for lab, triple in zip((1, 2, 4), edges):
+        f = q.face(lab)
+        sides2 = sorted(f[i].dist2(f[i - 1]) for i in range(3))
+        yield Check(
+            sides2 == sorted(x * x for x in triple),
+            f"quadration edges do not match the sides of face {lab}",
+        )
 
 
 def _slope_checks(
@@ -555,7 +578,15 @@ def _suite_three_cycles(rng, count) -> Iterator[Check]:
         for l in LABELS
     )
     yield Check(homothety, "trebled quadrangle is not the -3 homothet")
+    for x, y in ((-62, 117), (-190, 21)):
+        yield Check(
+            wallace.six_cycle_check(q, Point(F(x), F(y))),
+            f"six reflections in edges 14, 24, 47 do not return ({x},{y})",
+        )
 
+
+#: (p, q) with 7q > p > q > 0 for the cos A = -7/25 family
+COS_FAMILY_PAIRS = ((2, 1), (3, 1), (5, 2), (6, 5))
 
 SODDY_CASES = [
     ((45, 40, 13), "Critical"),
@@ -573,6 +604,35 @@ def _suite_soddy(rng, count) -> Iterator[Check]:
     a, b, c = F(26), F(25), F(3)
     cos_a = (b * b + c * c - a * a) / (2 * b * c)
     yield Check(cos_a == F(-7, 25), "(26,25,3) cosA != -7/25")
+    for p, q in COS_FAMILY_PAIRS:
+        a, b, c = touch.cos_family(F(p), F(q))
+        yield Check(
+            (b * b + c * c - a * a) / (2 * b * c) == F(-7, 25),
+            f"cos family ({p},{q}): cosA != -7/25",
+        )
+    sd = touch.soddy(*fixture_quadrangle("t0").face(7))
+    yield Check(
+        all(
+            tangency_classify(sd.inner, c) == Tangency.EXTERNAL_TANGENT
+            for c in sd.tangent_circles
+        ),
+        "inner Soddy circle not externally tangent to the vertex circles",
+    )
+    yield Check(
+        sd.outer is not None
+        and all(
+            tangency_classify(sd.outer, c) == Tangency.INTERNAL_TANGENT
+            for c in sd.tangent_circles
+        ),
+        "outer Soddy circle not internally tangent to the vertex circles",
+    )
+    yield Check(
+        all(
+            sd.soddy_line.contains(p)
+            for p in (sd.incentre, sd.gergonne_point, sd.de_longchamps)
+        ),
+        "Soddy line misses the incentre, Gergonne or de Longchamps point",
+    )
     done = 0
     while done < count:
         u = F(rng.randint(2, 50), rng.randint(1, 10))
@@ -602,12 +662,38 @@ def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
             and q.central_circle.contains(wd.midpoint_T)
         )
         yield Check(ok, f"wallace failure at t={t}")
+    qw = wallace.wallace_quadrated(q, base)
+    yield Check(
+        len(qw.feet) == 12 and all(qw.line.contains(f) for f in qw.feet),
+        "quadrated Wallace line misses one of its 12 feet",
+    )
+    line = wallace.wallace_line(tri, base).line
+    for lab in (1, 2):
+        fit = wallace.fit_triangle(circ, base, line, q.vertex(lab))
+        yield Check(
+            set(fit.triangle) == set(tri),
+            f"triangle fitted from vertex {lab} to the Wallace line is not face 7",
+        )
+    p = Point(F(0), F(5))
+    l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
+    cs = wallace.converse_simson(p, l, m, n)
+    yield Check(
+        wallace.wallace_line(cs.triangle, p).line == Line.through(l, m),
+        "converse Simson: the Wallace line of P is not LMN",
+    )
 
 
 def _suite_deltoid(rng, count) -> Iterator[Check]:
     for _ in range(count):
         t = F(rng.randint(1, 400), rng.randint(1, 400))
         yield Check(wallace.deltoid_tangency_check(t), f"deltoid t={t}")
+    star = wallace.star_of_david(fixture_quadrangle("t0"))
+    for tri in star.triangles:
+        yield Check(
+            wallace.is_equilateral(tri),
+            "star-of-David triangle is not equilateral",
+            exact=False,
+        )
 
 
 def _suite_droz_farny(rng, count) -> Iterator[Check]:
@@ -632,7 +718,7 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         audit = drozfarny.parabola_tangency_audit(inst)
         ok = (
             collinear(*inst.midpoints)
-            and inst.circumcircle.contains(inst.m)
+            and drozfarny.verify_instance(inst)
             and q.central_circle.contains(
                 foot_of_perpendicular(h, inst.df)
             )
@@ -647,6 +733,42 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         == {Point(F(36), F(51)), Point(F(-36), F(-51))},
         "envelope foci/axis mismatch",
     )
+    # the converse: the pair recovered from M gives back the bisector of HM
+    conv = drozfarny.df_converse(tri, Point(F(-62), F(117)))
+    inst = drozfarny.df_line(tri, conv.pair)
+    yield Check(
+        all(conv.df.contains(p, DEFAULT_EPS) for p in inst.midpoints),
+        "Droz-Farny converse: recovered pair misses the bisector of HM",
+        exact=False,
+    )
+    line = Line.from_point_direction(h, Point(1, 0))
+    p = drozfarny.theorem_r(tri, line)
+    yield Check(
+        wallace.wallace_line(tri, p).line.is_parallel(line),
+        "theorem R: Wallace line of the concurrence point not parallel",
+    )
+    a, b, c = tri
+    circ = q.face_circumcircle(7)
+    mids = (b.midpoint(c), c.midpoint(a), a.midpoint(b))
+    yield Check(
+        drozfarny.miquel_point(tri, *mids) == circ.center,
+        "Miquel point of the edge midpoints is not the circumcentre",
+    )
+    cut = Line.through(Point(F(0), F(-77)), Point(F(20), F(50)))
+    cuts = [cut.intersect(Line.through(u, v)) for u, v in ((b, c), (c, a), (a, b))]
+    yield Check(
+        circ.contains(drozfarny.miquel_point(tri, *cuts)),
+        "Miquel point of collinear cuts is off the circumcircle",
+    )
+    yield Check(
+        drozfarny.envelope_special_tangents(tri),
+        "edges or bisectors of HA, HB, HC not tangent to the envelope",
+    )
+    yield Check(
+        drozfarny.equilateral_df_check(),
+        "equilateral Droz-Farny line not tangent to the incircle",
+        exact=False,
+    )
 
 
 def _suite_malfatti(rng, count) -> Iterator[Check]:
@@ -655,6 +777,12 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
         p = malfatti.radpoint_of_solution(lab, state)
         eq = malfatti.vertical_guyline_equation("A", p, state)
         yield Check(eq == (0, 17, 50), f"guyline via {lab}: {eq}")
+    yield Check(
+        malfatti.point_coords((0, 0, 0), state).same_point(
+            malfatti.radpoint_of_solution("0", state)
+        ),
+        "radical centre of solution 0 is not the fundamental radpoint <000>",
+    )
     try:
         yield Check(
             len(malfatti.guylines(state)) == 64,
@@ -675,6 +803,44 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
         malfatti.zero_point_collinearities(state) == 24,
         "0-point collinearities != 24",
     )
+    rep = malfatti.label_audit(state)
+    yield Check(
+        rep.lines_checked == 64 and rep.nim_sum_boxes_ok,
+        "evil-digit label audit fails",
+    )
+    points = [
+        *malfatti.all_radpoints(state).values(),
+        *malfatti.all_oddpoints(state).values(),
+    ]
+    # no component is 0 away from the poles, so (y/x, z/x) names the point
+    yield Check(
+        len({(p.y / p.x, p.z / p.x) for p in points}) == 64,
+        "32 radpoints and 32 oddpoints are not distinct",
+    )
+    face = fixture_quadrangle("t0").face(7)
+    circles, trace = malfatti.malfatti_circles(*face)
+    yield Check(
+        malfatti.verify_malfatti(circles, *face),
+        "Steiner's Malfatti circles not mutually and edge tangent",
+        exact=False,
+    )
+    yield Check(
+        malfatti.variant_contact_circle(circles, trace, *face),
+        "variant contact circle misses a Malfatti contact",
+        exact=False,
+    )
+    for _ in range(count):
+        v = F(rng.randint(1, 20), rng.randint(21, 60))
+        w = F(rng.randint(1, 20), rng.randint(21, 60))
+        try:
+            sols = malfatti.solution_states(malfatti.complete_state(v, w))
+        except malfatti.PoleEncountered:
+            yield SKIP
+            continue
+        yield Check(
+            len(set(sols.values())) == 32,
+            f"v={v}, w={w}: the 32 Malfatti solutions are not distinct",
+        )
 
 
 def _suite_morley(rng, count) -> Iterator[Check]:
@@ -714,6 +880,19 @@ def _suite_morley(rng, count) -> Iterator[Check]:
         jig.area_matches and jig.vertex_sums and jig.trisection,
         "1001-jigsaw assembly fails",
     )
+    q = fixture_quadrangle("t0")
+    io = morley.inside_out(*q.face(7))
+    yield Check(
+        io.circumcentre == q.twin_vertex(7) and io.orthocentre == q.vertex(7),
+        "inside-out treblers do not concur at the circumcentre and orthocentre",
+    )
+    yield Check(
+        morley.orthocentric_morley_parallel(
+            Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
+        ),
+        "Morley triangles of the orthocentric quadrangle not parallel",
+        exact=False,
+    )
 
 
 def _suite_lighthouse(rng, count) -> Iterator[Check]:
@@ -734,12 +913,17 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
     dup = morley.duplication(b, c, 0.4, 0.7, 3)
     yield Check(dup.residual < DEFAULT_EPS, "duplication beams off", exact=False,
                 residual=dup.residual)
-    quad = morley.bisector_quadrangle(
-        Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
-    )
+    tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
+    quad = morley.bisector_quadrangle(*tri)
     yield Check(
         morley.is_orthocentric(list(quad.values())),
         "n=2 bisector grid not orthocentric",
+        exact=False,
+    )
+    alt = morley.altitude_quadrangle(*tri)
+    yield Check(
+        morley.is_orthocentric([alt["orthocentre"], *alt["others"]]),
+        "n=2 altitude grid not orthocentric",
         exact=False,
     )
 
@@ -766,13 +950,19 @@ def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
 
 
 def _suite_hexaflex(rng, count) -> Iterator[Check]:
-    q = fixture_quadrangle("t0")
-    hx = touch.hexaflex(*q.face(7))
+    face = fixture_quadrangle("t0").face(7)
+    hx = touch.hexaflex(*face)
     for ext, p in sorted(hx.perspectors.items()):
         yield Check(
             p.x * p.x + p.y * p.y == 7225,
             f"perspector {ext} off x²+y²=7225",
         )
+    yield Check(
+        touch.extraverted_gergonne_concurrence(*face),
+        "extraverted Gergonne cevians miss the Nagel point",
+    )
+    for name, ok in touch.gergonne_nagel(*face).incidence_checks().items():
+        yield Check(ok, f"Gergonne/Nagel incidence {name} fails")
 
 
 def _suite_rendering(rng, count) -> Iterator[Check]:

@@ -1,7 +1,7 @@
 """Droz-Farny lines: construction from a perpendicular pair through the
 orthocentre, the converse from a circumcircle point, the envelope conic
 with foci at orthocentre and circumcentre, the associated parabola, the
-two locus theorems, and the Miquel / reflected-line background theorems.
+equilateral case, and the Miquel / reflected-line background theorems.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .kernel import (
     approx_collinear,
     circumcircle,
     collinear,
-    foot_of_perpendicular,
     perpendicular_bisector,
     reflect_line_in_line,
     reflect_point_in_line,
 )
-from .quadrangle import LabeledQuadrangle, orthocentre
+from .quadrangle import orthocentre
 
 
 class NotPerpendicular(GeometryError):
@@ -355,43 +354,8 @@ def parabola_tangency_audit(inst: DFInstance) -> Dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# locus theorems
+# the equilateral case
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocusReport:
-    samples: int
-    reflections_on_circumcircle: int
-    feet_on_central_circle: int
-    feet_are_midpoints: int
-
-
-def locus_checks(
-    q: LabeledQuadrangle, h_label: int, directions: Sequence[Point]
-) -> LocusReport:
-    """Sweep of perpendicular pairs through a vertex of the quadrangle:
-    the reflection of the vertex in each Droz-Farny line traces the
-    face circumcircle, the foot of the perpendicular traces the Central
-    Circle."""
-    h = q.vertex(h_label)
-    tri = q.face(h_label)
-    circ = q.face_circumcircle(h_label)
-    refl = feet = mids = 0
-    for d in directions:
-        pair = (
-            Line.from_point_direction(h, d),
-            Line.from_point_direction(h, Point(-d.y, d.x)),
-        )
-        inst = df_line(tri, pair)
-        if circ.contains(inst.m):
-            refl += 1
-        foot = foot_of_perpendicular(h, inst.df)
-        if q.central_circle.contains(foot):
-            feet += 1
-        if foot.close_to(h.midpoint(inst.m), 1e-9):
-            mids += 1
-    return LocusReport(len(directions), refl, feet, mids)
 
 
 def equilateral_df_check(side: float = 2.0, count: int = 36) -> bool:

@@ -7,8 +7,6 @@ phrased in squared quantities so the exact backend never takes a square
 root; square roots appear only in the approximate backend (or when the
 radicand happens to be a perfect square). A tolerance applies only to a
 float residual: an exact residual is compared with 0 whatever ``eps`` is.
-The predicates test ``isinstance(v, float)`` rather than ``is_exact(v)``,
-whose ``Fraction`` check is an ABC lookup that slows the float paths.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -47,10 +45,6 @@ class ConcentricCircles(GeometryError):
     pass
 
 
-class ParallelAxes(GeometryError):
-    pass
-
-
 class ParallelLines(GeometryError):
     pass
 
@@ -77,7 +71,9 @@ class PointNotOnEdgeLine(GeometryError):
 
 
 def is_exact(x: Number) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    # a plain type test: isinstance against Fraction is an ABC lookup, slow
+    # on the float paths, and type() also leaves out bool
+    return type(x) is Fraction or type(x) is int
 
 
 def as_fraction(x: Number) -> Fraction:
@@ -112,17 +108,6 @@ def format_scalar(x: Number) -> str:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
     return f"{x:.12g}"
-
-
-def parse_scalar(s: str) -> Number:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        return float(s)
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +347,10 @@ class Parabola:
         if self.directrix.contains(self.focus):
             raise DegenerateInput("focus on directrix")
 
-    def axis(self) -> Line:
-        return self.directrix.perpendicular_through(self.focus)
-
-    def vertex(self) -> Point:
-        return self.focus.midpoint(foot_of_perpendicular(self.focus, self.directrix))
-
-    def tangent_at_vertex(self) -> Line:
-        return self.directrix.parallel_through(self.vertex())
-
     def is_tangent(self, line: Line) -> bool:
-        """Focus-foot criterion: a line is tangent iff the foot of the
-        perpendicular from the focus onto it lies on the tangent at the
-        vertex."""
-        foot = foot_of_perpendicular(self.focus, line)
-        return self.tangent_at_vertex().contains(foot)
+        """A line is tangent iff the reflection of the focus in the line
+        lies on the directrix."""
+        return self.directrix.contains(reflect_point_in_line(self.focus, line))
 
 
 @dataclass(frozen=True)
@@ -396,15 +370,6 @@ class Barycentric:
             self.x * other.y == self.y * other.x
             and self.y * other.z == self.z * other.y
             and self.x * other.z == self.z * other.x
-        )
-
-    def to_cartesian(self, a_pt: Point, b_pt: Point, c_pt: Point) -> Point:
-        s = self.x + self.y + self.z
-        if s == 0:
-            raise DegenerateInput("point at infinity")
-        return Point(
-            (self.x * a_pt.x + self.y * b_pt.x + self.z * c_pt.x) / s,
-            (self.x * a_pt.y + self.y * b_pt.y + self.z * c_pt.y) / s,
         )
 
 
@@ -473,15 +438,6 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
     return Line(d.x, d.y, rhs)
 
 
-def radical_center(c1: Circle, c2: Circle, c3: Circle) -> Point:
-    l1 = radical_axis(c1, c2)
-    l2 = radical_axis(c1, c3)
-    try:
-        return l1.intersect(l2)
-    except ParallelLines as exc:
-        raise ParallelAxes("radical axes are parallel") from exc
-
-
 class Tangency(Enum):
     EXTERNAL_TANGENT = "ExternalTangent"
     INTERNAL_TANGENT = "InternalTangent"
@@ -531,41 +487,3 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point) -> Number:
     num = (t[0] - t[2]) * (t[1] - t[3])
     den = (t[0] - t[3]) * (t[1] - t[2])
     return num / den
-
-
-def is_harmonic(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
-    return cross_ratio(p1, p2, p3, p4) == -1
-
-
-def _edge_ratio(vertex1: Point, vertex2: Point, cut: Point) -> Number:
-    """Signed ratio (vertex1→cut)/(cut→vertex2) for cut on line vertex1-vertex2."""
-    d = vertex2 - vertex1
-    if d.cross(cut - vertex1) != 0:
-        raise PointNotOnEdgeLine("cevian/transversal cut not on the edge line")
-    t = _line_parameter(cut, vertex1, d)
-    if t == 1:
-        raise DegenerateInput("cut coincides with far vertex")
-    return t / (1 - t)
-
-
-def ceva_product(
-    tri: Sequence[Point], cuts: Sequence[Point]
-) -> Number:
-    """Signed product BA′/A′C · CB′/B′A · AC′/C′B for cuts (A′ on BC,
-    B′ on CA, C′ on AB). Equals +1 iff the cevians concur (Ceva) and −1
-    iff the cuts are collinear (Menelaus)."""
-    a, b, c = tri
-    a1, b1, c1 = cuts
-    return (
-        _edge_ratio(b, c, a1) * _edge_ratio(c, a, b1) * _edge_ratio(a, b, c1)
-    )
-
-
-def concurrent(lines: Iterable[Line]) -> Optional[Point]:
-    """Common point of three or more lines, or None."""
-    lines = list(lines)
-    p = lines[0].intersect(lines[1])
-    for line in lines[2:]:
-        if line.evaluate(p) != 0:
-            return None
-    return p

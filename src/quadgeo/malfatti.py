@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_EPS,
@@ -33,10 +33,6 @@ State = Tuple[Fraction, Fraction, Fraction]
 
 
 class PoleEncountered(GeometryError):
-    pass
-
-
-class WrongParity(GeometryError):
     pass
 
 
@@ -297,18 +293,6 @@ def point_coords(label: Tuple[int, int, int], state: State) -> Barycentric:
     return Barycentric(
         radcoord(_g(i, u)), radcoord(_g(j, v)), radcoord(_g(k, w))
     )
-
-
-def radpoint(label: Tuple[int, int, int], state: State) -> Barycentric:
-    if sum(label) % 2 != 0:
-        raise WrongParity(f"{label} is an oddpoint, not a radpoint")
-    return point_coords(label, state)
-
-
-def oddpoint(label: Tuple[int, int, int], state: State) -> Barycentric:
-    if sum(label) % 2 == 0:
-        raise WrongParity(f"{label} is a radpoint, not an oddpoint")
-    return point_coords(label, state)
 
 
 Table = Tuple[Tuple[Fraction, ...], ...]

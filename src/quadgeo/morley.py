@@ -506,20 +506,6 @@ def edge_direction_classes(tris: Dict[str, Tuple[Point, Point, Point]]) -> int:
     return len(classes)
 
 
-def table_rows(cfg: MorleyConfig) -> List[Tuple[str, str, str, str]]:
-    """GF-circle | Morley points | Morley lines | associated points."""
-    inv_assoc = {_associated_label(ll): ll for ll in _LINE_LABELS}
-    rows = []
-    for name in cfg.gf_triangles:
-        pts = " ".join(cfg.gf_triangles[name])
-        lns = " ".join(cfg.circle_lines[name])
-        assoc = " ".join(
-            al for al, ll in inv_assoc.items() if ll in cfg.circle_lines[name]
-        )
-        rows.append((name, pts, lns, assoc))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # rational Morley families and the 1001-jigsaw
 # ---------------------------------------------------------------------------

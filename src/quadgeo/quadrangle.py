@@ -1,27 +1,24 @@
 """Orthocentric quadrangles: quadration, twinning, the Centre and Central
 Circle, Euler-line harmonic ranges, medial/edge circles with altitude and
-midfoot data, angle-table derivations, and the acute census."""
+midfoot data, the edges of the derived (quadration) triangles, and the
+acute census."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .kernel import (
-    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
     Line,
     Number,
     Point,
-    circumcircle,
     circle_from_diameter,
     cross_ratio,
     is_exact,
-    perpendicular_bisector,
     radical_axis,
     sqrt_scalar,
 )
@@ -30,10 +27,6 @@ from .kernel import (
 class AmbiguousLabeling(GeometryError):
     """Raised when nim-sum labeling is requested for a right or isosceles
     seed, where no scalene labeling rule applies."""
-
-
-class InvalidAngleSum(GeometryError):
-    pass
 
 
 LABELS = (1, 2, 4, 7)
@@ -214,10 +207,6 @@ class TriangleMetrics:
     cosB: Number
     cosC: Number
 
-    @property
-    def heronian(self) -> bool:
-        return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
-
 
 def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
     cross = (q - p).cross(r - p)
@@ -279,33 +268,6 @@ def altitudes(p: Point, q: Point, r: Point) -> Tuple[Line, Line, Line]:
         Line.from_point_normal(q, p - r),
         Line.from_point_normal(r, q - p),
     )
-
-
-def quadration_tables(A: float, B: float, C: float) -> List[Tuple[float, float, float]]:
-    """Angle triples of the three derived quadration triangles
-    (π−A, π/2−B, π/2−C) and cyclic; each sums to π."""
-    _check_angle_sum(A, B, C)
-    h = math.pi / 2
-    return [
-        (math.pi - A, h - B, h - C),
-        (h - A, math.pi - B, h - C),
-        (h - A, h - B, math.pi - C),
-    ]
-
-
-def extraversion_tables(A: float, B: float, C: float) -> List[Tuple[float, float, float]]:
-    """Extraversion triples (−A, π−B, π−C) and cyclic; each sums to π."""
-    _check_angle_sum(A, B, C)
-    return [
-        (-A, math.pi - B, math.pi - C),
-        (math.pi - A, -B, math.pi - C),
-        (math.pi - A, math.pi - B, -C),
-    ]
-
-
-def _check_angle_sum(A: float, B: float, C: float) -> None:
-    if abs(A + B + C - math.pi) > DEFAULT_EPS:
-        raise InvalidAngleSum("angles must sum to pi")
 
 
 def quadration_edges(m: TriangleMetrics) -> List[Tuple[Number, Number, Number]]:

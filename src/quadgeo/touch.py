@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
     DEFAULT_EPS,
-    Barycentric,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -20,21 +19,17 @@ from .kernel import (
     Number,
     Point,
     Tangency,
-    ceva_product,
     collinear,
     foot_of_perpendicular,
     format_scalar,
     is_exact,
-    perpendicular_bisector,
     radical_axis,
     reflect_line_in_line,
-    sqrt_scalar,
     tangency_classify,
 )
 from .quadrangle import (
     LABELS,
     LabeledQuadrangle,
-    TriangleMetrics,
     triangle_metrics,
     twin,
 )

@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -353,24 +353,6 @@ def six_cycle_check(q: LabeledQuadrangle, start: Point) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltoidPoint:
-    t: Number
-    point: Point
-    tangent: Line
-
-
-def deltoid(t: Number) -> DeltoidPoint:
-    if t == 0:
-        raise ZeroParameter("t = 0 is the vertical-tangent limit")
-    one = Fraction(1) if is_exact(t) else 1.0
-    d = one + t * t
-    pt = Point(8 * t**3 / (d * d), (3 * one - 6 * t * t - t**4) / (d * d))
-    # tangent: y = -x/t + (3 - t²)/(1 + t²)
-    tangent = Line(one / t, one, (3 * one - t * t) / d)
-    return DeltoidPoint(t, pt, tangent)
-
-
 def _deltoid_line_poly(t: Number) -> List[Number]:
     """Coefficients (ascending) of the quartic N(u) whose roots are the
     deltoid parameters where the parameter-t tangent line meets the curve:
@@ -448,12 +430,16 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     return StarOfDavid(lines, (corners(primary), corners(mirrored)), thetas)
 
 
-def is_equilateral(tri: Sequence[Point], eps: float) -> bool:
+#: relative spread of side lengths allowed by ``is_equilateral``
+_EQUILATERAL_TOL = 1e-12
+
+
+def is_equilateral(tri: Sequence[Point]) -> bool:
     d = [
         math.sqrt(float(tri[i].dist2(tri[(i + 1) % 3]))) for i in range(3)
     ]
     scale = max(d)
-    return max(d) - min(d) <= eps * scale
+    return max(d) - min(d) <= _EQUILATERAL_TOL * scale
 
 
 # ---------------------------------------------------------------------------

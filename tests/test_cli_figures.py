@@ -19,8 +19,8 @@ from quadgeo.cli_figures import (
     run_suite,
     table_text,
 )
-from quadgeo import drozfarny, wallace
-from quadgeo.kernel import Barycentric, Circle, Point
+from quadgeo import drozfarny, morley, wallace
+from quadgeo.kernel import Barycentric, Circle, Line, Point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_RECIPES = (
@@ -139,6 +139,26 @@ class TestTables:
             table_text("nonexistent")
 
 
+#: (exact passes, approximate passes, skips, cases) at seed 0, count 100
+CASE_COUNTS = {
+    "apocrypha-table": (17, 0, 0, 17),
+    "deltoid": (100, 2, 0, 102),
+    "droz-farny": (105, 2, 0, 107),
+    "euler-harmonic": (10, 0, 0, 10),
+    "feuerbach32": (32, 0, 0, 32),
+    "hexaflex": (8, 0, 0, 8),
+    "lighthouse": (0, 503, 0, 503),
+    "malfatti": (112, 2, 0, 114),
+    "morley": (3, 100, 1, 104),
+    "rendering": (7, 0, 0, 7),
+    "soddy": (113, 0, 0, 113),
+    "three-cycles": (6, 0, 0, 6),
+    "thrice-sixteen": (0, 100, 0, 100),
+    "trisequence-table": (12, 0, 0, 12),
+    "wallace-sweep": (104, 0, 0, 104),
+}
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -166,9 +186,9 @@ class TestSuites:
         # seed-0 draw 10 has twice-area 0.014 < 1 and is not checked
         res = run_suite("morley", seed=0, count=100)
         assert (res.exact_passes, res.approx_passes, res.skipped, res.cases) == (
-            2, 99, 1, 102
+            3, 100, 1, 104
         )
-        assert "2 exact + 99 approx + 1 skipped of 102 cases" in res.summary()
+        assert "3 exact + 100 approx + 1 skipped of 104 cases" in res.summary()
 
     def test_determinism(self):
         a = run_suite("soddy", seed=3, count=20)
@@ -176,22 +196,33 @@ class TestSuites:
         assert a == b
 
     @pytest.mark.parametrize(
-        "suite, module",
+        "suite, module, name",
         [
-            ("trisequence-table", wallace),
-            ("apocrypha-table", wallace),
-            ("droz-farny", drozfarny),
+            ("trisequence-table", wallace, "reflect_point_in_line"),
+            ("apocrypha-table", wallace, "reflect_point_in_line"),
+            ("droz-farny", drozfarny, "reflect_point_in_line"),
+            # only theorem_r and inside_out reflect lines in these modules
+            ("droz-farny", drozfarny, "reflect_line_in_line"),
+            ("morley", morley, "reflect_line_in_line"),
         ],
-        ids=["trisequence-table", "apocrypha-table", "droz-farny"],
+        ids=[
+            "trisequence-table",
+            "apocrypha-table",
+            "droz-farny",
+            "droz-farny-theorem-r",
+            "morley-inside-out",
+        ],
     )
-    def test_theorem_miss_is_a_failed_case(self, monkeypatch, suite, module):
-        real = module.reflect_point_in_line
+    def test_theorem_miss_is_a_failed_case(self, monkeypatch, suite, module, name):
+        real = getattr(module, name)
 
-        def shifted(p, line):
-            q = real(p, line)
-            return Point(q.x + 1, q.y)
+        def shifted(*args):
+            out = real(*args)
+            if isinstance(out, Line):
+                return Line(out.a, out.b, out.c + 1)
+            return Point(out.x + 1, out.y)
 
-        monkeypatch.setattr(module, "reflect_point_in_line", shifted)
+        monkeypatch.setattr(module, name, shifted)
         res = run_suite(suite, count=5)
         assert not res.passed
         assert res.failures[-1].startswith("IdentityViolated: ")
@@ -221,8 +252,6 @@ class TestSuites:
         assert any(f.startswith("peG incidence: peG") for f in res.failures)
 
     def test_morley_incidence_failure_recorded(self, monkeypatch):
-        from quadgeo import morley
-
         real = morley.reflect_point_in_line
 
         def shifted(p, line):
@@ -235,6 +264,15 @@ class TestSuites:
         assert any(
             f.startswith("morley incidence: third GF circle") for f in res.failures
         )
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_case_counts(self, suite):
+        # a check that stops being yielded, or a draw that changes, moves
+        # these counts
+        res = run_suite(suite, seed=0, count=100)
+        assert res.passed, res.failures[:3]
+        got = (res.exact_passes, res.approx_passes, res.skipped, res.cases)
+        assert got == CASE_COUNTS[suite]
 
     def test_all_suites_pass_smoke(self):
         for name in sorted(SUITES):

@@ -22,7 +22,6 @@ from quadgeo.drozfarny import (
     envelope_special_tangents,
     envelope_tangency,
     equilateral_df_check,
-    locus_checks,
     miquel_point,
     parabola_tangency_audit,
     theorem_r,
@@ -297,11 +296,19 @@ class TestLocus:
             dirs.append(d)
             if len(dirs) == 100:
                 break
-        rep = locus_checks(q, 7, dirs)
-        assert rep.samples == 100
-        assert rep.reflections_on_circumcircle == 100
-        assert rep.feet_on_central_circle == 100
-        assert rep.feet_are_midpoints == 100
+        h, tri, circ = q.vertex(7), q.face(7), q.face_circumcircle(7)
+        for d in dirs:
+            pair = (
+                Line.from_point_direction(h, d),
+                Line.from_point_direction(h, Point(-d.y, d.x)),
+            )
+            inst = df_line(tri, pair)
+            # the reflection of H in the line traces the circumcircle, the
+            # foot of the perpendicular (midway to it) the Central Circle
+            foot = foot_of_perpendicular(h, inst.df)
+            assert circ.contains(inst.m)
+            assert q.central_circle.contains(foot)
+            assert foot == h.midpoint(inst.m)
 
     def test_equilateral_incircle_tangency(self):
         assert equilateral_df_check()

@@ -17,7 +17,6 @@ from quadgeo.malfatti import (
     IdentityViolated,
     PoleEncountered,
     SHAPES,
-    WrongParity,
     ZERO_POINT_LABELS,
     _g,
     _join,
@@ -32,13 +31,11 @@ from quadgeo.malfatti import (
     label_audit,
     malfatti_circles,
     nagel_points,
-    oddpoint,
     orbit,
     pegs,
     point_coords,
     quarter_angles,
     radcoord,
-    radpoint,
     radpoint_of_solution,
     solution_digit_map,
     solution_states,
@@ -156,14 +153,8 @@ class TestGroupAudit:
 
 class TestRadpoints:
     def test_fundamental_radpoint(self):
-        p = radpoint((0, 0, 0), STATE)
+        p = point_coords((0, 0, 0), STATE)
         assert p.same_point(Barycentric(F(154, 765), F(15, 68), F(4, 15)))
-
-    def test_parity_enforced(self):
-        with pytest.raises(WrongParity):
-            radpoint((0, 0, 1), STATE)
-        with pytest.raises(WrongParity):
-            oddpoint((0, 0, 0), STATE)
 
     def test_counts(self):
         rads = all_radpoints(STATE)

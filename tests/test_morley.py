@@ -37,7 +37,6 @@ from quadgeo.morley import (
     orthocentric_morley_parallel,
     phases_through,
     rational_morley,
-    table_rows,
     thrice_sixteen,
     triangle_angles_sqrt3,
 )
@@ -236,13 +235,6 @@ class TestMorleyConfig:
             )
             assert count == 3
 
-    def test_table_rows_export(self, cfg):
-        rows = table_rows(cfg)
-        assert len(rows) == 9
-        by_name = {r[0]: r for r in rows}
-        assert set(by_name["BC0"][1].split()) == {"*00", "*21", "*12"}
-        assert set(by_name["BC0"][3].split()) == {"200", "101", "110"}
-
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(DegenerateInput):
             morley_config(Point(0.0, 0.0), Point(1.0, 1.0), Point(2.0, 2.0))
@@ -305,7 +297,7 @@ class TestMorleyHardTriangles:
         # each GF circle passes through the associated points of the three
         # lines it meets; the power is taken relative to max(1, r²), as the
         # sliver's circles are far larger than the unit
-        for name, _, _, assoc in table_rows(cfg):
+        for name, (_, _, assoc) in CIRCLE_TABLE.items():
             circ = cfg.gf_circles[name]
             for al in assoc.split():
                 power = abs(float(circ.power(cfg.associated_points[al])))

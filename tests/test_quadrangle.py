@@ -1,6 +1,5 @@
 """Quadration, twinning, Euler ranges, medial circles."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,15 +10,12 @@ from quadgeo.kernel import Line, Point, cross_ratio, DegenerateInput
 from quadgeo.quadrangle import (
     LABELS,
     AmbiguousLabeling,
-    InvalidAngleSum,
     acute_census,
     altitudes,
     euler_range,
-    extraversion_tables,
     medial_circles,
     quadrate,
     quadration_edges,
-    quadration_tables,
     triangle_metrics,
     twin,
 )
@@ -140,18 +136,6 @@ class TestMedial:
 
 
 class TestAngleTables:
-    def test_quadration_sums(self):
-        for trip in quadration_tables(1.0, 1.1, math.pi - 2.1):
-            assert abs(sum(trip) - math.pi) < 1e-12
-
-    def test_extraversion_sums(self):
-        for trip in extraversion_tables(1.0, 1.1, math.pi - 2.1):
-            assert abs(sum(trip) - math.pi) < 1e-12
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(InvalidAngleSum):
-            quadration_tables(1.0, 1.0, 1.0)
-
     def test_canonical_edges(self, q):
         m = triangle_metrics(V1, V2, V4)
         edges = quadration_edges(m)

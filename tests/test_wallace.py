@@ -13,7 +13,6 @@ from quadgeo.kernel import (
     Line,
     Point,
     collinear,
-    concurrent,
 )
 from quadgeo import wallace
 from quadgeo.quadrangle import quadrate
@@ -21,7 +20,6 @@ from quadgeo.wallace import (
     PointNotOnCircumcircle,
     ZeroParameter,
     converse_simson,
-    deltoid,
     deltoid_tangency_check,
     fit_triangle,
     is_equilateral,
@@ -292,15 +290,9 @@ class TestThreeCycles:
 
 
 class TestDeltoid:
-    def test_unit_parameter_point_and_tangent(self):
-        dp = deltoid(F(1))
-        assert dp.point == Point(F(2), F(-1))
-        assert dp.tangent.slope() == F(-1)
-        assert dp.tangent.contains(dp.point)
-
     def test_zero_parameter_rejected(self):
         with pytest.raises(ZeroParameter):
-            deltoid(F(0))
+            deltoid_tangency_check(F(0))
 
     def test_tangent_double_contact_random(self):
         rng = random.Random(20260826)
@@ -318,14 +310,6 @@ class TestDeltoid:
     @settings(max_examples=50, deadline=None)
     def test_tangent_double_contact_property(self, t):
         assert deltoid_tangency_check(t)
-
-    def test_cusps_on_trebled_circle_scale(self):
-        # at t = ±√3 the curve reaches the cusp circle of radius 3 (R = 2
-        # frame: inner radius 1, cusp radius 3); rational sample stays inside
-        for k in range(1, 20):
-            dp = deltoid(F(k, 7))
-            n2 = dp.point.norm2()
-            assert F(1) <= n2 <= F(9)
 
 
 class TestStarOfDavid:
@@ -357,7 +341,7 @@ class TestStarOfDavid:
             d2 = (a * cx + b * cy - c) ** 2 / (a * a + b * b)
             assert abs(d2 - target2) < 1e-6 * target2
         for tri in star.triangles:
-            assert is_equilateral(tri, 1e-12)
+            assert is_equilateral(tri)
 
     def test_triangles_are_central_reflections(self, q):
         star = star_of_david(q)
@@ -427,4 +411,4 @@ class TestConcurrencyHelpers:
             by_host.setdefault(r.through, []).append(r.line)
         for host, lines in by_host.items():
             if len(lines) >= 3:
-                assert concurrent(lines)
+                assert all(line.contains(q.vertex(host)) for line in lines)
