@@ -69,6 +69,7 @@ class DegenerateInstance(GeometryError):
 @dataclass(frozen=True)
 class DFInstance:
     triangle: Tuple[Point, Point, Point]
+    edges: Tuple[Line, Line, Line]   # the edge lines BC, CA, AB
     orthocentre: Point
     pair: Tuple[Line, Line]
     cuts: Dict[str, Point]           # X1, X2, Y1, Y2, Z1, Z2
@@ -79,10 +80,8 @@ class DFInstance:
 
 
 def _edge_cuts(
-    tri: Sequence[Point], pair: Tuple[Line, Line]
+    edges: Sequence[Line], pair: Tuple[Line, Line]
 ) -> Dict[str, Point]:
-    a, b, c = tri
-    edges = (Line.through(b, c), Line.through(c, a), Line.through(a, b))
     cuts: Dict[str, Point] = {}
     for name, edge in zip("XYZ", edges):
         for idx, line in enumerate(pair, 1):
@@ -107,7 +106,8 @@ def df_line(
     for line in pair:
         if not line.contains(h, 1e-9):
             raise NotThroughVertex("pair must pass through the orthocentre")
-    cuts = _edge_cuts(tri, pair)
+    edges = (Line.through(b, c), Line.through(c, a), Line.through(a, b))
+    cuts = _edge_cuts(edges, pair)
     t = ratio
     mids = tuple(
         Point(
@@ -122,7 +122,7 @@ def df_line(
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
     circ = circumcircle(a, b, c)
-    return DFInstance(tuple(tri), h, (l1, l2), cuts, mids, df, m, circ)
+    return DFInstance(tuple(tri), edges, h, (l1, l2), cuts, mids, df, m, circ)
 
 
 def verify_instance(inst: DFInstance) -> bool:
@@ -316,11 +316,7 @@ def df_parabola(inst: DFInstance) -> Parabola:
     the reflections of M in the three edges, which passes through the
     orthocentre.  It touches the three edges, both pair lines, and the
     Droz-Farny line."""
-    a, b, c = inst.triangle
-    refs = [
-        reflect_point_in_line(inst.m, Line.through(p, q))
-        for p, q in ((b, c), (c, a), (a, b))
-    ]
+    refs = [reflect_point_in_line(inst.m, e) for e in inst.edges]
     directrix = Line.through(refs[0], refs[1])
     if not directrix.contains(refs[2], 1e-9):
         raise IdentityViolated("reflections of M in the edges are not collinear")
@@ -333,11 +329,10 @@ def df_parabola(inst: DFInstance) -> Parabola:
 
 def parabola_tangency_audit(inst: DFInstance) -> Dict[str, bool]:
     par = df_parabola(inst)
-    a, b, c = inst.triangle
     lines = {
-        "edge_a": Line.through(b, c),
-        "edge_b": Line.through(c, a),
-        "edge_c": Line.through(a, b),
+        "edge_a": inst.edges[0],
+        "edge_b": inst.edges[1],
+        "edge_c": inst.edges[2],
         "pair_1": inst.pair[0],
         "pair_2": inst.pair[1],
         "df": inst.df,
@@ -358,9 +353,16 @@ def parabola_tangency_audit(inst: DFInstance) -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-def equilateral_df_check(side: float = 2.0, count: int = 36) -> bool:
+#: side of the equilateral triangle and number of pair directions that
+#: ``equilateral_df_check`` sweeps
+EQUILATERAL_SIDE = 2.0
+EQUILATERAL_DIRECTIONS = 36
+
+
+def equilateral_df_check() -> bool:
     """For an equilateral triangle every Droz-Farny line is tangent to the
     incircle (foot of the perpendicular from the centre on the incircle)."""
+    side, count = EQUILATERAL_SIDE, EQUILATERAL_DIRECTIONS
     r = side / (2 * math.sqrt(3.0))
     a = Point(-side / 2, -r)
     b = Point(side / 2, -r)

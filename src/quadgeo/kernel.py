@@ -2,11 +2,14 @@
 
 Every other module builds on these. Scalars are either exact
 (`fractions.Fraction` / `int`, arbitrary precision, canonical lowest
-terms) or approximate (`float`). All predicates that must stay exact are
-phrased in squared quantities so the exact backend never takes a square
-root; square roots appear only in the approximate backend (or when the
-radicand happens to be a perfect square). A tolerance applies only to a
-float residual: an exact residual is compared with 0 whatever ``eps`` is.
+terms) or approximate (`float`). An exact `Line` holds a coprime `int`
+triple, so the operations on it multiply by ints and build one `Fraction`
+per coordinate they return (`divide`). All predicates that must stay
+exact are phrased in squared quantities so the exact backend never takes
+a square root; square roots appear only in the approximate backend (or
+when the radicand happens to be a perfect square). A tolerance applies
+only to a float residual: an exact residual is compared with 0 whatever
+``eps`` is.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ def is_exact(x: Number) -> bool:
     # a plain type test: isinstance against Fraction is an ABC lookup, slow
     # on the float paths, and type() also leaves out bool
     return type(x) is Fraction or type(x) is int
+
+
+def divide(n: Number, d: Number) -> Number:
+    """n / d, kept exact: a `Fraction` when both are ints (as exact line
+    coefficients are), where ``/`` would give a float."""
+    if type(n) is int and type(d) is int:
+        return Fraction(n, d)
+    return n / d
 
 
 def as_fraction(x: Number) -> Fraction:
@@ -173,18 +184,15 @@ def approx_collinear(p: Point, q: Point, r: Point, eps: float = DEFAULT_EPS) -> 
 
 def _normalize_abc(a: Number, b: Number, c: Number) -> Tuple[Number, Number, Number]:
     if is_exact(a) and is_exact(b) and is_exact(c):
-        fa, fb, fc = as_fraction(a), as_fraction(b), as_fraction(c)
-        lcm = 1
-        for f in (fa, fb, fc):
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        ia, ib, ic = int(fa * lcm), int(fb * lcm), int(fc * lcm)
-        g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))
-        if g:
-            ia, ib, ic = ia // g, ib // g, ic // g
+        lcm = math.lcm(a.denominator, b.denominator, c.denominator)
+        ia = a.numerator * (lcm // a.denominator)
+        ib = b.numerator * (lcm // b.denominator)
+        ic = c.numerator * (lcm // c.denominator)
+        g = math.gcd(ia, ib, ic)
         # sign canonical: leading coefficient of (a, b) positive
         if ia < 0 or (ia == 0 and ib < 0):
-            ia, ib, ic = -ia, -ib, -ic
-        return Fraction(ia), Fraction(ib), Fraction(ic)
+            g = -g
+        return ia // g, ib // g, ic // g
     n = math.hypot(float(a), float(b))
     a, b, c = a / n, b / n, c / n
     if a < 0 or (abs(a) < 1e-15 and b < 0):
@@ -194,9 +202,10 @@ def _normalize_abc(a: Number, b: Number, c: Number) -> Tuple[Number, Number, Num
 
 @dataclass(frozen=True)
 class Line:
-    """Line a·x + b·y = c. Exact lines are normalized to a coprime integer
+    """Line a·x + b·y = c. Exact lines are normalized to a coprime `int`
     triple with sign-canonical leading coefficient, so equality is decidable
-    and instances are hashable."""
+    and instances are hashable; points computed from them are `Fraction`s.
+    Float lines are scaled to a unit normal."""
 
     a: Number
     b: Number
@@ -251,7 +260,7 @@ class Line:
     def slope(self) -> Optional[Number]:
         if self.b == 0:
             return None
-        return -self.a / self.b if not is_exact(self.a) else Fraction(-self.a, self.b)
+        return divide(-self.a, self.b)
 
     def is_parallel(self, other: "Line") -> bool:
         return self.a * other.b - self.b * other.a == 0
@@ -264,8 +273,8 @@ class Line:
         det = self.a * other.b - self.b * other.a
         if det == 0:
             raise ParallelLines("lines are parallel or identical")
-        x = (self.c * other.b - self.b * other.c) / det
-        y = (self.a * other.c - self.c * other.a) / det
+        x = divide(self.c * other.b - self.b * other.c, det)
+        y = divide(self.a * other.c - self.c * other.a, det)
         return Point(x, y)
 
     def perpendicular_through(self, p: Point) -> "Line":
@@ -390,15 +399,16 @@ def barycentric_collinear(p: Barycentric, q: Barycentric, r: Barycentric) -> boo
 def reflect_point_in_line(p: Point, line: Line) -> Point:
     n2 = line.a * line.a + line.b * line.b
     t = 2 * line.evaluate(p)
-    return Point(p.x - t * line.a / n2, p.y - t * line.b / n2)
+    return Point(p.x - divide(t * line.a, n2), p.y - divide(t * line.b, n2))
 
 
 def reflect_line_in_line(line: Line, mirror: Line) -> Line:
     """Image of ``line`` under reflection in ``mirror`` (m₁x + m₂y = m_c):
     with k = 2(a·m₁ + b·m₂)/(m₁² + m₂²) it is
     (a − k·m₁)x + (b − k·m₂)y = c − k·m_c."""
-    k = 2 * (line.a * mirror.a + line.b * mirror.b) / (
-        mirror.a * mirror.a + mirror.b * mirror.b
+    k = divide(
+        2 * (line.a * mirror.a + line.b * mirror.b),
+        mirror.a * mirror.a + mirror.b * mirror.b,
     )
     return Line(line.a - k * mirror.a, line.b - k * mirror.b, line.c - k * mirror.c)
 
@@ -406,7 +416,7 @@ def reflect_line_in_line(line: Line, mirror: Line) -> Line:
 def foot_of_perpendicular(p: Point, line: Line) -> Point:
     n2 = line.a * line.a + line.b * line.b
     t = line.evaluate(p)
-    return Point(p.x - t * line.a / n2, p.y - t * line.b / n2)
+    return Point(p.x - divide(t * line.a, n2), p.y - divide(t * line.b, n2))
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
@@ -418,9 +428,16 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
-    if (q - p).cross(r - p) == 0:
+    """With edge vectors b = q − p and c = r − p, the centre is
+    p + (c_y·|b|² − b_y·|c|², b_x·|c|² − c_x·|b|²) / (2·b×c)."""
+    b, c = q - p, r - p
+    d = 2 * b.cross(c)
+    if d == 0:
         raise DegenerateInput("collinear points have no circumcircle")
-    center = perpendicular_bisector(p, q).intersect(perpendicular_bisector(p, r))
+    bb, cc = b.norm2(), c.norm2()
+    center = Point(
+        p.x + divide(c.y * bb - b.y * cc, d), p.y + divide(b.x * cc - c.x * bb, d)
+    )
     return Circle(center, center.dist2(p))
 
 

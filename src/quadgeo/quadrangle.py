@@ -18,6 +18,7 @@ from .kernel import (
     Point,
     circle_from_diameter,
     cross_ratio,
+    divide,
     is_exact,
     radical_axis,
     sqrt_scalar,
@@ -36,12 +37,15 @@ MIDPOINT_PAIRS_BARRED = {3: (7, 4), 5: (7, 2), 6: (7, 1)}
 
 
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
-    """Intersection of two altitudes."""
-    if (q - p).cross(r - p) == 0:
+    """Meet of the altitudes: with edge vectors b = q − p and c = r − p,
+    u = H − p has u·b = u·c = b·c, so
+    H = p + (b·c / b×c)·(c_y − b_y, b_x − c_x)."""
+    b, c = q - p, r - p
+    cross = b.cross(c)
+    if cross == 0:
         raise DegenerateInput("collinear points")
-    alt_p = Line.from_point_normal(p, r - q)
-    alt_q = Line.from_point_normal(q, r - p)
-    return alt_p.intersect(alt_q)
+    k = divide(b.dot(c), cross)
+    return Point(p.x + k * (c.y - b.y), p.y + k * (b.x - c.x))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ and the bisector-reflection (hexaflex) tangency construction."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -50,17 +52,27 @@ EXTRAVERSIONS = ("o", "a", "b", "c")
 class TouchCircle:
     label: Tuple[Union[int, str], str]  # (triangle label, extraversion o/a/b/c)
     circle: Circle
-    touch_points: Tuple[Point, Point, Point]  # one per edge (a, b, c)
+    triangle: Tuple[Point, Point, Point]
+
+    @property
+    def touch_points(self) -> Tuple[Point, Point, Point]:
+        """Feet of the centre on the edge lines a, b, c: where the circle
+        touches them."""
+        p, q, r = self.triangle
+        return tuple(
+            foot_of_perpendicular(self.circle.center, Line.through(u, v))
+            for u, v in ((q, r), (r, p), (p, q))
+        )
 
 
 def touch_circles(
     p: Point, q: Point, r: Point, triangle_label: Union[int, str] = ""
 ) -> List[TouchCircle]:
-    """Incircle and the three excircles, with their edge touch points.
-    Exact for Heronian triangles (rational side lengths)."""
+    """Incircle and the three excircles; their edge touch points are
+    computed on demand. Exact for Heronian triangles (rational side
+    lengths)."""
     m = triangle_metrics(p, q, r)
     a, b, c = m.a, m.b, m.c
-    edges = (Line.through(q, r), Line.through(r, p), Line.through(p, q))
     weight_sets = {
         "o": (a, b, c),
         "a": (-a, b, c),
@@ -78,8 +90,7 @@ def touch_circles(
         )
         rad = radii[ext]
         circle = Circle(center, rad * rad)
-        touches = tuple(foot_of_perpendicular(center, e) for e in edges)
-        out.append(TouchCircle((triangle_label, ext), circle, touches))
+        out.append(TouchCircle((triangle_label, ext), circle, (p, q, r)))
     return out
 
 
@@ -361,6 +372,15 @@ def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
     tri = (p, q, r)
     tcs = {tc.label[1]: tc for tc in touch_circles(p, q, r)}
     incentre = tcs["o"].circle.center
+    # float contact points are off by about `lever` roundoffs of the
+    # coordinates: each bisector joins a vertex to the incentre, so its
+    # direction, and the edge reflected in it, carries that rounding over
+    # the distance |v − I|
+    lever = 1.0
+    if not incentre.is_exact():
+        size = max(abs(float(x)) for v in tri for x in (v.x, v.y))
+        near = min(math.dist((v.x, v.y), (incentre.x, incentre.y)) for v in tri)
+        lever = max(1.0, size / near)
     edges = (
         Line.through(q, r),
         Line.through(r, p),
@@ -394,25 +414,61 @@ def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
         center = tcs[ext_label].circle.center
         contacts = tuple(foot_of_perpendicular(center, ln) for ln in lines)
         contact_points[ext_label] = contacts
-        perspectors[ext_label] = _perspector(contacts, mids)
+        perspectors[ext_label] = _perspector(contacts, mids, lever)
     return HexaflexData(tangent_lines, contact_points, perspectors)
 
 
-def _perspector(contacts: Sequence[Point], mids: Sequence[Point]) -> Point:
+def _perspector(
+    contacts: Sequence[Point], mids: Sequence[Point], lever: float
+) -> Point:
     """Common point of the joins of each contact point to the midpoint of
     the same edge (the contact triangle is the medial one scaled about it).
     Where one contact point is its midpoint, that point is the perspector.
     IdentityViolated if a join misses the perspector: exactly for exact
-    data, within ``DEFAULT_EPS`` relative to the coordinates for floats."""
-    pairs = list(zip(contacts, mids))
-    joins = [Line.through(c, m) for c, m in pairs if c != m]
+    data, within ``DEFAULT_EPS`` relative to the coordinates for floats.
+    Float data whose rounding alone could leave a residual past that
+    tolerance (``_join_error``, with the contact points off by ``lever``
+    roundoffs of the coordinates) raise DegenerateInput instead:
+    near-equilateral triangles, where a contact point nearly is its
+    midpoint, and slivers."""
+    pairs = [(c, m) for c, m in zip(contacts, mids) if c != m]
+    joins = [Line.through(c, m) for c, m in pairs]
     if len(joins) < 2:
         raise DegenerateInput("two contact points are their edge midpoints")
     if len(joins) == 2:
-        pt = next(c for c, m in pairs if c == m)
+        pt = next(c for c, m in zip(contacts, mids) if c == m)
     else:
         pt = joins[0].intersect(joins[1])
-    scale = max(abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
-    if not all(j.contains(pt, DEFAULT_EPS * max(1.0, scale)) for j in joins):
+    coords = (abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
+    scale = max(1.0, *coords)
+    tol = DEFAULT_EPS * scale
+    if not pt.is_exact():
+        e = sys.float_info.epsilon / 2 * scale * lever
+        if _join_error(pt, pairs, joins, e) > tol:
+            raise DegenerateInput("contact/midpoint joins ill-conditioned in floats")
+    if not all(j.contains(pt, tol) for j in joins):
         raise IdentityViolated("contact/midpoint joins fail to concur")
     return pt
+
+
+def _join_error(
+    pt: Point, pairs: Sequence[Tuple[Point, Point]], joins: Sequence[Line], e: float
+) -> float:
+    """Estimate of the residual that rounding alone leaves at the meet
+    ``pt`` of the joins when their ends are off by ``e``. A join of length
+    L then turns by e/L, so at distance d from its midpoint it is off by
+    δ = e·(1 + d/L); the third join misses the meet of the first two by its
+    own δ₂ plus theirs weighted by the sines s_ij of the angles between the
+    joins, (δ₀s₁₂ + δ₁s₀₂)/s₀₁."""
+    errs = [
+        e * (1 + math.dist((pt.x, pt.y), (m.x, m.y))
+             / math.dist((c.x, c.y), (m.x, m.y)))
+        for c, m in pairs
+    ]
+    if len(errs) == 2:
+        return max(errs)
+
+    def sin(i: int, j: int) -> float:
+        return abs(joins[i].a * joins[j].b - joins[i].b * joins[j].a)
+
+    return (errs[0] * sin(1, 2) + errs[1] * sin(0, 2)) / sin(0, 1) + errs[2]

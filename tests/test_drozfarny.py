@@ -259,6 +259,20 @@ class TestParabola:
             inst = df_line(TRI, rational_pair(t))
             assert all(parabola_tangency_audit(inst).values())
 
+    def test_audit_reads_the_instance_edges(self, monkeypatch):
+        # df_line already built the edge lines; only the directrix is new
+        inst = df_line(TRI, rational_pair(F(1, 5)))
+        calls = []
+        through = Line.through
+
+        def counted(p, q):
+            calls.append((p, q))
+            return through(p, q)
+
+        monkeypatch.setattr(drozfarny.Line, "through", staticmethod(counted))
+        assert all(parabola_tangency_audit(inst).values())
+        assert len(calls) == 1
+
     def test_four_tangent_circumcircles_through_focus(self):
         # circumcircle of the triangle formed by any three tangents passes
         # through the focus

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadgeo.kernel import (
+    DEFAULT_EPS,
     Circle,
     CoincidentPoints,
     ConcentricCircles,
@@ -20,6 +21,7 @@ from quadgeo.kernel import (
     Tangency,
     approx_collinear,
     circumcircle,
+    collinear,
     cross_ratio,
     foot_of_perpendicular,
     format_scalar,
@@ -29,6 +31,7 @@ from quadgeo.kernel import (
     reflect_point_in_line,
     tangency_classify,
 )
+from quadgeo.quadrangle import orthocentre
 
 F = Fraction
 
@@ -100,6 +103,40 @@ class TestCircumcircle:
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateInput):
             circumcircle(Point(0, 0), Point(1, 1), Point(2, 2))
+
+
+def _oracle_centres(p, q, r):
+    """Circumcentre and orthocentre as the meets of two perpendicular
+    bisectors and of two altitudes."""
+    bisector_q = Line.from_point_normal(p.midpoint(q), q - p)
+    bisector_r = Line.from_point_normal(p.midpoint(r), r - p)
+    altitude_p = Line.from_point_normal(p, r - q)
+    altitude_q = Line.from_point_normal(q, r - p)
+    return bisector_q.intersect(bisector_r), altitude_p.intersect(altitude_q)
+
+
+class TestClosedFormCentres:
+    @given(rational_points(), rational_points(), rational_points())
+    @settings(max_examples=100)
+    def test_exact_equals_line_meets(self, p, q, r):
+        if collinear(p, q, r):
+            return
+        o, h = _oracle_centres(p, q, r)
+        circ = circumcircle(p, q, r)
+        assert circ.center == o and circ.r2 == o.dist2(p)
+        assert orthocentre(p, q, r) == h
+
+    @given(rational_points(), rational_points(), rational_points())
+    @settings(max_examples=100)
+    def test_float_agrees_with_line_meets(self, p, q, r):
+        p, q, r = (Point(float(v.x), float(v.y)) for v in (p, q, r))
+        span2 = max(p.dist2(q), q.dist2(r), r.dist2(p))
+        if abs((q - p).cross(r - p)) <= span2 / 100:   # keep angles away from 0
+            return
+        closed = (circumcircle(p, q, r).center, orthocentre(p, q, r))
+        for got, want in zip(closed, _oracle_centres(p, q, r)):
+            scale = max(1.0, *(abs(v) for pt in (p, q, r, want) for v in (pt.x, pt.y)))
+            assert got.close_to(want, DEFAULT_EPS * scale)
 
 
 class TestPower:
@@ -299,6 +336,24 @@ class TestLineNormalization:
 
     def test_sign_canonical(self):
         assert Line(F(-1), F(2), F(3)) == Line(F(1), F(-2), F(-3))
+
+    def test_fractions_clear_to_ints(self):
+        line = Line(F(1, 2), F(1, 3), 1)
+        assert line == Line(3, 2, 6) and hash(line) == hash(Line(3, 2, 6))
+        assert (line.a, line.b, line.c) == (3, 2, 6)
+
+    @given(rationals, rationals, rationals)
+    @settings(max_examples=100)
+    def test_exact_coefficients_are_coprime_ints(self, a, b, c):
+        if a == 0 and b == 0:
+            return
+        line = Line(a, b, c)
+        assert all(type(v) is int for v in (line.a, line.b, line.c))
+        assert math.gcd(line.a, line.b, line.c) == 1
+        assert line.a > 0 or (line.a == 0 and line.b > 0)
+        # the same line: the triples are proportional
+        assert a * line.b == b * line.a
+        assert a * line.c == c * line.a and b * line.c == c * line.b
 
 
 def test_no_assert_statements_in_package():

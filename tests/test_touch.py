@@ -1,17 +1,21 @@
 """Touch circles, Feuerbach sweep, Gergonne/Nagel, Soddy, hexaflex."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from quadgeo import touch
 from quadgeo.kernel import (
     Circle,
+    DegenerateInput,
     Line,
     Point,
     Tangency,
     circumcircle,
     collinear,
+    foot_of_perpendicular,
     tangency_classify,
 )
 from quadgeo.quadrangle import quadrate, triangle_metrics
@@ -52,10 +56,26 @@ class TestTouchCircles:
         tcs = touch_circles(V1, V2, V4)
         assert tcs[0].touch_points[0] == Point(F(12), F(-77))
 
+    def test_feuerbach_sweep_computes_no_touch_points(self, q, monkeypatch):
+        calls = []
+        foot = touch.foot_of_perpendicular
+
+        def counted(p, line):
+            calls.append((p, line))
+            return foot(p, line)
+
+        monkeypatch.setattr(touch, "foot_of_perpendicular", counted)
+        assert feuerbach_verify(q).total == 32
+        assert calls == []
+        # the feet are still there when asked for
+        touch_circles(V1, V2, V4)[0].touch_points
+        assert len(calls) == 3
+
     def test_touch_points_on_circle_and_edge(self):
         edges = (Line.through(V2, V4), Line.through(V4, V1), Line.through(V1, V2))
         for tc in touch_circles(V1, V2, V4):
             for tp, edge in zip(tc.touch_points, edges):
+                assert tp == foot_of_perpendicular(tc.circle.center, edge)
                 assert edge.contains(tp)
                 assert tc.circle.contains(tp)
 
@@ -267,6 +287,19 @@ class TestHexaflex:
             npc = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
             for pt in hexaflex(a, b, c).perspectors.values():
                 assert abs(npc.power(pt)) < 1e-9 * npc.r2
+
+    # rounding alone moves the contact/midpoint joins past the tolerance:
+    # near equilateral a contact point nearly is its midpoint, and on a
+    # sliver the joins are nearly parallel
+    @pytest.mark.parametrize("apex", [(5.001, 5 * math.sqrt(3)), (9.7, 1e-6)])
+    def test_ill_conditioned_float_rejected(self, apex):
+        with pytest.raises(DegenerateInput):
+            hexaflex(Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex))
+
+    @pytest.mark.parametrize("apex", [(5.01, 5 * math.sqrt(3)), (9.7, 1e-5)])
+    def test_nearly_ill_conditioned_float_passes(self, apex):
+        hd = hexaflex(Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex))
+        assert len(hd.perspectors) == 4
 
     def test_contact_at_midpoint_is_perspector(self):
         # isosceles: the incircle and the C-excircle touch the base at its
