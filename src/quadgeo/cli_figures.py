@@ -212,7 +212,7 @@ def _recipe_touch32(name: str) -> Scene:
             scene.add_line(e, stroke="dotted")
     for quad in (q, twin(q)):
         for lab in LABELS:
-            for tc in touch.touch_circles(*quad.face(lab)):
+            for tc in touch.touch_circles(quad.face(lab)):
                 scene.add_circle(tc.circle)
     scene.add_circle(q.central_circle, stroke="thick", layer=2)
     return scene
@@ -224,7 +224,7 @@ def _recipe_gergonne16(name: str) -> Scene:
     for e in _quadrangle_edges(q):
         scene.add_line(e, stroke="dotted")
     for lab in sorted(LABELS):
-        data = touch.gergonne_nagel(*q.face(lab))
+        data = touch.gergonne_nagel(q.face(lab))
         for ext in ("o", "a", "b", "c"):
             p = data.gergonne[ext]
             scene.add_point(p)
@@ -610,7 +610,7 @@ def _suite_soddy(rng, count) -> Iterator[Check]:
             (b * b + c * c - a * a) / (2 * b * c) == F(-7, 25),
             f"cos family ({p},{q}): cosA != -7/25",
         )
-    sd = touch.soddy(*fixture_quadrangle("t0").face(7))
+    sd = touch.soddy(fixture_quadrangle("t0").face(7))
     yield Check(
         all(
             tangency_classify(sd.inner, c) == Tangency.EXTERNAL_TANGENT
@@ -755,7 +755,7 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         "Miquel point of the edge midpoints is not the circumcentre",
     )
     cut = Line.through(Point(F(0), F(-77)), Point(F(20), F(50)))
-    cuts = [cut.intersect(Line.through(u, v)) for u, v in ((b, c), (c, a), (a, b))]
+    cuts = [cut.intersect(e) for e in tri.edges]
     yield Check(
         circ.contains(drozfarny.miquel_point(tri, *cuts)),
         "Miquel point of collinear cuts is off the circumcircle",
@@ -881,7 +881,7 @@ def _suite_morley(rng, count) -> Iterator[Check]:
         "1001-jigsaw assembly fails",
     )
     q = fixture_quadrangle("t0")
-    io = morley.inside_out(*q.face(7))
+    io = morley.inside_out(q.face(7))
     yield Check(
         io.circumcentre == q.twin_vertex(7) and io.orthocentre == q.vertex(7),
         "inside-out treblers do not concur at the circumcentre and orthocentre",
@@ -951,17 +951,17 @@ def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
 
 def _suite_hexaflex(rng, count) -> Iterator[Check]:
     face = fixture_quadrangle("t0").face(7)
-    hx = touch.hexaflex(*face)
+    hx = touch.hexaflex(face)
     for ext, p in sorted(hx.perspectors.items()):
         yield Check(
             p.x * p.x + p.y * p.y == 7225,
             f"perspector {ext} off x²+y²=7225",
         )
     yield Check(
-        touch.extraverted_gergonne_concurrence(*face),
+        touch.extraverted_gergonne_concurrence(face),
         "extraverted Gergonne cevians miss the Nagel point",
     )
-    for name, ok in touch.gergonne_nagel(*face).incidence_checks().items():
+    for name, ok in touch.gergonne_nagel(face).incidence_checks().items():
         yield Check(ok, f"Gergonne/Nagel incidence {name} fails")
 
 

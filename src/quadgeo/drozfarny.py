@@ -2,17 +2,18 @@
 orthocentre, the converse from a circumcircle point, the envelope conic
 with foci at orthocentre and circumcentre, the associated parabola, the
 equilateral case, and the Miquel / reflected-line background theorems.
+Each construction on a triangle reads its edges, orthocentre and
+circumcircle from one `Triangle`, so constructions that share it derive
+them once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
-    Circle,
     Conic,
     ConicKind,
     DegenerateInput,
@@ -30,7 +31,7 @@ from .kernel import (
     reflect_line_in_line,
     reflect_point_in_line,
 )
-from .quadrangle import orthocentre
+from .quadrangle import Triangle, as_triangle
 
 
 class NotPerpendicular(GeometryError):
@@ -68,15 +69,13 @@ class DegenerateInstance(GeometryError):
 
 @dataclass(frozen=True)
 class DFInstance:
-    triangle: Tuple[Point, Point, Point]
-    edges: Tuple[Line, Line, Line]   # the edge lines BC, CA, AB
+    triangle: Triangle
     orthocentre: Point
     pair: Tuple[Line, Line]
     cuts: Dict[str, Point]           # X1, X2, Y1, Y2, Z1, Z2
     midpoints: Tuple[Point, Point, Point]
     df: Line
     m: Point                         # reflection of H in df, on circumcircle
-    circumcircle: Circle
 
 
 def _edge_cuts(
@@ -91,44 +90,30 @@ def _edge_cuts(
     return cuts
 
 
-def df_line(
-    tri: Sequence[Point], pair: Tuple[Line, Line], ratio: Number = Fraction(1, 2)
-) -> DFInstance:
+def df_line(tri: Sequence[Point], pair: Tuple[Line, Line]) -> DFInstance:
     """Cut a perpendicular pair of lines through the orthocentre by the
-    three edges; the midpoints of the three chords are collinear.  A
-    ``ratio`` other than 1/2 gives the semi-affine generalization (no
-    collinearity claim)."""
-    a, b, c = tri
-    h = orthocentre(a, b, c)
+    three edges; the midpoints of the three chords are collinear."""
+    tri = as_triangle(tri)
+    h = tri.orthocentre
     l1, l2 = pair
     if not l1.is_perpendicular(l2, 1e-9):
         raise NotPerpendicular("pair is not perpendicular")
     for line in pair:
         if not line.contains(h, 1e-9):
             raise NotThroughVertex("pair must pass through the orthocentre")
-    edges = (Line.through(b, c), Line.through(c, a), Line.through(a, b))
-    cuts = _edge_cuts(edges, pair)
-    t = ratio
-    mids = tuple(
-        Point(
-            cuts[f"{n}1"].x + t * (cuts[f"{n}2"].x - cuts[f"{n}1"].x),
-            cuts[f"{n}1"].y + t * (cuts[f"{n}2"].y - cuts[f"{n}1"].y),
-        )
-        for n in "XYZ"
-    )
-    if ratio == Fraction(1, 2) or ratio == 0.5:
-        if not approx_collinear(*mids, eps=1e-6):
-            raise IdentityViolated("Droz-Farny midpoints are not collinear")
+    cuts = _edge_cuts(tri.edges, pair)
+    mids = tuple(cuts[f"{n}1"].midpoint(cuts[f"{n}2"]) for n in "XYZ")
+    if not approx_collinear(*mids, eps=1e-6):
+        raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
-    circ = circumcircle(a, b, c)
-    return DFInstance(tuple(tri), edges, h, (l1, l2), cuts, mids, df, m, circ)
+    return DFInstance(tri, h, (l1, l2), cuts, mids, df, m)
 
 
 def verify_instance(inst: DFInstance) -> bool:
     """Both constructions of the line agree, M is on the circumcircle, and
     the midpoint circles through H are coaxal through M."""
-    if not inst.circumcircle.contains(inst.m):
+    if not inst.triangle.circumcircle.contains(inst.m):
         return False
     pb = perpendicular_bisector(inst.orthocentre, inst.m)
     for p in inst.midpoints:
@@ -146,7 +131,7 @@ def verify_instance(inst: DFInstance) -> bool:
 
 @dataclass(frozen=True)
 class DFConverse:
-    triangle: Tuple[Point, Point, Point]
+    triangle: Triangle
     orthocentre: Point
     m: Point
     df: Line
@@ -162,19 +147,17 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     on the circumcircle; circles centred at its edge cuts through H cut
     the edges in chords whose ends pair into two perpendicular lines
     through H."""
-    a, b, c = tri
-    h = orthocentre(a, b, c)
-    circ = circumcircle(a, b, c)
-    if not circ.contains(m):
+    tri = as_triangle(tri)
+    h = tri.orthocentre
+    if not tri.circumcircle.contains(m):
         raise PointNotOnCircumcircle("M must lie on the circumcircle")
-    edges = (Line.through(b, c), Line.through(c, a), Line.through(a, b))
-    for e in edges:
+    for e in tri.edges:
         if reflect_point_in_line(h, e).close_to(m, 1e-12):
             raise DegenerateChoice("M is a reflection of H in an edge")
     df = perpendicular_bisector(h, m)
     cut_pts: List[Point] = []
     chords: List[Tuple[Point, Point, Number]] = []
-    for e in edges:
+    for e in tri.edges:
         if df.is_parallel(e):
             raise EdgeParallel("Droz-Farny line parallel to an edge")
         p = df.intersect(e)
@@ -186,7 +169,7 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
         # the chord ends seen from H are perpendicular: with v = h − p,
         # (v + √s d)·(v − √s d) = |v|² − s|d|² = 0 by the choice of s
     pair = _recovered_pair(h, chords)
-    return DFConverse(tuple(tri), h, m, df, tuple(cut_pts), tuple(chords), pair)
+    return DFConverse(tri, h, m, df, tuple(cut_pts), tuple(chords), pair)
 
 
 def _recovered_pair(h: Point, chords) -> Tuple[Line, Line]:
@@ -237,9 +220,9 @@ def df_envelope(tri: Sequence[Point]) -> EnvelopeConic:
     orthocentre and circumcentre and full axis length R — an ellipse or a
     hyperbola according as the triangle is acute or obtuse, degenerating
     to the right-angle vertex for a right triangle."""
-    a, b, c = tri
-    h = orthocentre(a, b, c)
-    circ = circumcircle(a, b, c)
+    tri = as_triangle(tri)
+    h = tri.orthocentre
+    circ = tri.circumcircle
     o = circ.center
     r2 = circ.r2
     oh2 = o.dist2(h)
@@ -277,22 +260,17 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     """The edges and the perpendicular bisectors of HA, HB, HC are all
     tangent to the envelope, and the Central Circle tangents at the
     Euler-line intersections touch it (the vertices of the conic)."""
-    a, b, c = tri
+    tri = as_triangle(tri)
     env = df_envelope(tri)
     if env.conic is None:
         raise DegenerateInstance("degenerate envelope")
-    h = orthocentre(a, b, c)
-    lines = [
-        Line.through(b, c), Line.through(c, a), Line.through(a, b),
-        perpendicular_bisector(h, a),
-        perpendicular_bisector(h, b),
-        perpendicular_bisector(h, c),
-    ]
+    h = tri.orthocentre
+    lines = [*tri.edges, *(perpendicular_bisector(h, v) for v in tri)]
     if not all(env.conic.is_tangent(l) for l in lines):
         return False
     # conic vertices: on the focal axis at distance R/2 from the centre —
     # also on the Central Circle, whose tangents there are the last pair
-    o = circumcircle(a, b, c).center
+    o = tri.circumcircle.center
     cf = Point(float(env.center.x), float(env.center.y))
     ax = Point(float(o.x) - float(h.x), float(o.y) - float(h.y))
     n = math.hypot(float(ax.x), float(ax.y))
@@ -316,7 +294,7 @@ def df_parabola(inst: DFInstance) -> Parabola:
     the reflections of M in the three edges, which passes through the
     orthocentre.  It touches the three edges, both pair lines, and the
     Droz-Farny line."""
-    refs = [reflect_point_in_line(inst.m, e) for e in inst.edges]
+    refs = [reflect_point_in_line(inst.m, e) for e in inst.triangle.edges]
     directrix = Line.through(refs[0], refs[1])
     if not directrix.contains(refs[2], 1e-9):
         raise IdentityViolated("reflections of M in the edges are not collinear")
@@ -329,10 +307,11 @@ def df_parabola(inst: DFInstance) -> Parabola:
 
 def parabola_tangency_audit(inst: DFInstance) -> Dict[str, bool]:
     par = df_parabola(inst)
+    edges = inst.triangle.edges
     lines = {
-        "edge_a": inst.edges[0],
-        "edge_b": inst.edges[1],
-        "edge_c": inst.edges[2],
+        "edge_a": edges[0],
+        "edge_b": edges[1],
+        "edge_c": edges[2],
         "pair_1": inst.pair[0],
         "pair_2": inst.pair[1],
         "df": inst.df,
@@ -342,8 +321,8 @@ def parabola_tangency_audit(inst: DFInstance) -> Dict[str, bool]:
     out["pair_meets_on_directrix"] = par.directrix.contains(
         inst.pair[0].intersect(inst.pair[1])
     )
-    out["edge_triangle_circumcircle_through_focus"] = inst.circumcircle.contains(
-        inst.m
+    out["edge_triangle_circumcircle_through_focus"] = (
+        inst.triangle.circumcircle.contains(inst.m)
     )
     return out
 
@@ -364,14 +343,12 @@ def equilateral_df_check() -> bool:
     incircle (foot of the perpendicular from the centre on the incircle)."""
     side, count = EQUILATERAL_SIDE, EQUILATERAL_DIRECTIONS
     r = side / (2 * math.sqrt(3.0))
-    a = Point(-side / 2, -r)
-    b = Point(side / 2, -r)
-    c = Point(0.0, 2 * r)
+    tri = Triangle((Point(-side / 2, -r), Point(side / 2, -r), Point(0.0, 2 * r)))
     h = Point(0.0, 0.0)
     for i in range(count):
         th = math.pi * (i + 0.5) / count
         d = Point(math.cos(th), math.sin(th))
-        inst = df_line((a, b, c), (
+        inst = df_line(tri, (
             Line.from_point_direction(h, d),
             Line.from_point_direction(h, Point(-d.y, d.x)),
         ))
@@ -411,17 +388,13 @@ def theorem_r(tri: Sequence[Point], line: Line) -> Point:
     """Reflections of a line through the orthocentre in the three edges
     concur at a point on the circumcircle, whose Wallace line is parallel
     to the input line."""
-    a, b, c = tri
-    h = orthocentre(a, b, c)
-    if not line.contains(h):
+    tri = as_triangle(tri)
+    if not line.contains(tri.orthocentre):
         raise LineNotThroughOrthocentre("line must pass through the orthocentre")
-    reflected = [
-        reflect_line_in_line(line, Line.through(p, q))
-        for p, q in ((b, c), (c, a), (a, b))
-    ]
+    reflected = [reflect_line_in_line(line, e) for e in tri.edges]
     p = reflected[0].intersect(reflected[1])
     if not reflected[2].contains(p, 1e-9):
         raise IdentityViolated("reflected lines fail to concur")
-    if not circumcircle(a, b, c).contains(p, 1e-9):
+    if not tri.circumcircle.contains(p, 1e-9):
         raise IdentityViolated("concurrence point misses the circumcircle")
     return p

@@ -451,7 +451,7 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
         raise ConcentricCircles("concentric circles have no radical axis")
     # power equality: 2(c2-c1)·P = |c2|²-|c1|² - (r2₂-r2₁)
     d = c2.center - c1.center
-    rhs = (c2.center.norm2() - c1.center.norm2() - (c2.r2 - c1.r2)) / 2
+    rhs = divide(c2.center.norm2() - c1.center.norm2() - (c2.r2 - c1.r2), 2)
     return Line(d.x, d.y, rhs)
 
 
@@ -484,8 +484,8 @@ def tangency_classify(c1: Circle, c2: Circle) -> Tangency:
 
 def _line_parameter(p: Point, origin: Point, direction: Point) -> Number:
     if direction.x != 0:
-        return (p.x - origin.x) / direction.x
-    return (p.y - origin.y) / direction.y
+        return divide(p.x - origin.x, direction.x)
+    return divide(p.y - origin.y, direction.y)
 
 
 def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point) -> Number:
@@ -503,4 +503,4 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point) -> Number:
     t = [_line_parameter(p, p1, d) for p in pts]
     num = (t[0] - t[2]) * (t[1] - t[3])
     den = (t[0] - t[3]) * (t[1] - t[2])
-    return num / den
+    return divide(num, den)

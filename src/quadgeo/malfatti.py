@@ -28,6 +28,8 @@ from .kernel import (
     foot_of_perpendicular,
     reflect_line_in_line,
 )
+from .quadrangle import Triangle
+from .touch import touch_circles
 
 State = Tuple[Fraction, Fraction, Fraction]
 
@@ -646,18 +648,6 @@ class MalfattiTrace:
     near_far: str
 
 
-def _incircle_of(p: Point, q: Point, r: Point) -> Circle:
-    a = math.hypot(float(q.x - r.x), float(q.y - r.y))
-    b = math.hypot(float(r.x - p.x), float(r.y - p.y))
-    c = math.hypot(float(p.x - q.x), float(p.y - q.y))
-    s = a + b + c
-    cx = (a * float(p.x) + b * float(q.x) + c * float(r.x)) / s
-    cy = (a * float(p.y) + b * float(q.y) + c * float(r.y)) / s
-    area = abs(float((q - p).cross(r - p))) / 2
-    rad = 2 * area / s
-    return Circle(Point(cx, cy), rad * rad)
-
-
 def _corner_circle(
     vertex: Point, e1: Point, e2: Point, tangent: Line
 ) -> Circle:
@@ -706,19 +696,14 @@ def malfatti_circles(
     (reflections of AI, BI, CI in the joins of the sub-incentres) concur at
     the radical centre; the Malfatti circles are the incircles of the
     corner quadrilaterals."""
-    a, b, c = (Point(float(p.x), float(p.y)) for p in (a, b, c))
+    tri = Triangle(Point(float(p.x), float(p.y)) for p in (a, b, c))
+    a, b, c = tri
     if abs(float((b - a).cross(c - a))) < DEFAULT_EPS:
         raise DegenerateInput("degenerate triangle")
-    inc = _incircle_of(a, b, c)
-    i = inc.center
-    sub = (
-        _incircle_of(b, i, c),
-        _incircle_of(c, i, a),
-        _incircle_of(a, i, b),
-    )
-    edges = (Line.through(b, c), Line.through(c, a), Line.through(a, b))
+    i = touch_circles(tri)[0].circle.center
+    sub = tuple(touch_circles(t)[0].circle for t in ((b, i, c), (c, i, a), (a, i, b)))
     touch = tuple(
-        foot_of_perpendicular(s.center, e) for s, e in zip(sub, edges)
+        foot_of_perpendicular(s.center, e) for s, e in zip(sub, tri.edges)
     )
     joins = (
         Line.through(sub[1].center, sub[2].center),   # B0 C0
@@ -810,7 +795,7 @@ def variant_contact_circle(
     with BC and with each other (cyclically for Y, Z), within
     ``_CONTACT_CIRCLE_TOL`` relative to the largest vertex coordinate."""
     u, v, w = quarter_angles(a, b, c)
-    r = math.sqrt(float(_incircle_of(a, b, c).r2))
+    r = math.sqrt(float(touch_circles((a, b, c))[0].circle.r2))
     scale = max(abs(float(t)) for p in (a, b, c) for t in (p.x, p.y))
     data = (
         (trace.touch_points[0], u, 1, 2, Line.through(b, c)),

@@ -29,7 +29,7 @@ from .kernel import (
     reflect_line_in_line,
     reflect_point_in_line,
 )
-from .quadrangle import orthocentre
+from .quadrangle import as_triangle, orthocentre
 
 
 class InvalidParameters(GeometryError):
@@ -590,18 +590,22 @@ def morley_edge_variants(edges: Sequence[float]) -> Dict[Tuple[int, int, int], f
     return out
 
 
-def morley_edge_rationality(
-    edges: Sequence[float], rel_tol: float = 1e-12, max_den: int = 10 ** 6
-) -> Dict[Tuple[int, int, int], Fraction]:
+#: relative accuracy and largest denominator of the rational
+#: reconstruction in ``morley_edge_rationality``
+_EDGE_REL_TOL = 1e-12
+_EDGE_MAX_DEN = 10 ** 6
+
+
+def morley_edge_rationality(edges: Sequence[float]) -> Dict[Tuple[int, int, int], Fraction]:
     """The Morley-triangle edges recognisably rational at the scale of the
     given (integer) edge lengths: the reconstruction must be far more
     accurate than a generic continued-fraction convergent of that size."""
     out: Dict[Tuple[int, int, int], Fraction] = {}
     for key, e in morley_edge_variants(edges).items():
-        f = Fraction(e).limit_denominator(max_den)
+        f = Fraction(e).limit_denominator(_EDGE_MAX_DEN)
         if (
-            abs(float(f) - e) <= rel_tol * max(1e-30, e)
-            and f.denominator <= max_den // 10
+            abs(float(f) - e) <= _EDGE_REL_TOL * max(1e-30, e)
+            and f.denominator <= _EDGE_MAX_DEN // 10
         ):
             out[key] = f
     return out
@@ -954,14 +958,16 @@ class InsideOutData:
     orthocentre: Point
 
 
-def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
+def inside_out(tri: Sequence[Point]) -> InsideOutData:
     """Distal treblers: A' is the meet of the reflections of BC in AB and in
     AC (and cyclically).  AA', BB', CC' concur at the circumcentre; the
     proximal treblers α', β', γ' are the reflections of the vertices in the
     opposite edges, and Aα', Bβ', Cγ' concur at the orthocentre; four triads
     of the cross points α, β, γ are collinear.  IdentityViolated if any of
     these exact incidences fails."""
-    ab, bc, ca = Line.through(a, b), Line.through(b, c), Line.through(c, a)
+    tri = as_triangle(tri)
+    a, b, c = tri
+    bc, ca, ab = tri.edges
     a_p = reflect_line_in_line(bc, ab).intersect(reflect_line_in_line(bc, ca))
     b_p = reflect_line_in_line(ca, bc).intersect(reflect_line_in_line(ca, ab))
     c_p = reflect_line_in_line(ab, bc).intersect(reflect_line_in_line(ab, ca))
@@ -974,9 +980,9 @@ def inside_out(a: Point, b: Point, c: Point) -> InsideOutData:
     o = Line.through(a, a_p).intersect(Line.through(b, b_p))
     if not Line.through(c, c_p).contains(o):
         raise IdentityViolated("AA', BB', CC' fail to concur")
-    if circumcircle(a, b, c).center != o:
+    if tri.circumcircle.center != o:
         raise IdentityViolated("concurrence is not the circumcentre")
-    h = orthocentre(a, b, c)
+    h = tri.orthocentre
     for v, vp in ((a, alpha_p), (b, beta_p), (c, gamma_p)):
         if not Line.through(v, vp).contains(h):
             raise IdentityViolated("treblers miss the orthocentre")

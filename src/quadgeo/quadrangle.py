@@ -1,12 +1,14 @@
-"""Orthocentric quadrangles: quadration, twinning, the Centre and Central
-Circle, Euler-line harmonic ranges, medial/edge circles with altitude and
-midfoot data, the edges of the derived (quadration) triangles, and the
-acute census."""
+"""Triangles and orthocentric quadrangles: the `Triangle` value that
+carries a triangle's edges, orthocentre, circumcircle and metrics,
+quadration, twinning, the Centre and Central Circle, Euler-line harmonic
+ranges, medial/edge circles with altitude and midfoot data, the edges of
+the derived (quadration) triangles, and the acute census."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .kernel import (
@@ -17,6 +19,7 @@ from .kernel import (
     Number,
     Point,
     circle_from_diameter,
+    circumcircle,
     cross_ratio,
     divide,
     is_exact,
@@ -48,6 +51,36 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
     return Point(p.x + k * (c.y - b.y), p.y + k * (b.x - c.x))
 
 
+class Triangle(tuple):
+    """The vertices A, B, C of a triangle. The data that the constructions
+    on it read are derived on first use and then kept: the edge lines BC,
+    CA, AB, the orthocentre, the circumcircle and the metrics. A face of a
+    quadrangle is one, so the constructions on a face share them."""
+
+    @cached_property
+    def edges(self) -> Tuple[Line, Line, Line]:
+        a, b, c = self
+        return Line.through(b, c), Line.through(c, a), Line.through(a, b)
+
+    @cached_property
+    def orthocentre(self) -> Point:
+        return orthocentre(*self)
+
+    @cached_property
+    def circumcircle(self) -> Circle:
+        return circumcircle(*self)
+
+    @cached_property
+    def metrics(self) -> TriangleMetrics:
+        return triangle_metrics(*self)
+
+
+def as_triangle(pts: Sequence[Point]) -> Triangle:
+    """``pts`` itself if it is a `Triangle`, else a `Triangle` on its three
+    vertices."""
+    return pts if isinstance(pts, Triangle) else Triangle(pts)
+
+
 @dataclass(frozen=True)
 class LabeledQuadrangle:
     vertices: Dict[int, Point]       # labels 1,2,4,7
@@ -63,9 +96,9 @@ class LabeledQuadrangle:
     def twin_vertex(self, label: int) -> Point:
         return self.twins[label]
 
-    def face(self, label: int) -> Tuple[Point, Point, Point]:
+    def face(self, label: int) -> Triangle:
         """The triangle on the three labels other than `label`."""
-        return tuple(self.vertices[l] for l in LABELS if l != label)
+        return Triangle(self.vertices[l] for l in LABELS if l != label)
 
     def face_labels(self, label: int) -> Tuple[int, int, int]:
         return tuple(l for l in LABELS if l != label)

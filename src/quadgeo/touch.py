@@ -1,7 +1,10 @@
 """Touch circles (incircle + excircles), the 32-circle tangency sweep
 against the Central Circle, Gergonne/Nagel/de Longchamps incidences, Soddy
 circles with exact classification, number-theoretic triangle generators,
-and the bisector-reflection (hexaflex) tangency construction."""
+and the bisector-reflection (hexaflex) tangency construction. Each
+construction takes one triangle and reads its metrics, edges, orthocentre
+and circumcircle from one `Triangle`, so constructions that share it
+derive them once."""
 
 from __future__ import annotations
 
@@ -29,12 +32,7 @@ from .kernel import (
     reflect_line_in_line,
     tangency_classify,
 )
-from .quadrangle import (
-    LABELS,
-    LabeledQuadrangle,
-    triangle_metrics,
-    twin,
-)
+from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle, twin
 
 
 class NotATriangle(GeometryError):
@@ -52,26 +50,26 @@ EXTRAVERSIONS = ("o", "a", "b", "c")
 class TouchCircle:
     label: Tuple[Union[int, str], str]  # (triangle label, extraversion o/a/b/c)
     circle: Circle
-    triangle: Tuple[Point, Point, Point]
+    triangle: Triangle
 
     @property
     def touch_points(self) -> Tuple[Point, Point, Point]:
         """Feet of the centre on the edge lines a, b, c: where the circle
         touches them."""
-        p, q, r = self.triangle
         return tuple(
-            foot_of_perpendicular(self.circle.center, Line.through(u, v))
-            for u, v in ((q, r), (r, p), (p, q))
+            foot_of_perpendicular(self.circle.center, e) for e in self.triangle.edges
         )
 
 
 def touch_circles(
-    p: Point, q: Point, r: Point, triangle_label: Union[int, str] = ""
+    tri: Sequence[Point], triangle_label: Union[int, str] = ""
 ) -> List[TouchCircle]:
     """Incircle and the three excircles; their edge touch points are
-    computed on demand. Exact for Heronian triangles (rational side
-    lengths)."""
-    m = triangle_metrics(p, q, r)
+    computed on demand from the edges the four share. Exact for Heronian
+    triangles (rational side lengths)."""
+    tri = as_triangle(tri)
+    p, q, r = tri
+    m = tri.metrics
     a, b, c = m.a, m.b, m.c
     weight_sets = {
         "o": (a, b, c),
@@ -90,7 +88,7 @@ def touch_circles(
         )
         rad = radii[ext]
         circle = Circle(center, rad * rad)
-        out.append(TouchCircle((triangle_label, ext), circle, (p, q, r)))
+        out.append(TouchCircle((triangle_label, ext), circle, tri))
     return out
 
 
@@ -128,8 +126,7 @@ def feuerbach_verify(q: LabeledQuadrangle) -> FeuerbachReport:
     entries = []
     for quad, bar in ((q, ""), (twin(q), "~")):
         for label in LABELS:
-            face = quad.face(label)
-            for tc in touch_circles(*face, triangle_label=f"{label}{bar}"):
+            for tc in touch_circles(quad.face(label), triangle_label=f"{label}{bar}"):
                 kind = tangency_classify(tc.circle, q.central_circle)
                 exact = tc.circle.center.is_exact() and is_exact(tc.circle.r2)
                 entries.append((tc.label, tc.circle, kind, exact))
@@ -169,12 +166,13 @@ def _cevian_point(tri: Sequence[Point], cuts: Sequence[Point]) -> Point:
     return pt
 
 
-def gergonne_nagel(p: Point, q: Point, r: Point) -> GergonneNagelData:
+def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
     """Gergonne points of all four touch circles, the Nagel point, and the
     de Longchamps collinearity data."""
-    m = triangle_metrics(p, q, r)
-    tcs = touch_circles(p, q, r)
-    tri = (p, q, r)
+    tri = as_triangle(tri)
+    p, q, r = tri
+    m = tri.metrics
+    tcs = touch_circles(tri)
     gergonnes = {}
     for tc in tcs:
         gergonnes[tc.label[1]] = _cevian_point(tri, tc.touch_points)
@@ -187,22 +185,16 @@ def gergonne_nagel(p: Point, q: Point, r: Point) -> GergonneNagelData:
     incentre = tcs[0].circle.center
     third = Fraction(1, 3) if p.is_exact() else 1 / 3
     centroid = Point((p.x + q.x + r.x) * third, (p.y + q.y + r.y) * third)
-    from .quadrangle import orthocentre
-
-    h = orthocentre(p, q, r)
     # de Longchamps = reflection of H in circumcentre O = 2O - H
-    from .kernel import circumcircle
-
-    o = circumcircle(p, q, r).center
+    h, o = tri.orthocentre, tri.circumcircle.center
     de_l = Point(2 * o.x - h.x, 2 * o.y - h.y)
     return GergonneNagelData(gergonnes, nagel, incentre, centroid, de_l)
 
 
-def extraverted_gergonne_concurrence(p: Point, q: Point, r: Point) -> bool:
+def extraverted_gergonne_concurrence(tri: Sequence[Point]) -> bool:
     """The joins of each vertex to the Gergonne point of the opposite-named
     excircle concur at the Nagel point."""
-    data = gergonne_nagel(p, q, r)
-    tri = (p, q, r)
+    data = gergonne_nagel(tri)
     for vertex, ext in zip(tri, ("a", "b", "c")):
         if not collinear(vertex, data.gergonne[ext], data.nagel):
             return False
@@ -281,14 +273,14 @@ def _tangent_circle_center(
     return lines[0].intersect(lines[1])
 
 
-def soddy(p: Point, q: Point, r: Point) -> SoddyData:
+def soddy(tri: Sequence[Point]) -> SoddyData:
     """Soddy circles of the triangle: the three mutually tangent circles
     centred at the vertices (radii s−a, s−b, s−c), the inner and outer
     tangent circles via Descartes (the radical √(Σkᵢkⱼ) equals 1/r exactly,
     so everything is rational for Heronian triangles), and the Soddy /
     Gergonne line pair."""
-    m = triangle_metrics(p, q, r)
-    tri = (p, q, r)
+    tri = as_triangle(tri)
+    m = tri.metrics
     radii = (m.s - m.a, m.s - m.b, m.s - m.c)
     tangent = tuple(Circle(tri[i], radii[i] ** 2) for i in range(3))
     k1, k2, k3 = (1 / radii[i] for i in range(3))
@@ -299,7 +291,7 @@ def soddy(p: Point, q: Point, r: Point) -> SoddyData:
     inner_center = _tangent_circle_center(tri, radii, rho_in, (1, 1, 1))
     inner = Circle(inner_center, rho_in * rho_in)
 
-    gn = gergonne_nagel(p, q, r)
+    gn = gergonne_nagel(tri)
     soddy_line = Line.through(gn.incentre, gn.gergonne["o"])
     incircle = Circle(gn.incentre, m.r * m.r)
     gergonne_line = radical_axis(incircle, inner)
@@ -363,14 +355,15 @@ class HexaflexData:
     perspectors: Dict[str, Point]          # per touch circle
 
 
-def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
+def hexaflex(tri: Sequence[Point]) -> HexaflexData:
     """Reflect each edge in the two angle bisectors of the opposite vertex.
     The reflected edges are tangent to the touch circles; the three contact
     points on each touch circle form a triangle homothetic to the medial
     triangle, and each perspector with the medial triangle lies on the
     Central Circle."""
-    tri = (p, q, r)
-    tcs = {tc.label[1]: tc for tc in touch_circles(p, q, r)}
+    tri = as_triangle(tri)
+    p, q, r = tri
+    tcs = {tc.label[1]: tc for tc in touch_circles(tri)}
     incentre = tcs["o"].circle.center
     # float contact points are off by about `lever` roundoffs of the
     # coordinates: each bisector joins a vertex to the incentre, so its
@@ -381,18 +374,13 @@ def hexaflex(p: Point, q: Point, r: Point) -> HexaflexData:
         size = max(abs(float(x)) for v in tri for x in (v.x, v.y))
         near = min(math.dist((v.x, v.y), (incentre.x, incentre.y)) for v in tri)
         lever = max(1.0, size / near)
-    edges = (
-        Line.through(q, r),
-        Line.through(r, p),
-        Line.through(p, q),
-    )
     t_int: Dict[int, Line] = {}
     t_ext: Dict[int, Line] = {}
     for i, v in enumerate(tri):
         bis = Line.through(v, incentre)
         ext = bis.perpendicular_through(v)
-        t_int[i] = reflect_line_in_line(edges[i], bis)
-        t_ext[i] = reflect_line_in_line(edges[i], ext)
+        t_int[i] = reflect_line_in_line(tri.edges[i], bis)
+        t_ext[i] = reflect_line_in_line(tri.edges[i], ext)
 
     tangent_lines = {
         "tA": t_int[0], "tB": t_int[1], "tC": t_int[2],

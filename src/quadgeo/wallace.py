@@ -1,7 +1,9 @@
 """Simson-Wallace and Steiner lines, their quadration, the iterated
 reflect-in-three-edges sequence with its naming scheme and cycle detection,
 the three-cusped envelope (deltoid) with its double-contact test, the
-six-tangent star configuration, and the converse constructions."""
+six-tangent star configuration, and the converse constructions. A Wallace
+line reads the circumcircle, orthocentre and edges of its `Triangle`, so the
+lines of many circle points on one triangle derive them once."""
 
 from __future__ import annotations
 
@@ -21,14 +23,14 @@ from .kernel import (
     Number,
     Point,
     circle_from_diameter,
-    circumcircle,
     collinear,
+    divide,
     foot_of_perpendicular,
     is_exact,
     reflect_point_in_line,
     sqrt_scalar,
 )
-from .quadrangle import LABELS, LabeledQuadrangle, orthocentre
+from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle
 
 
 class PointNotOnCircumcircle(GeometryError):
@@ -64,14 +66,12 @@ def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceDat
     the Steiner line is the 2x homothety of that line from the source and
     passes through the orthocentre; the source-orthocentre midpoint lies on
     the Central Circle."""
-    p, q, r = tri
-    circ = circumcircle(p, q, r)
-    if not circ.contains(s, eps=eps):
+    tri = as_triangle(tri)
+    if not tri.circumcircle.contains(s, eps=eps):
         raise PointNotOnCircumcircle("source must lie on the circumcircle")
-    h = orthocentre(p, q, r)
-    edges = (Line.through(q, r), Line.through(r, p), Line.through(p, q))
-    feet = tuple(foot_of_perpendicular(s, e) for e in edges)
-    degenerate = s in (p, q, r)
+    h = tri.orthocentre
+    feet = tuple(foot_of_perpendicular(s, e) for e in tri.edges)
+    degenerate = s in tri
     # line through two distinct feet
     pts = []
     for f in feet:
@@ -101,20 +101,18 @@ def wallace_quadrated(q: LabeledQuadrangle, s8: Point) -> QuadratedWallace:
     """Transport of a circumcircle point to the other three circumcircles
     by a common radius vector: the twelve perpendicular feet lie on one
     line."""
-    circ8 = q.face_circumcircle(7)
+    faces = {l: q.face(l) for l in LABELS}
+    circ8 = faces[7].circumcircle
     if not circ8.contains(s8):
         raise PointNotOnCircumcircle("source must lie on the 124-circumcircle")
     rho = s8 - circ8.center  # radius vector; face circumcentre of l is twin(l)
     sources = {7: s8}
     for l in (1, 2, 4):
         sources[l] = q.twins[l] + rho
-    feet: List[Point] = []
-    for l, s in sources.items():
-        face_labels = q.face_labels(l)
-        for i in range(3):
-            l1, l2 = [x for k, x in enumerate(face_labels) if k != i]
-            feet.append(foot_of_perpendicular(s, q.edge(l1, l2)))
-    line = wallace_line([q.vertices[x] for x in q.face_labels(7)], s8).line
+    feet = [
+        foot_of_perpendicular(s, e) for l, s in sources.items() for e in faces[l].edges
+    ]
+    line = wallace_line(faces[7], s8).line
     return QuadratedWallace(sources, feet, line)
 
 
@@ -403,10 +401,8 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     With the face-7 vertices a, b, c as complex numbers on the unit
     circumcircle, the Wallace line of s touches the Central Circle exactly
     when s³ = −abc, so the three positions are arg(−abc)/3 + 2πk/3."""
-    tri = [
-        Point(float(p.x), float(p.y)) for p in (q.face(7))
-    ]
-    circ = circumcircle(*tri)
+    tri = Triangle(Point(float(p.x), float(p.y)) for p in q.face(7))
+    circ = tri.circumcircle
     cx, cy = float(circ.center.x), float(circ.center.y)
     rad = math.sqrt(float(circ.r2))
     c0x, c0y = float(q.center.x), float(q.center.y)
@@ -449,10 +445,8 @@ def is_equilateral(tri: Sequence[Point]) -> bool:
 
 @dataclass(frozen=True)
 class ConverseSimsonData:
-    triangle: Tuple[Point, Point, Point]
-    circumcircle: Circle
+    triangle: Triangle
     parabola_directrix: Line
-    orthocentre: Point
 
 
 def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonData:
@@ -468,20 +462,18 @@ def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonDat
     if base.contains(p):
         raise DegenerateInput("P must lie off the line LMN")
     perps = [Line.from_point_normal(x, x - p) for x in (l, m, n)]
-    tri = (
+    tri = Triangle((
         perps[1].intersect(perps[2]),
         perps[2].intersect(perps[0]),
         perps[0].intersect(perps[1]),
-    )
-    circ = circumcircle(*tri)
-    if not circ.contains(p):
+    ))
+    if not tri.circumcircle.contains(p):
         raise IdentityViolated("constructed circumcircle misses P")
     foot = foot_of_perpendicular(p, base)
     directrix = base.parallel_through(Point(2 * foot.x - p.x, 2 * foot.y - p.y))
-    h = orthocentre(*tri)
-    if not directrix.contains(h):
+    if not directrix.contains(tri.orthocentre):
         raise IdentityViolated("orthocentre not on the directrix")
-    return ConverseSimsonData(tri, circ, directrix, h)
+    return ConverseSimsonData(tri, directrix)
 
 
 def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:
@@ -505,7 +497,7 @@ def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:
 def second_intersection(circle: Circle, known: Point, direction: Point) -> Point:
     """Other intersection of the line through a known circle point."""
     b = known - circle.center
-    u = -2 * b.dot(direction) / direction.norm2()
+    u = divide(-2 * b.dot(direction), direction.norm2())
     return Point(known.x + u * direction.x, known.y + u * direction.y)
 
 

@@ -39,7 +39,7 @@ def report(name: str, ok: bool) -> None:
 
 def test_ac1_feuerbach_32(q):
     rep = touch.feuerbach_verify(q)
-    incircle = touch.touch_circles(*q.face(7))[0].circle
+    incircle = touch.touch_circles(q.face(7))[0].circle
     ok = (
         rep.total == 32
         and rep.tangent_count == 32
@@ -158,7 +158,7 @@ def test_ac8_droz_farny(q):
         except drozfarny.EdgeParallel:
             continue
         ok = ok and collinear(*inst.midpoints)
-        ok = ok and inst.circumcircle.contains(inst.m)
+        ok = ok and inst.triangle.circumcircle.contains(inst.m)
         ok = ok and q.central_circle.contains(foot_of_perpendicular(h, inst.df))
         ok = ok and drozfarny.envelope_tangency(env, inst)
         audit = drozfarny.parabola_tangency_audit(inst)
@@ -280,7 +280,7 @@ def test_ac12_thrice_sixteen():
 
 
 def test_ac13_hexaflex(q):
-    hx = touch.hexaflex(*q.face(7))
+    hx = touch.hexaflex(q.face(7))
     ok = all(p.x * p.x + p.y * p.y == 7225 for p in hx.perspectors.values())
     ok = ok and len(hx.perspectors) == 4
     report("AC13 Hexaflex Feuerbach", ok)

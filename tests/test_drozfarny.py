@@ -66,8 +66,8 @@ class TestDFLine:
         inst = df_line(TRI, rational_pair(F(1, 5)))
         assert collinear(*inst.midpoints)
         assert verify_instance(inst)
-        assert inst.circumcircle.center == Point(F(-36), F(-51))
-        assert inst.circumcircle.r2 == 28900
+        assert inst.triangle.circumcircle.center == Point(F(-36), F(-51))
+        assert inst.triangle.circumcircle.r2 == 28900
 
     def test_not_perpendicular(self):
         pair = (
@@ -104,11 +104,6 @@ class TestDFLine:
         inst = df_line(TRI, rational_pair(F(2, 7)))
         for mid in inst.midpoints:
             assert mid.dist2(inst.orthocentre) == mid.dist2(inst.m)
-
-    def test_semi_affine_ratio(self):
-        inst = df_line(TRI, rational_pair(F(1, 5)), ratio=F(1, 3))
-        # no collinearity claim at ratio 1/3; instance still builds
-        assert len(inst.midpoints) == 3
 
     @pytest.mark.parametrize("t", [F(1, 5), 0.2], ids=["exact", "float"])
     def test_midpoint_miss_raises(self, monkeypatch, t):

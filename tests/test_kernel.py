@@ -185,6 +185,11 @@ class TestRadical:
         with pytest.raises(ConcentricCircles):
             radical_axis(Circle(Point(0, 0), 1), Circle(Point(0, 0), 4))
 
+    def test_int_input_stays_exact(self):
+        axis = radical_axis(Circle(Point(0, 0), 4), Circle(Point(4, 0), 4))
+        assert (axis.a, axis.b, axis.c) == (1, 0, 2)
+        assert all(type(v) is int for v in (axis.a, axis.b, axis.c))
+
     @given(rational_points(), rational_points(), rationals, rationals)
     @settings(max_examples=100)
     def test_axis_perpendicular_to_center_line(self, p, q, r1, r2):
@@ -257,6 +262,13 @@ class TestCrossRatio:
         d = Point(F(3), F(7))
         pts = [Point(t * d.x, t * d.y) for t in (F(1), F(-1), F(-1, 3), F(-3))]
         assert cross_ratio(*pts) == -1
+
+    def test_int_input_stays_exact(self):
+        pts = (Point(0, 0), Point(3, 0), Point(1, 0), Point(-3, 0))
+        ratio = cross_ratio(*pts)
+        assert ratio == -1 and is_exact(ratio)
+        # a vertical line takes the parameter from y
+        assert cross_ratio(*(Point(p.y, p.x) for p in pts)) == -1
 
     def test_coincident_rejected(self):
         p = Point(F(0), F(0))

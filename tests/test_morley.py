@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadgeo.morley as morley
+import quadgeo.quadrangle as quadrangle
 from quadgeo.kernel import IdentityViolated, Point, circumcircle
 from quadgeo.morley import (
     FULL,
@@ -483,7 +484,7 @@ class TestInsideOut:
         a = Point(Fraction(60), Fraction(60))
         b = Point(Fraction(0), Fraction(0))
         c = Point(Fraction(180), Fraction(0))
-        io = inside_out(a, b, c)
+        io = inside_out((a, b, c))
         assert io.a_prime == Point(Fraction(0), Fraction(240))
         assert io.b_prime == Point(Fraction(108), Fraction(-36))
         assert io.c_prime == Point(Fraction(45), Fraction(-45))
@@ -506,16 +507,16 @@ class TestInsideOut:
             a, b, c = pts
             if (b - a).cross(c - a) == 0:
                 continue
-            io = inside_out(a, b, c)  # concurrences checked internally
+            io = inside_out((a, b, c))  # concurrences checked internally
             assert io.orthocentre == orthocentre(a, b, c)
 
     def test_missed_orthocentre_raises(self, monkeypatch):
         monkeypatch.setattr(
-            morley, "orthocentre", lambda a, b, c: Point(Fraction(1), Fraction(1))
+            quadrangle, "orthocentre", lambda a, b, c: Point(Fraction(1), Fraction(1))
         )
         with pytest.raises(IdentityViolated, match="orthocentre"):
-            inside_out(
+            inside_out((
                 Point(Fraction(60), Fraction(60)),
                 Point(Fraction(0), Fraction(0)),
                 Point(Fraction(180), Fraction(0)),
-            )
+            ))

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadgeo import touch
+from quadgeo import drozfarny, quadrangle, touch, wallace
 from quadgeo.kernel import Line, Point, cross_ratio, DegenerateInput
 from quadgeo.quadrangle import (
     LABELS,
     AmbiguousLabeling,
+    Triangle,
     acute_census,
+    as_triangle,
     altitudes,
     euler_range,
     medial_circles,
@@ -130,9 +132,11 @@ class TestMedial:
     def test_float_sliver_rejected(self, x):
         # s - a, s - b or s - c rounds to 0 in floats
         tri = (Point(0.0, 0.0), Point(10.0, 0.0), Point(x, 1e-8))
-        for construct in (triangle_metrics, touch.touch_circles, touch.hexaflex):
+        for construct in (
+            lambda t: triangle_metrics(*t), touch.touch_circles, touch.hexaflex
+        ):
             with pytest.raises(DegenerateInput):
-                construct(*tri)
+                construct(tri)
 
 
 class TestAngleTables:
@@ -192,3 +196,106 @@ class TestCensus:
             except AmbiguousLabeling:
                 continue  # an isosceles face of a scalene seed
             assert set(qq2.vertices.values()) == original
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def perpendicular_pair(h, t):
+    d = Point(1 - t * t, 2 * t)
+    return (
+        Line.from_point_direction(h, d),
+        Line.from_point_direction(h, Point(-d.y, d.x)),
+    )
+
+
+# pair directions that no edge of face 7 is parallel to
+PAIR_T = (F(1, 5), F(2, 7), F(3, 11), F(4, 9))
+
+
+class TestTriangle:
+    def test_as_triangle(self):
+        tri = Triangle((V1, V2, V4))
+        assert as_triangle(tri) is tri
+        wrapped = as_triangle([V1, V2, V4])
+        assert isinstance(wrapped, Triangle)
+        assert wrapped == (V1, V2, V4)
+
+    def test_face_orthocentre_and_circumcircle(self, q):
+        for l in LABELS:
+            assert isinstance(q.face(l), Triangle)
+            assert q.face(l).orthocentre == q.vertex(l)
+            assert q.face(l).circumcircle == q.face_circumcircle(l)
+
+    @given(*[st.integers(min_value=-20, max_value=20) for _ in range(6)])
+    @settings(max_examples=100)
+    def test_face_data_on_random_quadrangles(self, x1, y1, x2, y2, x3, y3):
+        pts = [Point(F(x1), F(y1)), Point(F(x2), F(y2)), Point(F(x3), F(y3))]
+        try:
+            qq = quadrate(*pts)
+        except (DegenerateInput, AmbiguousLabeling):
+            return
+        for l in LABELS:
+            face = qq.face(l)
+            assert face.orthocentre == qq.vertex(l)
+            assert face.circumcircle == qq.face_circumcircle(l)
+            assert face.edges == tuple(
+                Line.through(face[i - 2], face[i - 1]) for i in range(3)
+            )
+
+    def test_df_lines_derive_orthocentre_and_circumcircle_once(self, q, monkeypatch):
+        calls = count_calls(monkeypatch, quadrangle, "orthocentre", "circumcircle")
+        tri = q.face(7)
+        for t in PAIR_T:
+            inst = drozfarny.df_line(tri, perpendicular_pair(q.vertex(7), t))
+            assert drozfarny.verify_instance(inst)
+        assert calls == {"orthocentre": 1, "circumcircle": 1}
+
+    def test_wallace_lines_derive_orthocentre_and_circumcircle_once(
+        self, q, monkeypatch
+    ):
+        calls = count_calls(monkeypatch, quadrangle, "orthocentre", "circumcircle")
+        tri = q.face(7)
+        circ = q.face_circumcircle(7)
+        for t in PAIR_T:
+            wallace.wallace_line(tri, wallace.rational_circle_point(circ, V1, t))
+        assert calls == {"orthocentre": 1, "circumcircle": 1}
+
+    def test_face_touch_circles_build_three_edge_lines(self, q, monkeypatch):
+        calls = []
+        through = Line.through
+
+        def counted(p, r):
+            calls.append((p, r))
+            return through(p, r)
+
+        monkeypatch.setattr(Line, "through", staticmethod(counted))
+        tcs = touch.touch_circles(q.face(7))
+        assert len(tcs) == 4
+        for tc in tcs:
+            assert len(tc.touch_points) == 3
+        assert len(calls) == 3
+
+    def test_soddy_computes_metrics_once(self, q, monkeypatch):
+        calls = count_calls(monkeypatch, quadrangle, "triangle_metrics")
+        touch.soddy(q.face(7))
+        assert calls == {"triangle_metrics": 1}
+
+    def test_plain_list_and_triangle_agree(self, q):
+        # the benchmark passes plain lists of vertices
+        face = q.face(7)
+        pair = perpendicular_pair(q.vertex(7), PAIR_T[0])
+        assert drozfarny.df_line(list(face), pair) == drozfarny.df_line(face, pair)
+        s = wallace.rational_circle_point(q.face_circumcircle(7), V1, PAIR_T[1])
+        assert wallace.wallace_line(list(face), s) == wallace.wallace_line(face, s)

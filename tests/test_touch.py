@@ -47,13 +47,13 @@ def q():
 
 class TestTouchCircles:
     def test_canonical_incircle_and_excircle(self):
-        tcs = touch_circles(V1, V2, V4)
+        tcs = touch_circles((V1, V2, V4))
         by_ext = {tc.label[1]: tc for tc in tcs}
         assert by_ext["o"].circle == Circle(Point(F(12), F(-5)), F(5184))
         assert by_ext["a"].circle == Circle(Point(F(-84), F(-437)), F(129600))
 
     def test_incircle_touch_point_on_edge_24(self):
-        tcs = touch_circles(V1, V2, V4)
+        tcs = touch_circles((V1, V2, V4))
         assert tcs[0].touch_points[0] == Point(F(12), F(-77))
 
     def test_feuerbach_sweep_computes_no_touch_points(self, q, monkeypatch):
@@ -68,26 +68,26 @@ class TestTouchCircles:
         assert feuerbach_verify(q).total == 32
         assert calls == []
         # the feet are still there when asked for
-        touch_circles(V1, V2, V4)[0].touch_points
+        touch_circles((V1, V2, V4))[0].touch_points
         assert len(calls) == 3
 
     def test_touch_points_on_circle_and_edge(self):
         edges = (Line.through(V2, V4), Line.through(V4, V1), Line.through(V1, V2))
-        for tc in touch_circles(V1, V2, V4):
+        for tc in touch_circles((V1, V2, V4)):
             for tp, edge in zip(tc.touch_points, edges):
                 assert tp == foot_of_perpendicular(tc.circle.center, edge)
                 assert edge.contains(tp)
                 assert tc.circle.contains(tp)
 
     def test_345_radii(self):
-        tcs = touch_circles(Point(F(0), F(0)), Point(F(4), F(0)), Point(F(0), F(3)))
+        tcs = touch_circles((Point(F(0), F(0)), Point(F(4), F(0)), Point(F(0), F(3))))
         radii = sorted(tc.circle.radius() for tc in tcs)
         assert radii == [1, 2, 3, 6]
 
     def test_touch_centers_form_orthocentric_quadrangle(self):
         from quadgeo.quadrangle import orthocentre
 
-        tcs = touch_circles(V1, V2, V4)
+        tcs = touch_circles((V1, V2, V4))
         centers = [tc.circle.center for tc in tcs]
         # incentre is the orthocentre of the excentral triangle; the central
         # circle of these four centers is the original circumcircle
@@ -108,7 +108,7 @@ class TestFeuerbach:
         assert all(exact for (_, _, _, exact) in report.entries)
 
     def test_incircle_distance_identity(self, q):
-        incircle = touch_circles(*q.face(7))[0].circle
+        incircle = touch_circles(q.face(7))[0].circle
         # 13² = (85-72)²
         assert incircle.center.dist2(q.central_circle.center) == 169
 
@@ -120,53 +120,53 @@ class TestFeuerbach:
 
 class TestGergonneNagel:
     def test_canonical_points(self):
-        gn = gergonne_nagel(V1, V2, V4)
+        gn = gergonne_nagel((V1, V2, V4))
         assert gn.gergonne["o"] == Point(F(1104, 47), F(431, 47))
         assert gn.nagel == Point(F(-60), F(-41))
         checks = gn.incidence_checks()
         assert all(checks.values())
 
     def test_nagel_incentre_slope(self):
-        gn = gergonne_nagel(V1, V2, V4)
+        gn = gergonne_nagel((V1, V2, V4))
         d = gn.nagel - gn.incentre
         assert F(d.y) / F(d.x) == F(1, 2)
 
     def test_gergonne_del_slope(self):
-        gn = gergonne_nagel(V1, V2, V4)
+        gn = gergonne_nagel((V1, V2, V4))
         d = gn.de_longchamps - gn.incentre
         assert F(d.y) / F(d.x) == F(37, 30)
 
     def test_extraverted_gergonne_concurrence(self):
-        assert extraverted_gergonne_concurrence(V1, V2, V4)
+        assert extraverted_gergonne_concurrence((V1, V2, V4))
 
 
 class TestSoddy:
     def test_canonical_curvatures(self):
-        sd = soddy(V1, V2, V4)
+        sd = soddy((V1, V2, V4))
         assert sd.inner_radius == F(3780, 199)
         assert sd.outer_curvature == F(-11, 3780)
         assert [c.r2 for c in sd.tangent_circles] == [84**2, 216**2, 120**2]
 
     def test_tangent_circle_distances(self):
-        sd = soddy(V1, V2, V4)
+        sd = soddy((V1, V2, V4))
         cs = sd.tangent_circles
         pairs = [(0, 1, 300), (1, 2, 336), (2, 0, 204)]
         for i, j, d in pairs:
             assert cs[i].center.dist2(cs[j].center) == d * d
 
     def test_inner_circle_tangent_to_all(self):
-        sd = soddy(V1, V2, V4)
+        sd = soddy((V1, V2, V4))
         for c in sd.tangent_circles:
             assert tangency_classify(sd.inner, c) == Tangency.EXTERNAL_TANGENT
 
     def test_outer_circle_tangent_to_all(self):
-        sd = soddy(V1, V2, V4)
+        sd = soddy((V1, V2, V4))
         assert sd.outer is not None
         for c in sd.tangent_circles:
             assert tangency_classify(sd.outer, c) == Tangency.INTERNAL_TANGENT
 
     def test_soddy_line_contents_and_perpendicularity(self):
-        sd = soddy(V1, V2, V4)
+        sd = soddy((V1, V2, V4))
         assert sd.soddy_line.contains(sd.incentre)
         assert sd.soddy_line.contains(sd.gergonne_point)
         assert sd.soddy_line.contains(sd.de_longchamps)
@@ -189,7 +189,7 @@ class TestSoddy:
         yv = F(2 * 252, a)  # height = 2Δ/a
         assert x * x + yv * yv == c * c
         A = Point(x, yv)
-        sd = soddy(A, Point(F(0), F(0)), Point(F(45), F(0)))
+        sd = soddy((A, Point(F(0), F(0)), Point(F(45), F(0))))
         assert sd.outer is None
         assert sd.outer_line == sd.gergonne_line
         assert sd.classification.kind == SoddyClass.CRITICAL
@@ -265,14 +265,14 @@ class TestFamilies:
 
 class TestHexaflex:
     def test_perspectors_on_central_circle(self, q):
-        hd = hexaflex(V1, V2, V4)
+        hd = hexaflex((V1, V2, V4))
         assert len(hd.perspectors) == 4
         for pt in hd.perspectors.values():
             assert pt.x * pt.x + pt.y * pt.y == 7225
 
     def test_float_perspectors_on_nine_point_circle(self):
         a, b, c = Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
-        hd = hexaflex(a, b, c)
+        hd = hexaflex((a, b, c))
         npc = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
         assert len(hd.perspectors) == 4
         for pt in hd.perspectors.values():
@@ -285,7 +285,7 @@ class TestHexaflex:
                 Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)
             )
             npc = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
-            for pt in hexaflex(a, b, c).perspectors.values():
+            for pt in hexaflex((a, b, c)).perspectors.values():
                 assert abs(npc.power(pt)) < 1e-9 * npc.r2
 
     # rounding alone moves the contact/midpoint joins past the tolerance:
@@ -294,17 +294,17 @@ class TestHexaflex:
     @pytest.mark.parametrize("apex", [(5.001, 5 * math.sqrt(3)), (9.7, 1e-6)])
     def test_ill_conditioned_float_rejected(self, apex):
         with pytest.raises(DegenerateInput):
-            hexaflex(Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex))
+            hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
 
     @pytest.mark.parametrize("apex", [(5.01, 5 * math.sqrt(3)), (9.7, 1e-5)])
     def test_nearly_ill_conditioned_float_passes(self, apex):
-        hd = hexaflex(Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex))
+        hd = hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
         assert len(hd.perspectors) == 4
 
     def test_contact_at_midpoint_is_perspector(self):
         # isosceles: the incircle and the C-excircle touch the base at its
         # midpoint (3, 0), which is then their perspector
-        hd = hexaflex(Point(F(0), F(0)), Point(F(6), F(0)), Point(F(3), F(4)))
+        hd = hexaflex((Point(F(0), F(0)), Point(F(6), F(0)), Point(F(3), F(4))))
         assert hd.perspectors == {
             "o": Point(F(3), F(0)),
             "a": Point(F(392, 89), F(200, 89)),
@@ -313,7 +313,7 @@ class TestHexaflex:
         }
 
     def test_reflected_edges_parallel(self):
-        hd = hexaflex(V1, V2, V4)
+        hd = hexaflex((V1, V2, V4))
         for v in "ABC":
             assert hd.tangent_lines[f"t{v}"].is_parallel(hd.tangent_lines[f"t{v}'"])
 
@@ -321,15 +321,15 @@ class TestHexaflex:
         from quadgeo.kernel import foot_of_perpendicular
         from quadgeo.touch import touch_circles as tcs_fn
 
-        hd = hexaflex(V1, V2, V4)
-        tcs = {tc.label[1]: tc for tc in tcs_fn(V1, V2, V4)}
+        hd = hexaflex((V1, V2, V4))
+        tcs = {tc.label[1]: tc for tc in tcs_fn((V1, V2, V4))}
         # every contact point lies on its touch circle
         for ext, contacts in hd.contact_points.items():
             for cpt in contacts:
                 assert tcs[ext].circle.contains(cpt)
 
     def test_contact_triangles_homothetic_to_medial(self):
-        hd = hexaflex(V1, V2, V4)
+        hd = hexaflex((V1, V2, V4))
         mids = (V2.midpoint(V4), V4.midpoint(V1), V1.midpoint(V2))
         med_edges = [mids[(i + 1) % 3] - mids[i] for i in range(3)]
         for contacts in hd.contact_points.values():

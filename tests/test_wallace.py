@@ -14,7 +14,7 @@ from quadgeo.kernel import (
     Point,
     collinear,
 )
-from quadgeo import wallace
+from quadgeo import quadrangle, wallace
 from quadgeo.quadrangle import quadrate
 from quadgeo.wallace import (
     PointNotOnCircumcircle,
@@ -359,8 +359,8 @@ class TestConverseConstructions:
         p = Point(F(0), F(5))
         l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
         data = converse_simson(p, l, m, n)
-        assert data.circumcircle.contains(p)
-        assert data.parabola_directrix.contains(data.orthocentre)
+        assert data.triangle.circumcircle.contains(p)
+        assert data.parabola_directrix.contains(data.triangle.orthocentre)
         wd = wallace_line(data.triangle, p)
         assert wd.line == Line.through(l, m)
 
@@ -369,7 +369,7 @@ class TestConverseConstructions:
         [("circumcircle", "misses P"), ("orthocentre", "not on the directrix")],
     )
     def test_converse_simson_miss_raises(self, monkeypatch, name, match):
-        real = getattr(wallace, name)
+        real = getattr(quadrangle, name)
 
         def shifted(*pts):
             out = real(*pts)
@@ -377,7 +377,7 @@ class TestConverseConstructions:
                 return Circle(Point(out.center.x, out.center.y + 1), out.r2)
             return Point(out.x, out.y + 1)
 
-        monkeypatch.setattr(wallace, name, shifted)
+        monkeypatch.setattr(quadrangle, name, shifted)
         p = Point(F(0), F(5))
         l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
         with pytest.raises(IdentityViolated, match=match):
@@ -399,6 +399,10 @@ class TestConverseConstructions:
         circ = q.face_circumcircle(7)
         other = second_intersection(circ, V1, V2 - V1)
         assert other == V2
+
+    def test_second_intersection_of_int_input_is_exact(self):
+        other = second_intersection(Circle(Point(0, 0), 25), Point(3, 4), Point(1, 2))
+        assert other == Point(F(-7, 5), F(-24, 5))
 
 
 class TestConcurrencyHelpers:
