@@ -35,7 +35,6 @@ from .quadrangle import (
     quadrate,
     quadration_edges,
     triangle_metrics,
-    twin,
 )
 
 
@@ -187,7 +186,7 @@ def _recipe_twins(name: str) -> Scene:
     scene = Scene(T0_WINDOW)
     for e in _quadrangle_edges(q):
         scene.add_line(e)
-    tq = twin(q)
+    tq = q.twin_quadrangle()
     for e in _quadrangle_edges(tq):
         scene.add_line(e, stroke="dashed")
     for lab in LABELS:
@@ -207,10 +206,10 @@ def _recipe_twins(name: str) -> Scene:
 def _recipe_touch32(name: str) -> Scene:
     q = fixture_quadrangle(name)
     scene = Scene(T0_WINDOW)
-    for quad in (q, twin(q)):
+    for quad in (q, q.twin_quadrangle()):
         for e in _quadrangle_edges(quad):
             scene.add_line(e, stroke="dotted")
-    for quad in (q, twin(q)):
+    for quad in (q, q.twin_quadrangle()):
         for lab in LABELS:
             for tc in touch.touch_circles(quad.face(lab)):
                 scene.add_circle(tc.circle)
@@ -775,7 +774,7 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     state = (F(2, 9), F(1, 4), F(1, 3))
     for lab in ("3b", "2b"):
         p = malfatti.radpoint_of_solution(lab, state)
-        eq = malfatti.vertical_guyline_equation("A", p, state)
+        eq = malfatti.vertical_guyline_equation("A", p)
         yield Check(eq == (0, 17, 50), f"guyline via {lab}: {eq}")
     yield Check(
         malfatti.point_coords((0, 0, 0), state).same_point(

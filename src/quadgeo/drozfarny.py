@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
+    DEFAULT_EPS,
     Conic,
     ConicKind,
     DegenerateInput,
@@ -23,6 +24,7 @@ from .kernel import (
     Number,
     Parabola,
     Point,
+    PointNotOnCircumcircle,
     PointNotOnEdgeLine,
     approx_collinear,
     circumcircle,
@@ -46,10 +48,6 @@ class EdgeParallel(GeometryError):
     pass
 
 
-class PointNotOnCircumcircle(GeometryError):
-    pass
-
-
 class DegenerateChoice(GeometryError):
     pass
 
@@ -60,6 +58,14 @@ class LineNotThroughOrthocentre(GeometryError):
 
 class DegenerateInstance(GeometryError):
     pass
+
+
+#: float tolerances besides ``DEFAULT_EPS``; each use scales a relative one
+_MIDPOINT_TOL = 1e-6          # collinearity of the three chord midpoints
+_COINCIDENCE_TOL = 1e-12      # two points closer than this are one
+_CHORD_END_TOL = 1e-7         # relative: a chord end on the first recovered line
+_SECOND_LINE_TOL = 1e-6       # relative: a chord end on the second recovered line
+_VERTEX_TANGENCY_TOL = 1e-6   # relative: the envelope's vertex tangents
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +102,14 @@ def df_line(tri: Sequence[Point], pair: Tuple[Line, Line]) -> DFInstance:
     tri = as_triangle(tri)
     h = tri.orthocentre
     l1, l2 = pair
-    if not l1.is_perpendicular(l2, 1e-9):
+    if not l1.is_perpendicular(l2, DEFAULT_EPS):
         raise NotPerpendicular("pair is not perpendicular")
     for line in pair:
-        if not line.contains(h, 1e-9):
+        if not line.contains(h, DEFAULT_EPS):
             raise NotThroughVertex("pair must pass through the orthocentre")
     cuts = _edge_cuts(tri.edges, pair)
     mids = tuple(cuts[f"{n}1"].midpoint(cuts[f"{n}2"]) for n in "XYZ")
-    if not approx_collinear(*mids, eps=1e-6):
+    if not approx_collinear(*mids, eps=_MIDPOINT_TOL):
         raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
@@ -152,7 +158,7 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     if not tri.circumcircle.contains(m):
         raise PointNotOnCircumcircle("M must lie on the circumcircle")
     for e in tri.edges:
-        if reflect_point_in_line(h, e).close_to(m, 1e-12):
+        if reflect_point_in_line(h, e).close_to(m, _COINCIDENCE_TOL):
             raise DegenerateChoice("M is a reflection of H in an edge")
     df = perpendicular_bisector(h, m)
     cut_pts: List[Point] = []
@@ -187,15 +193,15 @@ def _recovered_pair(h: Point, chords) -> Tuple[Line, Line]:
     first = ends[0]
     scale = max(1.0, math.hypot(float(first.x - hf.x), float(first.y - hf.y)))
     l1 = Line.through(hf, first)
-    on_l1 = [e for e in ends if abs(float(l1.evaluate(e))) < 1e-7 * scale]
-    off = [e for e in ends if abs(float(l1.evaluate(e))) >= 1e-7 * scale]
+    on_l1 = [e for e in ends if abs(float(l1.evaluate(e))) < _CHORD_END_TOL * scale]
+    off = [e for e in ends if abs(float(l1.evaluate(e))) >= _CHORD_END_TOL * scale]
     if len(on_l1) != 3 or len(off) != 3:
         raise DegenerateInstance("chord ends do not split into two lines")
     l2 = Line.through(hf, off[0])
     for e in off[1:]:
-        if abs(float(l2.evaluate(e))) > 1e-6 * scale:
+        if abs(float(l2.evaluate(e))) > _SECOND_LINE_TOL * scale:
             raise DegenerateInstance("chord ends do not split into two lines")
-    if abs(float(l1.a * l2.a + l1.b * l2.b)) > 1e-9:
+    if abs(float(l1.a * l2.a + l1.b * l2.b)) > DEFAULT_EPS:
         raise DegenerateInstance("recovered pair is not perpendicular")
     return (l1, l2)
 
@@ -279,7 +285,8 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
         v = Point(cf.x + sgn * half_r * float(ax.x) / n,
                   cf.y + sgn * half_r * float(ax.y) / n)
         tangent = Line.from_point_direction(v, Point(-float(ax.y), float(ax.x)))
-        if abs(float(env.conic.tangency_residual(tangent))) > 1e-6 * float(env.axis2):
+        residual = abs(float(env.conic.tangency_residual(tangent)))
+        if residual > _VERTEX_TANGENCY_TOL * float(env.axis2):
             return False
     return True
 
@@ -296,11 +303,11 @@ def df_parabola(inst: DFInstance) -> Parabola:
     Droz-Farny line."""
     refs = [reflect_point_in_line(inst.m, e) for e in inst.triangle.edges]
     directrix = Line.through(refs[0], refs[1])
-    if not directrix.contains(refs[2], 1e-9):
+    if not directrix.contains(refs[2], DEFAULT_EPS):
         raise IdentityViolated("reflections of M in the edges are not collinear")
-    if not directrix.contains(inst.orthocentre, 1e-9):
+    if not directrix.contains(inst.orthocentre, DEFAULT_EPS):
         raise IdentityViolated("directrix misses the orthocentre")
-    if directrix.contains(inst.m, 1e-9):
+    if directrix.contains(inst.m, DEFAULT_EPS):
         raise DegenerateInstance("focus on directrix")
     return Parabola(inst.m, directrix)
 
@@ -352,7 +359,7 @@ def equilateral_df_check() -> bool:
             Line.from_point_direction(h, d),
             Line.from_point_direction(h, Point(-d.y, d.x)),
         ))
-        if abs(abs(float(inst.df.evaluate(h))) - r) > 1e-9:
+        if abs(abs(float(inst.df.evaluate(h))) - r) > DEFAULT_EPS:
             return False
     return True
 
@@ -374,12 +381,12 @@ def miquel_point(tri: Sequence[Point], x: Point, y: Point, z: Point) -> Point:
     c3 = circumcircle(c, x, y)
     # c1 and c2 share z; the second intersection is the reflection of z in
     # the line of centres
-    if c1.center.close_to(c2.center, 1e-12):
+    if c1.center.close_to(c2.center, _COINCIDENCE_TOL):
         raise DegenerateInput("coincident circles")
     p = reflect_point_in_line(z, Line.through(c1.center, c2.center))
-    if p.close_to(z, 1e-12):
+    if p.close_to(z, _COINCIDENCE_TOL):
         p = z  # tangent circles: Miquel point is the shared point itself
-    if not c3.contains(p, 1e-9):
+    if not c3.contains(p, DEFAULT_EPS):
         raise IdentityViolated("circle CXY misses the Miquel point")
     return p
 
@@ -393,8 +400,8 @@ def theorem_r(tri: Sequence[Point], line: Line) -> Point:
         raise LineNotThroughOrthocentre("line must pass through the orthocentre")
     reflected = [reflect_line_in_line(line, e) for e in tri.edges]
     p = reflected[0].intersect(reflected[1])
-    if not reflected[2].contains(p, 1e-9):
+    if not reflected[2].contains(p, DEFAULT_EPS):
         raise IdentityViolated("reflected lines fail to concur")
-    if not tri.circumcircle.contains(p, 1e-9):
+    if not tri.circumcircle.contains(p, DEFAULT_EPS):
         raise IdentityViolated("concurrence point misses the circumcircle")
     return p

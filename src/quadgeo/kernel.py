@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -68,6 +68,10 @@ class PointNotOnEdgeLine(GeometryError):
     pass
 
 
+class PointNotOnCircumcircle(GeometryError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # scalar helpers
 # ---------------------------------------------------------------------------
@@ -93,6 +97,17 @@ def as_fraction(x: Number) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(x).limit_denominator(10**15)
+
+
+def primitive_integers(values: Sequence[Number]) -> Tuple[int, ...]:
+    """The coprime integers proportional to the rationals ``values``, the
+    first nonzero one positive."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = math.gcd(*ints) or 1
+    if next((n for n in ints if n), 0) < 0:
+        g = -g
+    return tuple(n // g for n in ints)
 
 
 def sqrt_scalar(x: Number) -> Number:

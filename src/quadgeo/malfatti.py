@@ -26,6 +26,7 @@ from .kernel import (
     Point,
     barycentric_collinear,
     foot_of_perpendicular,
+    primitive_integers,
     reflect_line_in_line,
 )
 from .quadrangle import Triangle
@@ -96,10 +97,6 @@ def _s_map(t: Fraction) -> Fraction:
     return (1 - t) / (1 + t)
 
 
-def _neg(t: Fraction) -> Fraction:
-    return -t
-
-
 def _rec(t: Fraction) -> Fraction:
     if t == 0:
         raise PoleEncountered("reciprocal of zero")
@@ -111,37 +108,60 @@ def extravert(state: State, flip: str) -> State:
     tangents (u,v,w) -> (-u, (1-v)/(1+v), (1-w)/(1+w)); B, C cyclically."""
     u, v, w = state
     if flip == "A":
-        return (_neg(u), _s_map(v), _s_map(w))
+        return (-u, _s_map(v), _s_map(w))
     if flip == "B":
-        return (_s_map(u), _neg(v), _s_map(w))
+        return (_s_map(u), -v, _s_map(w))
     if flip == "C":
-        return (_s_map(u), _s_map(v), _neg(w))
+        return (_s_map(u), _s_map(v), -w)
     raise ValueError(f"unknown flip {flip!r}")
 
 
-_ORDINARY: Dict[str, Tuple[Callable, Callable, Callable]] = {
-    "0": (lambda t: t, lambda t: t, lambda t: t),
-    "3": (lambda t: t, lambda t: -_rec(t), lambda t: -_rec(t)),
-    "5": (lambda t: -_rec(t), lambda t: t, lambda t: -_rec(t)),
-    "6": (lambda t: -_rec(t), lambda t: -_rec(t), lambda t: t),
-    "7": (_rec, _rec, _rec),
-    "4": (_rec, _neg, _neg),
-    "2": (_neg, _rec, _neg),
-    "1": (_neg, _neg, _rec),
+#: a solution label (σ, i, j, k): the solution σ·(g_i(u), g_j(v), g_k(w))
+SolutionLabel = Tuple[int, int, int, int]
+
+
+def _ordinary_label(n: int) -> SolutionLabel:
+    """Ordinary solution n: (i, j, k) = 2·(the 4-, 2- and 1-bits of n) and
+    σ = (-1)^popcount(n)."""
+    return (-1) ** bin(n).count("1"), 2 * (n >> 2 & 1), 2 * (n >> 1 & 1), 2 * (n & 1)
+
+
+def _flip_label(label: SolutionLabel, pos: int) -> SolutionLabel:
+    """The A-flip (pos 0) maps (σ; i, j, k) to (-σ; i, j-σ, k-σ) mod 4; the
+    B- and C-flips are the same rule, cyclically."""
+    sigma, *digits = label
+    return (-sigma, *((d if p == pos else d - sigma) % 4 for p, d in enumerate(digits)))
+
+
+#: the 32 solutions: ordinary n = 0..7, and n with suffix a, b or c for the
+#: A-, B- or C-flip of ordinary solution n
+SOLUTION_LABELS: Dict[str, SolutionLabel] = {
+    f"{n}{suffix}": (
+        _flip_label(_ordinary_label(n), "abc".index(suffix))
+        if suffix
+        else _ordinary_label(n)
+    )
+    for n in range(8)
+    for suffix in ("", "a", "b", "c")
+}
+_NAMES = {label: name for name, label in SOLUTION_LABELS.items()}
+#: _FLIPPED[f][name]: the solution that the f-flip takes solution ``name`` to
+_FLIPPED: Dict[str, Dict[str, str]] = {
+    f: {name: _NAMES[_flip_label(lab, pos)] for name, lab in SOLUTION_LABELS.items()}
+    for pos, f in enumerate("ABC")
 }
 
 
 def solution_states(state: State) -> Dict[str, State]:
-    """The 32 Malfatti solutions: 8 ordinary (labelled 0..7) and 24 flipped
-    (suffix a, b, c for an A-, B- or C-flip of the ordinary solution)."""
-    assert_valid(state)
-    out: Dict[str, State] = {}
-    for digit, (fu, fv, fw) in _ORDINARY.items():
-        s = (fu(state[0]), fv(state[1]), fw(state[2]))
-        out[digit] = s
-        for suffix, flip in (("a", "A"), ("b", "B"), ("c", "C")):
-            out[digit + suffix] = extravert(s, flip)
-    return out
+    """The 32 Malfatti solutions by name (see ``SOLUTION_LABELS``): solution
+    (σ; i, j, k) is σ·(G[0][i], G[1][j], G[2][k]) in the component table
+    G[pos][d] = g_d(state[pos]).  IdentityViolated off the closure identity;
+    PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    g = _component_table(assert_valid(state), lambda t: t)
+    return {
+        name: (sigma * g[0][i], sigma * g[1][j], sigma * g[2][k])
+        for name, (sigma, i, j, k) in SOLUTION_LABELS.items()
+    }
 
 
 def orbit(state: State) -> List[State]:
@@ -168,31 +188,19 @@ class GroupAuditReport:
     order_four: Tuple[str, ...]
 
 
-_GENERIC_STATE: State = (Fraction(2, 9), Fraction(1, 4), Fraction(1, 3))
-
-
-def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
-    """The extraversion group as permutations of the 32 solutions:
-    A² = B² = C² = (ABC)² = (BC)⁴ = (CA)⁴ = (AB)⁴ = I and ABC = CBA;
-    order 32; centre = the evil solutions {0, 3, 5, 6}; 19 involutions."""
-    labels = solution_states(state)
-    index = {s: lab for lab, s in labels.items()}
-    if len(index) != 32:
-        raise DegenerateInput("state orbit is degenerate")
-    order_list = sorted(labels)
-
-    def perm_of(flip: str) -> Tuple[int, ...]:
-        return tuple(
-            order_list.index(index[extravert(labels[lab], flip)])
-            for lab in order_list
-        )
-
+def _extraversion_group() -> GroupAuditReport:
+    """The group that the three flips of the labels generate, as
+    permutations of the 32 solution names."""
+    names = sorted(SOLUTION_LABELS)
     identity = tuple(range(32))
 
     def compose(p, q):  # apply q then p
         return tuple(p[q[i]] for i in range(32))
 
-    gens = {f: perm_of(f) for f in "ABC"}
+    gens = {
+        f: tuple(names.index(image[name]) for name in names)
+        for f, image in _FLIPPED.items()
+    }
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -219,10 +227,10 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
 
     # the regular action identifies elements with solutions: g <-> g applied
     # to solution 0
-    base = order_list.index("0")
+    base = names.index("0")
     centre_labels = tuple(
         sorted(
-            order_list[p[base]]
+            names[p[base]]
             for p in elements
             if all(compose(p, g) == compose(g, p) for g in gens.values())
         )
@@ -232,7 +240,7 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
     )
     order4 = tuple(
         sorted(
-            order_list[p[base]]
+            names[p[base]]
             for p in elements
             if compose(p, p) != identity
             and compose(compose(p, p), compose(p, p)) == identity
@@ -241,6 +249,29 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
     return GroupAuditReport(
         len(elements), relations, abc_cba, centre_labels, involutions, order4
     )
+
+
+_GROUP = _extraversion_group()
+_GENERIC_STATE: State = (Fraction(2, 9), Fraction(1, 4), Fraction(1, 3))
+
+
+def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
+    """The extraversion group as permutations of the 32 solutions:
+    A² = B² = C² = (ABC)² = (BC)⁴ = (CA)⁴ = (AB)⁴ = I and ABC = CBA;
+    order 32; centre = the evil solutions {0, 3, 5, 6}; 19 involutions.
+    The group is read off the labels once.  Per state, DegenerateInput
+    unless the 32 solutions are distinct, and IdentityViolated unless
+    ``extravert`` maps each solution to the one its flipped label names."""
+    sols = solution_states(state)
+    if len(set(sols.values())) != 32:
+        raise DegenerateInput("state orbit is degenerate")
+    for name, s in sols.items():
+        for f, image in _FLIPPED.items():
+            if extravert(s, f) != sols[image[name]]:
+                raise IdentityViolated(
+                    f"{f}-flip of solution {name} is not solution {image[name]}"
+                )
+    return _GROUP
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +303,6 @@ def radcoord(t: Fraction) -> Fraction:
 def zerocoord(t: Fraction) -> Fraction:
     """Barycentric component of the 0-point family: t/(1+t²)."""
     return t / (1 + t * t)
-
-
-# shape functions I, R, S, T and their negatives (Table of radcoords)
-SHAPES: Dict[str, Callable[[Fraction], Fraction]] = {
-    "I": lambda x: radcoord(x),
-    "i": lambda x: -radcoord(x),
-    "R": lambda x: -radcoord(-_rec(x)),
-    "r": lambda x: radcoord(-_rec(x)),
-    "S": lambda x: radcoord(_s_map(x)),
-    "s": lambda x: -radcoord(_s_map(x)),
-    "T": lambda x: radcoord(_g(1, x)),
-    "t": lambda x: -radcoord(_g(1, x)),
-}
 
 
 def point_coords(label: Tuple[int, int, int], state: State) -> Barycentric:
@@ -331,27 +349,10 @@ def all_oddpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
     }
 
 
-def _solution_radpoint(s: State) -> Barycentric:
-    return Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
-
-
 def radpoint_of_solution(label: str, state: State) -> Barycentric:
-    """Radical centre of a solution's circle triple: the radcoord transform
-    of the solution's own quarter-angle tangents."""
-    return _solution_radpoint(solution_states(state)[label])
-
-
-def solution_digit_map(state: State = _GENERIC_STATE) -> Dict[str, Tuple[int, int, int]]:
-    """Bijection between the 32 solution labels and the 32 ⟨ijk⟩ radpoints."""
-    rads = all_radpoints(state)
-    out: Dict[str, Tuple[int, int, int]] = {}
-    for lab, s in solution_states(state).items():
-        p = _solution_radpoint(s)
-        matches = [ijk for ijk, q in rads.items() if p.same_point(q)]
-        if len(matches) != 1:
-            raise DegenerateInput(f"solution {lab} matches {len(matches)} radpoints")
-        out[lab] = matches[0]
-    return out
+    """Radical centre of a solution's circle triple: the radpoint ⟨ijk⟩ of
+    its label (σ; i, j, k), since radcoord is odd."""
+    return point_coords(SOLUTION_LABELS[label][1:], assert_valid(state))
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +521,10 @@ def pegs(state: State) -> List[GuyLine]:
     return out
 
 
-def vertical_guyline_equation(
-    vertex: str, p: Barycentric, state: State
-) -> Tuple[Fraction, Fraction, Fraction]:
-    """Join of a vertex and a point, normalized to integer coefficients."""
-    line = _join(_VERTICES[vertex], p)
-    nums = [c for c in line if c != 0]
-    if not nums:
-        raise DegenerateInput("vertex coincides with the point")
-    den = 1
-    for c in nums:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c * den for c in line]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(int(c)))
-    ints = [int(c) // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+def vertical_guyline_equation(vertex: str, p: Barycentric) -> Tuple[int, int, int]:
+    """Join of a vertex and a point as coprime integer coefficients, the
+    first nonzero one positive."""
+    return primitive_integers(_join(_VERTICES[vertex], p))
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +541,15 @@ class LabelAuditReport:
     lines_checked: int
     nim_sum_boxes_ok: bool
     example_536: Tuple[str, str, str]
-    digit_map_size: int
 
 
 def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
     """Audits the evil-digit labelling ``rfq``: line rfq passes through the
     vertex/Nagel point r and the radpoints of solutions q·f and (q⊕σ)·f with
-    σ = 7 ⊕ r ⊕ f, checked by exact incidence."""
-    sols = solution_states(state)
+    σ = 7 ⊕ r ⊕ f, checked by exact incidence.  A solution's radpoint is
+    read from the component table R[pos][d] = radcoord(g_d(state[pos])) at
+    the digits (i, j, k) of its label."""
+    rc = _component_table(assert_valid(state), radcoord)
     nagels = nagel_points(state)
     checked = 0
     ok = True
@@ -576,9 +562,10 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
             for q in _EVIL:
                 lab1 = f"{q}{suffix}"
                 lab2 = f"{q ^ sigma}{suffix}"
-                p1 = _solution_radpoint(sols[lab1])
-                p2 = _solution_radpoint(sols[lab2])
-                line = _join(p1, p2)
+                line = _join(
+                    _at(rc, SOLUTION_LABELS[lab1][1:]),
+                    _at(rc, SOLUTION_LABELS[lab2][1:]),
+                )
                 through = (
                     nagels[flip] if row == "N" else _VERTICES[row]
                 )
@@ -587,7 +574,7 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
                 checked += 1
                 if row == "B" and f == 3 and q == 6:
                     example = ("536", lab1, lab2)
-    return LabelAuditReport(checked, ok, example, len(solution_digit_map(state)))
+    return LabelAuditReport(checked, ok, example)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .kernel import (
     Point,
     circumcircle,
     collinear,
+    primitive_integers,
     reflect_line_in_line,
     reflect_point_in_line,
 )
@@ -519,17 +520,6 @@ class RationalMorleyReport:
     rational_variants: Dict[Tuple[int, int, int], Fraction]
 
 
-def _normalize_integer(edges: Sequence[Fraction]) -> Tuple[int, ...]:
-    lcm = 1
-    for e in edges:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in edges]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return tuple(v // g for v in ints) if g else tuple(ints)
-
-
 def rational_morley(family: str, params) -> RationalMorleyReport:
     """Rational-edged triangles with rational Morley triangles: the
     one-parameter Pythagorean family (exactly 2 of the 18 rational) or the
@@ -556,7 +546,7 @@ def rational_morley(family: str, params) -> RationalMorleyReport:
     s = sorted(edges)
     if s[0] + s[1] <= s[2]:
         raise InvalidParameters("edges violate the triangle inequality")
-    ints = _normalize_integer(edges)
+    ints = primitive_integers(edges)
     si = sorted(ints)
     pyth = si[0] ** 2 + si[1] ** 2 == si[2] ** 2
     return RationalMorleyReport(

@@ -189,10 +189,6 @@ def _is_acute(tri: Sequence[Point]) -> bool:
     return all(d > 0 for d in _vertex_dots(*tri))
 
 
-def twin(q: LabeledQuadrangle) -> LabeledQuadrangle:
-    return q.twin_quadrangle()
-
-
 @dataclass(frozen=True)
 class EulerRange:
     orthocentre: Point

@@ -32,7 +32,7 @@ from .kernel import (
     reflect_line_in_line,
     tangency_classify,
 )
-from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle, twin
+from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle
 
 
 class NotATriangle(GeometryError):
@@ -124,7 +124,7 @@ def feuerbach_verify(q: LabeledQuadrangle) -> FeuerbachReport:
     """Tangency of all 32 touch-circles (4 faces × 2 twins × 4 circles) to
     the Central Circle, via the exact squared identity."""
     entries = []
-    for quad, bar in ((q, ""), (twin(q), "~")):
+    for quad, bar in ((q, ""), (q.twin_quadrangle(), "~")):
         for label in LABELS:
             for tc in touch_circles(quad.face(label), triangle_label=f"{label}{bar}"):
                 kind = tangency_classify(tc.circle, q.central_circle)

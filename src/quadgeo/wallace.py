@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
+    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -22,6 +23,7 @@ from .kernel import (
     Line,
     Number,
     Point,
+    PointNotOnCircumcircle,
     circle_from_diameter,
     collinear,
     divide,
@@ -31,10 +33,6 @@ from .kernel import (
     sqrt_scalar,
 )
 from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle
-
-
-class PointNotOnCircumcircle(GeometryError):
-    pass
 
 
 class ZeroParameter(GeometryError):
@@ -384,6 +382,10 @@ def deltoid_tangency_check(t: Number) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: distance off the circumcircle allowed for star_of_david's float sources, times r²
+_STAR_SOURCE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class StarOfDavid:
     tangent_lines: List[Line]
@@ -409,7 +411,7 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
 
     def wl(theta: float) -> Line:
         s = Point(cx + rad * math.cos(theta), cy + rad * math.sin(theta))
-        return wallace_line(tri, s, eps=1e-6 * rad * rad).line
+        return wallace_line(tri, s, eps=_STAR_SOURCE_TOL * rad * rad).line
 
     neg_abc = -math.prod(complex(p.x - cx, p.y - cy) / rad for p in tri)
     thetas = sorted(
@@ -518,9 +520,9 @@ def fit_triangle(circle: Circle, p: Point, line: Line, a: Point) -> FitTriangleD
     f_c, f_b = feet
     b = second_intersection(circle, a, f_c - a)
     c = second_intersection(circle, a, f_b - a)
-    wd = wallace_line((a, b, c), p, eps=1e-9 * float(circle.r2))
+    wd = wallace_line((a, b, c), p, eps=DEFAULT_EPS * float(circle.r2))
     if wd.line != line and not (
-        wd.line.contains(f_b, eps=1e-9) and wd.line.contains(f_c, eps=1e-9)
+        wd.line.contains(f_b, DEFAULT_EPS) and wd.line.contains(f_c, DEFAULT_EPS)
     ):
         raise DegenerateInput("constructed triangle has a different Wallace line")
     return FitTriangleData((a, b, c), wd)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from quadgeo import cli_figures, drozfarny, malfatti, morley, touch, wallace
-from quadgeo.cli_figures import build_scene, render_svg, run_suite
+from quadgeo.cli_figures import build_scene, render_svg
 from quadgeo.kernel import (
     Line,
     Point,
@@ -174,7 +174,7 @@ def test_ac9_malfatti_algebra():
     ok = True
     for lab in ("3b", "2b"):
         p = malfatti.radpoint_of_solution(lab, state)
-        ok = ok and malfatti.vertical_guyline_equation("A", p, state) == (0, 17, 50)
+        ok = ok and malfatti.vertical_guyline_equation("A", p) == (0, 17, 50)
     gl = malfatti.guylines(state)       # exact incidences asserted inside
     pg = malfatti.pegs(state)
     ok = ok and sum(1 for g in gl if g.kind == "vertical") == 48

@@ -5,7 +5,10 @@ its own test calls cannot hide from ``quadgeo verify``.
 The scan is by name: a definition counts as reached when its name appears
 as an ``ast.Name`` or ``ast.Attribute`` anywhere in ``src/quadgeo`` outside
 its own body, or anywhere in ``perfbench/``.  Click commands are reached
-through the command-line group."""
+through the command-line group.
+
+No module of the package or of the tests imports a name it never uses;
+no linter is installed, so the same ``ast`` scan checks that too."""
 
 import ast
 import pathlib
@@ -72,3 +75,21 @@ def unreached():
 
 def test_every_public_definition_is_reached():
     assert unreached() == sorted(ALLOWED)
+
+
+def unused_imports(path):
+    """Names that ``path`` imports (``__future__`` aside) but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = {p.relative_to(ROOT).as_posix(): unused_imports(p) for p in paths}
+    assert {p: names for p, names in found.items() if names} == {}

@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from quadgeo.cli import main
 from quadgeo.cli_figures import (
-    RECIPES,
     SUITES,
     Scene,
     UnknownFixture,

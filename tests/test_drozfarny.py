@@ -1,13 +1,12 @@
 """Droz-Farny line, converse, envelope conic, inscribed parabola, locus
 theorems, and the Miquel / reflected-line background results."""
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from quadgeo import drozfarny
+from quadgeo import drozfarny, wallace
 from quadgeo.drozfarny import (
     DegenerateChoice,
     EdgeParallel,
@@ -28,7 +27,6 @@ from quadgeo.drozfarny import (
     verify_instance,
 )
 from quadgeo.kernel import (
-    Circle,
     IdentityViolated,
     Line,
     Point,
@@ -156,6 +154,11 @@ class TestConverse:
 
     def test_not_on_circumcircle(self):
         with pytest.raises(PointNotOnCircumcircle):
+            df_converse(TRI, Point(F(0), F(0)))
+
+    def test_not_on_circumcircle_is_one_error_class(self):
+        # a caller catching the Wallace error also catches the converse's
+        with pytest.raises(wallace.PointNotOnCircumcircle):
             df_converse(TRI, Point(F(0), F(0)))
 
     def test_degenerate_choice(self):

@@ -1,7 +1,6 @@
 """Quarter-angle algebra, the 32-solution group, radpoint/guyline
 incidences, and the Malfatti circle construction."""
 
-import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -16,7 +15,7 @@ from quadgeo.malfatti import (
     GuyLine,
     IdentityViolated,
     PoleEncountered,
-    SHAPES,
+    SOLUTION_LABELS,
     ZERO_POINT_LABELS,
     _g,
     _join,
@@ -37,7 +36,6 @@ from quadgeo.malfatti import (
     quarter_angles,
     radcoord,
     radpoint_of_solution,
-    solution_digit_map,
     solution_states,
     validate,
     variant_contact_circle,
@@ -49,6 +47,30 @@ from quadgeo.malfatti import (
 )
 
 STATE = (F(2, 9), F(1, 4), F(1, 3))
+
+
+def oracle_solution_states(state):
+    """The 32 solutions built one by one: the eight ordinary ones from their
+    own transforms of u, v, w, each with its three flips by ``extravert``."""
+    rec, neg = malfatti._rec, (lambda t: -t)
+    ordinary = {
+        "0": (lambda t: t, lambda t: t, lambda t: t),
+        "3": (lambda t: t, lambda t: -rec(t), lambda t: -rec(t)),
+        "5": (lambda t: -rec(t), lambda t: t, lambda t: -rec(t)),
+        "6": (lambda t: -rec(t), lambda t: -rec(t), lambda t: t),
+        "7": (rec, rec, rec),
+        "4": (rec, neg, neg),
+        "2": (neg, rec, neg),
+        "1": (neg, neg, rec),
+    }
+    malfatti.assert_valid(state)
+    out = {}
+    for digit, fns in ordinary.items():
+        s = tuple(f(t) for f, t in zip(fns, state))
+        out[digit] = s
+        for suffix, flip in zip("abc", "ABC"):
+            out[digit + suffix] = extravert(s, flip)
+    return out
 
 
 def random_state(rng):
@@ -126,6 +148,31 @@ class TestExtraversion:
             assert validate(*s)
         assert set(sols.values()) == set(orbit(STATE))
 
+    def test_solution_states_equal_oracle(self):
+        # small v, w often put u, v or w on a pole 0, 1 or -1
+        rng = random.Random(13)
+        states = [STATE]
+        while len(states) < 201:
+            v = F(rng.randint(-4, 4), rng.randint(1, 4))
+            w = F(rng.randint(-4, 4), rng.randint(1, 4))
+            try:
+                states.append(complete_state(v, w))
+            except PoleEncountered:
+                continue
+        poles = 0
+        for s in states:
+            try:
+                want = oracle_solution_states(s)
+            except PoleEncountered:
+                poles += 1
+                with pytest.raises(PoleEncountered):
+                    solution_states(s)
+                continue
+            got = solution_states(s)
+            assert got == want
+            assert all(type(t) is F for sol in got.values() for t in sol)
+        assert 0 < poles < len(states)
+
     def test_random_orbits(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -150,6 +197,19 @@ class TestGroupAudit:
             rep = group_audit(random_state(rng))
             assert rep.order == 32 and rep.relations_hold
 
+    def test_flip_that_misses_its_label_raises(self, monkeypatch):
+        sols = solution_states(STATE)
+        swap = {sols["1"]: sols["2"], sols["2"]: sols["1"]}
+        real = malfatti.extravert
+
+        def swapped(state, flip):
+            t = real(state, flip)
+            return swap.get(t, t)
+
+        monkeypatch.setattr(malfatti, "extravert", swapped)
+        with pytest.raises(IdentityViolated, match="flip"):
+            group_audit(STATE)
+
 
 class TestRadpoints:
     def test_fundamental_radpoint(self):
@@ -171,15 +231,21 @@ class TestRadpoints:
             for q in pts[i + 1:]:
                 assert not p.same_point(q)
 
+    def test_shape_sign_pairs(self):
+        # radcoord is odd: each shape I, R, S, T has its negative i, r, s, t
+        # at the negated tangent, so a solution's sign σ leaves its radpoint
+        u, _, _ = STATE
+        for t in (u, -1 / u, (1 - u) / (1 + u), (1 + u) / (1 - u)):
+            assert radcoord(-t) == -radcoord(t)
+
     def test_solution_seven_shape(self):
         u, v, w = STATE
         p = radpoint_of_solution("7", STATE)
-        assert p.same_point(
-            Barycentric(SHAPES["R"](u), SHAPES["R"](v), SHAPES["R"](w))
-        )
+        shape_r = lambda t: -radcoord(-1 / t)
+        assert p.same_point(Barycentric(shape_r(u), shape_r(v), shape_r(w)))
 
     def test_solution_digit_bijection(self):
-        dm = solution_digit_map(STATE)
+        dm = {name: label[1:] for name, label in SOLUTION_LABELS.items()}
         assert len(dm) == 32
         assert len(set(dm.values())) == 32
         assert dm["0"] == (0, 0, 0)
@@ -188,32 +254,18 @@ class TestRadpoints:
             assert sum(ijk) % 2 == 0
 
     def test_solution_digit_map_matches_per_label_reference(self):
-        # the label-by-label construction: rebuild the 32 states per label
+        # the search the label table replaces: each solution's radical centre
+        # matched to the one radpoint it is the same point as
+        dm = {name: label[1:] for name, label in SOLUTION_LABELS.items()}
         rng = random.Random(41)
-        for s in [STATE] + [random_state(rng) for _ in range(3)]:
+        for s in [STATE] + [random_state(rng) for _ in range(10)]:
             rads = all_radpoints(s)
             ref = {}
-            for lab in solution_states(s):
-                p = radpoint_of_solution(lab, s)
+            for lab, sol in oracle_solution_states(s).items():
+                p = Barycentric(*map(radcoord, sol))
                 (ref[lab],) = [ijk for ijk, q in rads.items() if p.same_point(q)]
-            assert solution_digit_map(s) == ref
-
-    def test_solution_digit_map_builds_states_once(self, monkeypatch):
-        calls = []
-        real = malfatti.solution_states
-
-        def counted(state):
-            calls.append(state)
-            return real(state)
-
-        monkeypatch.setattr(malfatti, "solution_states", counted)
-        solution_digit_map(STATE)
-        assert len(calls) == 1
-
-    def test_shape_sign_pairs(self):
-        u, _, _ = STATE
-        for big, small in (("I", "i"), ("R", "r"), ("S", "s"), ("T", "t")):
-            assert SHAPES[big](u) == -SHAPES[small](u)
+                assert radpoint_of_solution(lab, s).same_point(p)
+            assert dm == ref
 
 
 class TestNagelGergonne:
@@ -260,7 +312,7 @@ class TestGuylines:
         for lab in ("3b", "2b"):
             s = sols[lab]
             p = Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
-            assert vertical_guyline_equation("A", p, STATE) == (0, 17, 50)
+            assert vertical_guyline_equation("A", p) == (0, 17, 50)
 
     def test_random_states(self):
         rng = random.Random(17)
@@ -401,7 +453,7 @@ class TestLabelAudit:
         rep = label_audit(STATE)
         assert rep.lines_checked == 64
         assert rep.nim_sum_boxes_ok
-        assert rep.digit_map_size == 32
+        assert len({label[1:] for label in SOLUTION_LABELS.values()}) == 32
 
     def test_example_536(self):
         rep = label_audit(STATE)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadgeo import drozfarny, quadrangle, touch, wallace
-from quadgeo.kernel import Line, Point, cross_ratio, DegenerateInput
+from quadgeo.kernel import Line, Point, DegenerateInput
 from quadgeo.quadrangle import (
     LABELS,
     AmbiguousLabeling,
@@ -19,7 +19,6 @@ from quadgeo.quadrangle import (
     quadrate,
     quadration_edges,
     triangle_metrics,
-    twin,
 )
 
 F = Fraction
@@ -76,7 +75,7 @@ class TestQuadrate:
         from quadgeo.kernel import circumcircle
 
         radii = set()
-        for qq in (q, twin(q)):
+        for qq in (q, q.twin_quadrangle()):
             for l in LABELS:
                 radii.add(circumcircle(*qq.face(l)).r2)
         assert radii == {F(28900)}
@@ -87,7 +86,7 @@ class TestTwin:
         assert q.twins[1] == Point(F(-36), F(-103))
 
     def test_involution(self, q):
-        assert twin(twin(q)) == q
+        assert q.twin_quadrangle().twin_quadrangle() == q
 
     def test_circumcentre_is_twin(self, q):
         from quadgeo.kernel import circumcircle

@@ -14,7 +14,6 @@ from quadgeo.kernel import (
     Point,
     Tangency,
     circumcircle,
-    collinear,
     foot_of_perpendicular,
     tangency_classify,
 )
