@@ -18,7 +18,6 @@ from .kernel import (
     Line,
     Point,
     Tangency,
-    collinear,
     foot_of_perpendicular,
     format_scalar,
     reflect_point_in_line,
@@ -682,16 +681,22 @@ def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
     )
 
 
+#: relative side spread below which a star-of-David triangle is equilateral
+_STAR_EQUILATERAL_TOL = 1e-12
+
+
 def _suite_deltoid(rng, count) -> Iterator[Check]:
     for _ in range(count):
         t = F(rng.randint(1, 400), rng.randint(1, 400))
         yield Check(wallace.deltoid_tangency_check(t), f"deltoid t={t}")
     star = wallace.star_of_david(fixture_quadrangle("t0"))
     for tri in star.triangles:
+        resid = morley.equilateral_residual(tri)
         yield Check(
-            wallace.is_equilateral(tri),
-            "star-of-David triangle is not equilateral",
+            resid <= _STAR_EQUILATERAL_TOL,
+            f"star-of-David triangle side spread {resid}",
             exact=False,
+            residual=resid,
         )
 
 
@@ -716,8 +721,7 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
             continue
         audit = drozfarny.parabola_tangency_audit(inst)
         ok = (
-            collinear(*inst.midpoints)
-            and drozfarny.verify_instance(inst)
+            drozfarny.verify_instance(inst)
             and q.central_circle.contains(
                 foot_of_perpendicular(h, inst.df)
             )
@@ -927,6 +931,24 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
     )
 
 
+def _thrice_sixteen_holds(rep: morley.ThriceSixteenReport) -> bool:
+    return (
+        len(rep.centers) == 16
+        and rep.midpoint_pairs == 12
+        and rep.latin_square
+        and rep.circumcentres_reflect
+        and rep.circumcircles_congruent
+    )
+
+
+def _square_on_unit_circle(t: Fraction) -> Point:
+    """z = w² for the rational point w = ((1−t²)/(1+t²), 2t/(1+t²)) of the
+    unit circle: every chord between two such points is rational."""
+    d = 1 + t * t
+    x, y = (1 - t * t) / d, 2 * t / d
+    return Point(x * x - y * y, 2 * x * y)
+
+
 def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
     for _ in range(count):
         while True:
@@ -938,14 +960,24 @@ def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
         r = rng.uniform(3, 20)
         quad = [Point(r * math.cos(t), r * math.sin(t)) for t in ths]
         rep = morley.thrice_sixteen(quad)
-        ok = (
-            len(rep.centers) == 16
-            and rep.midpoint_pairs == 12
-            and rep.latin_square
-            and rep.circumcentres_reflect
-            and rep.circumcircles_congruent
+        yield Check(_thrice_sixteen_holds(rep), "thrice-sixteen failure", exact=False)
+    # exact quadrangles: their 16 centres are rational, every check an identity
+    done = 0
+    while done < count // 10:
+        ts = [
+            F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
+            for _ in range(4)
+        ]
+        quad = [_square_on_unit_circle(t) for t in ts]
+        if len(set(quad)) < 4:
+            continue
+        rep = morley.thrice_sixteen(quad)
+        yield Check(
+            _thrice_sixteen_holds(rep)
+            and all(p.is_exact() for p in rep.centers.values()),
+            f"exact thrice-sixteen failure at t={', '.join(map(str, ts))}",
         )
-        yield Check(ok, "thrice-sixteen failure", exact=False)
+        done += 1
 
 
 def _suite_hexaflex(rng, count) -> Iterator[Check]:

@@ -117,17 +117,14 @@ def df_line(tri: Sequence[Point], pair: Tuple[Line, Line]) -> DFInstance:
 
 
 def verify_instance(inst: DFInstance) -> bool:
-    """Both constructions of the line agree, M is on the circumcircle, and
-    the midpoint circles through H are coaxal through M."""
-    if not inst.triangle.circumcircle.contains(inst.m):
-        return False
-    pb = perpendicular_bisector(inst.orthocentre, inst.m)
-    for p in inst.midpoints:
-        if not pb.contains(p):
-            return False
-        if p.dist2(inst.orthocentre) != p.dist2(inst.m):
-            return False
-    return True
+    """Both constructions of the line agree: each chord midpoint is as far
+    from M as from H, so the line through the midpoints is the bisector of
+    HM and the midpoint circles through H are coaxal through M.  (M on the
+    circumcircle is the audit key
+    ``edge_triangle_circumcircle_through_focus``, and the midpoints'
+    collinearity is checked by ``df_line``.)"""
+    h, m = inst.orthocentre, inst.m
+    return all(p.dist2(h) == p.dist2(m) for p in inst.midpoints)
 
 
 # ---------------------------------------------------------------------------

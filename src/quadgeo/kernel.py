@@ -277,8 +277,9 @@ class Line:
             return None
         return divide(-self.a, self.b)
 
-    def is_parallel(self, other: "Line") -> bool:
-        return self.a * other.b - self.b * other.a == 0
+    def is_parallel(self, other: "Line", eps: float = 0.0) -> bool:
+        v = self.a * other.b - self.b * other.a
+        return v == 0 if eps == 0.0 or not isinstance(v, float) else abs(v) <= eps
 
     def is_perpendicular(self, other: "Line", eps: float = 0.0) -> bool:
         v = self.a * other.a + self.b * other.b

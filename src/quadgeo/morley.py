@@ -6,6 +6,10 @@ angles runs on the float backend with fixed tolerances scaled from
 ``DEFAULT_EPS``; statements about rational edge *lengths* (the Pythagorean
 and two-parameter families, the 1001-jigsaw) are checked exactly, working
 in Q(√3) where sines of the relevant angles are √3 times a rational.
+Thrice Sixteen is field-generic: exact input whose chords are rational
+(vertices w² for rational points w of a circle) keeps all 16 centres
+rational and every check exact, and float input keeps the float
+tolerances.
 """
 
 from __future__ import annotations
@@ -23,14 +27,18 @@ from .kernel import (
     GeometryError,
     IdentityViolated,
     Line,
+    Number,
     Point,
     circumcircle,
     collinear,
+    is_exact,
     primitive_integers,
     reflect_line_in_line,
     reflect_point_in_line,
+    sqrt_scalar,
 )
 from .quadrangle import as_triangle, orthocentre
+from .touch import touch_circles
 
 
 class InvalidParameters(GeometryError):
@@ -145,10 +153,6 @@ def lighthouse(
     return LighthouseConfig(
         b, c, beta, gamma, n, grid, ngons, circles, beams_b, beams_c, parallel
     )
-
-
-def _parallel_float(l1: Line, l2: Line) -> bool:
-    return abs(float(l1.a * l2.b - l1.b * l2.a)) < DEFAULT_EPS * 100
 
 
 def ngon_is_regular(gon: Sequence[Point]) -> bool:
@@ -625,7 +629,6 @@ class Sqrt3Angle:
 
 
 SIXTY = Sqrt3Angle(Fraction(1, 2), Fraction(1, 2))
-STRAIGHT = Sqrt3Angle(Fraction(-1), Fraction(0))
 FULL = Sqrt3Angle(Fraction(1), Fraction(0))
 
 
@@ -635,12 +638,7 @@ def triangle_angles_sqrt3(
     """Exact angles of an integer triangle whose squared area is 3 times a
     rational square (so each sine is √3 times a rational)."""
     a, b, c = (Fraction(e) for e in edges)
-    sq16 = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)  # 16Δ²
-    t = sq16 / 3
-    root = _fraction_sqrt(t)
-    if root is None:
-        raise InvalidParameters("area is not a rational multiple of √3")
-    area_s = root / 4  # Δ = area_s·√3
+    area_s = _sqrt3_area(edges)
     out = []
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         cos_x = (y * y + z * z - x * x) / (2 * y * z)
@@ -649,14 +647,18 @@ def triangle_angles_sqrt3(
     return tuple(out)
 
 
-def _fraction_sqrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num == f.numerator and den * den == f.denominator:
-        return Fraction(num, den)
-    return None
+def _sqrt3_area(edges: Sequence[int]) -> Fraction:
+    """The rational s with s·√3 the area of the triangle with these edges
+    (Heron: 16Δ² = 48s²); InvalidParameters if the area is not positive or
+    not a rational multiple of √3."""
+    a, b, c = (Fraction(e) for e in edges)
+    sq16 = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)  # 16Δ²
+    if sq16 <= 0:
+        raise InvalidParameters("edges give no triangle of positive area")
+    root = sqrt_scalar(sq16 / 3)
+    if not is_exact(root):
+        raise InvalidParameters("area is not a rational multiple of √3")
+    return root / 4
 
 
 JIGSAW_EQUILATERAL = 1001
@@ -685,18 +687,10 @@ def jigsaw_check() -> JigsawReport:
     assembled = tuple(max(t) for t in JIGSAW_OUTER)
 
     # area: Δ(assembled) = Δ(equilateral) + Σ Δ(pieces), all as s·√3
-    def area_s(edges: Sequence[int]) -> Fraction:
-        a, b, c = (Fraction(e) for e in edges)
-        sq16 = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-        root = _fraction_sqrt(sq16 / 3)
-        if root is None:
-            raise InvalidParameters("non-√3 area in jigsaw")
-        return root / 4
-
     total = m * m / 4  # Δ_eq = (√3/4)·1001², recorded as s with Δ = s·√3
     for t in JIGSAW_INNER + JIGSAW_OUTER:
-        total += area_s(t)
-    area_ok = total == area_s(assembled)
+        total += _sqrt3_area(t)
+    area_ok = total == _sqrt3_area(assembled)
 
     # each inner angle opposite 1001 is 60° more than an outer piece angle:
     # around each vertex of the equilateral, 60° + two inner angles + one
@@ -788,24 +782,6 @@ class ThriceSixteenReport:
     circumcircles_congruent: bool
 
 
-def _in_excentres(tri: Sequence[Point]) -> List[Point]:
-    """Incentre followed by the three excentres (opposite each vertex)."""
-    p, q, r = tri
-    a = math.hypot(float(q.x - r.x), float(q.y - r.y))
-    b = math.hypot(float(r.x - p.x), float(r.y - p.y))
-    c = math.hypot(float(p.x - q.x), float(p.y - q.y))
-    out = []
-    for sa, sb, sc in ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)):
-        s = sa + sb + sc
-        out.append(
-            Point(
-                (sa * float(p.x) + sb * float(q.x) + sc * float(r.x)) / s,
-                (sa * float(p.y) + sb * float(q.y) + sc * float(r.y)) / s,
-            )
-        )
-    return out
-
-
 # The 8 lines of the Thrice Sixteen grid, in two perpendicular families of
 # four parallels, over the vertices numbered 0..3 counterclockwise about
 # their circumcentre: "ab" is the incentre of the triangle omitting vertex a
@@ -814,6 +790,16 @@ _GRID = (
     ("00 10 23 33", "01 11 22 32", "02 12 21 31", "03 13 20 30"),
     ("00 11 21 30", "01 10 20 31", "02 13 23 32", "03 12 22 33"),
 )
+
+
+def _within(x: Number, tol: float) -> bool:
+    """x == 0 for an exact x, |x| <= tol for a float."""
+    return x == 0 if is_exact(x) else abs(x) <= tol
+
+
+def _close(p: Point, q: Point, tol: float) -> bool:
+    """p == q for exact points, else Euclidean distance at most tol."""
+    return p == q if p.is_exact() and q.is_exact() else p.dist2(q) <= tol * tol
 
 
 def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
@@ -825,25 +811,25 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     The grid is the fixed label table ``_GRID`` once the vertices are sorted
     counterclockwise about the circumcentre; each tabled line, the
     parallelism within each family and the perpendicularity between them
-    are checked, and DegenerateInput raised if one fails."""
-    pts = [_fp(p) for p in quad]
+    are checked, and DegenerateInput raised if one fails.  Field-generic:
+    the centres are those of ``touch_circles``, exact when every chord of
+    the quadrangle is rational, and each check compares an exact residual
+    with 0 and a float one with its tolerance."""
+    pts = list(quad)
     if len(pts) != 4:
         raise DegenerateInput("need four points")
     base = circumcircle(pts[0], pts[1], pts[2])
     scale = _scale(pts)
-    if abs(float(base.power(pts[3]))) > DEFAULT_EPS * scale * scale * 100:
+    if not base.contains(pts[3], eps=DEFAULT_EPS * scale * scale * 100):
         raise DegenerateInput("points are not concyclic")
 
     centers: Dict[str, Point] = {}
     for omit in range(4):
-        tri = [pts[i] for i in range(4) if i != omit]
-        inc, *excs = _in_excentres(tri)
-        centers[f"{omit}{omit}"] = inc
         others = [i for i in range(4) if i != omit]
+        inc, *excs = touch_circles([pts[i] for i in others])
+        centers[f"{omit}{omit}"] = inc.circle.center
         for v_idx, exc in zip(others, excs):
-            centers[f"{omit}{v_idx}"] = exc
-    labels = list(centers)
-    cpts = [centers[l] for l in labels]
+            centers[f"{omit}{v_idx}"] = exc.circle.center
 
     # the two perpendicular quadruples of parallel 4-point lines
     tol = DEFAULT_EPS * scale * 1e4
@@ -856,38 +842,32 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
             members = tuple(f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split())
             on = [centers[m] for m in members]
             line = Line.through(on[0], on[1])
-            if any(abs(float(line.evaluate(p))) >= tol for p in on[2:]):
+            if not all(line.contains(p, tol) for p in on[2:]):
                 raise DegenerateInput(f"centres {' '.join(members)} not collinear")
-            if lines and not _parallel_float(line, lines[0]):
+            if lines and not line.is_parallel(lines[0], DEFAULT_EPS * 100):
                 raise DegenerateInput("grid families are not parallel")
             lines.append(line)
             grid_members.append(members)
         families.append(lines)
     fam1, fam2 = families
-    if abs(float(fam1[0].a * fam2[0].a + fam1[0].b * fam2[0].b)) > DEFAULT_EPS * 100:
+    if not fam1[0].is_perpendicular(fam2[0], DEFAULT_EPS * 100):
         raise DegenerateInput("grid families are not perpendicular")
 
     # midpoints coincide in 12 pairs on the circumcircle of the quadrangle
-    mids: List[Point] = []
-    for i, j in combinations(range(16), 2):
-        if labels[i][0] != labels[j][0]:
-            continue  # same-triangle segments only (4 × 6 midpoints)
-        mids.append(cpts[i].midpoint(cpts[j]))
+    mids = [
+        p.midpoint(q)
+        for (l1, p), (l2, q) in combinations(centers.items(), 2)
+        if l1[0] == l2[0]  # same-triangle segments only (4 × 6 midpoints)
+    ]
     on_circle = [
-        m for m in mids if abs(float(base.power(m))) < DEFAULT_EPS * scale * scale * 1e4
+        m for m in mids if base.contains(m, DEFAULT_EPS * scale * scale * 1e4)
     ]
     pair_count = 0
     used = [False] * len(on_circle)
     for i, j in combinations(range(len(on_circle)), 2):
         if used[i] or used[j]:
             continue
-        if (
-            math.hypot(
-                float(on_circle[i].x - on_circle[j].x),
-                float(on_circle[i].y - on_circle[j].y),
-            )
-            < tol
-        ):
+        if _close(on_circle[i], on_circle[j], tol):
             used[i] = used[j] = True
             pair_count += 1
 
@@ -900,21 +880,14 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     for omit in range(4):
         own = [f"{omit}{omit}"] + [f"{omit}{v}" for v in range(4) if v != omit]
         for lab in own:
-            h = centers[lab]
             circ = circumcircle(*(centers[m] for m in own if m != lab))
-            mirrored = Point(2 * centre.x - h.x, 2 * centre.y - h.y)
-            if (
-                math.hypot(
-                    float(circ.center.x - mirrored.x),
-                    float(circ.center.y - mirrored.y),
-                )
-                > tol
-            ):
+            mirrored = centre.scale(2) - centers[lab]
+            if not _close(circ.center, mirrored, tol):
                 reflect_ok = False
-            r = math.sqrt(float(circ.r2))
+            r = circ.radius()
             if r_big is None:
                 r_big = r
-            elif abs(r - r_big) > DEFAULT_EPS * scale * 100:
+            elif not _within(r - r_big, DEFAULT_EPS * scale * 100):
                 congruent_ok = False
     return ThriceSixteenReport(
         centers,

@@ -428,18 +428,6 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     return StarOfDavid(lines, (corners(primary), corners(mirrored)), thetas)
 
 
-#: relative spread of side lengths allowed by ``is_equilateral``
-_EQUILATERAL_TOL = 1e-12
-
-
-def is_equilateral(tri: Sequence[Point]) -> bool:
-    d = [
-        math.sqrt(float(tri[i].dist2(tri[(i + 1) % 3]))) for i in range(3)
-    ]
-    scale = max(d)
-    return max(d) - min(d) <= _EQUILATERAL_TOL * scale
-
-
 # ---------------------------------------------------------------------------
 # converse constructions
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Every public function and method of the package is reached from the
-package itself or from the benchmark harness, so a theorem check that only
-its own test calls cannot hide from ``quadgeo verify``.
+"""Every function, public method and module-level constant of the package
+is reached from the package itself or from the benchmark harness, so a
+theorem check that only its own test calls cannot hide from ``quadgeo
+verify``, and no private helper or constant outlives its last reader.
 
 The scan is by name: a definition counts as reached when its name appears
 as an ``ast.Name`` or ``ast.Attribute`` anywhere in ``src/quadgeo`` outside
@@ -42,16 +43,22 @@ def _is_click_command(fn):
     )
 
 
-def _public_definitions(tree):
-    """(qualified name, name, node) of public module-level functions and
-    public methods of module-level classes."""
+def _definitions(tree):
+    """(qualified name, name, node) of module-level functions, public
+    methods of module-level classes and module-level constants (dunders
+    aside)."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             yield node.name, node.name, node
         elif isinstance(node, ast.ClassDef):
             for m in node.body:
                 if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
                     yield f"{node.name}.{m.name}", m.name, m
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield t.id, t.id, node
 
 
 def unreached():
@@ -65,8 +72,10 @@ def unreached():
         bench |= set(_names(ast.parse(p.read_text(encoding="utf-8"))))
     out = []
     for module, tree in trees.items():
-        for qualname, name, node in _public_definitions(tree):
-            if _is_click_command(node) or name in bench:
+        for qualname, name, node in _definitions(tree):
+            if name in bench or (
+                isinstance(node, ast.FunctionDef) and _is_click_command(node)
+            ):
                 continue
             if package[name] == _names(node)[name]:   # named only inside itself
                 out.append(f"{module}.{qualname}")

@@ -152,7 +152,7 @@ CASE_COUNTS = {
     "rendering": (7, 0, 0, 7),
     "soddy": (113, 0, 0, 113),
     "three-cycles": (6, 0, 0, 6),
-    "thrice-sixteen": (0, 100, 0, 100),
+    "thrice-sixteen": (10, 100, 0, 110),
     "trisequence-table": (12, 0, 0, 12),
     "wallace-sweep": (104, 0, 0, 104),
 }

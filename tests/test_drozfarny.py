@@ -64,6 +64,7 @@ class TestDFLine:
         inst = df_line(TRI, rational_pair(F(1, 5)))
         assert collinear(*inst.midpoints)
         assert verify_instance(inst)
+        assert inst.triangle.circumcircle.contains(inst.m)
         assert inst.triangle.circumcircle.center == Point(F(-36), F(-51))
         assert inst.triangle.circumcircle.r2 == 28900
 
@@ -128,6 +129,7 @@ class TestDFLine:
                 continue
             assert collinear(*inst.midpoints)
             assert verify_instance(inst)
+            assert inst.triangle.circumcircle.contains(inst.m)
             count += 1
             if count == 100:
                 break

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
-from quadgeo.kernel import IdentityViolated, Point, circumcircle
+from quadgeo.kernel import Circle, IdentityViolated, Point, circumcircle
 from quadgeo.morley import (
     FULL,
     SIXTY,
-    STRAIGHT,
     DuplicationData,
     InvalidParameters,
     JIGSAW_INNER,
@@ -45,6 +44,7 @@ from quadgeo.kernel import DegenerateInput
 from quadgeo.quadrangle import orthocentre
 
 EPS = 1e-9
+STRAIGHT = Sqrt3Angle(Fraction(-1), Fraction(0))
 
 
 def random_triangle(rng, lo=-10.0, hi=10.0, min_area=2.0):
@@ -477,6 +477,47 @@ class TestThriceSixteen:
             thrice_sixteen(
                 [Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), Point(7.0, 7.0)]
             )
+
+    @staticmethod
+    def square_quad():
+        # z = w² for the rational unit point w of each t: every chord between
+        # two such points is rational, so all 16 centres are rational
+        out = []
+        for t in (Fraction(1, 3), Fraction(2), Fraction(-3, 5), Fraction(7, 4)):
+            d = 1 + t * t
+            x, y = (1 - t * t) / d, 2 * t / d
+            out.append(Point(x * x - y * y, 2 * x * y))
+        return out
+
+    def test_exact_quadrangle(self):
+        rep = thrice_sixteen(self.square_quad())
+        assert all(
+            type(p.x) is Fraction and type(p.y) is Fraction
+            for p in rep.centers.values()
+        )
+        assert len(rep.centers) == 16
+        assert rep.sixteen_point_circle == Circle(Point(0, 0), 1)
+        assert len(rep.grid_members) == 8
+        assert all(len(fam) == 4 for fam in rep.grid_lines)
+        assert rep.midpoint_pairs == 12
+        assert rep.latin_square
+        assert rep.circumcentres_reflect
+        assert rep.circumcircles_congruent
+
+    def test_exact_quadrangle_off_circle_rejected(self):
+        quad = self.square_quad()
+        quad[3] = Point(quad[3].x + Fraction(1, 10**12), quad[3].y)
+        with pytest.raises(DegenerateInput):
+            thrice_sixteen(quad)
+
+    def test_integer_quadrangle_with_irrational_chords(self):
+        quad = [Point(5, 0), Point(3, 4), Point(0, 5), Point(-4, 3)]
+        rep = thrice_sixteen(quad)
+        assert all(type(p.x) is float for p in rep.centers.values())
+        assert rep.midpoint_pairs == 12
+        assert rep.latin_square
+        assert rep.circumcentres_reflect
+        assert rep.circumcircles_congruent
 
 
 class TestInsideOut:

@@ -259,6 +259,7 @@ class TestTriangle:
         for t in PAIR_T:
             inst = drozfarny.df_line(tri, perpendicular_pair(q.vertex(7), t))
             assert drozfarny.verify_instance(inst)
+            assert all(drozfarny.parabola_tangency_audit(inst).values())
         assert calls == {"orthocentre": 1, "circumcircle": 1}
 
     def test_wallace_lines_derive_orthocentre_and_circumcircle_once(

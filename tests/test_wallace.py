@@ -15,6 +15,7 @@ from quadgeo.kernel import (
     collinear,
 )
 from quadgeo import quadrangle, wallace
+from quadgeo.morley import equilateral_residual
 from quadgeo.quadrangle import quadrate
 from quadgeo.wallace import (
     PointNotOnCircumcircle,
@@ -22,7 +23,6 @@ from quadgeo.wallace import (
     converse_simson,
     deltoid_tangency_check,
     fit_triangle,
-    is_equilateral,
     midpoint_rs,
     rational_circle_point,
     second_intersection,
@@ -341,7 +341,7 @@ class TestStarOfDavid:
             d2 = (a * cx + b * cy - c) ** 2 / (a * a + b * b)
             assert abs(d2 - target2) < 1e-6 * target2
         for tri in star.triangles:
-            assert is_equilateral(tri)
+            assert equilateral_residual(tri) <= 1e-12
 
     def test_triangles_are_central_reflections(self, q):
         star = star_of_david(q)
