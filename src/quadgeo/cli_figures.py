@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .kernel import (
     DEFAULT_EPS,
@@ -33,7 +33,6 @@ from .quadrangle import (
     medial_circles,
     quadrate,
     quadration_edges,
-    triangle_metrics,
 )
 
 
@@ -509,7 +508,7 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
         "radical axes of the median circles are not the altitudes",
     )
     # the derived triangles 2R·(sinA, cosB, cosC), ... are faces 1, 2, 4
-    edges = quadration_edges(triangle_metrics(*face))
+    edges = quadration_edges(face)
     for lab, triple in zip((1, 2, 4), edges):
         f = q.face(lab)
         sides2 = sorted(f[i].dist2(f[i - 1]) for i in range(3))
@@ -519,13 +518,19 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
         )
 
 
-def _slope_checks(
-    seq: wallace.TrisequenceResult, expected: Dict[str, Fraction]
+def _table_checks(
+    seq: wallace.TrisequenceResult,
+    expected: Dict[str, Fraction],
+    closures: Set[Tuple[str, str]],
 ) -> Iterator[Check]:
+    """One case per tabled slope, and one for the image names at which the
+    sequence closes a cycle: (would-be name, existing name) pairs."""
     slopes = {r.line_name: r.slope for r in seq.rows}
     for lname, want in expected.items():
         got = slopes.get(lname)
         yield Check(got == want, f"line {lname}: {got} != {want}")
+    missing = closures - set(seq.coincidences)
+    yield Check(not missing, f"the sequence does not close at {sorted(missing)}")
 
 
 TRISEQUENCE_SLOPES = {
@@ -541,11 +546,14 @@ APOCRYPHA_SLOPES = {
     "N": F(-1367, 1519), "O": F(-1), "P": F(-71, 97), "Q": F(7, 601),
 }
 
+TRISEQUENCE_CLOSURES = {("7C", "7B"), ("7H", "7E"), ("7I", "7F")}
+APOCRYPHA_CLOSURES = {("7H", "7E"), ("7I", "7F"), ("2O", "2D"), ("2Q", "2P")}
+
 
 def _suite_trisequence(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     seq = wallace.trisequence(q, "7B", Point(F(-62), F(117)), 11)
-    yield from _slope_checks(seq, TRISEQUENCE_SLOPES)
+    yield from _table_checks(seq, TRISEQUENCE_SLOPES, TRISEQUENCE_CLOSURES)
     yield Check(
         wallace.midpoint_rs(q, seq.nodes["7B"])[1] == (6, 7),
         "7B midpoint (r,s) != (6,7)",
@@ -555,7 +563,7 @@ def _suite_trisequence(rng, count) -> Iterator[Check]:
 def _suite_apocrypha(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     seq = wallace.trisequence(q, "7B", Point(F(-190), F(21)), 17)
-    yield from _slope_checks(seq, APOCRYPHA_SLOPES)
+    yield from _table_checks(seq, APOCRYPHA_SLOPES, APOCRYPHA_CLOSURES)
 
 
 def _suite_three_cycles(rng, count) -> Iterator[Check]:
@@ -576,6 +584,15 @@ def _suite_three_cycles(rng, count) -> Iterator[Check]:
         for l in LABELS
     )
     yield Check(homothety, "trebled quadrangle is not the -3 homothet")
+    yield Check(
+        len(tc.lines) == 6
+        and all(
+            len(set(tc.quads[pair])) == 4
+            and all(line.contains(p) for p in tc.quads[pair])
+            for pair, line in tc.lines.items()
+        ),
+        "a label-pair line does not carry four points",
+    )
     for x, y in ((-62, 117), (-190, 21)):
         yield Check(
             wallace.six_cycle_check(q, Point(F(x), F(y))),
@@ -630,6 +647,10 @@ def _suite_soddy(rng, count) -> Iterator[Check]:
             for p in (sd.incentre, sd.gergonne_point, sd.de_longchamps)
         ),
         "Soddy line misses the incentre, Gergonne or de Longchamps point",
+    )
+    yield Check(
+        sd.soddy_line.is_perpendicular(sd.gergonne_line),
+        "Soddy line not perpendicular to the Gergonne line",
     )
     done = 0
     while done < count:
@@ -787,9 +808,14 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
         "radical centre of solution 0 is not the fundamental radpoint <000>",
     )
     try:
+        lines = malfatti.guylines(state)
+        yield Check(len(lines) == 64, "guyline count != 64 (48 vertical + 16 Nails)")
+        incidences = [
+            (g.line, malfatti.point_coords(m, state)) for g in lines for m in g.members
+        ]
         yield Check(
-            len(malfatti.guylines(state)) == 64,
-            "guyline count != 64 (48 vertical + 16 Nails)",
+            all(l[0] * p.x + l[1] * p.y + l[2] * p.z == 0 for l, p in incidences),
+            "a guyline misses one of its member points",
         )
     except GeometryError as exc:
         yield Check(False, f"guyline incidence: {exc}")
@@ -802,6 +828,10 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     yield Check(audit.relations_hold and audit.abc_equals_cba, "group relations fail")
     yield Check(audit.centre == ("0", "3", "5", "6"), "group centre mismatch")
     yield Check(audit.involutions == 19, "involution count != 19")
+    yield Check(
+        set(audit.order_four) == {d + s for d in "1247" for s in "abc"},
+        "elements of order four are not {1, 2, 4, 7} x {a, b, c}",
+    )
     yield Check(
         malfatti.zero_point_collinearities(state) == 24,
         "0-point collinearities != 24",
@@ -874,9 +904,14 @@ def _suite_morley(rng, count) -> Iterator[Check]:
         yield Check(ok, f"morley residual {resid}", exact=False, residual=resid)
     rep = morley.rational_morley("pythagorean", F(1, 4))
     yield Check(
-        rep.integer_edges == (4888, 495, 4913)
-        and 4888 ** 2 + 495 ** 2 == 4913 ** 2,
+        rep.integer_edges == (4888, 495, 4913) and rep.is_pythagorean,
         "pythagorean t=1/4 triple mismatch",
+    )
+    general = morley.rational_morley("general", (F(7), F(2), F(27, 11)))
+    yield Check(
+        len(rep.rational_variants) == 2 and len(general.rational_variants) == 18,
+        "rational Morley triangles: not 2 of 18 at t=1/4 and all 18 at (7, 2, 27/11)",
+        exact=False,
     )
     jig = morley.jigsaw_check()
     yield Check(

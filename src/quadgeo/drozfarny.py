@@ -138,10 +138,6 @@ class DFConverse:
     orthocentre: Point
     m: Point
     df: Line
-    edge_cuts: Tuple[Point, Point, Point]
-    # quadratic data (centre, direction, s) per edge: the chord ends are
-    # centre ± √s · direction, with s rational
-    chord_data: Tuple[Tuple[Point, Point, Number], ...]
     pair: Tuple[Line, Line]          # Approx representatives
 
 
@@ -158,13 +154,11 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
         if reflect_point_in_line(h, e).close_to(m, _COINCIDENCE_TOL):
             raise DegenerateChoice("M is a reflection of H in an edge")
     df = perpendicular_bisector(h, m)
-    cut_pts: List[Point] = []
     chords: List[Tuple[Point, Point, Number]] = []
     for e in tri.edges:
         if df.is_parallel(e):
             raise EdgeParallel("Droz-Farny line parallel to an edge")
         p = df.intersect(e)
-        cut_pts.append(p)
         d = e.direction()
         # circle centred at p through h meets the edge at p ± √s · d
         s = p.dist2(h) / d.norm2()
@@ -172,7 +166,7 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
         # the chord ends seen from H are perpendicular: with v = h − p,
         # (v + √s d)·(v − √s d) = |v|² − s|d|² = 0 by the choice of s
     pair = _recovered_pair(h, chords)
-    return DFConverse(tri, h, m, df, tuple(cut_pts), tuple(chords), pair)
+    return DFConverse(tri, h, m, df, pair)
 
 
 def _recovered_pair(h: Point, chords) -> Tuple[Line, Line]:
@@ -214,8 +208,6 @@ class EnvelopeConic:
     kind: str                        # "ellipse" | "hyperbola" | "point"
     center: Point
     axis2: Number                    # (2a)² = R²
-    conjugate_axis2: Number          # |R² − OH²| = (2b)²
-    asymptotes: Optional[Tuple[Line, Line]]
 
 
 def df_envelope(tri: Sequence[Point]) -> EnvelopeConic:
@@ -232,23 +224,9 @@ def df_envelope(tri: Sequence[Point]) -> EnvelopeConic:
     center = o.midpoint(h)
     conj = r2 - oh2
     if conj == 0:
-        return EnvelopeConic(None, "point", center, r2, 0, None)
+        return EnvelopeConic(None, "point", center, r2)
     kind = ConicKind.ELLIPSE if conj > 0 else ConicKind.HYPERBOLA
-    conic = Conic(h, o, r2, kind)
-    asymptotes = None
-    if kind is ConicKind.HYPERBOLA:
-        # slopes ±(2b)/(2a) about the focal axis, in floats
-        ratio = math.sqrt(float(-conj)) / math.sqrt(float(r2))
-        ax = Point(float(o.x - h.x), float(o.y - h.y))
-        n = math.hypot(float(ax.x), float(ax.y))
-        ux, uy = float(ax.x) / n, float(ax.y) / n
-        cf = Point(float(center.x), float(center.y))
-        dirs = (
-            Point(ux - ratio * uy, uy + ratio * ux),
-            Point(ux + ratio * uy, uy - ratio * ux),
-        )
-        asymptotes = tuple(Line.from_point_direction(cf, d) for d in dirs)
-    return EnvelopeConic(conic, kind.value, center, r2, abs(conj), asymptotes)
+    return EnvelopeConic(Conic(h, o, r2, kind), kind.value, center, r2)
 
 
 def envelope_tangency(env: EnvelopeConic, inst: DFInstance) -> bool:

@@ -171,8 +171,7 @@ class Point:
         return (self - other).norm2()
 
     def midpoint(self, other: "Point") -> "Point":
-        half = Fraction(1, 2) if is_exact(self.x) and is_exact(other.x) else 0.5
-        return Point(half * (self.x + other.x), half * (self.y + other.y))
+        return Point(divide(self.x + other.x, 2), divide(self.y + other.y, 2))
 
     def is_exact(self) -> bool:
         return is_exact(self.x) and is_exact(self.y)

@@ -164,20 +164,6 @@ def solution_states(state: State) -> Dict[str, State]:
     }
 
 
-def orbit(state: State) -> List[State]:
-    """Closure of a state under the three flips."""
-    seen = {state}
-    frontier = [state]
-    while frontier:
-        s = frontier.pop()
-        for f in "ABC":
-            t = extravert(s, f)
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class GroupAuditReport:
     order: int
@@ -540,7 +526,6 @@ _EVIL = (0, 3, 5, 6)
 class LabelAuditReport:
     lines_checked: int
     nim_sum_boxes_ok: bool
-    example_536: Tuple[str, str, str]
 
 
 def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
@@ -553,7 +538,6 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
     nagels = nagel_points(state)
     checked = 0
     ok = True
-    example: Tuple[str, str, str] = ("", "", "")
 
     for row, r in _ROW_DIGIT.items():
         for flip, f in _FLIP_DIGIT.items():
@@ -572,9 +556,7 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
                 if not _on(line, through):
                     ok = False
                 checked += 1
-                if row == "B" and f == 3 and q == 6:
-                    example = ("536", lab1, lab2)
-    return LabelAuditReport(checked, ok, example)
+    return LabelAuditReport(checked, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +609,7 @@ def zero_point_collinearities(state: State) -> int:
 
 @dataclass
 class MalfattiTrace:
-    incentre: Point
-    sub_incircles: Tuple[Circle, Circle, Circle]   # of BIC, CIA, AIB
     touch_points: Tuple[Point, Point, Point]       # X, Y, Z on BC, CA, AB
-    transverse_tangents: Tuple[Line, Line, Line]   # XX', YY', ZZ'
-    radical_centre: Point
-    near_far: str
 
 
 def _corner_circle(
@@ -710,30 +687,7 @@ def malfatti_circles(
         _corner_circle(b, c, a, tangents[2]),
         _corner_circle(c, a, b, tangents[0]),
     )
-    near_far = _near_far(circles, (a, b, c))
-    trace = MalfattiTrace(i, sub, touch, tangents, r_centre, near_far)
-    return circles, trace
-
-
-def _near_far(circles: Sequence[Circle], verts: Sequence[Point]) -> str:
-    """N if a circle's edge contacts are nearer its vertex than the other
-    circles' contacts on the same edges."""
-    out = []
-    for idx in range(3):
-        v = verts[idx]
-        near = True
-        for other in range(3):
-            if other == idx:
-                continue
-            edge = Line.through(v, verts[other])
-            mine = foot_of_perpendicular(circles[idx].center, edge)
-            theirs = foot_of_perpendicular(circles[other].center, edge)
-            d_mine = math.hypot(float(mine.x - v.x), float(mine.y - v.y))
-            d_theirs = math.hypot(float(theirs.x - v.x), float(theirs.y - v.y))
-            if d_mine > d_theirs:
-                near = False
-        out.append("N" if near else "F")
-    return "".join(out)
+    return circles, MalfattiTrace(touch)
 
 
 #: relative tolerances of the float checks on Malfatti circles

@@ -95,8 +95,6 @@ class LighthouseConfig:
     points: List[List[Optional[Point]]]   # [j][k] beam j from B ∩ beam k from C
     ngons: List[List[Point]]              # grouped by (j + k) mod n
     circles: List[Optional[Circle]]
-    beams_b: List[Line]
-    beams_c: List[Line]
     parallel_flag: bool                   # some beam pair met at infinity
 
 
@@ -150,9 +148,7 @@ def lighthouse(
             circles.append(circumcircle(b, c, gon[0]) if gon else None)
             continue
         circles.append(circumcircle(gon[0], gon[1], gon[2]))
-    return LighthouseConfig(
-        b, c, beta, gamma, n, grid, ngons, circles, beams_b, beams_c, parallel
-    )
+    return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
 
 
 def ngon_is_regular(gon: Sequence[Point]) -> bool:
@@ -214,11 +210,7 @@ def phases_through(b: Point, c: Point, p: Point) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class DuplicationData:
-    q: Point
-    r: Point
-    doubled_beam_b: Line
-    doubled_beam_c: Line
-    residual: float
+    residual: float   # relative distance of the cut points from the doubled beams
 
 
 def duplication(
@@ -246,7 +238,7 @@ def duplication(
     residual = max(
         abs(beam2b.evaluate(r)) / scale, abs(beam2c.evaluate(q)) / scale
     )
-    return DuplicationData(q, r, beam2b, beam2c, residual)
+    return DuplicationData(residual)
 
 
 def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:
@@ -313,10 +305,8 @@ class MorleyConfig:
     lines: Dict[str, Line]                      # 9 Morley lines
     line_points: Dict[str, Tuple[str, ...]]     # 6 point labels per line
     morley_triangles: Dict[str, Tuple[Point, Point, Point]]   # 18
-    gf_triangles: Dict[str, Tuple[str, str, str]]             # 9, point labels
     gf_circles: Dict[str, Circle]
     associated_points: Dict[str, Point]         # per line label
-    circle_lines: Dict[str, Tuple[str, str, str]]  # lines met by each circle
 
 
 def _point_label(star_pos: int, j: int, k: int) -> str:
@@ -479,10 +469,8 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
         lines,
         dict(_LINE_POINTS),
         morley_tris,
-        dict(_GF_TRIANGLES),
         gf_circles,
         associated,
-        dict(_CIRCLE_LINES),
     )
 
 
@@ -668,7 +656,6 @@ JIGSAW_OUTER = ((9555, 2695, 12005), (2464, 1716, 3740), (1859, 9464, 10985))
 
 @dataclass(frozen=True)
 class JigsawReport:
-    assembled_edges: Tuple[int, int, int]
     area_matches: bool
     vertex_sums: bool
     trisection: bool
@@ -700,7 +687,7 @@ def jigsaw_check() -> JigsawReport:
     # trisection: each assembled-triangle vertex angle splits into three
     # equal parts contributed by the adjacent pieces
     tris_ok = _trisection_check(inner, outer, assembled)
-    return JigsawReport(assembled, area_ok, sums_ok, tris_ok)
+    return JigsawReport(area_ok, sums_ok, tris_ok)
 
 
 def _closes_circle(angles: Sequence[Sqrt3Angle]) -> bool:
@@ -773,10 +760,7 @@ def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> bool:
 @dataclass
 class ThriceSixteenReport:
     centers: Dict[str, Point]            # "ab": centre of triangle omit-a
-    grid_lines: Tuple[List[Line], List[Line]]
-    grid_members: List[Tuple[str, ...]]  # labels on each of the 8 lines
-    sixteen_point_circle: Circle
-    midpoint_pairs: int
+    midpoint_pairs: int                  # rows of _MIDPOINTS that hold
     latin_square: bool                   # one centre of each triangle per line
     circumcentres_reflect: bool
     circumcircles_congruent: bool
@@ -789,6 +773,20 @@ class ThriceSixteenReport:
 _GRID = (
     ("00 10 23 33", "01 11 22 32", "02 12 21 31", "03 13 20 30"),
     ("00 11 21 30", "01 10 20 31", "02 13 23 32", "03 12 22 33"),
+)
+# The 12 coincidences of the 24 same-triangle midpoints, over the same
+# numbering: row "p q r s" says mid(p, q) = mid(r, s), on the circumcircle.
+# In triangle XYZ, mid(I, I_X) is the midpoint of arc YZ away from X and
+# mid(I_Y, I_Z) its antipode, so each chord YZ gives one row per arc,
+# pairing a segment of each of the two triangles on YZ.  Their third
+# vertices lie on one side of a side chord and on both sides of a diagonal.
+_MIDPOINTS = (
+    "22 23 33 32", "20 21 30 31",   # chord 01
+    "11 13 30 32", "10 12 33 31",   # chord 02, a diagonal
+    "11 12 22 21", "10 13 20 23",   # chord 03
+    "00 03 33 30", "01 02 31 32",   # chord 12
+    "00 02 21 23", "01 03 22 20",   # chord 13, a diagonal
+    "00 01 11 10", "02 03 12 13",   # chord 23
 )
 
 
@@ -808,10 +806,12 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     in 12 antipodal pairs on the circumcircle of the quadrangle; the 16
     circumcentres are the central reflections of the centres.
 
-    The grid is the fixed label table ``_GRID`` once the vertices are sorted
-    counterclockwise about the circumcentre; each tabled line, the
-    parallelism within each family and the perpendicularity between them
-    are checked, and DegenerateInput raised if one fails.  Field-generic:
+    The grid and the midpoint pairs are the fixed label tables ``_GRID``
+    and ``_MIDPOINTS`` once the vertices are sorted counterclockwise about
+    the circumcentre.  Each tabled line, the parallelism within each family
+    and the perpendicularity between them are checked, and DegenerateInput
+    raised if one fails; ``midpoint_pairs`` counts the tabled pairs that
+    coincide on the circumcircle.  Field-generic:
     the centres are those of ``touch_circles``, exact when every chord of
     the quadrangle is rational, and each check compares an exact residual
     with 0 and a float one with its tolerance."""
@@ -834,12 +834,15 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     # the two perpendicular quadruples of parallel 4-point lines
     tol = DEFAULT_EPS * scale * 1e4
     ccw = sorted(range(4), key=lambda i: _angle_of(pts[i] - base.center))
-    grid_members: List[Tuple[str, ...]] = []
-    families: List[List[Line]] = []
+
+    def tabled(row: str) -> List[str]:
+        return [f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split()]
+
+    firsts: List[Line] = []
     for family in _GRID:
         lines = []
         for row in family:
-            members = tuple(f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split())
+            members = tabled(row)
             on = [centers[m] for m in members]
             line = Line.through(on[0], on[1])
             if not all(line.contains(p, tol) for p in on[2:]):
@@ -847,28 +850,20 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
             if lines and not line.is_parallel(lines[0], DEFAULT_EPS * 100):
                 raise DegenerateInput("grid families are not parallel")
             lines.append(line)
-            grid_members.append(members)
-        families.append(lines)
-    fam1, fam2 = families
-    if not fam1[0].is_perpendicular(fam2[0], DEFAULT_EPS * 100):
+        firsts.append(lines[0])
+    if not firsts[0].is_perpendicular(firsts[1], DEFAULT_EPS * 100):
         raise DegenerateInput("grid families are not perpendicular")
 
-    # midpoints coincide in 12 pairs on the circumcircle of the quadrangle
-    mids = [
-        p.midpoint(q)
-        for (l1, p), (l2, q) in combinations(centers.items(), 2)
-        if l1[0] == l2[0]  # same-triangle segments only (4 × 6 midpoints)
-    ]
-    on_circle = [
-        m for m in mids if base.contains(m, DEFAULT_EPS * scale * scale * 1e4)
-    ]
+    circle_tol = DEFAULT_EPS * scale * scale * 1e4
     pair_count = 0
-    used = [False] * len(on_circle)
-    for i, j in combinations(range(len(on_circle)), 2):
-        if used[i] or used[j]:
-            continue
-        if _close(on_circle[i], on_circle[j], tol):
-            used[i] = used[j] = True
+    for row in _MIDPOINTS:
+        p, q, r, s = (centers[m] for m in tabled(row))
+        m1, m2 = p.midpoint(q), r.midpoint(s)
+        if (
+            _close(m1, m2, tol)
+            and base.contains(m1, circle_tol)
+            and base.contains(m2, circle_tol)
+        ):
             pair_count += 1
 
     # circumcentres reflect through the 16-point centre; circles congruent.
@@ -891,9 +886,6 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
                 congruent_ok = False
     return ThriceSixteenReport(
         centers,
-        (fam1, fam2),
-        grid_members,
-        base,
         pair_count,
         True,  # every _GRID row holds one centre of each triangle
         reflect_ok,
@@ -908,15 +900,6 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
 
 @dataclass(frozen=True)
 class InsideOutData:
-    a_prime: Point
-    b_prime: Point
-    c_prime: Point
-    alpha: Point
-    beta: Point
-    gamma: Point
-    alpha_prime: Point
-    beta_prime: Point
-    gamma_prime: Point
     circumcentre: Point
     orthocentre: Point
 
@@ -957,6 +940,4 @@ def inside_out(tri: Sequence[Point]) -> InsideOutData:
     ):
         if not collinear(*triad):
             raise IdentityViolated("Desargues triad fails")
-    return InsideOutData(
-        a_p, b_p, c_p, alpha, beta, gamma, alpha_p, beta_p, gamma_p, o, h
-    )
+    return InsideOutData(o, h)

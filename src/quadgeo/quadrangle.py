@@ -1,8 +1,8 @@
 """Triangles and orthocentric quadrangles: the `Triangle` value that
 carries a triangle's edges, orthocentre, circumcircle and metrics,
 quadration, twinning, the Centre and Central Circle, Euler-line harmonic
-ranges, medial/edge circles with altitude and midfoot data, the edges of
-the derived (quadration) triangles, and the acute census."""
+ranges, the median circles whose radical axes are the altitudes, the edges
+of the derived (quadration) triangles, and the acute census."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .kernel import (
     circumcircle,
     cross_ratio,
     divide,
-    is_exact,
     radical_axis,
     sqrt_scalar,
 )
@@ -152,10 +151,7 @@ def quadrate(p1: Point, p2: Point, p3: Point) -> LabeledQuadrangle:
     rest = [q for j, q in enumerate(pts) if j != seven_idx]
     vertices = {1: rest[0], 2: rest[1], 4: rest[2], 7: pts[seven_idx]}
 
-    quarter = Fraction(1, 4) if all(p.is_exact() for p in pts) else 0.25
-    center = Point(
-        quarter * sum(p.x for p in pts), quarter * sum(p.y for p in pts)
-    )
+    center = Point(divide(sum(p.x for p in pts), 4), divide(sum(p.y for p in pts), 4))
     twins = {l: center.scale(2) - v for l, v in vertices.items()}
 
     midpoints: Dict[Tuple[int, bool], Point] = {}
@@ -232,20 +228,13 @@ class TriangleMetrics:
     r1: Number
     r2: Number
     r3: Number
-    R: Number
-    sinA: Number
-    sinB: Number
-    sinC: Number
-    cosA: Number
-    cosB: Number
-    cosC: Number
 
 
 def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
     cross = (q - p).cross(r - p)
     if cross == 0:
         raise DegenerateInput("collinear points")
-    area = abs(cross) / 2 if not is_exact(cross) else abs(Fraction(cross)) / 2
+    area = divide(abs(cross), 2)
     a = sqrt_scalar(q.dist2(r))
     b = sqrt_scalar(r.dist2(p))
     c = sqrt_scalar(p.dist2(q))
@@ -253,46 +242,30 @@ def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
     sa, sb, sc = s - a, s - b, s - c
     if min(sa, sb, sc) <= 0:
         raise DegenerateInput("sliver: a side rounds to the sum of the others")
-    R = a * b * c / (4 * area)
-    a2, b2, c2 = a * a, b * b, c * c
     return TriangleMetrics(
         a=a, b=b, c=c, s=s, area=area,
         r=area / s, r1=area / sa, r2=area / sb, r3=area / sc,
-        R=R,
-        sinA=a / (2 * R), sinB=b / (2 * R), sinC=c / (2 * R),
-        cosA=(b2 + c2 - a2) / (2 * b * c),
-        cosB=(c2 + a2 - b2) / (2 * c * a),
-        cosC=(a2 + b2 - c2) / (2 * a * b),
     )
 
 
 @dataclass(frozen=True)
 class MedialData:
     circles: Tuple[Circle, Circle, Circle]          # median-diameter circles
-    altitude_products: Tuple[Number, Number, Number]  # per vertex: product of the
-    altitude_sums: Tuple[Number, Number, Number]      # two distances & their sum
     radical_axes: Tuple[Line, Line, Line]           # = the altitudes
 
 
 def medial_circles(p: Point, q: Point, r: Point) -> MedialData:
-    """Circles on the medians as diameters. For each vertex the pair
-    (product, sum) of its distances to its two altitude points is returned
-    as exact symmetric functions: (2R²·cosA·sinB·sinC, 3R·sinB·sinC)."""
-    m = triangle_metrics(p, q, r)
+    """Circles on the medians as diameters; their radical axes are the
+    altitudes."""
+    if (q - p).cross(r - p) == 0:
+        raise DegenerateInput("collinear points")
     pts = (p, q, r)
     mids = (q.midpoint(r), r.midpoint(p), p.midpoint(q))
     circles = tuple(circle_from_diameter(pts[i], mids[i]) for i in range(3))
-    sins = (m.sinA, m.sinB, m.sinC)
-    coss = (m.cosA, m.cosB, m.cosC)
-    prods, sums = [], []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        prods.append(2 * m.R * m.R * coss[i] * sins[j] * sins[k])
-        sums.append(3 * m.R * sins[j] * sins[k])
     axes = tuple(
         radical_axis(circles[(i + 1) % 3], circles[(i + 2) % 3]) for i in range(3)
     )
-    return MedialData(circles, tuple(prods), tuple(sums), axes)
+    return MedialData(circles, axes)
 
 
 def altitudes(p: Point, q: Point, r: Point) -> Tuple[Line, Line, Line]:
@@ -303,14 +276,17 @@ def altitudes(p: Point, q: Point, r: Point) -> Tuple[Line, Line, Line]:
     )
 
 
-def quadration_edges(m: TriangleMetrics) -> List[Tuple[Number, Number, Number]]:
-    """Edge triples 2R·(sinA, cosB, cosC) etc. of the derived triangles."""
-    t = 2 * m.R
-    return [
-        (t * m.sinA, t * m.cosB, t * m.cosC),
-        (t * m.cosA, t * m.sinB, t * m.cosC),
-        (t * m.cosA, t * m.cosB, t * m.sinC),
-    ]
+def quadration_edges(tri: Sequence[Point]) -> List[Tuple[Number, Number, Number]]:
+    """Edge triples 2R·(sinA, cosB, cosC) etc. of the derived triangles, read
+    from the sides and the area: 2R·sinA = a and
+    2R·cosA = a(b² + c² − a²)/(4Δ), cyclically."""
+    m = as_triangle(tri).metrics
+    a, b, c = m.a, m.b, m.c
+    a2, b2, c2, k = a * a, b * b, c * c, 4 * m.area
+    ca = a * (b2 + c2 - a2) / k     # 2R·cosA
+    cb = b * (c2 + a2 - b2) / k
+    cc = c * (a2 + b2 - c2) / k
+    return [(a, cb, cc), (ca, b, cc), (ca, cb, c)]
 
 
 def acute_census(q: LabeledQuadrangle) -> Dict[str, int]:

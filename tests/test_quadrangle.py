@@ -108,10 +108,9 @@ class TestEulerRange:
 
 
 class TestMedial:
-    def test_altitude_point_data(self, q):
-        md = medial_circles(V1, V2, V4)
-        assert md.altitude_products[0] == 4680
-        assert md.altitude_sums[0] == 270
+    def test_collinear_rejected(self):
+        with pytest.raises(DegenerateInput):
+            medial_circles(Point(F(0), F(0)), Point(F(1), F(0)), Point(F(2), F(0)))
 
     def test_radical_axes_are_altitudes(self):
         md = medial_circles(V1, V2, V4)
@@ -124,8 +123,13 @@ class TestMedial:
         assert m.s == 420
         assert m.area == 30240
         assert (m.r, m.r1) == (72, 360)
-        assert m.R == 170
-        assert (m.sinA, m.sinB, m.sinC) == (F(84, 85), F(3, 5), F(15, 17))
+        # R = 170: (2R·sinA)² + (2R·cosA)² = (2R)², and the diagonal
+        # entries of quadration_edges are 2R·sinA, 2R·sinB, 2R·sinC
+        edges = quadration_edges((V1, V2, V4))
+        assert edges[0][0] ** 2 + edges[1][0] ** 2 == 340 ** 2
+        assert tuple(edges[i][i] / 340 for i in range(3)) == (
+            F(84, 85), F(3, 5), F(15, 17)
+        )
 
     @pytest.mark.parametrize("x", [0.3, 2, 5, 9.7, 12, -3])
     def test_float_sliver_rejected(self, x):
@@ -140,8 +144,7 @@ class TestMedial:
 
 class TestAngleTables:
     def test_canonical_edges(self, q):
-        m = triangle_metrics(V1, V2, V4)
-        edges = quadration_edges(m)
+        edges = quadration_edges((V1, V2, V4))
         assert edges[0] == (336, 272, 160)
         # matches actual vertex distances of face 1 (triangle 724)
         face = q.face(1)

