@@ -92,15 +92,11 @@ def quarter_angles(a: Point, b: Point, c: Point) -> Tuple[float, float, float]:
 
 
 def _s_map(t: Fraction) -> Fraction:
-    if t == -1:
+    """(1 − t)/(1 + t) = (d − n)/(d + n) for t = n/d."""
+    n, d = t.numerator, t.denominator
+    if n == -d:
         raise PoleEncountered("flip map pole at -1")
-    return (1 - t) / (1 + t)
-
-
-def _rec(t: Fraction) -> Fraction:
-    if t == 0:
-        raise PoleEncountered("reciprocal of zero")
-    return 1 / t
+    return Fraction(d - n, d + n)
 
 
 def extravert(state: State, flip: str) -> State:
@@ -265,30 +261,40 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _g(d: int, t: Fraction) -> Fraction:
-    """Digit transforms of a quarter-angle tangent under extraversion:
-    angle θ -> θ + dπ."""
-    if d % 4 == 0:
+def _g(digit: int, t: Fraction) -> Fraction:
+    """Digit transforms of a quarter-angle tangent t = n/d under
+    extraversion, angle θ -> θ + digit·π: t, (d + n)/(d − n), −d/n and
+    (n − d)/(n + d)."""
+    digit %= 4
+    if digit == 0:
         return t
-    if d % 4 == 1:
-        if t == 1:
+    n, d = t.numerator, t.denominator
+    if digit == 1:
+        if n == d:
             raise PoleEncountered("digit transform pole at 1")
-        return (1 + t) / (1 - t)
-    if d % 4 == 2:
-        return -_rec(t)
-    if t == -1:
+        return Fraction(d + n, d - n)
+    if digit == 2:
+        if n == 0:
+            raise PoleEncountered("reciprocal of zero")
+        return Fraction(-d, n)
+    if n == -d:
         raise PoleEncountered("digit transform pole at -1")
-    return (t - 1) / (t + 1)
+    return Fraction(n - d, n + d)
 
 
 def radcoord(t: Fraction) -> Fraction:
-    """Barycentric component tan(θ/4)·cos(θ/2) = t(1-t²)/(1+t²)."""
-    return t * (1 - t * t) / (1 + t * t)
+    """Barycentric component tan(θ/4)·cos(θ/2) = t(1-t²)/(1+t²), for
+    t = n/d: n(d² − n²)/(d(d² + n²))."""
+    n, d = t.numerator, t.denominator
+    n2, d2 = n * n, d * d
+    return Fraction(n * (d2 - n2), d * (d2 + n2))
 
 
 def zerocoord(t: Fraction) -> Fraction:
-    """Barycentric component of the 0-point family: t/(1+t²)."""
-    return t / (1 + t * t)
+    """Barycentric component of the 0-point family: t/(1+t²), for t = n/d:
+    nd/(d² + n²)."""
+    n, d = t.numerator, t.denominator
+    return Fraction(n * d, d * d + n * n)
 
 
 def point_coords(label: Tuple[int, int, int], state: State) -> Barycentric:
@@ -607,11 +613,6 @@ def zero_point_collinearities(state: State) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MalfattiTrace:
-    touch_points: Tuple[Point, Point, Point]       # X, Y, Z on BC, CA, AB
-
-
 def _corner_circle(
     vertex: Point, e1: Point, e2: Point, tangent: Line
 ) -> Circle:
@@ -654,12 +655,12 @@ def _bisector_direction(vertex: Point, e1: Point, e2: Point) -> Point:
 
 def malfatti_circles(
     a: Point, b: Point, c: Point
-) -> Tuple[Tuple[Circle, Circle, Circle], MalfattiTrace]:
+) -> Tuple[Tuple[Circle, Circle, Circle], Tuple[Point, Point, Point]]:
     """Steiner's construction: incircles of BIC, CIA, AIB; their touch
-    points X, Y, Z on the edges; the transverse tangents XX', YY', ZZ'
-    (reflections of AI, BI, CI in the joins of the sub-incentres) concur at
-    the radical centre; the Malfatti circles are the incircles of the
-    corner quadrilaterals."""
+    points X, Y, Z on the edges BC, CA, AB; the transverse tangents XX',
+    YY', ZZ' (reflections of AI, BI, CI in the joins of the sub-incentres)
+    concur at the radical centre; the Malfatti circles are the incircles of
+    the corner quadrilaterals. Returns the circles and (X, Y, Z)."""
     tri = Triangle(Point(float(p.x), float(p.y)) for p in (a, b, c))
     a, b, c = tri
     if abs(float((b - a).cross(c - a))) < DEFAULT_EPS:
@@ -687,7 +688,7 @@ def malfatti_circles(
         _corner_circle(b, c, a, tangents[2]),
         _corner_circle(c, a, b, tangents[0]),
     )
-    return circles, MalfattiTrace(touch)
+    return circles, touch
 
 
 #: relative tolerances of the float checks on Malfatti circles
@@ -726,7 +727,7 @@ def verify_malfatti(
 
 def variant_contact_circle(
     circles: Sequence[Circle],
-    trace: MalfattiTrace,
+    touch_points: Sequence[Point],
     a: Point,
     b: Point,
     c: Point,
@@ -739,9 +740,9 @@ def variant_contact_circle(
     r = math.sqrt(float(touch_circles((a, b, c))[0].circle.r2))
     scale = max(abs(float(t)) for p in (a, b, c) for t in (p.x, p.y))
     data = (
-        (trace.touch_points[0], u, 1, 2, Line.through(b, c)),
-        (trace.touch_points[1], v, 2, 0, Line.through(c, a)),
-        (trace.touch_points[2], w, 0, 1, Line.through(a, b)),
+        (touch_points[0], u, 1, 2, Line.through(b, c)),
+        (touch_points[1], v, 2, 0, Line.through(c, a)),
+        (touch_points[2], w, 0, 1, Line.through(a, b)),
     )
     for centre, t, i, j, edge in data:
         rad = r * (1 + t) / 2

@@ -208,16 +208,10 @@ def phases_through(b: Point, c: Point, p: Point) -> Tuple[float, float]:
     return beta, gamma
 
 
-@dataclass(frozen=True)
-class DuplicationData:
-    residual: float   # relative distance of the cut points from the doubled beams
-
-
-def duplication(
-    b: Point, c: Point, beta: float, gamma: float, n: int
-) -> DuplicationData:
+def duplication(b: Point, c: Point, beta: float, gamma: float, n: int) -> float:
     """Edges of one n-gon through a vertex P cut the parallel edge of the
-    neighbouring n-gon at points lying on beams of doubled phase."""
+    neighbouring n-gon at points lying on beams of doubled phase; returns
+    the relative distance of the cut points from the doubled beams."""
     cfg = lighthouse(b, c, beta, gamma, n)
     if cfg.parallel_flag:
         raise ParallelBeams("duplication needs all finite intersections")
@@ -235,10 +229,7 @@ def duplication(
     beam2b = Line.from_point_direction(cfg.b, _dir(theta_b + 2 * beta))
     beam2c = Line.from_point_direction(cfg.c, _dir(theta_c - 2 * gamma))
     scale = _scale([p, u, v, x, y])
-    residual = max(
-        abs(beam2b.evaluate(r)) / scale, abs(beam2c.evaluate(q)) / scale
-    )
-    return DuplicationData(residual)
+    return max(abs(beam2b.evaluate(r)) / scale, abs(beam2c.evaluate(q)) / scale)
 
 
 def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:

@@ -6,10 +6,11 @@ of the derived (quadration) triangles, and the acute census."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
     Circle,
@@ -18,6 +19,7 @@ from .kernel import (
     Line,
     Number,
     Point,
+    _hom,
     circle_from_diameter,
     circumcircle,
     cross_ratio,
@@ -230,7 +232,45 @@ class TriangleMetrics:
     r3: Number
 
 
+def _exact_metrics(
+    hp: Tuple[int, int, int], hq: Tuple[int, int, int], hr: Tuple[int, int, int]
+) -> Optional[TriangleMetrics]:
+    """The metrics of exact vertices, one `Fraction` per field: over the
+    common denominator l the vertices are integer vectors, each side is
+    √N/l for an integer N and the area is |X|/(2l²) for their integer cross
+    product X. None unless every N is a square, that is, unless the sides
+    are rational."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = hp, hq, hr
+    l = math.lcm(w1, w2, w3)
+    x1, y1, x2, y2 = x1 * (l // w1), y1 * (l // w1), x2 * (l // w2), y2 * (l // w2)
+    x3, y3 = x3 * (l // w3), y3 * (l // w3)
+    cross = abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+    if cross == 0:
+        raise DegenerateInput("collinear points")
+    sides = []
+    for dx, dy in ((x3 - x2, y3 - y2), (x1 - x3, y1 - y3), (x2 - x1, y2 - y1)):
+        n = dx * dx + dy * dy
+        k = math.isqrt(n)
+        if k * k != n:
+            return None
+        sides.append(k)
+    a, b, c = sides
+    # for non-collinear vertices the triangle inequality is strict
+    return TriangleMetrics(
+        a=Fraction(a, l), b=Fraction(b, l), c=Fraction(c, l),
+        s=Fraction(a + b + c, 2 * l), area=Fraction(cross, 2 * l * l),
+        r=Fraction(cross, l * (a + b + c)), r1=Fraction(cross, l * (b + c - a)),
+        r2=Fraction(cross, l * (c + a - b)), r3=Fraction(cross, l * (a + b - c)),
+    )
+
+
 def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
+    if type(p.x) is not float:
+        hp, hq, hr = _hom(p), _hom(q), _hom(r)
+        if hp is not None and hq is not None and hr is not None:
+            exact = _exact_metrics(hp, hq, hr)
+            if exact is not None:
+                return exact
     cross = (q - p).cross(r - p)
     if cross == 0:
         raise DegenerateInput("collinear points")

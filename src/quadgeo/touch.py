@@ -24,6 +24,8 @@ from .kernel import (
     Number,
     Point,
     Tangency,
+    _hom,
+    _ratio,
     collinear,
     divide,
     foot_of_perpendicular,
@@ -71,7 +73,20 @@ def touch_circles(
     tri = as_triangle(tri)
     p, q, r = tri
     m = tri.metrics
-    a, b, c = m.a, m.b, m.c
+    exact = False
+    if type(m.a) is not float:
+        hs, ks = (_hom(p), _hom(q), _hom(r)), (_ratio(m.a), _ratio(m.b), _ratio(m.c))
+        exact = None not in hs and None not in ks
+    if exact:
+        # the centre Σ wᵢ·vᵢ / Σ wᵢ over ints: the sides over their common
+        # denominator k, the vertices over theirs, l
+        k = math.lcm(*[d for _, d in ks])
+        a, b, c = [n * (k // d) for n, d in ks]
+        l = math.lcm(*[w for _, _, w in hs])
+        xs = [x * (l // w) for x, _, w in hs]
+        ys = [y * (l // w) for _, y, w in hs]
+    else:
+        a, b, c = m.a, m.b, m.c
     weight_sets = {
         "o": (a, b, c),
         "a": (-a, b, c),
@@ -83,10 +98,17 @@ def touch_circles(
     for ext in EXTRAVERSIONS:
         wa, wb, wc = weight_sets[ext]
         tot = wa + wb + wc
-        center = Point(
-            (wa * p.x + wb * q.x + wc * r.x) / tot,
-            (wa * p.y + wb * q.y + wc * r.y) / tot,
-        )
+        if exact:
+            tot *= l
+            center = Point(
+                Fraction(wa * xs[0] + wb * xs[1] + wc * xs[2], tot),
+                Fraction(wa * ys[0] + wb * ys[1] + wc * ys[2], tot),
+            )
+        else:
+            center = Point(
+                (wa * p.x + wb * q.x + wc * r.x) / tot,
+                (wa * p.y + wb * q.y + wc * r.y) / tot,
+            )
         rad = radii[ext]
         circle = Circle(center, rad * rad)
         out.append(TouchCircle((triangle_label, ext), circle, tri))
@@ -159,6 +181,12 @@ def _cevian_point(tri: Sequence[Point], cuts: Sequence[Point]) -> Point:
     return pt
 
 
+def _de_longchamps(tri: Triangle) -> Point:
+    """The reflection of H in the circumcentre O: 2O - H."""
+    h, o = tri.orthocentre, tri.circumcircle.center
+    return Point(2 * o.x - h.x, 2 * o.y - h.y)
+
+
 def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
     """Gergonne points of all four touch circles, the Nagel point, and the
     de Longchamps collinearity data."""
@@ -178,10 +206,7 @@ def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
     incentre = tcs[0].circle.center
     third = Fraction(1, 3) if p.is_exact() else 1 / 3
     centroid = Point((p.x + q.x + r.x) * third, (p.y + q.y + r.y) * third)
-    # de Longchamps = reflection of H in circumcentre O = 2O - H
-    h, o = tri.orthocentre, tri.circumcircle.center
-    de_l = Point(2 * o.x - h.x, 2 * o.y - h.y)
-    return GergonneNagelData(gergonnes, nagel, incentre, centroid, de_l)
+    return GergonneNagelData(gergonnes, nagel, incentre, centroid, _de_longchamps(tri))
 
 
 def extraverted_gergonne_concurrence(tri: Sequence[Point]) -> bool:
@@ -200,31 +225,21 @@ class SoddyClass:
     CRITICAL = "Critical"
 
 
-@dataclass(frozen=True)
-class SoddyClassification:
-    kind: str   # a SoddyClass name
-
-
-def classify_soddy(a: Number, b: Number, c: Number) -> SoddyClassification:
-    """Sign of 2s − (4R + r), computed exactly without square roots:
-    with Q = ab+bc+ca−s², 4R+r = sQ/Δ, so 2s ⋛ 4R+r ⟺ 2Δ ⋛ Q."""
+def classify_soddy(a: Number, b: Number, c: Number) -> str:
+    """The `SoddyClass` kind, from the sign of 2s − (4R + r), computed
+    exactly without square roots: with Q = ab+bc+ca−s², 4R+r = sQ/Δ, so
+    2s ⋛ 4R+r ⟺ 2Δ ⋛ Q."""
     if a + b <= c or b + c <= a or c + a <= b or min(a, b, c) <= 0:
         raise NotATriangle("triangle inequality violated")
     s = divide(a + b + c, 2)
     q_val = a * b + b * c + c * a - s * s
     area2 = s * (s - a) * (s - b) * (s - c)  # Δ²
     if q_val <= 0:
-        kind = SoddyClass.INTERNAL
-    else:
-        lhs, rhs = 4 * area2, q_val * q_val  # (2Δ)² vs Q²
-        kind = (
-            SoddyClass.INTERNAL
-            if lhs > rhs
-            else SoddyClass.CRITICAL
-            if lhs == rhs
-            else SoddyClass.EXTERNAL
-        )
-    return SoddyClassification(kind)
+        return SoddyClass.INTERNAL
+    lhs, rhs = 4 * area2, q_val * q_val  # (2Δ)² vs Q²
+    if lhs > rhs:
+        return SoddyClass.INTERNAL
+    return SoddyClass.CRITICAL if lhs == rhs else SoddyClass.EXTERNAL
 
 
 @dataclass(frozen=True)
@@ -274,10 +289,11 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
     inner_center = _tangent_circle_center(tri, radii, rho_in, (1, 1, 1))
     inner = Circle(inner_center, rho_in * rho_in)
 
-    gn = gergonne_nagel(tri)
-    soddy_line = Line.through(gn.incentre, gn.gergonne["o"])
-    incircle = Circle(gn.incentre, m.r * m.r)
-    gergonne_line = radical_axis(incircle, inner)
+    incircle = touch_circles(tri)[0]
+    incentre = incircle.circle.center
+    gergonne = _cevian_point(tri, incircle.touch_points)
+    soddy_line = Line.through(incentre, gergonne)
+    gergonne_line = radical_axis(incircle.circle, inner)
 
     outer = None
     if outer_curv != 0:
@@ -294,9 +310,9 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
         outer=outer,
         soddy_line=soddy_line,
         gergonne_line=gergonne_line,
-        gergonne_point=gn.gergonne["o"],
-        incentre=gn.incentre,
-        de_longchamps=gn.de_longchamps,
+        gergonne_point=gergonne,
+        incentre=incentre,
+        de_longchamps=_de_longchamps(tri),
     )
 
 

@@ -428,12 +428,7 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConverseSimsonData:
-    triangle: Triangle
-
-
-def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonData:
+def converse_simson(p: Point, l: Point, m: Point, n: Point) -> Triangle:
     """Perpendiculars at three collinear points to their joins to P form a
     triangle whose circumcircle passes through P; P is the focus of the
     parabola with tangent-at-vertex LMN, and the triangle's orthocentre
@@ -457,7 +452,7 @@ def converse_simson(p: Point, l: Point, m: Point, n: Point) -> ConverseSimsonDat
     directrix = base.parallel_through(Point(2 * foot.x - p.x, 2 * foot.y - p.y))
     if not directrix.contains(tri.orthocentre):
         raise IdentityViolated("orthocentre not on the directrix")
-    return ConverseSimsonData(tri)
+    return tri
 
 
 def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from quadgeo.kernel import (
     DEFAULT_EPS,
+    Barycentric,
     Circle,
+    Conic,
+    ConicKind,
     CoincidentPoints,
     ConcentricCircles,
     DegenerateInput,
@@ -26,9 +29,11 @@ from quadgeo.kernel import (
     foot_of_perpendicular,
     format_scalar,
     is_exact,
+    primitive_integers,
     radical_axis,
     reflect_line_in_line,
     reflect_point_in_line,
+    barycentric_collinear,
     tangency_classify,
 )
 from quadgeo.quadrangle import orthocentre
@@ -366,6 +371,207 @@ class TestLineNormalization:
         # the same line: the triples are proportional
         assert a * line.b == b * line.a
         assert a * line.c == c * line.a and b * line.c == c * line.b
+
+
+def _exact_scalars(bits):
+    """An int or a Fraction with numerator and denominator of up to ``bits``
+    bits."""
+    n = 2 ** bits
+    ints = st.integers(-n, n)
+    return st.one_of(ints, st.builds(F, ints, st.integers(1, n)))
+
+
+#: int, Fraction and mixed coordinates, at 4-bit and at 64-bit sizes
+exact_scalars = st.one_of(_exact_scalars(4), _exact_scalars(64))
+exact_points = st.builds(Point, exact_scalars, exact_scalars)
+
+
+def _coprime(*values):
+    """Reference normaliser over Fractions: clear denominators, divide by the
+    gcd, make the first nonzero entry positive."""
+    values = [F(v) for v in values]
+    ints = [int(v * math.lcm(*(v.denominator for v in values))) for v in values]
+    g = math.gcd(*ints)
+    if next(n for n in ints if n) < 0:
+        g = -g
+    return tuple(n // g for n in ints)
+
+
+def _fractions(*points):
+    return [(F(p.x), F(p.y)) for p in points]
+
+
+def _ref_project(p, line, k):
+    """p − k·(a·x + b·y − c)/(a² + b²)·(a, b), over Fractions."""
+    (x, y), (a, b, c) = _fractions(p)[0], (F(line.a), F(line.b), F(line.c))
+    t = k * (a * x + b * y - c) / (a * a + b * b)
+    return x - t * a, y - t * b
+
+
+def _is_fraction_point(p):
+    return type(p.x) is Fraction and type(p.y) is Fraction
+
+
+class TestIntegerPaths:
+    """The exact primitives read points as integer triples; each equals the
+    textbook formula evaluated over Fractions, with the same result types,
+    and input with a float coordinate keeps the float path."""
+
+    @given(exact_points, exact_points)
+    @settings(max_examples=150)
+    def test_line_through(self, p, q):
+        if p == q:
+            return
+        (px, py), (qx, qy) = _fractions(p, q)
+        dx, dy = qx - px, qy - py
+        line = Line.through(p, q)
+        assert (line.a, line.b, line.c) == _coprime(dy, -dx, dy * px - dx * py)
+        assert all(type(v) is int for v in (line.a, line.b, line.c))
+
+    @given(exact_points, exact_points)
+    @settings(max_examples=150)
+    def test_point_direction_and_normal(self, p, d):
+        if d.x == 0 and d.y == 0:
+            return
+        (px, py), (dx, dy) = _fractions(p, d)
+        along, across = Line.from_point_direction(p, d), Line.from_point_normal(p, d)
+        assert (along.a, along.b, along.c) == _coprime(dy, -dx, dy * px - dx * py)
+        assert (across.a, across.b, across.c) == _coprime(dx, dy, dx * px + dy * py)
+
+    @given(exact_points, exact_points, exact_points)
+    @settings(max_examples=150)
+    def test_reflection_and_foot(self, p, q, r):
+        if q == r:
+            return
+        line = Line.through(q, r)
+        image, foot = reflect_point_in_line(p, line), foot_of_perpendicular(p, line)
+        assert (image.x, image.y) == _ref_project(p, line, 2)
+        assert (foot.x, foot.y) == _ref_project(p, line, 1)
+        assert _is_fraction_point(image) and _is_fraction_point(foot)
+
+    @given(exact_points, exact_points, exact_points)
+    @settings(max_examples=150)
+    def test_circumcircle(self, p, q, r):
+        (px, py), (qx, qy), (rx, ry) = _fractions(p, q, r)
+        bx, by, cx, cy = qx - px, qy - py, rx - px, ry - py
+        d = 2 * (bx * cy - by * cx)
+        if d == 0:
+            with pytest.raises(DegenerateInput):
+                circumcircle(p, q, r)
+            return
+        bb, cc = bx * bx + by * by, cx * cx + cy * cy
+        ox, oy = (cy * bb - by * cc) / d, (bx * cc - cx * bb) / d
+        circ = circumcircle(p, q, r)
+        assert (circ.center.x, circ.center.y) == (px + ox, py + oy)
+        assert circ.r2 == ox * ox + oy * oy
+        assert _is_fraction_point(circ.center) and type(circ.r2) is Fraction
+
+    @given(exact_points, exact_points, exact_points, exact_scalars)
+    @settings(max_examples=150)
+    def test_line_contains_and_collinear(self, p, q, r, k):
+        if q == r:
+            return
+        line = Line.through(q, r)
+        (px, py), (qx, qy), (rx, ry) = _fractions(p, q, r)
+        on = Point(qx + k * (rx - qx), qy + k * (ry - qy))
+        assert line.contains(on) and collinear(q, r, on)
+        assert line.contains(p) == (line.a * px + line.b * py == line.c)
+        assert collinear(p, q, r) == ((qx - px) * (ry - py) == (qy - py) * (rx - px))
+
+    @given(exact_points, exact_points, exact_points)
+    @settings(max_examples=150)
+    def test_circle_contains(self, c, p, q):
+        (cx, cy), (px, py), (qx, qy) = _fractions(c, p, q)
+        circle = Circle(c, (px - cx) ** 2 + (py - cy) ** 2)
+        assert circle.contains(p)
+        assert circle.contains(q) == ((qx - cx) ** 2 + (qy - cy) ** 2 == circle.r2)
+
+    @given(exact_points, exact_scalars, exact_scalars, st.integers(0, 3),
+           st.sampled_from([(3, 4), (-5, 12), (8, -15), (1, 0)]))
+    @settings(max_examples=200)
+    def test_tangency_classify(self, c, r1, r2, shift, direction):
+        """Circles of radii |r1|, |r2| at distance |r1| + |r2| (external),
+        ||r1| - |r2|| (internal) and beyond (disjoint or nested)."""
+        r1, r2 = abs(F(r1)) or F(1), abs(F(r2)) or F(2)
+        u, v = direction
+        n = math.isqrt(u * u + v * v)
+        for dist in (r1 + r2, abs(r1 - r2), r1 + r2 + shift, F(shift, 3)):
+            other = Point(c.x + dist * u / n, c.y + dist * v / n)
+            c1, c2 = Circle(c, r1 * r1), Circle(other, r2 * r2)
+            if c1 == c2:
+                continue
+            d2, a2, b2 = F(dist) ** 2, r1 * r1, r2 * r2
+            lhs = d2 - a2 - b2
+            disc = lhs * lhs - 4 * a2 * b2
+            if disc == 0:
+                want = (Tangency.INTERNAL_TANGENT if d2 < a2 + b2
+                        else Tangency.EXTERNAL_TANGENT)
+            elif disc < 0:
+                want = Tangency.SECANT
+            else:
+                want = Tangency.DISJOINT if lhs > 0 else Tangency.NESTED
+            assert tangency_classify(c1, c2) == want
+
+    @given(exact_points, exact_points, exact_points, exact_points)
+    @settings(max_examples=100)
+    def test_conic_is_tangent(self, f1, f2, q, r):
+        if q == r:
+            return
+        line = Line.through(q, r)
+        mx, my = _ref_project(f1, line, 2)
+        (fx, fy), = _fractions(f2)
+        axis2 = (mx - fx) ** 2 + (my - fy) ** 2
+        if axis2 == 0:
+            return
+        assert Conic(f1, f2, axis2, ConicKind.ELLIPSE).is_tangent(line)
+        assert not Conic(f1, f2, axis2 + 1, ConicKind.ELLIPSE).is_tangent(line)
+
+    @given(st.lists(exact_scalars, min_size=9, max_size=9), exact_scalars)
+    @settings(max_examples=150)
+    def test_barycentric_collinear(self, v, k):
+        p, q = v[0:3], v[3:6]
+        if not any(p) or not any(q):
+            return
+        r = v[6:9] if any(v[6:9]) else [1, 1, 1]
+        rows = [[F(x) for x in row] for row in (p, q, r)]
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        pts = [Barycentric(*row) for row in (p, q, r)]
+        assert barycentric_collinear(*pts) == (det == 0)
+        on = [x + k * y for x, y in zip(rows[0], rows[1])]
+        if any(on):
+            assert barycentric_collinear(pts[0], pts[1], Barycentric(*on))
+
+    @given(st.lists(exact_scalars, min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_primitive_integers(self, values):
+        if not any(values):
+            return
+        got = primitive_integers(values)
+        assert got == _coprime(*values)
+        assert all(type(n) is int for n in got)
+
+    def test_mixed_input_takes_the_float_path(self):
+        half = Point(F(1, 2), 0.25)
+        q, r = Point(0, 0), Point(F(3), F(4))
+        line = Line.through(q, r)
+        for got in (
+            reflect_point_in_line(half, line),
+            foot_of_perpendicular(half, line),
+            circumcircle(half, q, r).center,
+        ):
+            assert type(got.x) is float and type(got.y) is float
+        mixed = Line.through(half, r)
+        assert all(type(v) is float for v in (mixed.a, mixed.b, mixed.c))
+        along = Line.from_point_direction(half, Point(F(3), F(4)))
+        assert type(along.a) is float
+        assert type(circumcircle(half, q, r).r2) is float
+        # the float predicates agree with their float residuals
+        assert line.contains(Point(0.75, 1.0)) and collinear(q, r, Point(1.5, 2.0))
+        assert not line.contains(Point(0.3, 0.4))
+        assert line.contains(Point(0.3, 0.4), eps=1e-12)
+        assert Circle(Point(0.0, 0.0), 25.0).contains(r)
+        assert not Circle(Point(0, 0), 25).contains(Point(5.0, 1e-3))
 
 
 def test_no_assert_statements_in_package():

@@ -65,7 +65,13 @@ def orbit(state):
 def oracle_solution_states(state):
     """The 32 solutions built one by one: the eight ordinary ones from their
     own transforms of u, v, w, each with its three flips by ``extravert``."""
-    rec, neg = malfatti._rec, (lambda t: -t)
+
+    def rec(t):
+        if t == 0:
+            raise PoleEncountered("reciprocal of zero")
+        return 1 / t
+
+    neg = lambda t: -t
     ordinary = {
         "0": (lambda t: t, lambda t: t, lambda t: t),
         "3": (lambda t: t, lambda t: -rec(t), lambda t: -rec(t)),
@@ -431,6 +437,65 @@ class TestComponentTable:
                 fn(tuple(state))
 
 
+#: the digit transforms g_d(t) over Fractions, angle θ -> θ + dπ
+REF_G = (
+    lambda t: t,
+    lambda t: (1 + t) / (1 - t),
+    lambda t: -1 / t,
+    lambda t: (t - 1) / (t + 1),
+)
+
+
+def _quotients(bits):
+    n = 2 ** bits
+    return st.builds(F, st.integers(-n, n), st.integers(1, n))
+
+
+class TestIntegerMaps:
+    """The digit maps read t = n/d and build one Fraction; each equals its
+    textbook formula over Fractions."""
+
+    @given(st.one_of(_quotients(4), _quotients(64)),
+           st.one_of(_quotients(4), _quotients(64)))
+    @settings(max_examples=100)
+    def test_radpoints_and_zero_points(self, v, w):
+        try:
+            state = complete_state(v, w)
+        except PoleEncountered:
+            return
+        if any(t in (0, 1, -1) for t in state):
+            return
+        rad = lambda t: t * (1 - t * t) / (1 + t * t)
+        zero = lambda t: t / (1 + t * t)
+        for label, (_, *digits) in SOLUTION_LABELS.items():
+            got = radpoint_of_solution(label, state)
+            want = [rad(REF_G[d](t)) for d, t in zip(digits, state)]
+            assert [got.x, got.y, got.z] == want
+            assert all(type(c) is F for c in (got.x, got.y, got.z))
+        for text, got in zero_points(state).items():
+            want = [zero(REF_G[int(d)](t)) for d, t in zip(text, state)]
+            assert [got.x, got.y, got.z] == want
+            assert all(type(c) is F for c in (got.x, got.y, got.z))
+        for flip in "ABC":
+            assert extravert(state, flip) == tuple(
+                -t if f == flip else (1 - t) / (1 + t) for f, t in zip("ABC", state)
+            )
+
+    @pytest.mark.parametrize("num", [int, F], ids=["int", "Fraction"])
+    @pytest.mark.parametrize("digit, t", [(1, 1), (2, 0), (3, -1)])
+    def test_poles_raise(self, num, digit, t):
+        with pytest.raises(PoleEncountered):
+            _g(digit, num(t))
+        state = (num(t), STATE[1], STATE[2])
+        with pytest.raises(PoleEncountered):
+            point_coords((digit, 0, 0), state)
+        with pytest.raises(PoleEncountered):
+            zero_points(state)
+        if t == -1:
+            with pytest.raises(PoleEncountered):
+                extravert((num(t), STATE[1], STATE[2]), "B")
+
+
 class TestIncidenceChecks:
     """The Nagel, Gergonne and Steiner incidences raise IdentityViolated
     (not assert, which ``python -O`` strips) when they fail."""
@@ -503,9 +568,9 @@ class TestZeroPoints:
 class TestMalfattiCircles:
     def test_reference_triangle(self):
         tri = (Point(36, 103), Point(-204, -77), Point(132, -77))
-        circles, trace = malfatti_circles(*tri)
+        circles, touch_points = malfatti_circles(*tri)
         assert verify_malfatti(circles, *tri)
-        assert variant_contact_circle(circles, trace, *tri)
+        assert variant_contact_circle(circles, touch_points, *tri)
 
     def test_transverse_tangents_concur(self):
         # malfatti_circles raises IdentityViolated unless they concur
@@ -516,13 +581,14 @@ class TestMalfattiCircles:
         tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
         from quadgeo.kernel import Line
 
-        _, trace = malfatti_circles(*tri)
+        _, touch_points = malfatti_circles(*tri)
         edges = (
             Line.through(tri[1], tri[2]),
             Line.through(tri[2], tri[0]),
             Line.through(tri[0], tri[1]),
         )
-        for p, e in zip(trace.touch_points, edges):
+        assert len(touch_points) == 3
+        for p, e in zip(touch_points, edges):
             assert abs(float(e.evaluate(p))) < 1e-12
 
     def test_random_triangles(self):
@@ -534,9 +600,9 @@ class TestMalfattiCircles:
             )
             if abs(float((tri[1] - tri[0]).cross(tri[2] - tri[0]))) < 1.0:
                 continue
-            circles, trace = malfatti_circles(*tri)
+            circles, touch_points = malfatti_circles(*tri)
             assert verify_malfatti(circles, *tri)
-            assert variant_contact_circle(circles, trace, *tri)
+            assert variant_contact_circle(circles, touch_points, *tri)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):

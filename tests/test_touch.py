@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadgeo import touch
 from quadgeo.kernel import (
@@ -42,6 +43,55 @@ V4 = Point(F(132), F(-77))
 @pytest.fixture(scope="module")
 def q():
     return quadrate(V1, V2, V4)
+
+
+def _exact_scalars(bits):
+    n = 2 ** bits
+    ints = st.integers(-n, n)
+    return st.one_of(ints, st.builds(F, ints, st.integers(1, n)))
+
+
+#: int and Fraction parameters at 4-bit and at 64-bit sizes
+exact_scalars = st.one_of(_exact_scalars(4), _exact_scalars(64))
+
+
+class TestIntegerPaths:
+    """The integer paths of triangle_metrics and touch_circles equal the
+    textbook formulas over Fractions, on similarity images of t0, whose
+    sides are |k|·(336, 204, 300)."""
+
+    @given(st.integers(1, 16), st.integers(0, 16), exact_scalars, exact_scalars,
+           exact_scalars)
+    @settings(max_examples=100)
+    def test_similarity_images_of_t0(self, m, n, k, tx, ty):
+        if k == 0:
+            return
+        cos, sin = F(m * m - n * n, m * m + n * n), F(2 * m * n, m * m + n * n)
+        tri = [Point(k * (cos * v.x - sin * v.y) + tx, k * (sin * v.x + cos * v.y) + ty)
+               for v in (V1, V2, V4)]
+        a, b, c = (abs(F(k)) * side for side in (336, 204, 300))
+        s, area = (a + b + c) / 2, F(k) ** 2 * 30240
+        m_ = triangle_metrics(*tri)
+        radii = (area / s, area / (s - a), area / (s - b), area / (s - c))
+        want = (a, b, c, s, area, *radii)
+        got = (m_.a, m_.b, m_.c, m_.s, m_.area, m_.r, m_.r1, m_.r2, m_.r3)
+        assert got == want and all(type(v) is Fraction for v in got)
+        p, q, r = tri
+        weights = ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))
+        for tc, (wa, wb, wc), rad in zip(touch_circles(tri), weights, radii):
+            tot = wa + wb + wc
+            centre = Point((wa * F(p.x) + wb * F(q.x) + wc * F(r.x)) / tot,
+                           (wa * F(p.y) + wb * F(q.y) + wc * F(r.y)) / tot)
+            assert tc.circle == Circle(centre, rad * rad)
+            got = tc.circle.center
+            assert type(got.x) is Fraction and type(got.y) is Fraction
+
+    def test_irrational_sides_keep_the_generic_path(self):
+        m = triangle_metrics(Point(0, 0), Point(1, 0), Point(0, 2))
+        assert type(m.a) is float and m.b == 2 and m.c == 1
+        assert m.area == 1 and type(m.area) is Fraction
+        centre = touch_circles((Point(0, 0), Point(1, 0), Point(0, 2)))[0].circle.center
+        assert type(centre.x) is float
 
 
 class TestTouchCircles:
@@ -193,7 +243,7 @@ class TestSoddy:
         assert x * x + yv * yv == c * c
         A = Point(x, yv)
         sd = soddy((A, Point(F(0), F(0)), Point(F(45), F(0))))
-        assert classify_soddy(F(a), F(b), F(c)).kind == SoddyClass.CRITICAL
+        assert classify_soddy(F(a), F(b), F(c)) == SoddyClass.CRITICAL
         assert sd.outer is None
         # the outer circle degenerates to the Gergonne line, tangent to all
         # three vertex circles
@@ -215,7 +265,7 @@ class TestClassify:
         ],
     )
     def test_cases(self, sides, expected):
-        assert classify_soddy(*[F(s) for s in sides]).kind == expected
+        assert classify_soddy(*[F(s) for s in sides]) == expected
 
     def test_not_a_triangle(self):
         with pytest.raises(NotATriangle):
@@ -233,7 +283,7 @@ class TestFamilies:
                 sides = bremner_critical(u, v)
             except DegenerateParameters:
                 continue
-            assert classify_soddy(*sides).kind == SoddyClass.CRITICAL
+            assert classify_soddy(*sides) == SoddyClass.CRITICAL
             count += 1
 
     def test_cos_family_cosA(self):
@@ -247,13 +297,13 @@ class TestFamilies:
         assert (a * 5, b * 8, c * 8) == (b * 8, c * 8, b * 8) or (
             F(a, b) == F(8, 5) and b == c
         )
-        assert classify_soddy(a, b, c).kind == SoddyClass.CRITICAL
+        assert classify_soddy(a, b, c) == SoddyClass.CRITICAL
 
     def test_26_25_3_cos(self):
         a, b, c = 26, 25, 3
         cosA = F(b * b + c * c - a * a, 2 * b * c)
         assert cosA == F(-7, 25)
-        assert classify_soddy(F(a), F(b), F(c)).kind == SoddyClass.EXTERNAL
+        assert classify_soddy(F(a), F(b), F(c)) == SoddyClass.EXTERNAL
 
     def test_degenerate_params(self):
         with pytest.raises(DegenerateParameters):

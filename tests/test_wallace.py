@@ -366,9 +366,10 @@ class TestConverseConstructions:
     def test_converse_simson(self):
         p = Point(F(0), F(5))
         l, m, n = Point(F(-3), F(0)), Point(F(1), F(0)), Point(F(6), F(0))
-        data = converse_simson(p, l, m, n)
-        assert data.triangle.circumcircle.contains(p)
-        wd = wallace_line(data.triangle, p)
+        tri = converse_simson(p, l, m, n)
+        assert isinstance(tri, quadrangle.Triangle)
+        assert tri.circumcircle.contains(p)
+        wd = wallace_line(tri, p)
         assert wd.line == Line.through(l, m)
 
     @pytest.mark.parametrize(
