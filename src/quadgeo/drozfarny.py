@@ -26,7 +26,6 @@ from .kernel import (
     Point,
     PointNotOnCircumcircle,
     PointNotOnEdgeLine,
-    approx_collinear,
     circumcircle,
     collinear,
     perpendicular_bisector,
@@ -109,7 +108,7 @@ def df_line(tri: Sequence[Point], pair: Tuple[Line, Line]) -> DFInstance:
             raise NotThroughVertex("pair must pass through the orthocentre")
     cuts = _edge_cuts(tri.edges, pair)
     mids = tuple(cuts[f"{n}1"].midpoint(cuts[f"{n}2"]) for n in "XYZ")
-    if not approx_collinear(*mids, eps=_MIDPOINT_TOL):
+    if not collinear(*mids, eps=_MIDPOINT_TOL):
         raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)

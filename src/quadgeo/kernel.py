@@ -3,16 +3,17 @@
 Every other module builds on these. Scalars are either exact
 (`fractions.Fraction` / `int`, arbitrary precision, canonical lowest
 terms) or approximate (`float`). An exact `Line` holds a coprime `int`
-triple. The exact primitives read each exact point as an integer triple
-(X, Y, W) with p = (X/W, Y/W) (`_hom`) and compute over ints: a
-construction builds one `Fraction` per coordinate or scalar it returns,
-and a predicate builds none, since it compares cross-multiplied ints.
-Input with a float coordinate takes the generic code below each exact
-branch. All predicates that must stay exact are phrased in squared
-quantities so the exact backend never takes a square root; square roots
-appear only in the approximate backend (or when the radicand happens to be
-a perfect square). A tolerance applies only to a float residual: an exact
-residual is compared with 0 whatever ``eps`` is.
+triple. Each primitive reads a point as a homogeneous triple (X, Y, W) with
+p = (X/W, Y/W) (`_hom`): integers for an exact point, (x, y, 1) for a point
+with a float coordinate. One formula then serves both, and the scalar type
+alone decides exactness: over ints a construction builds one `Fraction`
+per coordinate or scalar it returns (`divide`), and a predicate builds
+none, since it compares cross-multiplied ints. All predicates that must
+stay exact are phrased in squared quantities so the exact backend never
+takes a square root; square roots appear only in the approximate backend
+(or when the radicand happens to be a perfect square). A tolerance applies
+only to a float residual: an exact residual is compared with 0 whatever
+``eps`` is.
 """
 
 from __future__ import annotations
@@ -102,13 +103,12 @@ def as_fraction(x: Number) -> Fraction:
     return Fraction(x).limit_denominator(10**15)
 
 
-def _ratio(x: Number) -> Optional[Tuple[int, int]]:
-    """(n, d) with d > 0 and x = n/d for an exact scalar; None otherwise."""
-    if type(x) is int:
-        return x, 1
+def _ratio(x: Number) -> Tuple[Number, int]:
+    """(n, d) with d > 0 and x = n/d: integers for an exact scalar, (x, 1)
+    for a float."""
     if type(x) is Fraction:
         return x.numerator, x.denominator
-    return None
+    return x, 1
 
 
 def primitive_integers(values: Sequence[Number]) -> Tuple[int, ...]:
@@ -200,10 +200,11 @@ class Point:
         return abs(self.x - other.x) <= eps and abs(self.y - other.y) <= eps
 
 
-def _hom(p: Point) -> Optional[Tuple[int, int, int]]:
-    """Integers (X, Y, W) with W > 0 and p = (X/W, Y/W) for an exact point:
-    W is 1 for int coordinates, else the shared denominator or the product
-    of the two; None for a point with a coordinate that is not exact."""
+def _hom(p: Point) -> Tuple[Number, Number, int]:
+    """(X, Y, W) with W > 0 and p = (X/W, Y/W). For an exact point X, Y, W
+    are integers: W is 1 for int coordinates, else the shared denominator or
+    the product of the two. A point with a float coordinate is already a
+    triple, (float(x), float(y), 1)."""
     x, y = p.x, p.y
     if type(x) is int:
         if type(y) is int:
@@ -211,37 +212,26 @@ def _hom(p: Point) -> Optional[Tuple[int, int, int]]:
         if type(y) is Fraction:
             w = y.denominator
             return x * w, y.numerator, w
-        return None
-    if type(x) is not Fraction:
-        return None
-    w = x.denominator
-    if type(y) is int:
-        return x.numerator, y * w, w
-    if type(y) is not Fraction:
-        return None
-    v = y.denominator
-    if v == w:
-        return x.numerator, y.numerator, w
-    return x.numerator * v, y.numerator * w, w * v
+    elif type(x) is Fraction:
+        w = x.denominator
+        if type(y) is int:
+            return x.numerator, y * w, w
+        if type(y) is Fraction:
+            v = y.denominator
+            if v == w:
+                return x.numerator, y.numerator, w
+            return x.numerator * v, y.numerator * w, w * v
+    return float(x), float(y), 1
 
 
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    if type(p.x) is not float:
-        hp, hq, hr = _hom(p), _hom(q), _hom(r)
-        if hp is not None and hq is not None and hr is not None:
-            (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = hp, hq, hr
-            det = (
-                x1 * (y2 * w3 - w2 * y3)
-                - y1 * (x2 * w3 - w2 * x3)
-                + w1 * (x2 * y3 - y2 * x3)
-            )
-            return det == 0
-    return (q - p).cross(r - p) == 0
-
-
-def approx_collinear(p: Point, q: Point, r: Point, eps: float = DEFAULT_EPS) -> bool:
-    v = (q - p).cross(r - p)
-    return abs(v) <= eps if isinstance(v, float) else v == 0
+def collinear(p: Point, q: Point, r: Point, eps: float = 0.0) -> bool:
+    """The determinant of the three triples is 0: exactly when it is an
+    int, else within eps·w₁w₂w₃, that is, (q − p)×(r − p) within eps."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
+    det = x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3) + w1 * (x2 * y3 - y2 * x3)
+    if type(det) is not float:
+        return det == 0
+    return abs(det) <= eps * w1 * w2 * w3
 
 
 # ---------------------------------------------------------------------------
@@ -286,35 +276,22 @@ class Line:
     def through(p: Point, q: Point) -> "Line":
         if p == q:
             raise CoincidentPoints("cannot make line through a single point")
-        if type(p.x) is not float:
-            hp, hq = _hom(p), _hom(q)
-            if hp is not None and hq is not None:
-                (x1, y1, w1), (x2, y2, w2) = hp, hq
-                return Line(y2 * w1 - y1 * w2, x1 * w2 - x2 * w1, x1 * y2 - y1 * x2)
-        d = q - p
-        return Line(d.y, -d.x, d.y * p.x - d.x * p.y)
+        (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+        return Line(y2 * w1 - y1 * w2, x1 * w2 - x2 * w1, x1 * y2 - y1 * x2)
 
     @staticmethod
     def from_point_direction(p: Point, d: Point) -> "Line":
         if d.x == 0 and d.y == 0:
             raise DegenerateInput("zero direction")
-        if type(p.x) is not float:
-            hp, hd = _hom(p), _hom(d)
-            if hp is not None and hd is not None:
-                (x, y, w), (dx, dy, _) = hp, hd
-                return Line(dy * w, -dx * w, dy * x - dx * y)
-        return Line(d.y, -d.x, d.y * p.x - d.x * p.y)
+        (x, y, w), (dx, dy, _) = _hom(p), _hom(d)
+        return Line(dy * w, -dx * w, dy * x - dx * y)
 
     @staticmethod
     def from_point_normal(p: Point, n: Point) -> "Line":
         if n.x == 0 and n.y == 0:
             raise DegenerateInput("zero normal")
-        if type(p.x) is not float:
-            hp, hn = _hom(p), _hom(n)
-            if hp is not None and hn is not None:
-                (x, y, w), (nx, ny, _) = hp, hn
-                return Line(nx * w, ny * w, nx * x + ny * y)
-        return Line(n.x, n.y, n.x * p.x + n.y * p.y)
+        (x, y, w), (nx, ny, _) = _hom(p), _hom(n)
+        return Line(nx * w, ny * w, nx * x + ny * y)
 
     # -- queries ------------------------------------------------------
 
@@ -322,14 +299,13 @@ class Line:
         return self.a * p.x + self.b * p.y - self.c
 
     def contains(self, p: Point, eps: float = 0.0) -> bool:
-        if type(self.a) is int:
-            h = _hom(p)
-            if h is not None:
-                return self.a * h[0] + self.b * h[1] == self.c * h[2]
-        v = self.evaluate(p)
-        if eps == 0.0 or not isinstance(v, float):
+        """a·X + b·Y − c·W is 0: exactly when it is an int, else within
+        eps·W·|(a, b)|, that is, p lies within eps of the line."""
+        x, y, w = _hom(p)
+        v = self.a * x + self.b * y - self.c * w
+        if type(v) is not float:
             return v == 0
-        return abs(v) <= eps * math.hypot(float(self.a), float(self.b))
+        return abs(v) <= eps * w * math.hypot(self.a, self.b)
 
     def direction(self) -> Point:
         return Point(self.b, -self.a)
@@ -386,26 +362,18 @@ class Circle:
         return p.dist2(self.center) - self.r2
 
     def contains(self, p: Point, eps: float = 0.0) -> bool:
-        if type(self.r2) is not float:
-            hc, hp, r2 = _hom(self.center), _hom(p), _ratio(self.r2)
-            if hc is not None and hp is not None and r2 is not None:
-                return _dist2_is(hp, hc, r2)
-        v = self.power(p)
-        if eps == 0.0 or not isinstance(v, float):
+        """|p − centre|² = r2 = n/d over the triples: with w = W_p·W_c the
+        residual d·(dX² + dY²) − n·w² is 0 exactly when it is an int, else
+        within eps·d·w², that is, the power of p within eps."""
+        (x1, y1, w1), (x2, y2, w2), (n, d) = _hom(p), _hom(self.center), _ratio(self.r2)
+        dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
+        v = d * (dx * dx + dy * dy) - n * w * w
+        if type(v) is not float:
             return v == 0
-        return abs(v) <= eps
+        return abs(v) <= eps * d * w * w
 
     def radius(self) -> Number:
         return sqrt_scalar(self.r2)
-
-
-def _dist2_is(
-    hp: Tuple[int, int, int], hq: Tuple[int, int, int], r2: Tuple[int, int]
-) -> bool:
-    """|p − q|² == n/d for integer triples p, q and r2 = (n, d)."""
-    (x1, y1, w1), (x2, y2, w2), (n, d) = hp, hq, r2
-    dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
-    return d * (dx * dx + dy * dy) == n * w * w
 
 
 class ConicKind(Enum):
@@ -433,12 +401,9 @@ class Conic:
     def is_tangent(self, line: Line) -> bool:
         """A line is tangent iff the reflection of one focus in the line
         lies at full-axis distance from the other focus (squared, exact)."""
-        m = reflect_point_in_line(self.focus1, line)
-        if type(self.axis2) is not float:
-            hm, hf, axis2 = _hom(m), _hom(self.focus2), _ratio(self.axis2)
-            if hm is not None and hf is not None and axis2 is not None:
-                return _dist2_is(hm, hf, axis2)
-        return m.dist2(self.focus2) == self.axis2
+        return Circle(self.focus2, self.axis2).contains(
+            reflect_point_in_line(self.focus1, line)
+        )
 
     def tangency_residual(self, line: Line) -> Number:
         m = reflect_point_in_line(self.focus1, line)
@@ -481,23 +446,12 @@ class Barycentric:
 
 
 def barycentric_collinear(p: Barycentric, q: Barycentric, r: Barycentric) -> bool:
-    coords = (p.x, p.y, p.z, q.x, q.y, q.z, r.x, r.y, r.z)
-    if all(type(v) is int or type(v) is Fraction for v in coords):
+    rows = [(b.x, b.y, b.z) for b in (p, q, r)]
+    if all(is_exact(v) for row in rows for v in row):
         # a barycentric point is projective: scale each to coprime ints
-        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = (
-            primitive_integers(coords[i:i + 3]) for i in (0, 3, 6)
-        )
-        det = (
-            px * (qy * rz - qz * ry)
-            - py * (qx * rz - qz * rx)
-            + pz * (qx * ry - qy * rx)
-        )
-        return det == 0
-    det = (
-        p.x * (q.y * r.z - q.z * r.y)
-        - p.y * (q.x * r.z - q.z * r.x)
-        + p.z * (q.x * r.y - q.y * r.x)
-    )
+        rows = [primitive_integers(row) for row in rows]
+    (px, py, pz), (qx, qy, qz), (rx, ry, rz) = rows
+    det = px * (qy * rz - qz * ry) - py * (qx * rz - qz * rx) + pz * (qx * ry - qy * rx)
     return det == 0
 
 
@@ -506,29 +460,19 @@ def barycentric_collinear(p: Barycentric, q: Barycentric, r: Barycentric) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _project(p: Point, line: Line, k: int) -> Optional[Point]:
-    """p moved k times its offset from the exact ``line`` towards it, with
-    n² = a² + b² and t = aX + bY − cW: ((X·n² − k·t·a)/(W·n²), …); None
-    unless p is exact."""
-    h = _hom(p)
-    if h is None:
-        return None
-    x, y, w = h
+def _project(p: Point, line: Line, k: int) -> Point:
+    """p moved k times its offset from ``line`` towards it, with
+    n² = a² + b² and t = aX + bY − cW: ((X·n² − k·t·a)/(W·n²), …)."""
+    x, y, w = _hom(p)
     a, b = line.a, line.b
     n2 = a * a + b * b
     kt = k * (a * x + b * y - line.c * w)
     wn2 = w * n2
-    return Point(Fraction(x * n2 - kt * a, wn2), Fraction(y * n2 - kt * b, wn2))
+    return Point(divide(x * n2 - kt * a, wn2), divide(y * n2 - kt * b, wn2))
 
 
 def reflect_point_in_line(p: Point, line: Line) -> Point:
-    if type(line.a) is int:
-        exact = _project(p, line, 2)
-        if exact is not None:
-            return exact
-    n2 = line.a * line.a + line.b * line.b
-    t = 2 * line.evaluate(p)
-    return Point(p.x - divide(t * line.a, n2), p.y - divide(t * line.b, n2))
+    return _project(p, line, 2)
 
 
 def reflect_line_in_line(line: Line, mirror: Line) -> Line:
@@ -543,13 +487,7 @@ def reflect_line_in_line(line: Line, mirror: Line) -> Line:
 
 
 def foot_of_perpendicular(p: Point, line: Line) -> Point:
-    if type(line.a) is int:
-        exact = _project(p, line, 1)
-        if exact is not None:
-            return exact
-    n2 = line.a * line.a + line.b * line.b
-    t = line.evaluate(p)
-    return Point(p.x - divide(t * line.a, n2), p.y - divide(t * line.b, n2))
+    return _project(p, line, 1)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
@@ -563,35 +501,21 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     """With edge vectors b = q − p and c = r − p, the centre is
     p + (c_y·|b|² − b_y·|c|², b_x·|c|² − c_x·|b|²) / (2·b×c)."""
-    if type(p.x) is not float:
-        hp, hq, hr = _hom(p), _hom(q), _hom(r)
-        if hp is not None and hq is not None and hr is not None:
-            # over the common denominator l the edge vectors are B/l and C/l
-            # for integer B, C, and the offset from p is (ox, oy)/(2·l·B×C)
-            (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = hp, hq, hr
-            l = math.lcm(w1, w2, w3)
-            x1, y1, s2, s3 = x1 * (l // w1), y1 * (l // w1), l // w2, l // w3
-            bx, by = x2 * s2 - x1, y2 * s2 - y1
-            cx, cy = x3 * s3 - x1, y3 * s3 - y1
-            cross = bx * cy - by * cx
-            if cross == 0:
-                raise DegenerateInput("collinear points have no circumcircle")
-            bb, cc = bx * bx + by * by, cx * cx + cy * cy
-            ox, oy = cy * bb - by * cc, bx * cc - cx * bb
-            d = 2 * l * cross
-            center = Point(
-                Fraction(2 * cross * x1 + ox, d), Fraction(2 * cross * y1 + oy, d)
-            )
-            return Circle(center, Fraction(ox * ox + oy * oy, d * d))
-    b, c = q - p, r - p
-    d = 2 * b.cross(c)
-    if d == 0:
+    # over the common denominator l the edge vectors are B/l and C/l, and
+    # the offset from p is (ox, oy)/(2·l·B×C)
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
+    l = math.lcm(w1, w2, w3)
+    x1, y1, s2, s3 = x1 * (l // w1), y1 * (l // w1), l // w2, l // w3
+    bx, by = x2 * s2 - x1, y2 * s2 - y1
+    cx, cy = x3 * s3 - x1, y3 * s3 - y1
+    cross = bx * cy - by * cx
+    if cross == 0:
         raise DegenerateInput("collinear points have no circumcircle")
-    bb, cc = b.norm2(), c.norm2()
-    center = Point(
-        p.x + divide(c.y * bb - b.y * cc, d), p.y + divide(b.x * cc - c.x * bb, d)
-    )
-    return Circle(center, center.dist2(p))
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    ox, oy = cy * bb - by * cc, bx * cc - cx * bb
+    d = 2 * l * cross
+    center = Point(divide(2 * cross * x1 + ox, d), divide(2 * cross * y1 + oy, d))
+    return Circle(center, divide(ox * ox + oy * oy, d * d))
 
 
 def circle_from_diameter(p: Point, q: Point) -> Circle:
@@ -621,22 +545,13 @@ def tangency_classify(c1: Circle, c2: Circle) -> Tangency:
     tangent iff (d² − r2₁ − r2₂)² = 4·r2₁·r2₂ (internal when d² < r2₁+r2₂)."""
     if c1 == c2:
         raise IdenticalCircles("cannot classify a circle against itself")
-    if type(c1.r2) is not float:
-        h1, h2 = _hom(c1.center), _hom(c2.center)
-        q1, q2 = _ratio(c1.r2), _ratio(c2.r2)
-        if h1 is not None and h2 is not None and q1 is not None and q2 is not None:
-            # d², r2₁ and r2₂ scaled to one denominator l > 0
-            (x1, y1, w1), (x2, y2, w2), (n1, e1), (n2, e2) = h1, h2, q1, q2
-            dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
-            e0 = w * w
-            l = math.lcm(e0, e1, e2)
-            return _classify(
-                (dx * dx + dy * dy) * (l // e0), n1 * (l // e1), n2 * (l // e2)
-            )
-    return _classify(c1.center.dist2(c2.center), c1.r2, c2.r2)
-
-
-def _classify(d2: Number, r1: Number, r2: Number) -> Tangency:
+    # d², r2₁ and r2₂ scaled to one denominator l > 0
+    (x1, y1, w1), (x2, y2, w2) = _hom(c1.center), _hom(c2.center)
+    (n1, e1), (n2, e2) = _ratio(c1.r2), _ratio(c2.r2)
+    dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
+    e0 = w * w
+    l = math.lcm(e0, e1, e2)
+    d2, r1, r2 = (dx * dx + dy * dy) * (l // e0), n1 * (l // e1), n2 * (l // e2)
     lhs = d2 - r1 - r2
     disc = lhs * lhs - 4 * r1 * r2
     if disc == 0:

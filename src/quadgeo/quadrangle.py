@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .kernel import (
     Circle,
@@ -25,7 +24,6 @@ from .kernel import (
     cross_ratio,
     divide,
     radical_axis,
-    sqrt_scalar,
 )
 
 
@@ -209,9 +207,8 @@ def euler_range(q: LabeledQuadrangle, label: int) -> EulerRange:
     the orthocentre from the Centre, O = −d, G = −d/3, deL = −3d."""
     h = q.vertices[label]
     d = h - q.center
-    third = Fraction(1, 3) if d.is_exact() else 1 / 3
     o = q.center - d
-    g = q.center - d.scale(third)
+    g = q.center - Point(divide(d.x, 3), divide(d.y, 3))
     del_ = q.center - d.scale(3)
     return EulerRange(h, o, g, del_, Line.through(h, o))
 
@@ -232,59 +229,40 @@ class TriangleMetrics:
     r3: Number
 
 
-def _exact_metrics(
-    hp: Tuple[int, int, int], hq: Tuple[int, int, int], hr: Tuple[int, int, int]
-) -> Optional[TriangleMetrics]:
-    """The metrics of exact vertices, one `Fraction` per field: over the
-    common denominator l the vertices are integer vectors, each side is
-    √N/l for an integer N and the area is |X|/(2l²) for their integer cross
-    product X. None unless every N is a square, that is, unless the sides
-    are rational."""
-    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = hp, hq, hr
+def _root(n: Number) -> Number:
+    """√n: an int for an int square, else a float."""
+    if type(n) is int:
+        k = math.isqrt(n)
+        if k * k == n:
+            return k
+    return math.sqrt(n)
+
+
+def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
+    """Over the common denominator l the vertices are vectors of the
+    triples, each side is √N/l and the area is |X|/(2l²) for their cross
+    product X: one `Fraction` per field when the sides are rational."""
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
     l = math.lcm(w1, w2, w3)
     x1, y1, x2, y2 = x1 * (l // w1), y1 * (l // w1), x2 * (l // w2), y2 * (l // w2)
     x3, y3 = x3 * (l // w3), y3 * (l // w3)
     cross = abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
     if cross == 0:
         raise DegenerateInput("collinear points")
-    sides = []
-    for dx, dy in ((x3 - x2, y3 - y2), (x1 - x3, y1 - y3), (x2 - x1, y2 - y1)):
-        n = dx * dx + dy * dy
-        k = math.isqrt(n)
-        if k * k != n:
-            return None
-        sides.append(k)
-    a, b, c = sides
-    # for non-collinear vertices the triangle inequality is strict
-    return TriangleMetrics(
-        a=Fraction(a, l), b=Fraction(b, l), c=Fraction(c, l),
-        s=Fraction(a + b + c, 2 * l), area=Fraction(cross, 2 * l * l),
-        r=Fraction(cross, l * (a + b + c)), r1=Fraction(cross, l * (b + c - a)),
-        r2=Fraction(cross, l * (c + a - b)), r3=Fraction(cross, l * (a + b - c)),
-    )
-
-
-def triangle_metrics(p: Point, q: Point, r: Point) -> TriangleMetrics:
-    if type(p.x) is not float:
-        hp, hq, hr = _hom(p), _hom(q), _hom(r)
-        if hp is not None and hq is not None and hr is not None:
-            exact = _exact_metrics(hp, hq, hr)
-            if exact is not None:
-                return exact
-    cross = (q - p).cross(r - p)
-    if cross == 0:
-        raise DegenerateInput("collinear points")
-    area = divide(abs(cross), 2)
-    a = sqrt_scalar(q.dist2(r))
-    b = sqrt_scalar(r.dist2(p))
-    c = sqrt_scalar(p.dist2(q))
-    s = (a + b + c) / 2
-    sa, sb, sc = s - a, s - b, s - c
+    a, b, c = [
+        _root(dx * dx + dy * dy)
+        for dx, dy in ((x3 - x2, y3 - y2), (x1 - x3, y1 - y3), (x2 - x1, y2 - y1))
+    ]
+    # 2l·s and 2l·(s − a), …; for rational sides the inequality is strict
+    s2 = a + b + c
+    sa, sb, sc = s2 - 2 * a, s2 - 2 * b, s2 - 2 * c
     if min(sa, sb, sc) <= 0:
         raise DegenerateInput("sliver: a side rounds to the sum of the others")
     return TriangleMetrics(
-        a=a, b=b, c=c, s=s, area=area,
-        r=area / s, r1=area / sa, r2=area / sb, r3=area / sc,
+        a=divide(a, l), b=divide(b, l), c=divide(c, l),
+        s=divide(s2, 2 * l), area=divide(cross, 2 * l * l),
+        r=divide(cross, l * s2), r1=divide(cross, l * sa),
+        r2=divide(cross, l * sb), r3=divide(cross, l * sc),
     )
 
 

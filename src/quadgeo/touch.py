@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
@@ -73,20 +72,14 @@ def touch_circles(
     tri = as_triangle(tri)
     p, q, r = tri
     m = tri.metrics
-    exact = False
-    if type(m.a) is not float:
-        hs, ks = (_hom(p), _hom(q), _hom(r)), (_ratio(m.a), _ratio(m.b), _ratio(m.c))
-        exact = None not in hs and None not in ks
-    if exact:
-        # the centre Σ wᵢ·vᵢ / Σ wᵢ over ints: the sides over their common
-        # denominator k, the vertices over theirs, l
-        k = math.lcm(*[d for _, d in ks])
-        a, b, c = [n * (k // d) for n, d in ks]
-        l = math.lcm(*[w for _, _, w in hs])
-        xs = [x * (l // w) for x, _, w in hs]
-        ys = [y * (l // w) for _, y, w in hs]
-    else:
-        a, b, c = m.a, m.b, m.c
+    # the centre Σ wᵢ·vᵢ / Σ wᵢ over the triples: the sides over their
+    # common denominator k, the vertices over theirs, l
+    hs, ks = (_hom(p), _hom(q), _hom(r)), (_ratio(m.a), _ratio(m.b), _ratio(m.c))
+    k = math.lcm(*[d for _, d in ks])
+    a, b, c = [n * (k // d) for n, d in ks]
+    l = math.lcm(*[w for _, _, w in hs])
+    xs = [x * (l // w) for x, _, w in hs]
+    ys = [y * (l // w) for _, y, w in hs]
     weight_sets = {
         "o": (a, b, c),
         "a": (-a, b, c),
@@ -97,18 +90,11 @@ def touch_circles(
     out = []
     for ext in EXTRAVERSIONS:
         wa, wb, wc = weight_sets[ext]
-        tot = wa + wb + wc
-        if exact:
-            tot *= l
-            center = Point(
-                Fraction(wa * xs[0] + wb * xs[1] + wc * xs[2], tot),
-                Fraction(wa * ys[0] + wb * ys[1] + wc * ys[2], tot),
-            )
-        else:
-            center = Point(
-                (wa * p.x + wb * q.x + wc * r.x) / tot,
-                (wa * p.y + wb * q.y + wc * r.y) / tot,
-            )
+        tot = (wa + wb + wc) * l
+        center = Point(
+            divide(wa * xs[0] + wb * xs[1] + wc * xs[2], tot),
+            divide(wa * ys[0] + wb * ys[1] + wc * ys[2], tot),
+        )
         rad = radii[ext]
         circle = Circle(center, rad * rad)
         out.append(TouchCircle((triangle_label, ext), circle, tri))
@@ -204,8 +190,7 @@ def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
         (wa * p.y + wb * q.y + wc * r.y) / tot,
     )
     incentre = tcs[0].circle.center
-    third = Fraction(1, 3) if p.is_exact() else 1 / 3
-    centroid = Point((p.x + q.x + r.x) * third, (p.y + q.y + r.y) * third)
+    centroid = Point(divide(p.x + q.x + r.x, 3), divide(p.y + q.y + r.y, 3))
     return GergonneNagelData(gergonnes, nagel, incentre, centroid, _de_longchamps(tri))
 
 

@@ -22,7 +22,6 @@ from quadgeo.kernel import (
     NotCollinear,
     Point,
     Tangency,
-    approx_collinear,
     circumcircle,
     collinear,
     cross_ratio,
@@ -167,7 +166,7 @@ def test_eps_applies_to_float_residuals_only(num, tolerated):
         Line(one, zero, zero).contains(Point(d, zero), eps=1e-9),
         Circle(Point(zero, zero), one).contains(Point(one + d, zero), eps=1e-9),
         Line(one, zero, zero).is_perpendicular(Line(d, one, zero), eps=1e-9),
-        approx_collinear(Point(zero, zero), Point(one, zero), Point(one, d)),
+        collinear(Point(zero, zero), Point(one, zero), Point(one, d), eps=1e-9),
     )
     assert checks == (tolerated,) * 4
 
@@ -413,9 +412,10 @@ def _is_fraction_point(p):
 
 
 class TestIntegerPaths:
-    """The exact primitives read points as integer triples; each equals the
+    """The primitives read exact points as integer triples; each equals the
     textbook formula evaluated over Fractions, with the same result types,
-    and input with a float coordinate keeps the float path."""
+    and input with a float coordinate, read as a triple with W = 1, gives
+    float results."""
 
     @given(exact_points, exact_points)
     @settings(max_examples=150)
@@ -551,7 +551,7 @@ class TestIntegerPaths:
         assert got == _coprime(*values)
         assert all(type(n) is int for n in got)
 
-    def test_mixed_input_takes_the_float_path(self):
+    def test_mixed_input_gives_float_results(self):
         half = Point(F(1, 2), 0.25)
         q, r = Point(0, 0), Point(F(3), F(4))
         line = Line.through(q, r)
@@ -572,6 +572,85 @@ class TestIntegerPaths:
         assert line.contains(Point(0.3, 0.4), eps=1e-12)
         assert Circle(Point(0.0, 0.0), 25.0).contains(r)
         assert not Circle(Point(0, 0), 25).contains(Point(5.0, 1e-3))
+
+
+float_coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+float_points = st.builds(Point, float_coords, float_coords)
+
+
+def _ref_float_line(p, q):
+    """(d_y, −d_x, d_y·p_x − d_x·p_y) for d = q − p, scaled to a unit normal
+    with the first nonzero of (a, b) positive, in floats."""
+    dx, dy = q.x - p.x, q.y - p.y
+    a, b, c = dy, -dx, dy * p.x - dx * p.y
+    n = math.hypot(a, b)
+    a, b, c = a / n, b / n, c / n
+    if a < 0 or (abs(a) < 1e-15 and b < 0):
+        a, b, c = -a, -b, -c
+    return a, b, c
+
+
+def _ref_float_project(p, line, k):
+    """p − k·(a·x + b·y − c)/(a² + b²)·(a, b), in floats."""
+    n2 = line.a * line.a + line.b * line.b
+    t = k * (line.a * p.x + line.b * p.y - line.c)
+    return p.x - t * line.a / n2, p.y - t * line.b / n2
+
+
+class TestFloatInput:
+    """A point with a float coordinate is the triple (x, y, 1): the
+    primitives agree with the textbook float formulas, and a predicate on
+    mixed input scales its tolerance by the exact operand's W."""
+
+    @given(float_points, float_points, float_points)
+    @settings(max_examples=200)
+    def test_line_reflection_and_foot(self, p, q, r):
+        if math.hypot(q.x - p.x, q.y - p.y) < 1:
+            return
+        tol = DEFAULT_EPS * max(1.0, *(abs(v) for v in (p.x, p.y, q.x, q.y, r.x, r.y)))
+        line = Line.through(p, q)
+        got = (line.a, line.b, line.c)
+        assert all(type(v) is float for v in got)
+        assert all(abs(g - w) <= tol for g, w in zip(got, _ref_float_line(p, q)))
+        for k, project in ((2, reflect_point_in_line), (1, foot_of_perpendicular)):
+            image = project(r, line)
+            want = _ref_float_project(r, line, k)
+            assert type(image.x) is float and type(image.y) is float
+            assert abs(image.x - want[0]) <= tol and abs(image.y - want[1]) <= tol
+
+    @given(float_points, st.floats(0.5, 100), st.floats(-math.pi, math.pi),
+           st.floats(-1e-8, 1e-8))
+    @settings(max_examples=200)
+    def test_circle_contains(self, c, r, theta, delta):
+        p = Point(c.x + (r + delta) * math.cos(theta), c.y + (r + delta) * math.sin(theta))
+        eps = DEFAULT_EPS * r
+        power = (p.x - c.x) ** 2 + (p.y - c.y) ** 2 - r * r
+        assert Circle(c, r * r).contains(p, eps) == (abs(power) <= eps)
+
+    @pytest.mark.parametrize("k", [-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0])
+    def test_exact_circle_with_denominator_against_float_point(self, k):
+        """Centre (1/3, 2/3) and r² = 25/4: the triple residual carries the
+        factor d·w² = 4·9, which the tolerance must carry too."""
+        eps = 1e-6
+        circle = Circle(Point(F(1, 3), F(2, 3)), F(25, 4))
+        p = Point(1 / 3 + math.sqrt(6.25 + k * eps), 2 / 3)
+        power = (p.x - 1 / 3) ** 2 + (p.y - 2 / 3) ** 2 - 6.25
+        assert abs(abs(power) / eps - abs(k)) < 0.01
+        assert circle.contains(p, eps) == (abs(k) < 1)
+
+    @pytest.mark.parametrize("k", [-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0])
+    def test_exact_point_with_denominator_against_float_line(self, k):
+        """p = (1/7, 2/7): the triple residual a·X + b·Y − c·W carries the
+        factor W = 7, which the tolerance must carry too."""
+        eps = 1e-6
+        p = Point(F(1, 7), F(2, 7))
+        line = Line(0.6, 0.8, 0.6 / 7 + 0.8 * 2 / 7 + k * eps)
+        plain = line.a * (1 / 7) + line.b * (2 / 7) - line.c
+        assert abs(abs(plain) / eps - abs(k)) < 0.01
+        assert line.contains(p, eps) == (abs(k) < 1)
+        # the plain cross product (q − p)×(r − p) is −k·eps
+        r = Point(1.0, 2 + 7 * k * eps)
+        assert collinear(p, Point(0.0, 0.0), r, eps=eps) == (abs(k) < 1)
 
 
 def test_no_assert_statements_in_package():
