@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .kernel import (
@@ -174,24 +175,18 @@ def _recipe_empty(name: str) -> Scene:
     return Scene((-1.0, -1.0, 1.0, 1.0))
 
 
-def _quadrangle_edges(q: LabeledQuadrangle) -> List[Line]:
-    pairs = [(1, 2), (1, 4), (1, 7), (2, 4), (2, 7), (4, 7)]
-    return [q.edge(a, b) for a, b in pairs]
-
-
 def _recipe_twins(name: str) -> Scene:
     q = fixture_quadrangle(name)
     scene = Scene(T0_WINDOW)
-    for e in _quadrangle_edges(q):
-        scene.add_line(e)
-    tq = q.twin_quadrangle()
-    for e in _quadrangle_edges(tq):
-        scene.add_line(e, stroke="dashed")
+    for a, b in combinations(LABELS, 2):
+        scene.add_line(q.edge(a, b))
+    for a, b in combinations(LABELS, 2):
+        scene.add_line(q.twin_quadrangle.edge(a, b), stroke="dashed")
     for lab in LABELS:
-        scene.add_point(q.vertex(lab))
-        scene.add_label(q.vertex(lab), str(lab))
-        scene.add_point(q.twin_vertex(lab))
-        scene.add_label(q.twin_vertex(lab), f"{lab}~")
+        scene.add_point(q.vertices[lab])
+        scene.add_label(q.vertices[lab], str(lab))
+        scene.add_point(q.twins[lab])
+        scene.add_label(q.twins[lab], f"{lab}~")
     for (lab, barred), p in sorted(q.midpoints.items()):
         scene.add_point(p)
         scene.add_label(p, f"{lab}{'~' if barred else ''}")
@@ -204,10 +199,10 @@ def _recipe_twins(name: str) -> Scene:
 def _recipe_touch32(name: str) -> Scene:
     q = fixture_quadrangle(name)
     scene = Scene(T0_WINDOW)
-    for quad in (q, q.twin_quadrangle()):
-        for e in _quadrangle_edges(quad):
-            scene.add_line(e, stroke="dotted")
-    for quad in (q, q.twin_quadrangle()):
+    for quad in (q, q.twin_quadrangle):
+        for a, b in combinations(LABELS, 2):
+            scene.add_line(quad.edge(a, b), stroke="dotted")
+    for quad in (q, q.twin_quadrangle):
         for lab in LABELS:
             for tc in touch.touch_circles(quad.face(lab)):
                 scene.add_circle(tc.circle)
@@ -218,8 +213,8 @@ def _recipe_touch32(name: str) -> Scene:
 def _recipe_gergonne16(name: str) -> Scene:
     q = fixture_quadrangle(name)
     scene = Scene(T0_WINDOW)
-    for e in _quadrangle_edges(q):
-        scene.add_line(e, stroke="dotted")
+    for a, b in combinations(LABELS, 2):
+        scene.add_line(q.edge(a, b), stroke="dotted")
     for lab in sorted(LABELS):
         data = touch.gergonne_nagel(q.face(lab))
         for ext in ("o", "a", "b", "c"):
@@ -235,7 +230,7 @@ def _recipe_trisequence(name: str) -> Scene:
     seq = wallace.trisequence(q, "7B", Point(F(-62), F(117)), 11)
     scene = Scene(T0_WINDOW)
     for lab in LABELS:
-        scene.add_circle(q.face_circumcircle(lab), stroke="dotted")
+        scene.add_circle(q.face(lab).circumcircle, stroke="dotted")
     for lname in sorted(seq.lines):
         scene.add_line(seq.lines[lname])
     for node_name in sorted(seq.nodes):
@@ -266,7 +261,7 @@ def _recipe_df_envelope(name: str) -> Scene:
     tri = q.face(7)
     env = drozfarny.df_envelope(tri)
     scene = Scene(T0_WINDOW)
-    h = q.vertex(7)
+    h = q.vertices[7]
     for i in range(12):
         t = F(2 * i + 1, 25)
         d = Point(1 - t * t, 2 * t)
@@ -502,6 +497,11 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
         acute_census(q) == {"acute": 1, "obtuse": 3},
         "acute census: not one acute and three obtuse faces",
     )
+    points = (*q.midpoints.values(), *q.diagonals.values())
+    yield Check(
+        all(map(q.central_circle.contains, points)),
+        "a midpoint or diagonal point is off the Central Circle",
+    )
     face = q.face(7)
     yield Check(
         set(medial_circles(*face).radical_axes) == set(altitudes(*face)),
@@ -668,9 +668,9 @@ def _suite_soddy(rng, count) -> Iterator[Check]:
 def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     tri = q.face(7)
-    circ = q.face_circumcircle(7)
+    circ = tri.circumcircle
     base = Point(F(-62), F(117))
-    h = q.vertex(7)
+    h = q.vertices[7]
     for i in range(count):
         t = F(2 * i + 1, 2 * count + 1)
         s = wallace.rational_circle_point(circ, base, t)
@@ -688,7 +688,7 @@ def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
     )
     line = wallace.wallace_line(tri, base).line
     for lab in (1, 2):
-        fit = wallace.fit_triangle(circ, base, line, q.vertex(lab))
+        fit = wallace.fit_triangle(circ, base, line, q.vertices[lab])
         yield Check(
             set(fit.triangle) == set(tri),
             f"triangle fitted from vertex {lab} to the Wallace line is not face 7",
@@ -724,7 +724,7 @@ def _suite_deltoid(rng, count) -> Iterator[Check]:
 def _suite_droz_farny(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     tri = q.face(7)
-    h = q.vertex(7)
+    h = q.vertices[7]
     env = drozfarny.df_envelope(tri)
     done = 0
     i = 0
@@ -772,7 +772,7 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         "theorem R: Wallace line of the concurrence point not parallel",
     )
     a, b, c = tri
-    circ = q.face_circumcircle(7)
+    circ = tri.circumcircle
     mids = (b.midpoint(c), c.midpoint(a), a.midpoint(b))
     yield Check(
         drozfarny.miquel_point(tri, *mids) == circ.center,
@@ -921,7 +921,7 @@ def _suite_morley(rng, count) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     io = morley.inside_out(q.face(7))
     yield Check(
-        io.circumcentre == q.twin_vertex(7) and io.orthocentre == q.vertex(7),
+        io.circumcentre == q.twins[7] and io.orthocentre == q.vertices[7],
         "inside-out treblers do not concur at the circumcentre and orthocentre",
     )
     yield Check(

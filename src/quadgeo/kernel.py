@@ -95,14 +95,6 @@ def divide(n: Number, d: Number) -> Number:
     return n / d
 
 
-def as_fraction(x: Number) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**15)
-
-
 def _ratio(x: Number) -> Tuple[Number, int]:
     """(n, d) with d > 0 and x = n/d: integers for an exact scalar, (x, 1)
     for a float."""
@@ -131,13 +123,13 @@ def primitive_integers(values: Sequence[Number]) -> Tuple[int, ...]:
 def sqrt_scalar(x: Number) -> Number:
     """Square root; exact when x is a rational perfect square, else float."""
     if is_exact(x):
-        f = as_fraction(x)
-        if f < 0:
+        n, d = _ratio(x)
+        if n < 0:
             raise ValueError("negative radicand")
-        pn, pd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if pn * pn == f.numerator and pd * pd == f.denominator:
+        pn, pd = math.isqrt(n), math.isqrt(d)
+        if pn * pn == n and pd * pd == d:
             return Fraction(pn, pd)
-        return math.sqrt(f.numerator / f.denominator)
+        return math.sqrt(n / d)
     if x < 0:
         raise ValueError("negative radicand")
     return math.sqrt(x)
@@ -147,10 +139,10 @@ def format_scalar(x: Number) -> str:
     """Serialize a scalar: exact as ``p/q`` (or ``n``), approx with 12
     significant digits."""
     if is_exact(x):
-        f = as_fraction(x)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        n, d = _ratio(x)
+        if d == 1:
+            return str(n)
+        return f"{n}/{d}"
     return f"{x:.12g}"
 
 

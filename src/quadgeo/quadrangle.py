@@ -1,14 +1,17 @@
 """Triangles and orthocentric quadrangles: the `Triangle` value that
-carries a triangle's edges, orthocentre, circumcircle and metrics,
-quadration, twinning, the Centre and Central Circle, Euler-line harmonic
-ranges, the median circles whose radical axes are the altitudes, the edges
-of the derived (quadration) triangles, and the acute census."""
+carries a triangle's edges, orthocentre, circumcircle and metrics; the
+`LabeledQuadrangle` value that stores the four labelled vertices of a
+quadrated triangle and derives its twins, Centre, Central Circle, midpoints,
+diagonal points and faces from them; Euler-line harmonic ranges, the median
+circles whose radical axes are the altitudes, the edges of the derived
+(quadration) triangles, and the acute census."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .kernel import (
@@ -33,9 +36,6 @@ class AmbiguousLabeling(GeometryError):
 
 
 LABELS = (1, 2, 4, 7)
-#: midpoint label = nim-sum of the two vertex labels; barred when 7 is involved
-MIDPOINT_PAIRS = {3: (1, 2), 5: (4, 1), 6: (2, 4)}
-MIDPOINT_PAIRS_BARRED = {3: (7, 4), 5: (7, 2), 6: (7, 1)}
 
 
 def orthocentre(p: Point, q: Point, r: Point) -> Point:
@@ -82,45 +82,79 @@ def as_triangle(pts: Sequence[Point]) -> Triangle:
 
 @dataclass(frozen=True)
 class LabeledQuadrangle:
-    vertices: Dict[int, Point]       # labels 1,2,4,7
-    twins: Dict[int, Point]          # same keys; twin(l) = reflection through centre
-    center: Point                    # label 0: the Centre
-    midpoints: Dict[Tuple[int, bool], Point]   # (label, barred)
-    diagonals: Dict[Tuple[int, bool], Point]   # (label, barred)
-    central_circle: Circle
+    """An orthocentric quadrangle: its four vertices, labelled 1, 2, 4, 7 so
+    that each is the orthocentre of the face on the other three. The rest is
+    derived from them on first use and then kept: the Centre (label 0), the
+    twins (the vertices reflected through the Centre), the midpoints and
+    diagonal points labelled by nim-sums, the Central Circle and the four
+    faces, one `Triangle` per label, so the constructions on a face share
+    its edges, orthocentre, circumcircle and metrics."""
 
-    def vertex(self, label: int) -> Point:
-        return self.vertices[label]
+    vertices: Dict[int, Point]       # labels 1, 2, 4, 7
 
-    def twin_vertex(self, label: int) -> Point:
-        return self.twins[label]
+    @cached_property
+    def center(self) -> Point:
+        """Label 0: the mean of the four vertices."""
+        pts = self.vertices.values()
+        return Point(divide(sum(p.x for p in pts), 4), divide(sum(p.y for p in pts), 4))
+
+    @cached_property
+    def twins(self) -> Dict[int, Point]:
+        """The vertices reflected through the Centre; twin(l) is the
+        circumcentre of face l."""
+        c2 = self.center.scale(2)
+        return {l: c2 - v for l, v in self.vertices.items()}
+
+    @cached_property
+    def twin_quadrangle(self) -> "LabeledQuadrangle":
+        return LabeledQuadrangle(self.twins)
+
+    @cached_property
+    def midpoints(self) -> Dict[Tuple[int, bool], Point]:
+        """Keyed (label, barred): the midpoint of vertices a and b has the
+        label a ⊕ b, barred when 7 is one of them."""
+        v = self.vertices
+        return {
+            (a ^ b, b == 7): v[a].midpoint(v[b]) for a, b in combinations(LABELS, 2)
+        }
+
+    @cached_property
+    def diagonals(self) -> Dict[Tuple[int, bool], Point]:
+        """Keyed (label, barred): the opposite edges a7 and bc with
+        a ⊕ 7 = b ⊕ c meet in the diagonal point of that label (D6 = 17∩24,
+        D5 = 27∩41, D3 = 47∩12); the barred one is its reflection through
+        the Centre."""
+        c2 = self.center.scale(2)
+        out: Dict[Tuple[int, bool], Point] = {}
+        for a, bc in ((1, (2, 4)), (2, (4, 1)), (4, (1, 2))):
+            pt = self.edge(a, 7).intersect(self.edge(*bc))
+            out[(a ^ 7, False)], out[(a ^ 7, True)] = pt, c2 - pt
+        return out
+
+    @cached_property
+    def central_circle(self) -> Circle:
+        """The nine-point circle shared by the four faces: centred at the
+        Centre, through the six midpoints and the six diagonal points."""
+        return Circle(self.center, self.midpoints[(6, False)].dist2(self.center))
+
+    @cached_property
+    def _faces(self) -> Dict[int, Triangle]:
+        v = self.vertices
+        return {l: Triangle(v[m] for m in self.face_labels(l)) for l in LABELS}
 
     def face(self, label: int) -> Triangle:
         """The triangle on the three labels other than `label`."""
-        return Triangle(self.vertices[l] for l in LABELS if l != label)
+        return self._faces[label]
 
     def face_labels(self, label: int) -> Tuple[int, int, int]:
         return tuple(l for l in LABELS if l != label)
 
     def edge(self, l1: int, l2: int) -> Line:
-        return Line.through(self.vertices[l1], self.vertices[l2])
-
-    def face_circumcircle(self, label: int) -> Circle:
-        """Circumcircle of the face opposite `label`; its centre is the
-        twin of `label`."""
-        return Circle(self.twins[label], self.twins[label].dist2(
-            self.vertices[self.face_labels(label)[0]]))
-
-    def twin_quadrangle(self) -> "LabeledQuadrangle":
-        neg = {l: self.twins[l] for l in LABELS}
-        return LabeledQuadrangle(
-            vertices=neg,
-            twins={l: self.vertices[l] for l in LABELS},
-            center=self.center,
-            midpoints={k: self.center.scale(2) - p for k, p in self.midpoints.items()},
-            diagonals={k: self.center.scale(2) - p for k, p in self.diagonals.items()},
-            central_circle=self.central_circle,
-        )
+        """The line through vertices l1 and l2, read from the face of the
+        larger of the other two labels: edge i of a face is the one opposite
+        its vertex i."""
+        opposite, label = (l for l in LABELS if l not in (l1, l2))
+        return self._faces[label].edges[self.face_labels(label).index(opposite)]
 
 
 def _is_right_or_isosceles(pts: Sequence[Point]) -> bool:
@@ -134,45 +168,18 @@ def _is_right_or_isosceles(pts: Sequence[Point]) -> bool:
 
 
 def quadrate(p1: Point, p2: Point, p3: Point) -> LabeledQuadrangle:
-    """Quadrate a triangle: adjoin its orthocentre, assign nim-sum labels
-    {1,2,4,7} (the vertex interior to the other three — the orthocentre of
-    the acute face — gets 7), and populate twins, midpoints, diagonal
-    points and the Central Circle."""
+    """Quadrate a triangle: adjoin its orthocentre and assign the nim-sum
+    labels {1,2,4,7}; the vertex interior to the other three — the
+    orthocentre of the acute face — gets 7."""
     h = orthocentre(p1, p2, p3)
-    pts = [p1, p2, p3, h]
     if _is_right_or_isosceles([p1, p2, p3]):
         raise AmbiguousLabeling("right or isosceles seed cannot be labeled")
-
     # label 7: the orthocentre of an acute seed, else the seed's obtuse
     # vertex (the one with a negative dot product)
-    dots = _vertex_dots(p1, p2, p3)
-    seven_idx = next((i for i, d in enumerate(dots) if d < 0), 3)
-
+    pts = [p1, p2, p3, h]
+    seven_idx = next((i for i, d in enumerate(_vertex_dots(p1, p2, p3)) if d < 0), 3)
     rest = [q for j, q in enumerate(pts) if j != seven_idx]
-    vertices = {1: rest[0], 2: rest[1], 4: rest[2], 7: pts[seven_idx]}
-
-    center = Point(divide(sum(p.x for p in pts), 4), divide(sum(p.y for p in pts), 4))
-    twins = {l: center.scale(2) - v for l, v in vertices.items()}
-
-    midpoints: Dict[Tuple[int, bool], Point] = {}
-    for lab, (a, b) in MIDPOINT_PAIRS.items():
-        midpoints[(lab, False)] = vertices[a].midpoint(vertices[b])
-    for lab, (a, b) in MIDPOINT_PAIRS_BARRED.items():
-        midpoints[(lab, True)] = vertices[a].midpoint(vertices[b])
-
-    # diagonal points: D6 = 17∩24, D5 = 27∩41, D3 = 47∩12 (+ barred twins)
-    diag_defs = {6: ((1, 7), (2, 4)), 5: ((2, 7), (4, 1)), 3: ((4, 7), (1, 2))}
-    diagonals: Dict[Tuple[int, bool], Point] = {}
-    for lab, ((a, b), (c, d)) in diag_defs.items():
-        pt = Line.through(vertices[a], vertices[b]).intersect(
-            Line.through(vertices[c], vertices[d])
-        )
-        diagonals[(lab, False)] = pt
-        diagonals[(lab, True)] = center.scale(2) - pt
-
-    r2 = midpoints[(6, False)].dist2(center)
-    central = Circle(center, r2)
-    return LabeledQuadrangle(vertices, twins, center, midpoints, diagonals, central)
+    return LabeledQuadrangle(dict(zip(LABELS, rest + [pts[seven_idx]])))
 
 
 def _vertex_dots(a: Point, b: Point, c: Point) -> Tuple[Number, Number, Number]:

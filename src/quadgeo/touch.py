@@ -125,7 +125,7 @@ def feuerbach_verify(q: LabeledQuadrangle) -> FeuerbachReport:
     """Tangency of all 32 touch-circles (4 faces × 2 twins × 4 circles) to
     the Central Circle, via the exact squared identity."""
     entries = []
-    for quad, bar in ((q, ""), (q.twin_quadrangle(), "~")):
+    for quad, bar in ((q, ""), (q.twin_quadrangle, "~")):
         for label in LABELS:
             for tc in touch_circles(quad.face(label), triangle_label=f"{label}{bar}"):
                 kind = tangency_classify(tc.circle, q.central_circle)

@@ -12,6 +12,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -96,18 +97,15 @@ def wallace_quadrated(q: LabeledQuadrangle, s8: Point) -> QuadratedWallace:
     """Transport of a circumcircle point to the other three circumcircles
     by a common radius vector: the twelve perpendicular feet lie on one
     line."""
-    faces = {l: q.face(l) for l in LABELS}
-    circ8 = faces[7].circumcircle
+    circ8 = q.face(7).circumcircle
     if not circ8.contains(s8):
         raise PointNotOnCircumcircle("source must lie on the 124-circumcircle")
     rho = s8 - circ8.center  # radius vector; face circumcentre of l is twin(l)
-    sources = {7: s8}
-    for l in (1, 2, 4):
-        sources[l] = q.twins[l] + rho
+    sources = {7: s8, **{l: q.twins[l] + rho for l in (1, 2, 4)}}
     feet = [
-        foot_of_perpendicular(s, e) for l, s in sources.items() for e in faces[l].edges
+        foot_of_perpendicular(s, e) for l, s in sources.items() for e in q.face(l).edges
     ]
-    line = wallace_line(faces[7], s8).line
+    line = wallace_line(q.face(7), s8).line
     return QuadratedWallace(feet, line)
 
 
@@ -166,7 +164,7 @@ def trisequence(
     collinear on a line through the host vertex. Lines are lettered in
     processing order; already-seen image points close cycles."""
     host = int(seed_name[0])
-    if not q.face_circumcircle(host).contains(seed_point):
+    if not q.face(host).circumcircle.contains(seed_point):
         raise PointNotOnCircumcircle("seed must lie on its host circumcircle")
     letters = _line_letters()
     seed = TrisequenceNode(seed_name, seed_point, host, seed_name[1:], None)
@@ -261,73 +259,44 @@ class ThreeCycleData:
 
 
 def three_cycles(q: LabeledQuadrangle) -> ThreeCycleData:
-    """The twelve vertex antipodes on the circumcircles reflect among
-    themselves in four 3-cycles.  For each pair of labels the line joining
-    the two cross antipodes carries four points of the configuration; the
-    six such lines concur in threes at the vertices of the quadrangle
-    trebled about the Centre, whose Central Circle has thrice the radius."""
-    antipodes: Dict[Tuple[int, int], Point] = {}
-    for h in LABELS:
-        center = q.twins[h]
-        for v in q.face_labels(h):
-            antipodes[(v, h)] = Point(
-                2 * center.x - q.vertices[v].x, 2 * center.y - q.vertices[v].y
-            )
-    # reflection images of each antipode in its host-face edges
-    image_map: Dict[Tuple[int, int], List[Point]] = {}
-    for (v, h), pt in antipodes.items():
-        opp = _host_order(h)
-        imgs = []
-        for i, w in enumerate(opp):
-            e1, e2 = opp[(i + 1) % 3], opp[(i + 2) % 3]
-            imgs.append(reflect_point_in_line(pt, q.edge(e1, e2)))
-        image_map[(v, h)] = imgs
-
-    point_keys = {pt: key for key, pt in antipodes.items()}
-    succ: Dict[Tuple[int, int], List[Tuple[int, int]]] = {
-        key: [point_keys[img] for img in imgs if img in point_keys]
-        for key, imgs in image_map.items()
+    """The antipode of vertex v on circle h, the circumcircle of face h, is
+    2·twin(h) − v. Reflected in the edge vw of face h it is the antipode of
+    v on circle v ⊕ h ⊕ w, so the twelve antipodes reflect among themselves
+    in four 3-cycles, {(v, h) : h ≠ v} for each vertex v.  For each pair of
+    labels the line joining the two cross antipodes also carries their
+    reflections in the opposite edge; the six such lines concur in threes at
+    the vertices of the quadrangle trebled about the Centre, whose Central
+    Circle has thrice the radius.  Each of the 24 reflections and 12
+    incidences is checked."""
+    antipodes = {
+        (v, h): q.twins[h].scale(2) - q.vertices[v]
+        for h in LABELS
+        for v in q.face_labels(h)
     }
-    cycles: List[Tuple[Tuple[int, int], ...]] = []
-    seen = set()
-    for start in antipodes:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in succ[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        if all(k not in seen for k in comp):
-            seen |= comp
-            cycles.append(tuple(sorted(comp)))
+    for (v, h), pt in antipodes.items():
+        for w in q.face_labels(h):
+            if w == v:
+                continue
+            u = v ^ h ^ w
+            if reflect_point_in_line(pt, q.edge(v, w)) != antipodes[(v, u)]:
+                raise IdentityViolated(
+                    f"antipode ({v}, {h}) reflected in edge {v}{w} is not ({v}, {u})"
+                )
+    cycles = [tuple((v, h) for h in LABELS if h != v) for v in LABELS]
 
-    # six 4-point lines: one per unordered label pair, joining the two
-    # cross antipodes together with two coincident reflection images
     lines: Dict[Tuple[int, int], Line] = {}
     quads: Dict[Tuple[int, int], Tuple[Point, ...]] = {}
-    for i, c1 in enumerate(LABELS):
-        for c2 in LABELS[i + 1:]:
-            a1, a2 = antipodes[(c1, c2)], antipodes[(c2, c1)]
-            line = Line.through(a1, a2)
-            extras = {
-                img
-                for imgs in image_map.values()
-                for img in imgs
-                if line.contains(img) and img not in (a1, a2)
-            }
-            lines[(c1, c2)] = line
-            quads[(c1, c2)] = (a1, a2) + tuple(sorted(extras, key=lambda p: (p.x, p.y)))
+    for c1, c2 in combinations(LABELS, 2):
+        a1, a2 = antipodes[(c1, c2)], antipodes[(c2, c1)]
+        line = Line.through(a1, a2)
+        opposite = q.edge(*(l for l in LABELS if l not in (c1, c2)))
+        extras = [reflect_point_in_line(a, opposite) for a in (a1, a2)]
+        if not all(line.contains(p) for p in extras):
+            raise IdentityViolated(f"line {c1}{c2} misses a reflected antipode")
+        lines[(c1, c2)] = line
+        quads[(c1, c2)] = (a1, a2) + tuple(sorted(extras, key=lambda p: (p.x, p.y)))
 
-    trebled = {
-        l: Point(
-            q.center.x - 3 * (v.x - q.center.x), q.center.y - 3 * (v.y - q.center.y)
-        )
-        for l, v in q.vertices.items()
-    }
+    trebled = {l: q.center - (v - q.center).scale(3) for l, v in q.vertices.items()}
     trebled_circle = Circle(q.center, 9 * q.central_circle.r2)
     return ThreeCycleData(antipodes, cycles, lines, quads, trebled, trebled_circle)
 

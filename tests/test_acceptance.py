@@ -116,8 +116,8 @@ def test_ac5_soddy_classification():
 
 def test_ac6_wallace_sweep(q):
     tri = q.face(7)
-    circ = q.face_circumcircle(7)
-    h = q.vertex(7)
+    circ = tri.circumcircle
+    h = q.vertices[7]
     ok = True
     for i in range(200):
         s = wallace.rational_circle_point(circ, Point(F(-62), F(117)), F(2 * i + 1, 401))
@@ -139,7 +139,7 @@ def test_ac7_deltoid():
 
 def test_ac8_droz_farny(q):
     tri = q.face(7)
-    h = q.vertex(7)
+    h = q.vertices[7]
     env = drozfarny.df_envelope(tri)
     ok = env.axis2 == 170 ** 2 and {env.conic.focus1, env.conic.focus2} == {
         Point(F(36), F(51)),

@@ -143,7 +143,7 @@ CASE_COUNTS = {
     "apocrypha-table": (18, 0, 0, 18),
     "deltoid": (100, 2, 0, 102),
     "droz-farny": (105, 2, 0, 107),
-    "euler-harmonic": (10, 0, 0, 10),
+    "euler-harmonic": (11, 0, 0, 11),
     "feuerbach32": (32, 0, 0, 32),
     "hexaflex": (8, 0, 0, 8),
     "lighthouse": (0, 503, 0, 503),
@@ -322,4 +322,4 @@ def test_quadrangle_fixture_canonical():
 
     assert q.center == Point(F(0), F(0))
     assert q.central_circle.r2 == 7225
-    assert q.vertex(7) == Point(F(36), F(51))
+    assert q.vertices[7] == Point(F(36), F(51))

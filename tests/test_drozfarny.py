@@ -305,7 +305,8 @@ class TestLocus:
             dirs.append(d)
             if len(dirs) == 100:
                 break
-        h, tri, circ = q.vertex(7), q.face(7), q.face_circumcircle(7)
+        h, tri = q.vertices[7], q.face(7)
+        circ = tri.circumcircle
         for d in dirs:
             pair = (
                 Line.from_point_direction(h, d),

@@ -1,12 +1,13 @@
 """Quadration, twinning, Euler ranges, medial circles."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadgeo import drozfarny, quadrangle, touch, wallace
-from quadgeo.kernel import Line, Point, DegenerateInput
+from quadgeo.kernel import Circle, Line, Point, DegenerateInput
 from quadgeo.quadrangle import (
     LABELS,
     AmbiguousLabeling,
@@ -30,6 +31,11 @@ V4 = Point(F(132), F(-77))
 @pytest.fixture(scope="module")
 def q():
     return quadrate(V1, V2, V4)
+
+
+def twin_circle(q, l):
+    """The circumcircle of face l: centred at twin(l)."""
+    return Circle(q.twins[l], q.twins[l].dist2(q.face(l)[0]))
 
 
 class TestQuadrate:
@@ -75,7 +81,7 @@ class TestQuadrate:
         from quadgeo.kernel import circumcircle
 
         radii = set()
-        for qq in (q, q.twin_quadrangle()):
+        for qq in (q, q.twin_quadrangle):
             for l in LABELS:
                 radii.add(circumcircle(*qq.face(l)).r2)
         assert radii == {F(28900)}
@@ -86,7 +92,7 @@ class TestTwin:
         assert q.twins[1] == Point(F(-36), F(-103))
 
     def test_involution(self, q):
-        assert q.twin_quadrangle().twin_quadrangle() == q
+        assert q.twin_quadrangle.twin_quadrangle == q
 
     def test_circumcentre_is_twin(self, q):
         from quadgeo.kernel import circumcircle
@@ -237,8 +243,8 @@ class TestTriangle:
     def test_face_orthocentre_and_circumcircle(self, q):
         for l in LABELS:
             assert isinstance(q.face(l), Triangle)
-            assert q.face(l).orthocentre == q.vertex(l)
-            assert q.face(l).circumcircle == q.face_circumcircle(l)
+            assert q.face(l).orthocentre == q.vertices[l]
+            assert q.face(l).circumcircle == twin_circle(q, l)
 
     @given(*[st.integers(min_value=-20, max_value=20) for _ in range(6)])
     @settings(max_examples=100)
@@ -250,32 +256,42 @@ class TestTriangle:
             return
         for l in LABELS:
             face = qq.face(l)
-            assert face.orthocentre == qq.vertex(l)
-            assert face.circumcircle == qq.face_circumcircle(l)
+            assert face.orthocentre == qq.vertices[l]
+            assert face.circumcircle == twin_circle(qq, l)
             assert face.edges == tuple(
                 Line.through(face[i - 2], face[i - 1]) for i in range(3)
             )
+        for a, b in combinations(LABELS, 2):
+            assert qq.edge(a, b) == Line.through(qq.vertices[a], qq.vertices[b])
+        # the twin quadrangle is the reflection through the Centre
+        c2 = qq.center.scale(2)
+        tq = qq.twin_quadrangle
+        assert tq.midpoints == {k: c2 - p for k, p in qq.midpoints.items()}
+        assert tq.diagonals == {k: c2 - p for k, p in qq.diagonals.items()}
+        assert tq.central_circle == qq.central_circle
+        wallace.three_cycles(qq)
 
-    def test_df_lines_derive_orthocentre_and_circumcircle_once(self, q, monkeypatch):
+    def test_df_lines_derive_orthocentre_and_circumcircle_once(self, monkeypatch):
+        q = quadrate(V1, V2, V4)
         calls = count_calls(monkeypatch, quadrangle, "orthocentre", "circumcircle")
         tri = q.face(7)
         for t in PAIR_T:
-            inst = drozfarny.df_line(tri, perpendicular_pair(q.vertex(7), t))
+            inst = drozfarny.df_line(tri, perpendicular_pair(q.vertices[7], t))
             assert drozfarny.verify_instance(inst)
             assert all(drozfarny.parabola_tangency_audit(inst).values())
         assert calls == {"orthocentre": 1, "circumcircle": 1}
 
-    def test_wallace_lines_derive_orthocentre_and_circumcircle_once(
-        self, q, monkeypatch
-    ):
+    def test_wallace_lines_derive_orthocentre_and_circumcircle_once(self, monkeypatch):
+        q = quadrate(V1, V2, V4)
         calls = count_calls(monkeypatch, quadrangle, "orthocentre", "circumcircle")
         tri = q.face(7)
-        circ = q.face_circumcircle(7)
+        circ = twin_circle(q, 7)
         for t in PAIR_T:
             wallace.wallace_line(tri, wallace.rational_circle_point(circ, V1, t))
         assert calls == {"orthocentre": 1, "circumcircle": 1}
 
-    def test_face_touch_circles_build_three_edge_lines(self, q, monkeypatch):
+    def test_face_touch_circles_build_three_edge_lines(self, monkeypatch):
+        q = quadrate(V1, V2, V4)
         calls = []
         through = Line.through
 
@@ -290,7 +306,8 @@ class TestTriangle:
             assert len(tc.touch_points) == 3
         assert len(calls) == 3
 
-    def test_soddy_computes_metrics_once(self, q, monkeypatch):
+    def test_soddy_computes_metrics_once(self, monkeypatch):
+        q = quadrate(V1, V2, V4)
         calls = count_calls(monkeypatch, quadrangle, "triangle_metrics")
         touch.soddy(q.face(7))
         assert calls == {"triangle_metrics": 1}
@@ -298,7 +315,7 @@ class TestTriangle:
     def test_plain_list_and_triangle_agree(self, q):
         # the benchmark passes plain lists of vertices
         face = q.face(7)
-        pair = perpendicular_pair(q.vertex(7), PAIR_T[0])
+        pair = perpendicular_pair(q.vertices[7], PAIR_T[0])
         assert drozfarny.df_line(list(face), pair) == drozfarny.df_line(face, pair)
-        s = wallace.rational_circle_point(q.face_circumcircle(7), V1, PAIR_T[1])
+        s = wallace.rational_circle_point(twin_circle(q, 7), V1, PAIR_T[1])
         assert wallace.wallace_line(list(face), s) == wallace.wallace_line(face, s)

@@ -47,6 +47,11 @@ def q():
     return quadrate(V1, V2, V4)
 
 
+def twin_circle(q, l):
+    """The circumcircle of face l: centred at twin(l)."""
+    return Circle(q.twins[l], q.twins[l].dist2(q.face(l)[0]))
+
+
 @pytest.fixture(scope="module")
 def seq(q):
     return trisequence(q, "7B", SEED, 11)
@@ -83,10 +88,10 @@ class TestWallaceLine:
         wd = wallace_line(q.face(7), V1)
         assert wd.feet.count(V1) == 2
         assert all(wd.line.contains(f) for f in wd.feet)
-        assert wd.line.contains(q.vertex(7))
+        assert wd.line.contains(q.vertices[7])
 
     def test_rational_sweep_two_hundred_points(self, q):
-        circ = q.face_circumcircle(7)
+        circ = q.face(7).circumcircle
         central = q.central_circle
         for k in range(1, 201):
             t = F(k, 201)
@@ -104,7 +109,7 @@ class TestWallaceQuadrated:
         # and its three feet are among the twelve
         qw = wallace_quadrated(q, SEED)
         s1 = Point(F(-62), F(65))
-        assert q.face_circumcircle(1).contains(s1)
+        assert twin_circle(q, 1).contains(s1)
         assert all(
             foot_of_perpendicular(s1, e) in qw.feet for e in q.face(1).edges
         )
@@ -116,7 +121,7 @@ class TestWallaceQuadrated:
             assert qw.line.contains(f)
 
     def test_sweep(self, q):
-        circ = q.face_circumcircle(7)
+        circ = q.face(7).circumcircle
         for k in range(1, 40):
             s = rational_circle_point(circ, V1, F(2 * k + 1, 79))
             qw = wallace_quadrated(q, s)
@@ -155,7 +160,7 @@ class TestTrisequence:
 
     def test_images_on_stated_circles(self, q, seq):
         for node in seq.nodes.values():
-            assert q.face_circumcircle(node.host).contains(node.point)
+            assert twin_circle(q, node.host).contains(node.point)
 
     def test_coincidences_close_cycles(self, seq):
         pairs = set(seq.coincidences)
@@ -392,19 +397,19 @@ class TestConverseConstructions:
             converse_simson(p, l, m, n)
 
     def test_fit_triangle(self, q):
-        circ = q.face_circumcircle(7)
+        circ = q.face(7).circumcircle
         wd = wallace_line(q.face(7), SEED)
         fit = fit_triangle(circ, SEED, wd.line, V1)
         assert set(fit.triangle) == set(q.face(7))
 
     def test_fit_triangle_other_vertex(self, q):
-        circ = q.face_circumcircle(7)
+        circ = q.face(7).circumcircle
         wd = wallace_line(q.face(7), SEED)
         fit = fit_triangle(circ, SEED, wd.line, V2)
         assert set(fit.triangle) == set(q.face(7))
 
     def test_second_intersection(self, q):
-        circ = q.face_circumcircle(7)
+        circ = q.face(7).circumcircle
         other = second_intersection(circ, V1, V2 - V1)
         assert other == V2
 
@@ -423,4 +428,4 @@ class TestConcurrencyHelpers:
             by_host.setdefault(r.through, []).append(r.line)
         for host, lines in by_host.items():
             if len(lines) >= 3:
-                assert all(line.contains(q.vertex(host)) for line in lines)
+                assert all(line.contains(q.vertices[host]) for line in lines)
