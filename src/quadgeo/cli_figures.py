@@ -844,11 +844,13 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     points = [
         *malfatti.all_radpoints(state).values(),
         *malfatti.all_oddpoints(state).values(),
+        *malfatti.zero_points(state).values(),
     ]
-    # no component is 0 away from the poles, so (y/x, z/x) names the point
+    # no component is 0 away from the poles, so (y/x, z/x) names the point;
+    # distinct 0-points also keep the 24 collinearities from being trivial
     yield Check(
-        len({(p.y / p.x, p.z / p.x) for p in points}) == 64,
-        "32 radpoints and 32 oddpoints are not distinct",
+        len({(p.y / p.x, p.z / p.x) for p in points}) == 80,
+        "32 radpoints, 32 oddpoints and 16 0-points are not distinct",
     )
     face = fixture_quadrangle("t0").face(7)
     circles, touch_points = malfatti.malfatti_circles(*face)

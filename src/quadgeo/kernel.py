@@ -105,18 +105,19 @@ def _ratio(x: Number) -> Tuple[Number, int]:
 
 def primitive_integers(values: Sequence[Number]) -> Tuple[int, ...]:
     """The coprime integers proportional to the rationals ``values``, the
-    first nonzero one positive."""
-    ints = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
-    scale = math.lcm(*dens)
-    if scale != 1:
-        ints = [n * (scale // d) for n, d in zip(ints, dens)]
-    g = math.gcd(*ints) or 1
-    for n in ints:
-        if n:
-            if n < 0:
-                g = -g
-            break
+    first nonzero one positive. Integers need one gcd; only a `Fraction`
+    among them, which ``math.gcd`` rejects, needs the lcm of the
+    denominators."""
+    try:
+        g, ints = math.gcd(*values), values
+    except TypeError:
+        dens = [v.denominator for v in values]
+        scale = math.lcm(*dens)
+        ints = [v.numerator * (scale // d) for v, d in zip(values, dens)]
+        g = math.gcd(*ints)
+    g = g or 1
+    if next(filter(None, ints), 0) < 0:
+        g = -g
     return tuple([n // g for n in ints])
 
 
@@ -437,16 +438,6 @@ class Barycentric:
         )
 
 
-def barycentric_collinear(p: Barycentric, q: Barycentric, r: Barycentric) -> bool:
-    rows = [(b.x, b.y, b.z) for b in (p, q, r)]
-    if all(is_exact(v) for row in rows for v in row):
-        # a barycentric point is projective: scale each to coprime ints
-        rows = [primitive_integers(row) for row in rows]
-    (px, py, pz), (qx, qy, qz), (rx, ry, rz) = rows
-    det = px * (qy * rz - qz * ry) - py * (qx * rz - qz * rx) + pz * (qx * ry - qy * rx)
-    return det == 0
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -490,16 +481,21 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
     return Line.from_point_normal(m, d)
 
 
-def circumcircle(p: Point, q: Point, r: Point) -> Circle:
-    """With edge vectors b = q − p and c = r − p, the centre is
-    p + (c_y·|b|² − b_y·|c|², b_x·|c|² − c_x·|b|²) / (2·b×c)."""
-    # over the common denominator l the edge vectors are B/l and C/l, and
-    # the offset from p is (ox, oy)/(2·l·B×C)
+def _edge_vectors(p: Point, q: Point, r: Point):
+    """(X, Y, l, B_x, B_y, C_x, C_y) over the common denominator l of the
+    three triples: p = (X, Y)/l and the edge vectors are q − p = B/l and
+    r − p = C/l."""
     (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
     l = math.lcm(w1, w2, w3)
     x1, y1, s2, s3 = x1 * (l // w1), y1 * (l // w1), l // w2, l // w3
-    bx, by = x2 * s2 - x1, y2 * s2 - y1
-    cx, cy = x3 * s3 - x1, y3 * s3 - y1
+    return x1, y1, l, x2 * s2 - x1, y2 * s2 - y1, x3 * s3 - x1, y3 * s3 - y1
+
+
+def circumcircle(p: Point, q: Point, r: Point) -> Circle:
+    """With edge vectors b = q − p and c = r − p, the centre is
+    p + (c_y·|b|² − b_y·|c|², b_x·|c|² − c_x·|b|²) / (2·b×c)."""
+    # over the common denominator l the offset from p is (ox, oy)/(2·l·B×C)
+    x1, y1, l, bx, by, cx, cy = _edge_vectors(p, q, r)
     cross = bx * cy - by * cx
     if cross == 0:
         raise DegenerateInput("collinear points have no circumcircle")

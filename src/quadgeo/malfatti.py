@@ -3,8 +3,13 @@ radpoints, guylines, Nails, peGs, oddpoints, and numeric Malfatti circles.
 
 Everything combinatorial lives in the parameters (u, v, w) = tangents of
 the quarter-angles, where the whole configuration is exact rational
-barycentric algebra.  Triangles enter only through quarter_angles (Approx)
-and malfatti_circles (the Steiner construction, Approx).
+barycentric algebra.  It runs on integers: a tangent t = n/d is the pair
+(n, d) in lowest terms with d > 0, the digit maps and barycentric
+components map pairs to pairs, a point is an integer triple over one
+denominator, a line is the integer cross product of two such triples, and
+an incidence is an integer dot product.  A `Fraction` is built only for a
+value that is returned.  Triangles enter only through quarter_angles
+(Approx) and malfatti_circles (the Steiner construction, Approx).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .kernel import (
     IdentityViolated,
     Line,
     Point,
-    barycentric_collinear,
+    _ratio,
     foot_of_perpendicular,
     primitive_integers,
     reflect_line_in_line,
@@ -33,6 +38,9 @@ from .quadrangle import Triangle
 from .touch import touch_circles
 
 State = Tuple[Fraction, Fraction, Fraction]
+#: a rational n/d as (n, d) in lowest terms with d > 0
+Pair = Tuple[int, int]
+Triple = Tuple[int, int, int]
 
 
 class PoleEncountered(GeometryError):
@@ -87,29 +95,95 @@ def quarter_angles(a: Point, b: Point, c: Point) -> Tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# extraversion: flips, the 32 solutions, the group
+# the digit maps on pairs
 # ---------------------------------------------------------------------------
 
 
-def _s_map(t: Fraction) -> Fraction:
-    """(1 − t)/(1 + t) = (d − n)/(d + n) for t = n/d."""
-    n, d = t.numerator, t.denominator
+def _lowest(n: int, d: int) -> Pair:
+    """n/d with d > 0, halved when both are even.  The digit and flip maps
+    send a pair (n, d) in lowest terms to (d + n, d − n), (d − n, d + n) or
+    (n − d, n + d), whose common factor divides 2n and 2d, hence 2, so the
+    result is in lowest terms."""
+    if d < 0:
+        n, d = -n, -d
+    if not (n | d) & 1:
+        return n >> 1, d >> 1
+    return n, d
+
+
+def _s_map(t: Pair) -> Pair:
+    """The flip map (1 − t)/(1 + t) = (d − n)/(d + n) for t = n/d."""
+    n, d = t
     if n == -d:
         raise PoleEncountered("flip map pole at -1")
-    return Fraction(d - n, d + n)
+    return _lowest(d - n, d + n)
 
 
-def extravert(state: State, flip: str) -> State:
-    """A-flip replaces angles (A, B, C) by (-A, π-B, π-C): in quarter-angle
-    tangents (u,v,w) -> (-u, (1-v)/(1+v), (1-w)/(1+w)); B, C cyclically."""
-    u, v, w = state
-    if flip == "A":
-        return (-u, _s_map(v), _s_map(w))
-    if flip == "B":
-        return (_s_map(u), -v, _s_map(w))
-    if flip == "C":
-        return (_s_map(u), _s_map(v), -w)
-    raise ValueError(f"unknown flip {flip!r}")
+def _g(digit: int, t: Pair) -> Pair:
+    """Digit transforms of a quarter-angle tangent t = n/d under
+    extraversion, angle θ -> θ + digit·π: t, (d + n)/(d − n), −d/n and
+    (n − d)/(n + d)."""
+    digit %= 4
+    if digit == 0:
+        return t
+    n, d = t
+    if digit == 1:
+        if n == d:
+            raise PoleEncountered("digit transform pole at 1")
+        return _lowest(d + n, d - n)
+    if digit == 2:
+        if n == 0:
+            raise PoleEncountered("reciprocal of zero")
+        return (-d, n) if n > 0 else (d, -n)
+    if n == -d:
+        raise PoleEncountered("digit transform pole at -1")
+    return _lowest(n - d, n + d)
+
+
+def radcoord(t: Pair) -> Pair:
+    """Barycentric component tan(θ/4)·cos(θ/2) = t(1-t²)/(1+t²), for
+    t = n/d: n(d² − n²)/(d(d² + n²)), not reduced."""
+    n, d = t
+    n2, d2 = n * n, d * d
+    return n * (d2 - n2), d * (d2 + n2)
+
+
+def zerocoord(t: Pair) -> Pair:
+    """Barycentric component of the 0-point family: t/(1+t²), for t = n/d:
+    nd/(d² + n²)."""
+    n, d = t
+    return n * d, d * d + n * n
+
+
+Table = Tuple[Tuple[Pair, ...], ...]
+
+
+def _component_table(state: State, coord: Callable[[Pair], Pair]) -> Table:
+    """T[pos][d] = coord(g_d(state[pos])) as a pair: the 12 components from
+    which the point of digits (i, j, k) is (T[0][i], T[1][j], T[2][k]).
+    Raises PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    return tuple(tuple(coord(_g(d, t)) for d in range(4)) for t in map(_ratio, state))
+
+
+def _fractions(table: Table) -> Tuple[Tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(*c) for c in row) for row in table)
+
+
+def _at(table, label: Tuple[int, int, int]) -> Barycentric:
+    i, j, k = label
+    return Barycentric(table[0][i], table[1][j], table[2][k])
+
+
+def _triple(table: Table, label: Tuple[int, int, int]) -> Tuple[Triple, int]:
+    """The point of digits (i, j, k) as an integer triple X over one
+    denominator D, so that X/D = (T[0][i], T[1][j], T[2][k])."""
+    (a, e), (b, f), (c, g) = table[0][label[0]], table[1][label[1]], table[2][label[2]]
+    return (a * f * g, b * e * g, c * e * f), e * f * g
+
+
+# ---------------------------------------------------------------------------
+# extraversion: flips, the 32 solutions, the group
+# ---------------------------------------------------------------------------
 
 
 #: a solution label (σ, i, j, k): the solution σ·(g_i(u), g_j(v), g_k(w))
@@ -153,7 +227,7 @@ def solution_states(state: State) -> Dict[str, State]:
     (σ; i, j, k) is σ·(G[0][i], G[1][j], G[2][k]) in the component table
     G[pos][d] = g_d(state[pos]).  IdentityViolated off the closure identity;
     PoleEncountered if any of u, v, w is 0, 1 or -1."""
-    g = _component_table(assert_valid(state), lambda t: t)
+    g = _fractions(_component_table(assert_valid(state), lambda t: t))
     return {
         name: (sigma * g[0][i], sigma * g[1][j], sigma * g[2][k])
         for name, (sigma, i, j, k) in SOLUTION_LABELS.items()
@@ -242,17 +316,34 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
     A² = B² = C² = (ABC)² = (BC)⁴ = (CA)⁴ = (AB)⁴ = I and ABC = CBA;
     order 32; centre = the evil solutions {0, 3, 5, 6}; 19 involutions.
     The group is read off the labels once.  Per state, DegenerateInput
-    unless the 32 solutions are distinct, and IdentityViolated unless
-    ``extravert`` maps each solution to the one its flipped label names."""
-    sols = solution_states(state)
-    if len(set(sols.values())) != 32:
+    unless the 32 solutions are distinct, and IdentityViolated unless the
+    flips move each solution to the one its flipped label names.
+
+    The solutions are compared as pairs in lowest terms, read from the
+    table G[pos][d] = g_d(state[pos]).  A flip negates its own component,
+    as the flipped label's sign does, and applies the flip map s to the
+    other two; by the label rule (σ; .., d, ..) -> (-σ; .., d - σ, ..),
+    the 96 (solution, flip) comparisons are the 24 identities
+    s(σ·G[pos][d]) = -σ·G[pos][(d - σ) mod 4], one per position, sign
+    and digit."""
+    g = _component_table(assert_valid(state), lambda t: t)
+    sols = {
+        tuple((sigma * n, d) for n, d in (g[0][i], g[1][j], g[2][k]))
+        for sigma, i, j, k in SOLUTION_LABELS.values()
+    }
+    if len(sols) != 32:
         raise DegenerateInput("state orbit is degenerate")
-    for name, s in sols.items():
-        for f, image in _FLIPPED.items():
-            if extravert(s, f) != sols[image[name]]:
-                raise IdentityViolated(
-                    f"{f}-flip of solution {name} is not solution {image[name]}"
-                )
+    for pos, row in enumerate(g):
+        for sigma in (1, -1):
+            for digit, (n, d) in enumerate(row):
+                target = (digit - sigma) % 4
+                m, e = row[target]
+                if _s_map((sigma * n, d)) != (-sigma * m, e):
+                    t = "uvw"[pos]
+                    raise IdentityViolated(
+                        f"s({sigma:+d}·g_{digit}({t})) is not "
+                        f"{-sigma:+d}·g_{target}({t}): a flip misses its label"
+                    )
     return _GROUP
 
 
@@ -261,69 +352,16 @@ def group_audit(state: State = _GENERIC_STATE) -> GroupAuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _g(digit: int, t: Fraction) -> Fraction:
-    """Digit transforms of a quarter-angle tangent t = n/d under
-    extraversion, angle θ -> θ + digit·π: t, (d + n)/(d − n), −d/n and
-    (n − d)/(n + d)."""
-    digit %= 4
-    if digit == 0:
-        return t
-    n, d = t.numerator, t.denominator
-    if digit == 1:
-        if n == d:
-            raise PoleEncountered("digit transform pole at 1")
-        return Fraction(d + n, d - n)
-    if digit == 2:
-        if n == 0:
-            raise PoleEncountered("reciprocal of zero")
-        return Fraction(-d, n)
-    if n == -d:
-        raise PoleEncountered("digit transform pole at -1")
-    return Fraction(n - d, n + d)
-
-
-def radcoord(t: Fraction) -> Fraction:
-    """Barycentric component tan(θ/4)·cos(θ/2) = t(1-t²)/(1+t²), for
-    t = n/d: n(d² − n²)/(d(d² + n²))."""
-    n, d = t.numerator, t.denominator
-    n2, d2 = n * n, d * d
-    return Fraction(n * (d2 - n2), d * (d2 + n2))
-
-
-def zerocoord(t: Fraction) -> Fraction:
-    """Barycentric component of the 0-point family: t/(1+t²), for t = n/d:
-    nd/(d² + n²)."""
-    n, d = t.numerator, t.denominator
-    return Fraction(n * d, d * d + n * n)
-
-
 def point_coords(label: Tuple[int, int, int], state: State) -> Barycentric:
     """Exact barycentrics of ⟨ijk⟩: the extraversion of the fundamental
     radpoint by angle shifts (iπ, jπ, kπ)."""
-    i, j, k = (d % 4 for d in label)
-    u, v, w = state
     return Barycentric(
-        radcoord(_g(i, u)), radcoord(_g(j, v)), radcoord(_g(k, w))
+        *(Fraction(*radcoord(_g(d, _ratio(t)))) for d, t in zip(label, state))
     )
 
 
-Table = Tuple[Tuple[Fraction, ...], ...]
-
-
-def _component_table(state: State, coord: Callable[[Fraction], Fraction]) -> Table:
-    """T[pos][d] = coord(g_d(state[pos])): the 12 components from which the
-    point of digits (i, j, k) is (T[0][i], T[1][j], T[2][k]).  Raises
-    PoleEncountered if any of u, v, w is 0, 1 or -1."""
-    return tuple(tuple(coord(_g(d, t)) for d in range(4)) for t in state)
-
-
-def _at(table: Table, label: Tuple[int, int, int]) -> Barycentric:
-    i, j, k = label
-    return Barycentric(table[0][i], table[1][j], table[2][k])
-
-
 def all_radpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
-    rc = _component_table(state, radcoord)
+    rc = _fractions(_component_table(state, radcoord))
     return {
         lab: _at(rc, lab)
         for lab in product(range(4), repeat=3)
@@ -333,7 +371,7 @@ def all_radpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
 
 def all_oddpoints(state: State) -> Dict[Tuple[int, int, int], Barycentric]:
     """16 one-points (digit sum ≡ 1 mod 4) and 16 three-points (≡ 3)."""
-    rc = _component_table(state, radcoord)
+    rc = _fractions(_component_table(state, radcoord))
     return {
         lab: _at(rc, lab)
         for lab in product(range(4), repeat=3)
@@ -358,56 +396,81 @@ def _no_poles(state: State) -> State:
     return state
 
 
+def _half_angle_parts(state: State) -> List[Tuple[int, int]]:
+    """(d² − n², nd) per tangent t = n/d: cot(θ/2) = (1 − t²)/(2t) is
+    (d² − n²)/(2nd).  PoleEncountered if any of u, v, w is 0, 1 or -1."""
+    return [(d * d - n * n, n * d) for n, d in map(_ratio, _no_poles(state))]
+
+
 def nagel_points(state: State) -> Dict[str, Barycentric]:
-    """PoleEncountered if any of u, v, w is 0, 1 or -1."""
-    u, v, w = _no_poles(state)
-    ir = lambda t: (1 - t * t) / (2 * t)        # (I-R)/2 = cot(θ/2)/2
-    ts = lambda t: 2 * t / (t * t - 1)           # (T-S)/2 = -2 tan(θ/2)...
+    """With c/(2s) = cot(θ/2) per angle: N_o = (c/s, ...) and N_a =
+    (c/(2s), -2s/c, -2s/c), B and C cyclically.  PoleEncountered if any of
+    u, v, w is 0, 1 or -1."""
+    parts = _half_angle_parts(state)
+    ir = [Fraction(c, 2 * s) for c, s in parts]        # cot(θ/2)
+    ts = [Fraction(-2 * s, c) for c, s in parts]       # -tan(θ/2)
     return {
-        "o": Barycentric(2 * ir(u), 2 * ir(v), 2 * ir(w)),
-        "a": Barycentric(ir(u), ts(v), ts(w)),
-        "b": Barycentric(ts(u), ir(v), ts(w)),
-        "c": Barycentric(ts(u), ts(v), ir(w)),
+        "o": Barycentric(*(Fraction(c, s) for c, s in parts)),
+        "a": Barycentric(ir[0], ts[1], ts[2]),
+        "b": Barycentric(ts[0], ir[1], ts[2]),
+        "c": Barycentric(ts[0], ts[1], ir[2]),
     }
 
 
 def gergonne_points(state: State) -> Dict[str, Barycentric]:
-    """PoleEncountered if any of u, v, w is 0, 1 or -1."""
-    u, v, w = _no_poles(state)
-    tn = lambda t: t / (1 - t * t)               # tan(θ/2)/2
-    ct = lambda t: (t * t - 1) / (2 * t)         # -cot(θ/2)/2
+    """With c/(2s) = cot(θ/2) per angle: G_o = (s/c, ...) and G_a =
+    (2s/c, -c/(2s), -c/(2s)), B and C cyclically.  PoleEncountered if any
+    of u, v, w is 0, 1 or -1."""
+    parts = _half_angle_parts(state)
+    tn = [Fraction(s, c) for c, s in parts]            # tan(θ/2)/2
+    tn2 = [Fraction(2 * s, c) for c, s in parts]       # tan(θ/2)
+    ct = [Fraction(-c, 2 * s) for c, s in parts]       # -cot(θ/2)
     return {
-        "o": Barycentric(tn(u), tn(v), tn(w)),
-        "a": Barycentric(2 * tn(u), ct(v), ct(w)),
-        "b": Barycentric(ct(u), 2 * tn(v), ct(w)),
-        "c": Barycentric(ct(u), ct(v), 2 * tn(w)),
+        "o": Barycentric(*tn),
+        "a": Barycentric(tn2[0], ct[1], ct[2]),
+        "b": Barycentric(ct[0], tn2[1], ct[2]),
+        "c": Barycentric(ct[0], ct[1], tn2[2]),
     }
+
+
+def _scaled(p: Barycentric) -> Triple:
+    """An integer triple proportional to the exact barycentrics ``p``."""
+    (a, e), (b, f), (c, g) = _ratio(p.x), _ratio(p.y), _ratio(p.z)
+    return a * f * g, b * e * g, c * e * f
 
 
 # ---------------------------------------------------------------------------
 # guylines, Nails, peGs
 # ---------------------------------------------------------------------------
 
-_VERTICES = {
-    "A": Barycentric(1, 0, 0),
-    "B": Barycentric(0, 1, 0),
-    "C": Barycentric(0, 0, 1),
-}
+_VERTICES: Dict[str, Triple] = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1)}
+_ZERO = Fraction(0)
 
 
-def _join(p: Barycentric, q: Barycentric) -> Tuple[Fraction, Fraction, Fraction]:
+def _join(p: Triple, q: Triple) -> Triple:
+    """The line through two points, as the cross product of their triples."""
     coeffs = (
-        p.y * q.z - p.z * q.y,
-        p.z * q.x - p.x * q.z,
-        p.x * q.y - p.y * q.x,
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
     )
-    if all(c == 0 for c in coeffs):
+    if coeffs == (0, 0, 0):
         raise DegenerateInput("join of identical points")
     return coeffs
 
 
-def _on(line: Sequence[Fraction], p: Barycentric) -> bool:
-    return line[0] * p.x + line[1] * p.y + line[2] * p.z == 0
+def _on(line: Triple, p: Triple) -> bool:
+    return line[0] * p[0] + line[1] * p[1] + line[2] * p[2] == 0
+
+
+def _line_through(table: Table, p: Tuple[int, int, int], q: Tuple[int, int, int]):
+    """The join of the points of digits p and q as integer coefficients J,
+    and the same line as the exact coefficients J/(D_p·D_q) that the join of
+    their barycentrics gives."""
+    (x, dx), (y, dy) = _triple(table, p), _triple(table, q)
+    coeffs = _join(x, y)
+    den = dx * dy
+    return coeffs, tuple([Fraction(c, den) for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -428,6 +491,38 @@ def _nagel_suffix(onepoint: Tuple[int, int, int]) -> str:
     return "abc"[odd_positions[0]]
 
 
+#: the 48 vertical guylines in order, as (starred position, members,
+#: label): the members of [*jk] are ⟨0jk⟩, ⟨1jk⟩, ⟨2jk⟩ and ⟨3jk⟩
+_VERTICALS = tuple(
+    (pos, members, "[" + "".join(
+        "*" if i == pos else str(d) for i, d in enumerate(members[0])
+    ) + "]")
+    for pos in range(3)
+    for rest in product(range(4), repeat=2)
+    for members in [tuple(rest[:pos] + (d,) + rest[pos:] for d in range(4))]
+)
+
+
+def _shift(lab: Tuple[int, int, int], s: int) -> Tuple[int, int, int]:
+    return tuple((d + s) % 4 for d in lab)
+
+
+_ONE_POINTS = [lab for lab in product(range(4), repeat=3) if sum(lab) % 4 == 1]
+#: each 1-point ⟨ijk⟩ (digit sum ≡ 1 mod 4) names a Nail, the join of
+#: ⟨i+1 j+1 k+1⟩ and ⟨i-1 j-1 k-1⟩, and a peG, the join of ⟨ijk⟩ and
+#: ⟨i+2 j+2 k+2⟩; a row is (⟨ijk⟩, suffix, label, the two joined points)
+_NAILS = tuple(
+    (lab, sfx, f"[{''.join(map(str, lab))}{sfx}]", _shift(lab, 1), _shift(lab, -1))
+    for lab in _ONE_POINTS
+    for sfx in [_nagel_suffix(lab)]
+)
+_PEGS = tuple(
+    (lab, sfx, f"[{''.join(map(str, _shift(lab, 2)))}{sfx}]", lab, _shift(lab, 2))
+    for lab in _ONE_POINTS
+    for sfx in [_nagel_suffix(lab)]
+)
+
+
 def guylines(state: State) -> List[GuyLine]:
     """48 vertical guylines [*jk], [i*k], [ij*] (each through one vertex,
     two radpoints and two oddpoints) and 16 Nails through Nagel points.
@@ -436,51 +531,37 @@ def guylines(state: State) -> List[GuyLine]:
     R[pos][d] = radcoord(g_d(state[pos])), so ⟨ijk⟩ = (x, y, z) =
     (R[0][i], R[1][j], R[2][k]).  The vertical guyline [*jk] is the cevian
     (0, z·Δ, -y·Δ) with Δ = R[0][1] - R[0][0]; [i*k] is (-z·Δ, 0, x·Δ) and
-    [ij*] is (y·Δ, -x·Δ, 0), each with the Δ of its own column.  These are
-    the joins of the members with digits 0 and 1 in the starred position,
-    and the vertex and all four members lie on them identically.  Each Nail
-    is the join of ⟨i+1 j+1 k+1⟩ and ⟨i-1 j-1 k-1⟩ and must pass through its
-    Nagel point; IdentityViolated if it does not."""
+    [ij*] is (y·Δ, -x·Δ, 0), each with the Δ of its own column, so the 48
+    lines share the 24 values ±R[p][d]·Δ of the other two columns.  These
+    are the joins of the members with digits 0 and 1 in the starred
+    position, and the vertex and all four members lie on them identically.
+    Each Nail is the join of ⟨i+1 j+1 k+1⟩ and ⟨i-1 j-1 k-1⟩ and must pass
+    through its Nagel point; IdentityViolated if it does not."""
     rc = _component_table(state, radcoord)
+    # scaled[pos][p][d] = (R[p][d]·Δ, -R[p][d]·Δ) with the Δ of column pos
+    scaled = []
+    for pos in range(3):
+        (a0, e0), (a1, e1) = rc[pos][0], rc[pos][1]
+        dn, dd = a1 * e0 - a0 * e1, e0 * e1
+        scaled.append({
+            p: [(x, -x) for x in (Fraction(n * dn, e * dd) for n, e in rc[p])]
+            for p in range(3)
+            if p != pos
+        })
     out: List[GuyLine] = []
-    for pos, vertex in enumerate("ABC"):
-        delta = rc[pos][1] - rc[pos][0]
+    for pos, members, label in _VERTICALS:
         n1, n2 = (pos + 1) % 3, (pos + 2) % 3
-        for rest in product(range(4), repeat=2):
-            members = []
-            for d in range(4):
-                lab = list(rest)
-                lab.insert(pos, d)
-                members.append(tuple(lab))
-            c = [rc[p][d] for p, d in enumerate(members[0])]
-            line = [Fraction(0)] * 3
-            line[n1], line[n2] = c[n2] * delta, -c[n1] * delta
-            text = "".join(
-                "*" if i == pos else str(rest[i if i < pos else i - 1])
-                for i in range(3)
-            )
-            out.append(
-                GuyLine("vertical", vertex, f"[{text}]", tuple(line), tuple(members))
-            )
-    nagels = nagel_points(state)
-    for lab in product(range(4), repeat=3):
-        if sum(lab) % 4 != 1:
-            continue
-        plus = tuple((d + 1) % 4 for d in lab)
-        minus = tuple((d - 1) % 4 for d in lab)
-        line = _join(_at(rc, plus), _at(rc, minus))
-        suffix = _nagel_suffix(lab)
-        if not _on(line, nagels[suffix]):
+        first, column = members[0], scaled[pos]
+        line = [_ZERO] * 3
+        line[n1] = column[n2][first[n2]][0]
+        line[n2] = column[n1][first[n1]][1]
+        out.append(GuyLine("vertical", "ABC"[pos], label, tuple(line), members))
+    nagels = {k: _scaled(p) for k, p in nagel_points(state).items()}
+    for lab, suffix, label, p, q in _NAILS:
+        coeffs, line = _line_through(rc, p, q)
+        if not _on(coeffs, nagels[suffix]):
             raise IdentityViolated(f"Nail {lab} misses N_{suffix}")
-        out.append(
-            GuyLine(
-                "nail",
-                suffix,
-                "[" + "".join(map(str, lab)) + suffix + "]",
-                line,
-                (plus, minus),
-            )
-        )
+        out.append(GuyLine("nail", suffix, label, line, (p, q)))
     return out
 
 
@@ -491,32 +572,20 @@ def pegs(state: State) -> List[GuyLine]:
     and must pass through a Gergonne point; IdentityViolated if it does
     not."""
     rc = _component_table(state, radcoord)
-    gergs = gergonne_points(state)
+    gergs = {k: _scaled(p) for k, p in gergonne_points(state).items()}
     out: List[GuyLine] = []
-    for lab in product(range(4), repeat=3):
-        if sum(lab) % 4 != 1:
-            continue
-        anti = tuple((d + 2) % 4 for d in lab)
-        line = _join(_at(rc, lab), _at(rc, anti))
-        suffix = _nagel_suffix(lab)
-        if not _on(line, gergs[suffix]):
+    for lab, suffix, label, p, q in _PEGS:
+        coeffs, line = _line_through(rc, p, q)
+        if not _on(coeffs, gergs[suffix]):
             raise IdentityViolated(f"peG {lab} misses G_{suffix}")
-        out.append(
-            GuyLine(
-                "peg",
-                suffix,
-                "[" + "".join(map(str, anti)) + suffix + "]",
-                line,
-                (lab, anti),
-            )
-        )
+        out.append(GuyLine("peg", suffix, label, line, (p, q)))
     return out
 
 
 def vertical_guyline_equation(vertex: str, p: Barycentric) -> Tuple[int, int, int]:
     """Join of a vertex and a point as coprime integer coefficients, the
     first nonzero one positive."""
-    return primitive_integers(_join(_VERTICES[vertex], p))
+    return primitive_integers(_join(_VERTICES[vertex], _scaled(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +608,12 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
     vertex/Nagel point r and the radpoints of solutions q·f and (q⊕σ)·f with
     σ = 7 ⊕ r ⊕ f, checked by exact incidence.  A solution's radpoint is
     read from the component table R[pos][d] = radcoord(g_d(state[pos])) at
-    the digits (i, j, k) of its label."""
+    the digits (i, j, k) of its label, as an integer triple."""
     rc = _component_table(assert_valid(state), radcoord)
-    nagels = nagel_points(state)
+    rads = {
+        name: _triple(rc, label[1:])[0] for name, label in SOLUTION_LABELS.items()
+    }
+    nagels = {k: _scaled(p) for k, p in nagel_points(state).items()}
     checked = 0
     ok = True
 
@@ -549,16 +621,9 @@ def label_audit(state: State = _GENERIC_STATE) -> LabelAuditReport:
         for flip, f in _FLIP_DIGIT.items():
             sigma = 7 ^ r ^ f
             suffix = {0: "", 3: "a", 5: "b", 6: "c"}[f]
+            through = nagels[flip] if row == "N" else _VERTICES[row]
             for q in _EVIL:
-                lab1 = f"{q}{suffix}"
-                lab2 = f"{q ^ sigma}{suffix}"
-                line = _join(
-                    _at(rc, SOLUTION_LABELS[lab1][1:]),
-                    _at(rc, SOLUTION_LABELS[lab2][1:]),
-                )
-                through = (
-                    nagels[flip] if row == "N" else _VERTICES[row]
-                )
+                line = _join(rads[f"{q}{suffix}"], rads[f"{q ^ sigma}{suffix}"])
                 if not _on(line, through):
                     ok = False
                 checked += 1
@@ -587,6 +652,11 @@ ZERO_COLLINEARITIES = (
     ("A", "332", "310"), ("B", "332", "130"), ("C", "332", "112"),
     ("A", "130", "112"), ("B", "310", "112"), ("C", "130", "310"),
 )
+#: the rows as (vertex position, digits, digits)
+_ZERO_ROWS = tuple(
+    ("ABC".index(v), tuple(map(int, p)), tuple(map(int, q)))
+    for v, p, q in ZERO_COLLINEARITIES
+)
 
 
 def zero_points(state: State) -> Dict[str, Barycentric]:
@@ -594,18 +664,26 @@ def zero_points(state: State) -> Dict[str, Barycentric]:
     extraversions (digits 0 and 2, or 1 and 3, differ only in sign).  The
     point labelled ijk is (Z[0][i], Z[1][j], Z[2][k]) in the component table
     Z[pos][d] = zerocoord(g_d(state[pos]))."""
-    zc = _component_table(state, zerocoord)
+    zc = _fractions(_component_table(state, zerocoord))
     return {text: _at(zc, tuple(map(int, text))) for text in ZERO_POINT_LABELS}
 
 
+def _on_vertex_line(pos: int, p: Sequence[Pair], q: Sequence[Pair]) -> bool:
+    """Whether the points with components p and q (pairs) are collinear with
+    the vertex at ``pos``: the determinant of the three rows is the 2×2
+    minor p_a·q_b − p_b·q_a of the other two positions a, b, compared
+    cross-multiplied."""
+    a, b = (pos + 1) % 3, (pos + 2) % 3
+    (pa, ea), (pb, eb), (qa, fa), (qb, fb) = p[a], p[b], q[a], q[b]
+    return pa * qb * eb * fa == pb * qa * ea * fb
+
+
 def zero_point_collinearities(state: State) -> int:
-    """Number of the 24 stated vertex collinearities that hold exactly."""
-    pts = zero_points(state)
-    count = 0
-    for vertex, l1, l2 in ZERO_COLLINEARITIES:
-        if barycentric_collinear(_VERTICES[vertex], pts[l1], pts[l2]):
-            count += 1
-    return count
+    """Number of the 24 stated vertex collinearities that hold exactly, read
+    from the component table Z[pos][d] = zerocoord(g_d(state[pos]))."""
+    zc = _component_table(state, zerocoord)
+    at = lambda lab: [zc[0][lab[0]], zc[1][lab[1]], zc[2][lab[2]]]
+    return sum(_on_vertex_line(pos, at(p), at(q)) for pos, p, q in _ZERO_ROWS)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .kernel import (
     Line,
     Number,
     Point,
+    _edge_vectors,
     _hom,
     circle_from_diameter,
     circumcircle,
@@ -42,12 +43,16 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
     """Meet of the altitudes: with edge vectors b = q − p and c = r − p,
     u = H − p has u·b = u·c = b·c, so
     H = p + (b·c / b×c)·(c_y − b_y, b_x − c_x)."""
-    b, c = q - p, r - p
-    cross = b.cross(c)
+    # over the common denominator l the edge vectors are B/l and C/l, and
+    # l·H = l·p + (B·C / B×C)·(C_y − B_y, B_x − C_x)
+    x1, y1, l, bx, by, cx, cy = _edge_vectors(p, q, r)
+    cross = bx * cy - by * cx
     if cross == 0:
         raise DegenerateInput("collinear points")
-    k = divide(b.dot(c), cross)
-    return Point(p.x + k * (c.y - b.y), p.y + k * (b.x - c.x))
+    dot, d = bx * cx + by * cy, l * cross
+    return Point(
+        divide(x1 * cross + dot * (cy - by), d), divide(y1 * cross + dot * (bx - cx), d)
+    )
 
 
 class Triangle(tuple):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from quadgeo.kernel import (
     DEFAULT_EPS,
-    Barycentric,
     Circle,
     Conic,
     ConicKind,
@@ -32,7 +31,6 @@ from quadgeo.kernel import (
     radical_axis,
     reflect_line_in_line,
     reflect_point_in_line,
-    barycentric_collinear,
     tangency_classify,
 )
 from quadgeo.quadrangle import orthocentre
@@ -526,21 +524,40 @@ class TestIntegerPaths:
         assert Conic(f1, f2, axis2, ConicKind.ELLIPSE).is_tangent(line)
         assert not Conic(f1, f2, axis2 + 1, ConicKind.ELLIPSE).is_tangent(line)
 
-    @given(st.lists(exact_scalars, min_size=9, max_size=9), exact_scalars)
+    @given(exact_points, exact_points, exact_points)
     @settings(max_examples=150)
-    def test_barycentric_collinear(self, v, k):
-        p, q = v[0:3], v[3:6]
-        if not any(p) or not any(q):
+    def test_orthocentre(self, p, q, r):
+        (px, py), (qx, qy), (rx, ry) = _fractions(p, q, r)
+        bx, by, cx, cy = qx - px, qy - py, rx - px, ry - py
+        cross = bx * cy - by * cx
+        if cross == 0:
+            with pytest.raises(DegenerateInput):
+                orthocentre(p, q, r)
             return
-        r = v[6:9] if any(v[6:9]) else [1, 1, 1]
-        rows = [[F(x) for x in row] for row in (p, q, r)]
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        pts = [Barycentric(*row) for row in (p, q, r)]
-        assert barycentric_collinear(*pts) == (det == 0)
-        on = [x + k * y for x, y in zip(rows[0], rows[1])]
-        if any(on):
-            assert barycentric_collinear(pts[0], pts[1], Barycentric(*on))
+        k = (bx * cx + by * cy) / cross
+        h = orthocentre(p, q, r)
+        assert (h.x, h.y) == (px + k * (cy - by), py + k * (bx - cx))
+        assert _is_fraction_point(h)
+
+    @given(st.lists(_exact_scalars(4), min_size=6, max_size=6), st.integers(0, 5))
+    @settings(max_examples=150)
+    def test_orthocentre_mixed_input(self, coords, i):
+        """One coordinate a float: on a triangle of twice its area at least
+        1, the result is a float point within a relative 1e-9 of the formula
+        over Fractions."""
+        exact = [Point(coords[j], coords[j + 1]) for j in (0, 2, 4)]
+        (px, py), (qx, qy), (rx, ry) = _fractions(*exact)
+        bx, by, cx, cy = qx - px, qy - py, rx - px, ry - py
+        cross = bx * cy - by * cx
+        if abs(cross) < 1:
+            return
+        k = (bx * cx + by * cy) / cross
+        want = (px + k * (cy - by), py + k * (bx - cx))
+        coords[i] = float(coords[i])
+        h = orthocentre(*(Point(coords[j], coords[j + 1]) for j in (0, 2, 4)))
+        assert type(h.x) is float and type(h.y) is float
+        scale = max(1, *(abs(v) for v in want))
+        assert all(abs(g - w) <= 1e-9 * scale for g, w in zip((h.x, h.y), want))
 
     @given(st.lists(exact_scalars, min_size=1, max_size=4))
     @settings(max_examples=150)
@@ -559,6 +576,7 @@ class TestIntegerPaths:
             reflect_point_in_line(half, line),
             foot_of_perpendicular(half, line),
             circumcircle(half, q, r).center,
+            orthocentre(half, q, r),
         ):
             assert type(got.x) is float and type(got.y) is float
         mixed = Line.through(half, r)

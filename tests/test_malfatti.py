@@ -16,14 +16,15 @@ from quadgeo.malfatti import (
     IdentityViolated,
     PoleEncountered,
     SOLUTION_LABELS,
+    ZERO_COLLINEARITIES,
     ZERO_POINT_LABELS,
+    LabelAuditReport,
     _g,
-    _join,
-    _on,
+    _on_vertex_line,
+    _s_map,
     all_oddpoints,
     all_radpoints,
     complete_state,
-    extravert,
     gergonne_points,
     group_audit,
     guylines,
@@ -46,6 +47,27 @@ from quadgeo.malfatti import (
 )
 
 STATE = (F(2, 9), F(1, 4), F(1, 3))
+
+
+def pair(t):
+    """t as (numerator, denominator), the form the digit maps read."""
+    t = F(t)
+    return t.numerator, t.denominator
+
+
+def rad(t):
+    """radcoord of a Fraction, as a Fraction."""
+    return F(*radcoord(pair(t)))
+
+
+def extravert(state, flip):
+    """Reference flip map over Fractions: the A-flip replaces the angles
+    (A, B, C) by (-A, π-B, π-C), in quarter-angle tangents
+    (u, v, w) -> (-u, (1-v)/(1+v), (1-w)/(1+w)); B and C cyclically."""
+    pos = "ABC".index(flip)
+    if any(t == -1 for p, t in enumerate(state) if p != pos):
+        raise PoleEncountered("flip map pole at -1")
+    return tuple(-t if p == pos else (1 - t) / (1 + t) for p, t in enumerate(state))
 
 
 def orbit(state):
@@ -143,10 +165,13 @@ class TestQuarterAngles:
 class TestExtraversion:
     def test_a_flip_example(self):
         assert extravert(STATE, "A") == (F(-2, 9), F(3, 5), F(1, 2))
+        assert solution_states(STATE)["0a"] == (F(-2, 9), F(3, 5), F(1, 2))
 
     def test_flips_are_involutions(self):
         for f in "ABC":
             assert extravert(extravert(STATE, f), f) == STATE
+        for t in STATE:
+            assert _s_map(_s_map(pair(t))) == pair(t)
 
     def test_flips_preserve_closure(self):
         for f in "ABC":
@@ -154,7 +179,7 @@ class TestExtraversion:
 
     def test_pole(self):
         with pytest.raises(PoleEncountered):
-            extravert((F(-1), F(1, 4), F(1, 3)), "B")
+            _s_map(pair(-1))
 
     def test_orbit_size(self):
         assert len(orbit(STATE)) == 32
@@ -217,17 +242,19 @@ class TestGroupAudit:
             assert rep.order == 32 and rep.relations_hold
 
     def test_flip_that_misses_its_label_raises(self, monkeypatch):
-        sols = solution_states(STATE)
-        swap = {sols["1"]: sols["2"], sols["2"]: sols["1"]}
-        real = malfatti.extravert
+        # a flip map that sends one component of solution 0 to the negated
+        # image, so the flipped solution is not the one its label names
+        real = malfatti._s_map
+        for t in STATE:
+            wrong = pair(t)
 
-        def swapped(state, flip):
-            t = real(state, flip)
-            return swap.get(t, t)
+            def misses(x):
+                n, d = real(x)
+                return (-n, d) if x == wrong else (n, d)
 
-        monkeypatch.setattr(malfatti, "extravert", swapped)
-        with pytest.raises(IdentityViolated, match="flip"):
-            group_audit(STATE)
+            monkeypatch.setattr(malfatti, "_s_map", misses)
+            with pytest.raises(IdentityViolated, match="flip"):
+                group_audit(STATE)
 
 
 class TestRadpoints:
@@ -255,12 +282,12 @@ class TestRadpoints:
         # at the negated tangent, so a solution's sign σ leaves its radpoint
         u, _, _ = STATE
         for t in (u, -1 / u, (1 - u) / (1 + u), (1 + u) / (1 - u)):
-            assert radcoord(-t) == -radcoord(t)
+            assert rad(-t) == -rad(t)
 
     def test_solution_seven_shape(self):
         u, v, w = STATE
         p = radpoint_of_solution("7", STATE)
-        shape_r = lambda t: -radcoord(-1 / t)
+        shape_r = lambda t: -rad(-1 / t)
         assert p.same_point(Barycentric(shape_r(u), shape_r(v), shape_r(w)))
 
     def test_solution_digit_bijection(self):
@@ -281,7 +308,7 @@ class TestRadpoints:
             rads = all_radpoints(s)
             ref = {}
             for lab, sol in oracle_solution_states(s).items():
-                p = Barycentric(*map(radcoord, sol))
+                p = Barycentric(*map(rad, sol))
                 (ref[lab],) = [ijk for ijk, q in rads.items() if p.same_point(q)]
                 assert radpoint_of_solution(lab, s).same_point(p)
             assert dm == ref
@@ -330,7 +357,7 @@ class TestGuylines:
         sols = solution_states(STATE)
         for lab in ("3b", "2b"):
             s = sols[lab]
-            p = Barycentric(radcoord(s[0]), radcoord(s[1]), radcoord(s[2]))
+            p = Barycentric(rad(s[0]), rad(s[1]), rad(s[2]))
             assert vertical_guyline_equation("A", p) == (0, 17, 50)
 
     def test_random_states(self):
@@ -358,16 +385,30 @@ def bits_state(rng, bits):
             return s
 
 
+def ref_join(p, q):
+    """The join of two barycentric points over Fractions."""
+    return (
+        p.y * q.z - p.z * q.y,
+        p.z * q.x - p.x * q.z,
+        p.x * q.y - p.y * q.x,
+    )
+
+
+def ref_on(line, p):
+    return line[0] * p.x + line[1] * p.y + line[2] * p.z == 0
+
+
 def reference_lines(state):
-    """guylines and peGs built label by label from point_coords and _join."""
+    """guylines and peGs built label by label from point_coords and the
+    Fraction join."""
     pc = lambda lab: point_coords(lab, state)
     verticals, nails, pgs = [], [], []
     for pos, vertex in enumerate("ABC"):
         for rest in product(range(4), repeat=2):
             members = tuple(rest[:pos] + (d,) + rest[pos:] for d in range(4))
             pts = [pc(m) for m in members]
-            line = _join(pts[0], pts[1])
-            assert all(_on(line, p) for p in pts[2:])
+            line = ref_join(pts[0], pts[1])
+            assert all(ref_on(line, p) for p in pts[2:])
             assert line[pos] == 0
             text = "".join(
                 "*" if i == pos else str(members[0][i]) for i in range(3)
@@ -383,18 +424,108 @@ def reference_lines(state):
         anti = tuple((d + 2) % 4 for d in lab)
         name = "".join(map(str, lab))
         nails.append(GuyLine(
-            "nail", suffix, f"[{name}{suffix}]", _join(pc(plus), pc(minus)),
+            "nail", suffix, f"[{name}{suffix}]", ref_join(pc(plus), pc(minus)),
             (plus, minus),
         ))
         pgs.append(GuyLine(
             "peg", suffix, f"[{''.join(map(str, anti))}{suffix}]",
-            _join(pc(lab), pc(anti)), (lab, anti),
+            ref_join(pc(lab), pc(anti)), (lab, anti),
         ))
     return verticals + nails, pgs
 
 
 def coefficient_types(lines):
     return [tuple(map(type, g.line)) for g in lines]
+
+
+def ref_rad(t):
+    return t * (1 - t * t) / (1 + t * t)
+
+
+def ref_radpoint(name, state):
+    """The radpoint of solution ``name`` from the textbook transforms."""
+    _, *digits = SOLUTION_LABELS[name]
+    return Barycentric(*(ref_rad(REF_G[d](t)) for d, t in zip(digits, state)))
+
+
+def ref_half_angle_points(state):
+    """Nagel and Gergonne points from the textbook formulas over Fractions."""
+    ir = lambda t: (1 - t * t) / (2 * t)
+    ts = lambda t: 2 * t / (t * t - 1)
+    tn = lambda t: t / (1 - t * t)
+    ct = lambda t: (t * t - 1) / (2 * t)
+    u, v, w = state
+    nagels = {
+        "o": Barycentric(2 * ir(u), 2 * ir(v), 2 * ir(w)),
+        "a": Barycentric(ir(u), ts(v), ts(w)),
+        "b": Barycentric(ts(u), ir(v), ts(w)),
+        "c": Barycentric(ts(u), ts(v), ir(w)),
+    }
+    gergonnes = {
+        "o": Barycentric(tn(u), tn(v), tn(w)),
+        "a": Barycentric(2 * tn(u), ct(v), ct(w)),
+        "b": Barycentric(ct(u), 2 * tn(v), ct(w)),
+        "c": Barycentric(ct(u), ct(v), 2 * tn(w)),
+    }
+    return nagels, gergonnes
+
+
+REF_VERTICES = {
+    "A": Barycentric(F(1), F(0), F(0)),
+    "B": Barycentric(F(0), F(1), F(0)),
+    "C": Barycentric(F(0), F(0), F(1)),
+}
+
+
+def ref_label_audit(state):
+    """label_audit over Fractions: line rfq joins the radpoints of solutions
+    q·f and (q ⊕ σ)·f with σ = 7 ⊕ r ⊕ f and must pass through vertex r, or
+    through Nagel point f on row N."""
+    nagels, _ = ref_half_angle_points(state)
+    checked, ok = 0, True
+    for row, r in {"N": 0, "A": 3, "B": 5, "C": 6}.items():
+        for flip, f in {"o": 0, "a": 3, "b": 5, "c": 6}.items():
+            suffix = {0: "", 3: "a", 5: "b", 6: "c"}[f]
+            through = nagels[flip] if row == "N" else REF_VERTICES[row]
+            for q in (0, 3, 5, 6):
+                line = ref_join(
+                    ref_radpoint(f"{q}{suffix}", state),
+                    ref_radpoint(f"{q ^ 7 ^ r ^ f}{suffix}", state),
+                )
+                ok = ok and ref_on(line, through)
+                checked += 1
+    return LabelAuditReport(checked, ok)
+
+
+def det3(p, q, r):
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def ref_zero_point_collinearities(state):
+    """The 24 rows counted by the 3×3 determinant over Fractions."""
+    zero = lambda text: [
+        REF_G[int(d)](t) / (1 + REF_G[int(d)](t) ** 2) for d, t in zip(text, state)
+    ]
+    count = 0
+    for v, l1, l2 in ZERO_COLLINEARITIES:
+        vertex = REF_VERTICES[v]
+        count += det3((vertex.x, vertex.y, vertex.z), zero(l1), zero(l2)) == 0
+    return count
+
+
+def ref_group_audit(state):
+    """group_audit over Fractions: the 32 oracle solutions are distinct and
+    each of the 96 (solution, flip) images by ``extravert`` is the solution
+    its flipped label names."""
+    sols = oracle_solution_states(state)
+    if len(set(sols.values())) != 32:
+        raise DegenerateInput("state orbit is degenerate")
+    for name, s in sols.items():
+        for f, image in malfatti._FLIPPED.items():
+            if extravert(s, f) != sols[image[name]]:
+                raise IdentityViolated(f"{f}-flip of solution {name}")
+    return malfatti._GROUP
 
 
 class TestComponentTable:
@@ -416,11 +547,23 @@ class TestComponentTable:
             assert all_oddpoints(s) == {
                 lab: point_coords(lab, s) for lab in labels if sum(lab) % 2 == 1
             }
-            zc = lambda d, t: zerocoord(_g(d, t))
+            zc = lambda d, t: F(*zerocoord(_g(d, pair(t))))
             assert zero_points(s) == {
                 text: Barycentric(*(zc(int(d), t) for d, t in zip(text, s)))
                 for text in ZERO_POINT_LABELS
             }
+
+    @pytest.mark.parametrize("bits", [4, 64])
+    def test_audits_equal_fraction_references(self, bits):
+        """The integer joins, minors and pair comparisons decide as the
+        Fraction joins, determinants and state comparisons do."""
+        rng = random.Random(100 + bits)
+        for _ in range(8):
+            s = bits_state(rng, bits)
+            assert (nagel_points(s), gergonne_points(s)) == ref_half_angle_points(s)
+            assert label_audit(s) == ref_label_audit(s)
+            assert zero_point_collinearities(s) == ref_zero_point_collinearities(s)
+            assert group_audit(s) is ref_group_audit(s)
 
     @pytest.mark.parametrize("t", [F(0), F(1), F(-1)], ids=str)
     @pytest.mark.parametrize(
@@ -476,16 +619,34 @@ class TestIntegerMaps:
             want = [zero(REF_G[int(d)](t)) for d, t in zip(text, state)]
             assert [got.x, got.y, got.z] == want
             assert all(type(c) is F for c in (got.x, got.y, got.z))
-        for flip in "ABC":
-            assert extravert(state, flip) == tuple(
-                -t if f == flip else (1 - t) / (1 + t) for f, t in zip("ABC", state)
-            )
+        # the pair maps give the textbook values in lowest terms, the form
+        # in which group_audit compares them
+        for t in state:
+            assert _s_map(pair(t)) == pair((1 - t) / (1 + t))
+            for d, ref in enumerate(REF_G):
+                assert _g(d, pair(t)) == pair(ref(t))
+
+    @given(st.integers(0, 2),
+           st.lists(st.one_of(_quotients(4), _quotients(64)), min_size=6, max_size=6),
+           st.one_of(_quotients(4), _quotients(64)),
+           st.one_of(_quotients(4), _quotients(64)))
+    @settings(max_examples=150)
+    def test_on_vertex_line(self, pos, values, k, m):
+        """The 2×2 minor decides as the 3×3 determinant of the vertex and
+        the two points over Fractions."""
+        vertex = [F(int(i == pos)) for i in range(3)]
+        p, q = values[:3], values[3:]
+        pairs = lambda point: [pair(x) for x in point]
+        assert _on_vertex_line(pos, pairs(p), pairs(q)) == (det3(vertex, p, q) == 0)
+        # a point on the line through the vertex and p
+        on = [m * x + k * v for x, v in zip(p, vertex)]
+        assert _on_vertex_line(pos, pairs(p), pairs(on))
 
     @pytest.mark.parametrize("num", [int, F], ids=["int", "Fraction"])
     @pytest.mark.parametrize("digit, t", [(1, 1), (2, 0), (3, -1)])
     def test_poles_raise(self, num, digit, t):
         with pytest.raises(PoleEncountered):
-            _g(digit, num(t))
+            _g(digit, pair(num(t)))
         state = (num(t), STATE[1], STATE[2])
         with pytest.raises(PoleEncountered):
             point_coords((digit, 0, 0), state)
@@ -493,7 +654,7 @@ class TestIntegerMaps:
             zero_points(state)
         if t == -1:
             with pytest.raises(PoleEncountered):
-                extravert((num(t), STATE[1], STATE[2]), "B")
+                _s_map(pair(num(t)))
 
 
 class TestIncidenceChecks:
@@ -537,10 +698,10 @@ class TestLabelAudit:
         # line 536 (row B, flip a, q = 6) joins the radpoints of solutions
         # 6a and 6 ⊕ 7 ⊕ 5 ⊕ 3 = 7a, and passes through vertex B
         assert label_audit(STATE).nim_sum_boxes_ok
-        line = _join(
+        line = ref_join(
             radpoint_of_solution("6a", STATE), radpoint_of_solution("7a", STATE)
         )
-        assert _on(line, Barycentric(0, 1, 0))
+        assert ref_on(line, Barycentric(0, 1, 0))
 
 
 class TestZeroPoints:
