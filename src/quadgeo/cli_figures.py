@@ -21,6 +21,8 @@ from .kernel import (
     Tangency,
     foot_of_perpendicular,
     format_scalar,
+    is_exact,
+    radical_axis,
     reflect_point_in_line,
     tangency_classify,
 )
@@ -475,6 +477,23 @@ class SuiteResult:
         )
 
 
+def _unit_circle_power(t: Fraction, k: int) -> Point:
+    """z = w^(2^k) for the rational point w = ((1−t²)/(1+t²), 2t/(1+t²)) of
+    the unit circle. For k = 1 every chord between two such points is
+    rational; for k = 2 so are the sines and cosines of the half angles of a
+    triangle on three of them, hence its inradius, IA, IB and IC."""
+    d = 1 + t * t
+    x, y = (1 - t * t) / d, 2 * t / d
+    for _ in range(k):
+        x, y = x * x - y * y, 2 * x * y
+    return Point(x, y)
+
+
+def _random_tangent(rng) -> Fraction:
+    """t = ±n/d with n, d ≤ 20, for `_unit_circle_power`."""
+    return F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
+
+
 def _suite_feuerbach32(rng, count: int) -> Iterator[Check]:
     q = fixture_quadrangle("t0")
     rep = touch.feuerbach_verify(q)
@@ -760,10 +779,13 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
     # the converse: the pair recovered from M gives back the bisector of HM
     conv = drozfarny.df_converse(tri, Point(F(-62), F(117)))
     inst = drozfarny.df_line(tri, conv.pair)
+    df = conv.df
+    miss = max(abs(df.evaluate(p)) for p in inst.midpoints) / math.hypot(df.a, df.b)
     yield Check(
-        all(conv.df.contains(p, DEFAULT_EPS) for p in inst.midpoints),
-        "Droz-Farny converse: recovered pair misses the bisector of HM",
+        miss <= DEFAULT_EPS,
+        f"Droz-Farny converse: recovered pair misses the bisector of HM by {miss:.3e}",
         exact=False,
+        residual=miss,
     )
     line = Line.from_point_direction(h, Point(1, 0))
     p = drozfarny.theorem_r(tri, line)
@@ -854,15 +876,19 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     )
     face = fixture_quadrangle("t0").face(7)
     circles, touch_points = malfatti.malfatti_circles(*face)
+    miss = malfatti.verify_malfatti(circles, *face)
     yield Check(
-        malfatti.verify_malfatti(circles, *face),
-        "Steiner's Malfatti circles not mutually and edge tangent",
+        miss <= malfatti._TANGENCY_TOL,
+        f"Malfatti circles of face 7 not mutually and edge tangent: {miss:.3e}",
         exact=False,
+        residual=miss,
     )
+    miss = malfatti.variant_contact_circle(circles, touch_points, *face)
     yield Check(
-        malfatti.variant_contact_circle(circles, touch_points, *face),
-        "variant contact circle misses a Malfatti contact",
+        miss <= malfatti._CONTACT_CIRCLE_TOL,
+        f"variant contact circle of face 7 misses a Malfatti contact: {miss:.3e}",
         exact=False,
+        residual=miss,
     )
     for _ in range(count):
         v = F(rng.randint(1, 20), rng.randint(21, 60))
@@ -876,6 +902,51 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
             len(set(sols.values())) == 32,
             f"v={v}, w={w}: the 32 Malfatti solutions are not distinct",
         )
+    # triangles of points w⁴: IA, IB and IC are rational, so the circles,
+    # their contacts and the quarter angles are exact and each check is ==
+    done = 0
+    while done < count // 10:
+        ts = [_random_tangent(rng) for _ in range(3)]
+        tri = [_unit_circle_power(t, 2) for t in ts]
+        if len(set(tri)) < 3:
+            continue
+        done += 1
+        at = f"t={', '.join(map(str, ts))}"
+        yield from _exact_malfatti_checks(tri, at)
+
+
+def _exact_malfatti_checks(tri: Sequence[Point], at: str) -> Iterator[Check]:
+    circles, touch_points = malfatti.malfatti_circles(*tri)
+    miss = malfatti.verify_malfatti(circles, *tri)
+    yield Check(
+        all(c.center.is_exact() and is_exact(c.r2) for c in circles) and miss == 0,
+        f"exact Malfatti circles at {at} inexact or not tangent: {float(miss):.3e}",
+        residual=float(miss),
+    )
+    miss = malfatti.variant_contact_circle(circles, touch_points, *tri)
+    yield Check(
+        all(p.is_exact() for p in touch_points) and miss == 0,
+        f"exact variant contact circle at {at} misses a contact: {float(miss):.3e}",
+        residual=float(miss),
+    )
+    state = malfatti.quarter_angles(*tri)
+    ok = all(map(is_exact, state)) and malfatti.validate(*state)
+    if ok:
+        # ⟨000⟩ = (x, y, z) in barycentrics, the point (xA + yB + zC)/(x + y + z)
+        p = malfatti.point_coords((0, 0, 0), state)
+        weights = (p.x, p.y, p.z)
+        total = sum(weights)
+        radpoint = Point(
+            sum(k * v.x for k, v in zip(weights, tri)) / total,
+            sum(k * v.y for k, v in zip(weights, tri)) / total,
+        )
+        axes = [radical_axis(circles[i], circles[i - 1]) for i in (1, 2)]
+        ok = radpoint == axes[0].intersect(axes[1])
+    yield Check(
+        ok,
+        f"exact quarter angles at {at} off the closure identity, "
+        "or <000> is not the radical centre of the Malfatti circles",
+    )
 
 
 def _suite_morley(rng, count) -> Iterator[Check]:
@@ -954,17 +1025,18 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
     yield Check(dup < DEFAULT_EPS, "duplication beams off", exact=False, residual=dup)
     tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
     quad = morley.bisector_quadrangle(*tri)
-    yield Check(
-        morley.is_orthocentric(list(quad.values())),
-        "n=2 bisector grid not orthocentric",
-        exact=False,
-    )
     alt = morley.altitude_quadrangle(*tri)
-    yield Check(
-        morley.is_orthocentric([alt["orthocentre"], *alt["others"]]),
-        "n=2 altitude grid not orthocentric",
-        exact=False,
-    )
+    for name, pts in (
+        ("bisector", list(quad.values())),
+        ("altitude", [alt["orthocentre"], *alt["others"]]),
+    ):
+        miss = morley.is_orthocentric(pts)
+        yield Check(
+            miss <= DEFAULT_EPS * 100,
+            f"n=2 {name} grid not orthocentric: {miss:.3e}",
+            exact=False,
+            residual=miss,
+        )
 
 
 def _thrice_sixteen_holds(rep: morley.ThriceSixteenReport) -> bool:
@@ -975,14 +1047,6 @@ def _thrice_sixteen_holds(rep: morley.ThriceSixteenReport) -> bool:
         and rep.circumcentres_reflect
         and rep.circumcircles_congruent
     )
-
-
-def _square_on_unit_circle(t: Fraction) -> Point:
-    """z = w² for the rational point w = ((1−t²)/(1+t²), 2t/(1+t²)) of the
-    unit circle: every chord between two such points is rational."""
-    d = 1 + t * t
-    x, y = (1 - t * t) / d, 2 * t / d
-    return Point(x * x - y * y, 2 * x * y)
 
 
 def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
@@ -1000,11 +1064,8 @@ def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
     # exact quadrangles: their 16 centres are rational, every check an identity
     done = 0
     while done < count // 10:
-        ts = [
-            F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 20))
-            for _ in range(4)
-        ]
-        quad = [_square_on_unit_circle(t) for t in ts]
+        ts = [_random_tangent(rng) for _ in range(4)]
+        quad = [_unit_circle_power(t, 1) for t in ts]
         if len(set(quad)) < 4:
             continue
         rep = morley.thrice_sixteen(quad)

@@ -1,5 +1,5 @@
 """Quarter-angle tangent algebra: the 32-solution extraversion group,
-radpoints, guylines, Nails, peGs, oddpoints, and numeric Malfatti circles.
+radpoints, guylines, Nails, peGs, oddpoints, and the Malfatti circles.
 
 Everything combinatorial lives in the parameters (u, v, w) = tangents of
 the quarter-angles, where the whole configuration is exact rational
@@ -9,30 +9,33 @@ components map pairs to pairs, a point is an integer triple over one
 denominator, a line is the integer cross product of two such triples, and
 an incidence is an integer dot product.  A `Fraction` is built only for a
 value that is returned.  Triangles enter only through quarter_angles
-(Approx) and malfatti_circles (the Steiner construction, Approx).
+and malfatti_circles, closed forms in the triangle's metrics and
+IA = √((s − a)² + r²), …, on one path for both scalar types: they are
+exact wherever IA, IB and IC are rational, as on a triangle of points w⁴
+for rational points w of the unit circle, and the two checks
+verify_malfatti and variant_contact_circle then return an exact residual.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .kernel import (
-    DEFAULT_EPS,
     Barycentric,
     Circle,
     DegenerateInput,
     GeometryError,
     IdentityViolated,
-    Line,
+    Number,
     Point,
     _ratio,
+    divide,
     foot_of_perpendicular,
     primitive_integers,
-    reflect_line_in_line,
+    sqrt_scalar,
 )
 from .quadrangle import Triangle
 from .touch import touch_circles
@@ -73,25 +76,23 @@ def complete_state(v: Fraction, w: Fraction) -> State:
     return (u, v, w)
 
 
-def quarter_angles(a: Point, b: Point, c: Point) -> Tuple[float, float, float]:
-    """Tangents of the quarter-angles of a triangle (Approx backend)."""
+def _tangent_lengths(tri: Triangle) -> Tuple[Tuple[Number, ...], Tuple[Number, ...]]:
+    """(s − a, s − b, s − c), the tangents from the vertices to the incircle,
+    and (IA, IB, IC) = (√((s − a)² + r²), …), exact where the square roots
+    are rational."""
+    m = tri.metrics
+    gaps = (m.s - m.a, m.s - m.b, m.s - m.c)
+    return gaps, tuple(sqrt_scalar(g * g + m.r * m.r) for g in gaps)
 
-    def angle(p: Point, q: Point, r: Point) -> float:
-        d1, d2 = q - p, r - p
-        return abs(
-            math.atan2(
-                float(d1.x) * float(d2.y) - float(d1.y) * float(d2.x),
-                float(d1.x) * float(d2.x) + float(d1.y) * float(d2.y),
-            )
-        )
 
-    if abs(float((b - a).cross(c - a))) == 0:
-        raise DegenerateInput("degenerate triangle")
-    return (
-        math.tan(angle(a, b, c) / 4),
-        math.tan(angle(b, c, a) / 4),
-        math.tan(angle(c, a, b) / 4),
-    )
+def quarter_angles(a: Point, b: Point, c: Point) -> Tuple[Number, Number, Number]:
+    """Tangents of the quarter-angles of a triangle: tan(A/4) = r/(s − a + IA)
+    as tan(A/4) = sin(A/2)/(1 + cos(A/2)), cyclically; exact when IA, IB and
+    IC are rational."""
+    tri = Triangle((a, b, c))
+    gaps, dists = _tangent_lengths(tri)
+    r = tri.metrics.r
+    return tuple(r / (g + d) for g, d in zip(gaps, dists))
 
 
 # ---------------------------------------------------------------------------
@@ -687,86 +688,34 @@ def zero_point_collinearities(state: State) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Malfatti circles by the Steiner construction (Approx)
+# Malfatti circles in closed form
 # ---------------------------------------------------------------------------
-
-
-def _corner_circle(
-    vertex: Point, e1: Point, e2: Point, tangent: Line
-) -> Circle:
-    """Circle tangent to both edges at a vertex and to a transverse tangent
-    line, on the vertex side of that line."""
-    l1 = Line.through(vertex, e1)
-    l2 = Line.through(vertex, e2)
-    bis_dir = _bisector_direction(vertex, e1, e2)
-    sin_half = abs(float(l1.evaluate(Point(vertex.x + bis_dir.x, vertex.y + bis_dir.y))))
-    e0 = float(tangent.evaluate(vertex))
-    side = 1.0 if e0 > 0 else -1.0
-    step = float(tangent.a * bis_dir.x + tangent.b * bis_dir.y)
-    # |e0 + d·step| = d·sin_half, centre between vertex and tangent: the
-    # signed distance e0 + d·step keeps the vertex's sign, so
-    # side·(e0 + d·step) = d·sin_half
-    cands = []
-    for sgn in (1.0, -1.0):
-        denom = sgn * sin_half - side * step
-        if abs(denom) > 1e-15:
-            dd = side * e0 / denom
-            if dd > 1e-12:
-                cands.append(dd)
-    if not cands:
-        raise DegenerateInput("no corner circle")
-    dd = min(cands)
-    centre = Point(vertex.x + dd * bis_dir.x, vertex.y + dd * bis_dir.y)
-    rad = dd * sin_half
-    return Circle(centre, rad * rad)
-
-
-def _bisector_direction(vertex: Point, e1: Point, e2: Point) -> Point:
-    d1, d2 = e1 - vertex, e2 - vertex
-    n1 = math.hypot(float(d1.x), float(d1.y))
-    n2 = math.hypot(float(d2.x), float(d2.y))
-    bx = float(d1.x) / n1 + float(d2.x) / n2
-    by = float(d1.y) / n1 + float(d2.y) / n2
-    n = math.hypot(bx, by)
-    return Point(bx / n, by / n)
 
 
 def malfatti_circles(
     a: Point, b: Point, c: Point
 ) -> Tuple[Tuple[Circle, Circle, Circle], Tuple[Point, Point, Point]]:
-    """Steiner's construction: incircles of BIC, CIA, AIB; their touch
-    points X, Y, Z on the edges BC, CA, AB; the transverse tangents XX',
-    YY', ZZ' (reflections of AI, BI, CI in the joins of the sub-incentres)
-    concur at the radical centre; the Malfatti circles are the incircles of
-    the corner quadrilaterals. Returns the circles and (X, Y, Z)."""
-    tri = Triangle(Point(float(p.x), float(p.y)) for p in (a, b, c))
-    a, b, c = tri
-    if abs(float((b - a).cross(c - a))) < DEFAULT_EPS:
-        raise DegenerateInput("degenerate triangle")
-    i = touch_circles(tri)[0].circle.center
-    sub = tuple(touch_circles(t)[0].circle for t in ((b, i, c), (c, i, a), (a, i, b)))
+    """The Malfatti circles in closed form (Lob and Richmond, Proc. LMS (2)
+    30, 1930): the A-circle is the incircle's image under the homothety at
+    A with ratio r_A/r = (s + IA − r − IB − IC)/(2(s − a)), B and C
+    cyclically.  X = B + (C − B)·(IB + a − IC)/(2a), where the incircle of
+    BIC touches BC, is where Steiner's transverse tangent XX′, the radical
+    axis of the B- and C-circles, meets it; Y and Z cyclically.  Exact when
+    IA, IB and IC are rational.  Returns the circles and (X, Y, Z)."""
+    tri = Triangle((a, b, c))
+    m = tri.metrics
+    incentre = touch_circles(tri)[0].circle.center
+    gaps, dists = _tangent_lengths(tri)
+    total = sum(dists)
+    circles = []
+    for v, g, d in zip(tri, gaps, dists):
+        k = (m.s - m.r + 2 * d - total) / (2 * g)       # r_A/r, …
+        circles.append(Circle(v + (incentre - v).scale(k), (k * m.r) ** 2))
     touch = tuple(
-        foot_of_perpendicular(s.center, e) for s, e in zip(sub, tri.edges)
+        tri[j] + (tri[k] - tri[j]).scale((dists[j] + side - dists[k]) / (2 * side))
+        for side, j, k in ((m.a, 1, 2), (m.b, 2, 0), (m.c, 0, 1))
     )
-    joins = (
-        Line.through(sub[1].center, sub[2].center),   # B0 C0
-        Line.through(sub[2].center, sub[0].center),   # C0 A0
-        Line.through(sub[0].center, sub[1].center),   # A0 B0
-    )
-    bisectors = (Line.through(a, i), Line.through(b, i), Line.through(c, i))
-    tangents = tuple(
-        reflect_line_in_line(bis, mirror) for bis, mirror in zip(bisectors, joins)
-    )
-    r_centre = tangents[0].intersect(tangents[1])
-    scale = max(abs(float(v)) for p in (a, b, c) for v in (p.x, p.y))
-    if not abs(float(tangents[2].evaluate(r_centre))) < 1e-6 * max(1.0, scale):
-        raise IdentityViolated("transverse tangents fail to concur")
-    circles = (
-        _corner_circle(a, b, c, tangents[1]),   # tangent to AB, AC, YY'
-        _corner_circle(b, c, a, tangents[2]),
-        _corner_circle(c, a, b, tangents[0]),
-    )
-    return circles, touch
+    return tuple(circles), touch
 
 
 #: relative tolerances of the float checks on Malfatti circles
@@ -774,33 +723,33 @@ _TANGENCY_TOL = 1e-7
 _CONTACT_CIRCLE_TOL = 1e-6
 
 
-def verify_malfatti(
-    circles: Sequence[Circle], a: Point, b: Point, c: Point
-) -> bool:
-    """Mutual tangency and double edge tangency, within ``_TANGENCY_TOL``
-    relative to the largest vertex coordinate."""
-    a, b, c = (Point(float(p.x), float(p.y)) for p in (a, b, c))
-    scale = max(abs(float(v)) for p in (a, b, c) for v in (p.x, p.y))
-    tol = _TANGENCY_TOL * max(1.0, scale)
-    edges = {
-        0: (Line.through(a, b), Line.through(a, c)),
-        1: (Line.through(b, c), Line.through(b, a)),
-        2: (Line.through(c, a), Line.through(c, b)),
-    }
-    for i in range(3):
-        ri = math.sqrt(float(circles[i].r2))
-        for e in edges[i]:
-            if abs(abs(float(e.evaluate(circles[i].center))) - ri) > tol:
-                return False
-        for j in range(i + 1, 3):
-            rj = math.sqrt(float(circles[j].r2))
-            d = math.hypot(
-                float(circles[i].center.x - circles[j].center.x),
-                float(circles[i].center.y - circles[j].center.y),
-            )
-            if abs(d - (ri + rj)) > tol:
-                return False
-    return True
+def _distance(p: Point, q: Point) -> Number:
+    return sqrt_scalar(p.dist2(q))
+
+
+def _relative(misses: Sequence[Number], tri: Triangle) -> Number:
+    """The worst miss relative to max(1, the largest vertex coordinate)."""
+    return divide(max(misses), max(1, *(abs(v) for p in tri for v in (p.x, p.y))))
+
+
+def verify_malfatti(circles: Sequence[Circle], a: Point, b: Point, c: Point) -> Number:
+    """The worst miss of the three mutual tangencies and the six edge
+    tangencies (each circle with the two edges at its vertex), relative to
+    the largest vertex coordinate: exactly 0 for exact circles that touch,
+    within ``_TANGENCY_TOL`` for floats."""
+    tri = Triangle((a, b, c))
+    radii = [sqrt_scalar(circle.r2) for circle in circles]
+    misses = [
+        abs(abs(e.evaluate(circle.center)) / sqrt_scalar(e.a * e.a + e.b * e.b) - r)
+        for i, (circle, r) in enumerate(zip(circles, radii))
+        for j, e in enumerate(tri.edges)
+        if j != i
+    ]
+    misses += [
+        abs(_distance(circles[i].center, circles[j].center) - radii[i] - radii[j])
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    ]
+    return _relative(misses, tri)
 
 
 def variant_contact_circle(
@@ -809,40 +758,25 @@ def variant_contact_circle(
     a: Point,
     b: Point,
     c: Point,
-) -> bool:
-    """The circle centred at X (sub-incircle contact on BC) with radius
-    r(1+u)/2 passes through the contacts of the B- and C-Malfatti circles
-    with BC and with each other (cyclically for Y, Z), within
-    ``_CONTACT_CIRCLE_TOL`` relative to the largest vertex coordinate."""
-    u, v, w = quarter_angles(a, b, c)
-    r = math.sqrt(float(touch_circles((a, b, c))[0].circle.r2))
-    scale = max(abs(float(t)) for p in (a, b, c) for t in (p.x, p.y))
-    data = (
-        (touch_points[0], u, 1, 2, Line.through(b, c)),
-        (touch_points[1], v, 2, 0, Line.through(c, a)),
-        (touch_points[2], w, 0, 1, Line.through(a, b)),
-    )
-    for centre, t, i, j, edge in data:
+) -> Number:
+    """The worst miss of the circle centred at X with radius r(1 + u)/2
+    through the contacts of the B- and C-Malfatti circles with BC and with
+    each other (cyclically for Y and Z), relative to the largest vertex
+    coordinate: exactly 0 for exact circles, within ``_CONTACT_CIRCLE_TOL``
+    for floats."""
+    tri = Triangle((a, b, c))
+    r = tri.metrics.r
+    radii = [sqrt_scalar(circle.r2) for circle in circles]
+    misses = []
+    for centre, t, (i, j), edge in zip(
+        touch_points, quarter_angles(a, b, c), ((1, 2), (2, 0), (0, 1)), tri.edges
+    ):
+        ci, cj = circles[i].center, circles[j].center
+        contacts = (
+            foot_of_perpendicular(ci, edge),
+            foot_of_perpendicular(cj, edge),
+            ci + (cj - ci).scale(radii[i] / _distance(ci, cj)),
+        )
         rad = r * (1 + t) / 2
-        contacts = [
-            foot_of_perpendicular(circles[i].center, edge),
-            foot_of_perpendicular(circles[j].center, edge),
-        ]
-        ri = math.sqrt(float(circles[i].r2))
-        rj = math.sqrt(float(circles[j].r2))
-        d = Point(
-            circles[j].center.x - circles[i].center.x,
-            circles[j].center.y - circles[i].center.y,
-        )
-        dn = math.hypot(float(d.x), float(d.y))
-        contacts.append(
-            Point(
-                circles[i].center.x + float(d.x) * ri / dn,
-                circles[i].center.y + float(d.y) * ri / dn,
-            )
-        )
-        for p in contacts:
-            got = math.hypot(float(p.x - centre.x), float(p.y - centre.y))
-            if abs(got - rad) > _CONTACT_CIRCLE_TOL * max(1.0, scale):
-                return False
-    return True
+        misses += [abs(_distance(p, centre) - rad) for p in contacts]
+    return _relative(misses, tri)

@@ -251,19 +251,18 @@ def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:
     }
 
 
-def is_orthocentric(points: Sequence[Point]) -> bool:
-    """Each point is the orthocentre of the other three."""
+def is_orthocentric(points: Sequence[Point]) -> float:
+    """The worst distance from one of four points to the orthocentre of the
+    other three, relative to max(1, the largest coordinate): 0 up to
+    rounding when each point is the orthocentre of the other three."""
     pts = [_fp(p) for p in points]
     if len(pts) != 4:
-        return False
-    scale = _scale(pts)
+        raise DegenerateInput("an orthocentric quadrangle has four points")
+    misses = []
     for i in range(4):
-        rest = [pts[j] for j in range(4) if j != i]
-        h = orthocentre(*rest)
-        miss = math.hypot(float(h.x - pts[i].x), float(h.y - pts[i].y))
-        if miss > DEFAULT_EPS * scale * 100:
-            return False
-    return True
+        h = orthocentre(*(pts[j] for j in range(4) if j != i))
+        misses.append(math.hypot(h.x - pts[i].x, h.y - pts[i].y))
+    return max(misses) / _scale(pts)
 
 
 def altitude_quadrangle(a: Point, b: Point, c: Point) -> Dict[str, Point]:

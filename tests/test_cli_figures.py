@@ -1,6 +1,9 @@
 """Scenes, SVG rendering (golden files), tables, suite runner, CLI."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -147,7 +150,7 @@ CASE_COUNTS = {
     "feuerbach32": (32, 0, 0, 32),
     "hexaflex": (8, 0, 0, 8),
     "lighthouse": (0, 503, 0, 503),
-    "malfatti": (114, 2, 0, 116),
+    "malfatti": (144, 2, 0, 146),
     "morley": (3, 101, 1, 105),
     "rendering": (7, 0, 0, 7),
     "soddy": (114, 0, 0, 114),
@@ -307,6 +310,28 @@ class TestCLI:
         )
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "twins.svg").read_bytes()
+
+    def test_verify_same_under_optimize(self):
+        # every check is an `if` or a returned value, never an `assert`,
+        # so ``python -O`` must print the same table and exit the same way
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "quadgeo.cli", "verify", "--count", "10"],
+                capture_output=True,
+                env=env,
+                text=True,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert (runs[1].stdout, runs[1].returncode) == (
+            runs[0].stdout,
+            runs[0].returncode,
+        )
+        assert "malfatti: PASS" in runs[0].stdout
 
     def test_table(self, tmp_path):
         out = tmp_path / "t.txt"

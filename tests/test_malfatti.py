@@ -1,17 +1,30 @@
 """Quarter-angle algebra, the 32-solution group, radpoint/guyline
 incidences, and the Malfatti circle construction."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quadgeo.malfatti as malfatti
-from quadgeo.kernel import Barycentric, DegenerateInput, Line, Point
+from quadgeo.cli_figures import _unit_circle_power, run_suite
+from quadgeo.kernel import (
+    Barycentric,
+    Circle,
+    DegenerateInput,
+    Point,
+    is_exact,
+    radical_axis,
+)
 from quadgeo.malfatti import (
+    _CONTACT_CIRCLE_TOL,
+    _TANGENCY_TOL,
     GuyLine,
     IdentityViolated,
     PoleEncountered,
@@ -155,6 +168,20 @@ class TestQuarterAngles:
     def test_degenerate_triangle(self):
         with pytest.raises(DegenerateInput):
             quarter_angles(Point(0, 0), Point(1, 1), Point(2, 2))
+
+    def test_triangle_quarter_angles_match_atan2(self):
+        # the closed form r/(s − a + IA) against tan(A/4) of the angle at A
+        def angle(p, q, r):
+            d1, d2 = q - p, r - p
+            return abs(math.atan2(d1.cross(d2), d1.dot(d2)))
+
+        rng = random.Random(29)
+        for _ in range(40):
+            a, b, c = (Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in "abc")
+            if abs((b - a).cross(c - a)) < 1.0:
+                continue
+            want = [math.tan(angle(*t) / 4) for t in ((a, b, c), (b, c, a), (c, a, b))]
+            assert quarter_angles(a, b, c) == pytest.approx(want, rel=1e-12)
 
     def test_random_states_validate(self):
         rng = random.Random(5)
@@ -658,8 +685,8 @@ class TestIntegerMaps:
 
 
 class TestIncidenceChecks:
-    """The Nagel, Gergonne and Steiner incidences raise IdentityViolated
-    (not assert, which ``python -O`` strips) when they fail."""
+    """The Nagel and Gergonne incidences raise IdentityViolated (not
+    assert, which ``python -O`` strips) when they fail."""
 
     @staticmethod
     def centroids(state):
@@ -674,17 +701,6 @@ class TestIncidenceChecks:
         monkeypatch.setattr(malfatti, "gergonne_points", self.centroids)
         with pytest.raises(IdentityViolated, match="peG"):
             pegs(STATE)
-
-    def test_transverse_tangents_miss(self, monkeypatch):
-        reflect = malfatti.reflect_line_in_line
-
-        def shifted(line, mirror):
-            r = reflect(line, mirror)
-            return Line(r.a, r.b, r.c + 1)
-
-        monkeypatch.setattr(malfatti, "reflect_line_in_line", shifted)
-        with pytest.raises(IdentityViolated, match="concur"):
-            malfatti_circles(Point(0, 0), Point(4, 0), Point(1, 3))
 
 
 class TestLabelAudit:
@@ -726,17 +742,81 @@ class TestZeroPoints:
                 continue
 
 
+#: Steiner's construction of the Malfatti circles, as the package computed
+#: it before the closed form: (centre x, centre y, r²) per circle and the
+#: contacts (X, Y, Z), at 12 significant digits
+STEINER_PINS = {
+    "t0 face 7": (
+        (
+            (22.998900503, 44.4950522634, 1521.25729318),
+            (-41.4466937158, -22.8155645719, 2935.95304266),
+            (57.1878397717, -32.112703863, 2014.86935449),
+        ),
+        ((7.87057302792, -77), (77.1039265909, 25.9301376421),
+         (-37.1802167822, 48.1148374134)),
+    ),
+    "(0, 0), (4, 0), (1, 3)": (
+        (
+            (0.849466757646, 0.612260997704, 0.37486352931),
+            (2.20054600757, 0.745358248532, 0.555558918654),
+            (1.28395779005, 1.79713549859, 0.422194772088),
+        ),
+        ((2.23550251263, 1.76449748737), (0.468080701829, 1.40424210549),
+         (1.52500638261, 0)),
+    ),
+}
+STEINER_TRIANGLES = {
+    "t0 face 7": (Point(36, 103), Point(-204, -77), Point(132, -77)),
+    "(0, 0), (4, 0), (1, 3)": (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)),
+}
+
+
+def unit_power_triangle(ts):
+    """The triangle of points w⁴ for the tangents ``ts``."""
+    return tuple(_unit_circle_power(F(t), 2) for t in ts)
+
+
+def radical_centre(circles):
+    axes = [radical_axis(circles[i], circles[i - 1]) for i in (1, 2)]
+    return axes[0].intersect(axes[1])
+
+
+def barycentric_point(p, tri):
+    """The point (x·A + y·B + z·C)/(x + y + z) of barycentrics (x, y, z)."""
+    k = (p.x, p.y, p.z)
+    return Point(
+        sum(w * v.x for w, v in zip(k, tri)) / sum(k),
+        sum(w * v.y for w, v in zip(k, tri)) / sum(k),
+    )
+
+
 class TestMalfattiCircles:
     def test_reference_triangle(self):
         tri = (Point(36, 103), Point(-204, -77), Point(132, -77))
         circles, touch_points = malfatti_circles(*tri)
-        assert verify_malfatti(circles, *tri)
-        assert variant_contact_circle(circles, touch_points, *tri)
+        assert verify_malfatti(circles, *tri) <= _TANGENCY_TOL
+        miss = variant_contact_circle(circles, touch_points, *tri)
+        assert miss <= _CONTACT_CIRCLE_TOL
+
+    @pytest.mark.parametrize("name", sorted(STEINER_PINS))
+    def test_matches_steiner_construction(self, name):
+        circles, touch_points = malfatti_circles(*STEINER_TRIANGLES[name])
+        want_circles, want_touch = STEINER_PINS[name]
+        got = [(c.center.x, c.center.y, c.r2) for c in circles]
+        got += [(p.x, p.y) for p in touch_points]
+        for g, w in zip(got, want_circles + want_touch):
+            assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
     def test_transverse_tangents_concur(self):
-        # malfatti_circles raises IdentityViolated unless they concur
-        circles, _ = malfatti_circles(Point(0, 0), Point(4, 0), Point(1, 3))
-        assert verify_malfatti(circles, Point(0, 0), Point(4, 0), Point(1, 3))
+        # Steiner's transverse tangent through X is the radical axis of the
+        # B- and C-circles; the three meet at the radical centre
+        tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
+        circles, touch_points = malfatti_circles(*tri)
+        assert verify_malfatti(circles, *tri) <= _TANGENCY_TOL
+        axes = [radical_axis(circles[i - 2], circles[i - 1]) for i in range(3)]
+        for axis, p in zip(axes, touch_points):
+            assert axis.contains(p, 1e-12)
+        assert axes[2].contains(axes[0].intersect(axes[1]), 1e-12)
 
     def test_touch_points_on_edges(self):
         tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
@@ -762,12 +842,60 @@ class TestMalfattiCircles:
             if abs(float((tri[1] - tri[0]).cross(tri[2] - tri[0]))) < 1.0:
                 continue
             circles, touch_points = malfatti_circles(*tri)
-            assert verify_malfatti(circles, *tri)
-            assert variant_contact_circle(circles, touch_points, *tri)
+            assert verify_malfatti(circles, *tri) <= _TANGENCY_TOL
+            assert (
+                variant_contact_circle(circles, touch_points, *tri)
+                <= _CONTACT_CIRCLE_TOL
+            )
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):
             malfatti_circles(Point(0, 0), Point(1, 0), Point(2, 0))
+
+    def test_shifted_incentre_is_a_failed_exact_case(self, monkeypatch):
+        # a shift of 1e-12 moves every circle by less than the float
+        # tolerances, so only the exact w⁴ cases can see it
+        real = malfatti.touch_circles
+
+        def shifted(tri):
+            incircle, *rest = real(tri)
+            c = incircle.circle
+            moved = Circle(Point(c.center.x + F(1, 10**12), c.center.y), c.r2)
+            return [replace(incircle, circle=moved), *rest]
+
+        monkeypatch.setattr(malfatti, "touch_circles", shifted)
+        res = run_suite("malfatti", count=10)
+        assert not res.passed
+        assert res.approx_passes == 2
+        assert any(f.startswith("exact Malfatti circles at t=") for f in res.failures)
+        assert any(f.startswith("exact variant contact circle") for f in res.failures)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ts=st.lists(
+        st.builds(
+            F, st.integers(1, 20).flatmap(lambda n: st.sampled_from((n, -n))),
+            st.integers(1, 20),
+        ),
+        min_size=3,
+        max_size=3,
+    )
+)
+def test_property_exact_on_unit_power_triangles(ts):
+    tri = unit_power_triangle(ts)
+    assume(len(set(tri)) == 3)
+    circles, touch_points = malfatti_circles(*tri)
+    assert all(c.center.is_exact() and is_exact(c.r2) for c in circles)
+    assert all(p.is_exact() for p in touch_points)
+    assert verify_malfatti(circles, *tri) == 0
+    assert variant_contact_circle(circles, touch_points, *tri) == 0
+    state = quarter_angles(*tri)
+    assert all(type(t) is F for t in state)
+    assert validate(*state)
+    assert barycentric_point(point_coords((0, 0, 0), state), tri) == radical_centre(
+        circles
+    )
 
 
 @settings(max_examples=20, deadline=None)

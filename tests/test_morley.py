@@ -116,7 +116,7 @@ class TestNEqualsTwo:
     def test_bisector_quadrangle_is_incentre_and_excentres(self):
         d, e, f = Point(0.0, 6.0), Point(-4.0, 0.0), Point(5.0, 0.0)
         out = bisector_quadrangle(d, e, f)
-        assert is_orthocentric(list(out.values()))
+        assert is_orthocentric(list(out.values())) <= EPS * 100
         inc = out["incentre"]
         # the incentre is interior and equidistant from all three edges
         from quadgeo.kernel import Line
@@ -137,7 +137,7 @@ class TestNEqualsTwo:
             assert any(
                 math.hypot(float(g.x - w.x), float(g.y - w.y)) < 1e-7 for g in got
             )
-        assert is_orthocentric(got)
+        assert is_orthocentric(got) <= EPS * 100
 
     def test_orthocentric_for_random_phase_pairs(self):
         # any two n=2 lighthouses give an orthocentric quadruple
@@ -153,7 +153,18 @@ class TestNEqualsTwo:
             if cfg.parallel_flag:
                 continue
             pts = [cfg.points[j][k] for j in range(2) for k in range(2)]
-            assert is_orthocentric(pts)
+            assert is_orthocentric(pts) <= EPS * 100
+
+    def test_orthocentric_residual(self):
+        # the vertices and orthocentre of (0, 6), (-4, 0), (5, 0): H = (0, 10/3)
+        pts = [Point(0, 6), Point(-4, 0), Point(5, 0), Point(0, Fraction(10, 3))]
+        assert is_orthocentric(pts) <= EPS * 100
+        # H moved by 1e-3 is 1e-3 from the orthocentre of the other three,
+        # relative to the scale 6
+        pts[3] = Point(1e-3, Fraction(10, 3))
+        assert is_orthocentric(pts) >= 1e-3 / 6
+        with pytest.raises(DegenerateInput):
+            is_orthocentric(pts[:3])
 
 
 @pytest.fixture(scope="module")
