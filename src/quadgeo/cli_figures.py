@@ -810,10 +810,12 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         drozfarny.envelope_special_tangents(tri),
         "edges or bisectors of HA, HB, HC not tangent to the envelope",
     )
+    miss = drozfarny.equilateral_df_check()
     yield Check(
-        drozfarny.equilateral_df_check(),
-        "equilateral Droz-Farny line not tangent to the incircle",
+        miss <= DEFAULT_EPS,
+        f"equilateral Droz-Farny line misses the incircle by {miss:.3e}",
         exact=False,
+        residual=miss,
     )
 
 
@@ -997,12 +999,14 @@ def _suite_morley(rng, count) -> Iterator[Check]:
         io.circumcentre == q.twins[7] and io.orthocentre == q.vertices[7],
         "inside-out treblers do not concur at the circumcentre and orthocentre",
     )
+    miss = morley.orthocentric_morley_parallel(
+        Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
+    )
     yield Check(
-        morley.orthocentric_morley_parallel(
-            Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
-        ),
-        "Morley triangles of the orthocentric quadrangle not parallel",
+        miss < DEFAULT_EPS * 1000,
+        f"Morley triangles of the orthocentric quadrangle not parallel: {miss:.3e} rad",
         exact=False,
+        residual=miss,
     )
 
 

@@ -319,13 +319,15 @@ EQUILATERAL_SIDE = 2.0
 EQUILATERAL_DIRECTIONS = 36
 
 
-def equilateral_df_check() -> bool:
+def equilateral_df_check() -> float:
     """For an equilateral triangle every Droz-Farny line is tangent to the
-    incircle (foot of the perpendicular from the centre on the incircle)."""
+    incircle (foot of the perpendicular from the centre on the incircle):
+    the worst miss |dist(centre, line) − r| over the sweep."""
     side, count = EQUILATERAL_SIDE, EQUILATERAL_DIRECTIONS
     r = side / (2 * math.sqrt(3.0))
     tri = Triangle((Point(-side / 2, -r), Point(side / 2, -r), Point(0.0, 2 * r)))
     h = Point(0.0, 0.0)
+    misses = []
     for i in range(count):
         th = math.pi * (i + 0.5) / count
         d = Point(math.cos(th), math.sin(th))
@@ -333,9 +335,8 @@ def equilateral_df_check() -> bool:
             Line.from_point_direction(h, d),
             Line.from_point_direction(h, Point(-d.y, d.x)),
         ))
-        if abs(abs(float(inst.df.evaluate(h))) - r) > DEFAULT_EPS:
-            return False
-    return True
+        misses.append(abs(abs(float(inst.df.evaluate(h))) - r))
+    return max(misses)
 
 
 # ---------------------------------------------------------------------------

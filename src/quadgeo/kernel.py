@@ -4,11 +4,13 @@ Every other module builds on these. Scalars are either exact
 (`fractions.Fraction` / `int`, arbitrary precision, canonical lowest
 terms) or approximate (`float`). An exact `Line` holds a coprime `int`
 triple. Each primitive reads a point as a homogeneous triple (X, Y, W) with
-p = (X/W, Y/W) (`_hom`): integers for an exact point, (x, y, 1) for a point
-with a float coordinate. One formula then serves both, and the scalar type
-alone decides exactness: over ints a construction builds one `Fraction`
-per coordinate or scalar it returns (`divide`), and a predicate builds
-none, since it compares cross-multiplied ints. All predicates that must
+p = (X/W, Y/W) (`_hom`): the reduced integer triple of an exact point,
+(x, y, 1) for a point with a float coordinate. One formula then serves
+both, and the scalar type alone decides exactness. Over ints a
+construction returns a point stored as its reduced triple (`_point_of`:
+one gcd, no `Fraction`; x and y are read on demand) and one `Fraction` per
+scalar it returns (`divide`), and a predicate builds none, since it
+compares cross-multiplied ints. All predicates that must
 stay exact are phrased in squared quantities so the exact backend never
 takes a square root; square roots appear only in the approximate backend
 (or when the radicand happens to be a perfect square). A tolerance applies
@@ -154,6 +156,13 @@ def format_scalar(x: Number) -> str:
 
 @dataclass(frozen=True)
 class Point:
+    """A point (x, y). ``Point(x, y)`` keeps the coordinates it is given;
+    an exact construction returns a `_TriplePoint`, stored as its reduced
+    homogeneous triple, whose x and y are `Fraction`s read on demand. Both
+    kinds read as a triple through `_hom`, and equal points compare and
+    hash alike whichever kind they are; a point with a float coordinate
+    compares by its coordinates."""
+
     x: Number
     y: Number
 
@@ -182,7 +191,7 @@ class Point:
         return (self - other).norm2()
 
     def midpoint(self, other: "Point") -> "Point":
-        return Point(divide(self.x + other.x, 2), divide(self.y + other.y, 2))
+        return _combine(self, 1, other, 2)
 
     def is_exact(self) -> bool:
         return is_exact(self.x) and is_exact(self.y)
@@ -193,12 +202,103 @@ class Point:
         return abs(self.x - other.x) <= eps and abs(self.y - other.y) <= eps
 
 
+class _TriplePoint(Point):
+    """An exact point made by `_point_of`: it stores only its reduced triple
+    ``_t`` = (X, Y, W), gcd(X, Y, W) = 1 and W > 0, and its arithmetic with
+    another exact point runs on the triples. x and y are `Fraction`s built
+    on first read and then kept. A point given by its coordinates stays a
+    plain `Point`, so the float paths never see a triple; the operators
+    here take precedence over `Point`'s, as a subclass's reflected operators
+    do in Python."""
+
+    def __new__(cls, x: Number, y: Number) -> Point:
+        # dataclasses.replace remakes the point from its coordinates
+        return Point(x, y)
+
+    def __reduce__(self):
+        return _point_of, self._t
+
+    def _coordinates(self) -> Tuple[Fraction, Fraction]:
+        d = self.__dict__
+        if "xy" not in d:
+            x, y, w = self._t
+            d["xy"] = Fraction(x, w), Fraction(y, w)
+        return d["xy"]
+
+    x = property(lambda self: self._coordinates()[0])
+    y = property(lambda self: self._coordinates()[1])
+
+    def __repr__(self) -> str:
+        return f"Point(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Point):
+            return NotImplemented
+        if other.is_exact():
+            return self._t == _hom(other)
+        return (self.x, self.y) == (other.x, other.y)
+
+    __hash__ = Point.__hash__
+
+    def __add__(self, other: Point) -> Point:
+        return _combine(self, 1, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Point) -> Point:
+        return _combine(self, -1, other)
+
+    def __rsub__(self, other: Point) -> Point:
+        return _combine(other, -1, self)
+
+    def scale(self, k: Number) -> Point:
+        if not is_exact(k):
+            return super().scale(k)
+        (x, y, w), (n, d) = self._t, _ratio(k)
+        return _point_of(n * x, n * y, d * w)
+
+    def norm2(self) -> Fraction:
+        x, y, w = self._t
+        return Fraction(x * x + y * y, w * w)
+
+    def is_exact(self) -> bool:
+        return True
+
+
+def _combine(p: Point, k: int, q: Point, d: int = 1) -> Point:
+    """(p + k·q)/d for k = ±1: on the triples when both points are exact,
+    else coordinate by coordinate."""
+    if not (p.is_exact() and q.is_exact()):
+        return Point((p.x + k * q.x) / d, (p.y + k * q.y) / d)
+    (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+    return _point_of(x1 * w2 + k * x2 * w1, y1 * w2 + k * y2 * w1, d * w1 * w2)
+
+
+def _point_of(x: Number, y: Number, w: Number) -> Point:
+    """The point (x/w, y/w), w ≠ 0. Over ints it is made from the reduced
+    triple, with one gcd and no `Fraction`; over floats its coordinates are
+    the quotients."""
+    if type(x) is int and type(y) is int:
+        g = math.gcd(x, y, w)
+        if w < 0:
+            g = -g
+        p = object.__new__(_TriplePoint)
+        p.__dict__["_t"] = x // g, y // g, w // g
+        return p
+    return Point(x / w, y / w)
+
+
 def _hom(p: Point) -> Tuple[Number, Number, int]:
-    """(X, Y, W) with W > 0 and p = (X/W, Y/W). For an exact point X, Y, W
-    are integers: W is 1 for int coordinates, else the shared denominator or
-    the product of the two. A point with a float coordinate is already a
-    triple, (float(x), float(y), 1)."""
+    """(X, Y, W) with W > 0 and p = (X/W, Y/W). For an exact point it is
+    the reduced integer triple: the stored one, or for coordinates a/b and
+    c/d in lowest terms (a·l/b, c·l/d, l) with l = lcm(b, d), which needs
+    no gcd. A point with a float coordinate is already a triple,
+    (float(x), float(y), 1)."""
+    if type(p) is _TriplePoint:
+        return p._t
     x, y = p.x, p.y
+    if type(x) is float and type(y) is float:
+        return x, y, 1
     if type(x) is int:
         if type(y) is int:
             return x, y, 1
@@ -213,7 +313,8 @@ def _hom(p: Point) -> Tuple[Number, Number, int]:
             v = y.denominator
             if v == w:
                 return x.numerator, y.numerator, w
-            return x.numerator * v, y.numerator * w, w * v
+            l = math.lcm(w, v)
+            return x.numerator * (l // w), y.numerator * (l // v), l
     return float(x), float(y), 1
 
 
@@ -274,16 +375,16 @@ class Line:
 
     @staticmethod
     def from_point_direction(p: Point, d: Point) -> "Line":
-        if d.x == 0 and d.y == 0:
-            raise DegenerateInput("zero direction")
         (x, y, w), (dx, dy, _) = _hom(p), _hom(d)
+        if dx == 0 and dy == 0:
+            raise DegenerateInput("zero direction")
         return Line(dy * w, -dx * w, dy * x - dx * y)
 
     @staticmethod
     def from_point_normal(p: Point, n: Point) -> "Line":
-        if n.x == 0 and n.y == 0:
-            raise DegenerateInput("zero normal")
         (x, y, w), (nx, ny, _) = _hom(p), _hom(n)
+        if nx == 0 and ny == 0:
+            raise DegenerateInput("zero normal")
         return Line(nx * w, ny * w, nx * x + ny * y)
 
     # -- queries ------------------------------------------------------
@@ -323,9 +424,9 @@ class Line:
         det = self.a * other.b - self.b * other.a
         if det == 0:
             raise ParallelLines("lines are parallel or identical")
-        x = divide(self.c * other.b - self.b * other.c, det)
-        y = divide(self.a * other.c - self.c * other.a, det)
-        return Point(x, y)
+        return _point_of(
+            self.c * other.b - self.b * other.c, self.a * other.c - self.c * other.a, det
+        )
 
     def perpendicular_through(self, p: Point) -> "Line":
         return Line.from_point_direction(p, self.normal())
@@ -450,8 +551,7 @@ def _project(p: Point, line: Line, k: int) -> Point:
     a, b = line.a, line.b
     n2 = a * a + b * b
     kt = k * (a * x + b * y - line.c * w)
-    wn2 = w * n2
-    return Point(divide(x * n2 - kt * a, wn2), divide(y * n2 - kt * b, wn2))
+    return _point_of(x * n2 - kt * a, y * n2 - kt * b, w * n2)
 
 
 def reflect_point_in_line(p: Point, line: Line) -> Point:
@@ -502,7 +602,7 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     bb, cc = bx * bx + by * by, cx * cx + cy * cy
     ox, oy = cy * bb - by * cc, bx * cc - cx * bb
     d = 2 * l * cross
-    center = Point(divide(2 * cross * x1 + ox, d), divide(2 * cross * y1 + oy, d))
+    center = _point_of(2 * cross * x1 + ox, 2 * cross * y1 + oy, d)
     return Circle(center, divide(ox * ox + oy * oy, d * d))
 
 

@@ -467,11 +467,20 @@ def _on(line: Triple, p: Triple) -> bool:
 def _line_through(table: Table, p: Tuple[int, int, int], q: Tuple[int, int, int]):
     """The join of the points of digits p and q as integer coefficients J,
     and the same line as the exact coefficients J/(D_p·D_q) that the join of
-    their barycentrics gives."""
-    (x, dx), (y, dy) = _triple(table, p), _triple(table, q)
-    coeffs = _join(x, y)
-    den = dx * dy
-    return coeffs, tuple([Fraction(c, den) for c in coeffs])
+    their barycentrics gives. With ⟨p⟩ = (a/e, b/f, c/g) and
+    ⟨q⟩ = (a'/e', b'/f', c'/g'), J = (e·e'·K_0, f·f'·K_1, g·g'·K_2) over
+    D_p·D_q = e·f·g·e'·f'·g', so each Fraction reduces K_i over the rest."""
+    (a, e), (b, f), (c, g) = table[0][p[0]], table[1][p[1]], table[2][p[2]]
+    (a2, e2), (b2, f2), (c2, g2) = table[0][q[0]], table[1][q[1]], table[2][q[2]]
+    k0 = b * g * c2 * f2 - c * f * b2 * g2
+    k1 = c * e * a2 * g2 - a * g * c2 * e2
+    k2 = a * f * b2 * e2 - b * e * a2 * f2
+    if k0 == k1 == k2 == 0:
+        raise DegenerateInput("join of identical points")
+    ee, ff, gg = e * e2, f * f2, g * g2
+    return (ee * k0, ff * k1, gg * k2), (
+        Fraction(k0, ff * gg), Fraction(k1, ee * gg), Fraction(k2, ee * ff)
+    )
 
 
 @dataclass(frozen=True)

@@ -723,10 +723,12 @@ def _trisection_check(inner, outer, assembled) -> bool:
     return matched == 3
 
 
-def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> bool:
+def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> float:
     """The four triangles of the orthocentric quadrangle {A, B, C, H} have
     mutually parallel Morley triangles (72 triangles in 1 direction class
-    mod π/3)."""
+    mod π/3): the worst angle mod π/3 between one of their edges and the
+    first, which `edge_direction_classes` puts in one class when it is
+    below ``DEFAULT_EPS * 1000``."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     h = orthocentre(a, b, c)
     tris: Dict[str, Tuple[Point, Point, Point]] = {}
@@ -739,7 +741,13 @@ def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> bool:
         cfg = morley_config(p, q, r)
         for key, tri in cfg.morley_triangles.items():
             tris[f"{name}:{key}"] = tri
-    return edge_direction_classes(tris) == 1
+    third = math.pi / 3
+    angles = [
+        _angle_of(tri[(i + 1) % 3] - tri[i]) % third
+        for tri in tris.values()
+        for i in range(3)
+    ]
+    return max(min(abs(t - angles[0]), third - abs(t - angles[0])) for t in angles)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .kernel import (
     Point,
     _edge_vectors,
     _hom,
+    _point_of,
     circle_from_diameter,
     circumcircle,
     cross_ratio,
@@ -49,10 +50,9 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
     cross = bx * cy - by * cx
     if cross == 0:
         raise DegenerateInput("collinear points")
-    dot, d = bx * cx + by * cy, l * cross
-    return Point(
-        divide(x1 * cross + dot * (cy - by), d), divide(y1 * cross + dot * (bx - cx), d)
-    )
+    dot = bx * cx + by * cy
+    x, y = x1 * cross + dot * (cy - by), y1 * cross + dot * (bx - cx)
+    return _point_of(x, y, l * cross)
 
 
 class Triangle(tuple):
@@ -99,9 +99,12 @@ class LabeledQuadrangle:
 
     @cached_property
     def center(self) -> Point:
-        """Label 0: the mean of the four vertices."""
-        pts = self.vertices.values()
-        return Point(divide(sum(p.x for p in pts), 4), divide(sum(p.y for p in pts), 4))
+        """Label 0: the mean of the four vertices, over their common
+        denominator l."""
+        hs = [_hom(p) for p in self.vertices.values()]
+        l = math.lcm(*[w for _, _, w in hs])
+        x = sum([x * (l // w) for x, _, w in hs])
+        return _point_of(x, sum([y * (l // w) for _, y, w in hs]), 4 * l)
 
     @cached_property
     def twins(self) -> Dict[int, Point]:
@@ -220,7 +223,8 @@ def euler_range(q: LabeledQuadrangle, label: int) -> EulerRange:
     h = q.vertices[label]
     d = h - q.center
     o = q.center - d
-    g = q.center - Point(divide(d.x, 3), divide(d.y, 3))
+    x, y, w = _hom(d)
+    g = q.center - _point_of(x, y, 3 * w)
     del_ = q.center - d.scale(3)
     return EulerRange(h, o, g, del_, Line.through(h, o))
 

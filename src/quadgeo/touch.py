@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
     DEFAULT_EPS,
@@ -24,6 +24,7 @@ from .kernel import (
     Point,
     Tangency,
     _hom,
+    _point_of,
     _ratio,
     collinear,
     divide,
@@ -70,16 +71,8 @@ def touch_circles(
     computed on demand from the edges the four share. Exact for Heronian
     triangles (rational side lengths)."""
     tri = as_triangle(tri)
-    p, q, r = tri
     m = tri.metrics
-    # the centre Σ wᵢ·vᵢ / Σ wᵢ over the triples: the sides over their
-    # common denominator k, the vertices over theirs, l
-    hs, ks = (_hom(p), _hom(q), _hom(r)), (_ratio(m.a), _ratio(m.b), _ratio(m.c))
-    k = math.lcm(*[d for _, d in ks])
-    a, b, c = [n * (k // d) for n, d in ks]
-    l = math.lcm(*[w for _, _, w in hs])
-    xs = [x * (l // w) for x, _, w in hs]
-    ys = [y * (l // w) for _, y, w in hs]
+    (a, b, c), centre = _side_weighted(tri)
     weight_sets = {
         "o": (a, b, c),
         "a": (-a, b, c),
@@ -89,16 +82,34 @@ def touch_circles(
     radii = {"o": m.r, "a": m.r1, "b": m.r2, "c": m.r3}
     out = []
     for ext in EXTRAVERSIONS:
-        wa, wb, wc = weight_sets[ext]
-        tot = (wa + wb + wc) * l
-        center = Point(
-            divide(wa * xs[0] + wb * xs[1] + wc * xs[2], tot),
-            divide(wa * ys[0] + wb * ys[1] + wc * ys[2], tot),
-        )
         rad = radii[ext]
-        circle = Circle(center, rad * rad)
+        circle = Circle(centre(*weight_sets[ext]), rad * rad)
         out.append(TouchCircle((triangle_label, ext), circle, tri))
     return out
+
+
+def _side_weighted(
+    tri: Triangle,
+) -> Tuple[Tuple[Number, Number, Number], Callable[[Number, Number, Number], Point]]:
+    """The sides a, b, c over their common denominator, and the map from
+    weights (wa, wb, wc) to the point Σ wᵢ·vᵢ / Σ wᵢ, summed over the
+    vertex triples on their common denominator l."""
+    m = tri.metrics
+    hs, ks = [_hom(v) for v in tri], (_ratio(m.a), _ratio(m.b), _ratio(m.c))
+    k = math.lcm(*[d for _, d in ks])
+    sides = tuple([n * (k // d) for n, d in ks])
+    l = math.lcm(*[w for _, _, w in hs])
+    xs = [x * (l // w) for x, _, w in hs]
+    ys = [y * (l // w) for _, y, w in hs]
+
+    def centre(wa: Number, wb: Number, wc: Number) -> Point:
+        return _point_of(
+            wa * xs[0] + wb * xs[1] + wc * xs[2],
+            wa * ys[0] + wb * ys[1] + wc * ys[2],
+            (wa + wb + wc) * l,
+        )
+
+    return sides, centre
 
 
 @dataclass(frozen=True)
@@ -145,10 +156,7 @@ class GergonneNagelData:
     def incidence_checks(self) -> Dict[str, bool]:
         return {
             "nagel=3G-2I": self.nagel
-            == Point(
-                3 * self.centroid.x - 2 * self.incentre.x,
-                3 * self.centroid.y - 2 * self.incentre.y,
-            ),
+            == self.centroid.scale(3) - self.incentre.scale(2),
             "nagel-incentre-centroid": collinear(
                 self.nagel, self.incentre, self.centroid
             ),
@@ -169,29 +177,25 @@ def _cevian_point(tri: Sequence[Point], cuts: Sequence[Point]) -> Point:
 
 def _de_longchamps(tri: Triangle) -> Point:
     """The reflection of H in the circumcentre O: 2O - H."""
-    h, o = tri.orthocentre, tri.circumcircle.center
-    return Point(2 * o.x - h.x, 2 * o.y - h.y)
+    return tri.circumcircle.center.scale(2) - tri.orthocentre
 
 
 def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
     """Gergonne points of all four touch circles, the Nagel point, and the
     de Longchamps collinearity data."""
     tri = as_triangle(tri)
-    p, q, r = tri
-    m = tri.metrics
     tcs = touch_circles(tri)
     gergonnes = {}
     for tc in tcs:
         gergonnes[tc.label[1]] = _cevian_point(tri, tc.touch_points)
-    wa, wb, wc = m.s - m.a, m.s - m.b, m.s - m.c
-    tot = wa + wb + wc
-    nagel = Point(
-        (wa * p.x + wb * q.x + wc * r.x) / tot,
-        (wa * p.y + wb * q.y + wc * r.y) / tot,
-    )
+    # the Nagel point weighs each vertex by s less its opposite side, in
+    # proportion to −a + b + c, a − b + c, a + b − c
+    (a, b, c), centre = _side_weighted(tri)
+    nagel = centre(b + c - a, c + a - b, a + b - c)
     incentre = tcs[0].circle.center
-    centroid = Point(divide(p.x + q.x + r.x, 3), divide(p.y + q.y + r.y, 3))
-    return GergonneNagelData(gergonnes, nagel, incentre, centroid, _de_longchamps(tri))
+    return GergonneNagelData(
+        gergonnes, nagel, incentre, centre(1, 1, 1), _de_longchamps(tri)
+    )
 
 
 def extraverted_gergonne_concurrence(tri: Sequence[Point]) -> bool:

@@ -25,9 +25,10 @@ from .kernel import (
     Number,
     Point,
     PointNotOnCircumcircle,
+    _hom,
+    _point_of,
     circle_from_diameter,
     collinear,
-    divide,
     foot_of_perpendicular,
     is_exact,
     reflect_point_in_line,
@@ -83,7 +84,7 @@ def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceDat
 
 def _homothety_line(line: Line, center: Point, k: Number) -> Line:
     p0 = foot_of_perpendicular(center, line)
-    image = Point(center.x + k * (p0.x - center.x), center.y + k * (p0.y - center.y))
+    image = center + (p0 - center).scale(k)
     return line.parallel_through(image)
 
 
@@ -443,10 +444,17 @@ def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:
 
 
 def second_intersection(circle: Circle, known: Point, direction: Point) -> Point:
-    """Other intersection of the line through a known circle point."""
-    b = known - circle.center
-    u = divide(-2 * b.dot(direction), direction.norm2())
-    return Point(known.x + u * direction.x, known.y + u * direction.y)
+    """Other intersection of the line through a known circle point: with
+    b = known − centre and direction d it is known + u·d, u = −2(b·d)/|d|².
+    Over the triples K, C, D of known, centre and direction this is
+    (X_K·W_C·n + m·X_D, Y_K·W_C·n + m·Y_D) / (W_K·W_C·n) with n = X_D² + Y_D²
+    and m = −2(B·D), B = (X_K·W_C − X_C·W_K, Y_K·W_C − Y_C·W_K)."""
+    (xk, yk, wk), (xc, yc, wc), (dx, dy, _) = (
+        _hom(known), _hom(circle.center), _hom(direction)
+    )
+    n = dx * dx + dy * dy
+    m = -2 * ((xk * wc - xc * wk) * dx + (yk * wc - yc * wk) * dy)
+    return _point_of(xk * wc * n + m * dx, yk * wc * n + m * dy, wk * wc * n)
 
 
 @dataclass(frozen=True)

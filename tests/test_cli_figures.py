@@ -22,7 +22,7 @@ from quadgeo.cli_figures import (
     table_text,
 )
 from quadgeo import drozfarny, morley, wallace
-from quadgeo.kernel import Barycentric, Circle, Line, Point
+from quadgeo.kernel import DEFAULT_EPS, Barycentric, Circle, Line, Point
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_RECIPES = (
@@ -267,6 +267,21 @@ class TestSuites:
             f.startswith("morley incidence: third GF circle") for f in res.failures
         )
 
+    @pytest.mark.parametrize(
+        "suite, module, name, bound",
+        [
+            ("droz-farny", drozfarny, "equilateral_df_check", DEFAULT_EPS),
+            ("morley", morley, "orthocentric_morley_parallel", DEFAULT_EPS * 1000),
+        ],
+    )
+    def test_float_check_reports_its_miss(self, monkeypatch, suite, module, name, bound):
+        # the returned miss is the suite's residual, and fails it above the bound
+        for miss in (bound / 2, bound * 2):
+            monkeypatch.setattr(module, name, lambda *args: miss)
+            res = run_suite(suite, count=5)
+            assert res.max_residual == miss
+            assert res.passed == (miss < bound)
+
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_case_counts(self, suite):
         # a check that stops being yielded, or a draw that changes, moves
@@ -332,6 +347,18 @@ class TestCLI:
             runs[0].returncode,
         )
         assert "malfatti: PASS" in runs[0].stdout
+
+    def test_benchmark_self_test(self):
+        # the benchmark perturbs results (points among them, moved with
+        # dataclasses.replace) and each perturbation must be reported
+        root = pathlib.Path(__file__).parent.parent
+        run = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--self-test"],
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "self-test: 0 perturbation(s) not reported" in run.stderr
 
     def test_table(self, tmp_path):
         out = tmp_path / "t.txt"

@@ -27,6 +27,7 @@ from quadgeo.drozfarny import (
     verify_instance,
 )
 from quadgeo.kernel import (
+    DEFAULT_EPS,
     IdentityViolated,
     Line,
     Point,
@@ -321,7 +322,7 @@ class TestLocus:
             assert foot == h.midpoint(inst.m)
 
     def test_equilateral_incircle_tangency(self):
-        assert equilateral_df_check()
+        assert equilateral_df_check() <= DEFAULT_EPS
 
 
 class TestMiquel:

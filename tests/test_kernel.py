@@ -1,8 +1,10 @@
 """Kernel primitives: oracle examples plus property tests."""
 
 import ast
+import copy
 import math
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,8 @@ from quadgeo.kernel import (
     NotCollinear,
     Point,
     Tangency,
+    _hom,
+    _point_of,
     circumcircle,
     collinear,
     cross_ratio,
@@ -594,6 +598,62 @@ class TestIntegerPaths:
 
 float_coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 float_points = st.builds(Point, float_coords, float_coords)
+
+
+def _triples(bits):
+    n = 2 ** bits
+    ints = st.integers(-n, n)
+    return st.tuples(ints, ints, ints.filter(bool))
+
+
+#: (X, Y, W) with W ≠ 0, not necessarily reduced, at 4-bit and 64-bit sizes
+triples = st.one_of(_triples(4), _triples(64))
+
+
+class TestTriplePoints:
+    """A construction over ints makes its point from the triple alone; the
+    point is the one its `Fraction` coordinates give, in value, hash, repr
+    and arithmetic, and float and mixed points compare as before."""
+
+    @given(triples, exact_scalars)
+    @settings(max_examples=200)
+    def test_same_point_as_its_fractions(self, t, d):
+        x, y, w = t
+        p, q = _point_of(x, y, w), Point(F(x, w), F(y, w))
+        assert p == q and q == p and hash(p) == hash(q)
+        assert _is_fraction_point(p) and (p.x, p.y) == (q.x, q.y)
+        assert repr(p) == repr(q) and copy.deepcopy(p) == p
+        # stored reduced with W > 0; coordinates read as the same triple
+        tx, ty, tw = _hom(p)
+        assert tw > 0 and math.gcd(tx, ty, tw) == 1 and _hom(q) == (tx, ty, tw)
+        moved = replace(p, x=p.x + d)
+        assert moved == Point(q.x + d, q.y) and (moved == p) == (d == 0)
+
+    @given(triples, exact_points, exact_scalars)
+    @settings(max_examples=200)
+    def test_arithmetic_matches_fractions(self, t, q, k):
+        p = _point_of(*t)
+        fp = Point(p.x, p.y)
+        pairs = [
+            (p + q, fp + q), (q + p, q + fp), (p - q, fp - q), (q - p, q - fp),
+            (-p, -fp), (p.scale(k), fp.scale(k)), (p.midpoint(q), fp.midpoint(q)),
+        ]
+        for got, want in pairs:
+            assert got == want and _is_fraction_point(got)
+        assert (p.dot(q), p.cross(q), p.norm2()) == (fp.dot(q), fp.cross(q), fp.norm2())
+        assert p.dist2(q) == fp.dist2(q) == q.dist2(p)
+
+    @given(triples, float_coords, float_coords)
+    @settings(max_examples=200)
+    def test_float_and_mixed_points_compare_by_coordinates(self, t, fx, fy):
+        p = _point_of(*t)
+        for other in (Point(fx, fy), Point(p.x, fy), Point(fx, p.y)):
+            want = (p.x, p.y) == (other.x, other.y)
+            assert (p == other) == want and (other == p) == want
+            assert (p + other) == Point(p.x + other.x, p.y + other.y)
+        exact_float = Point(float(p.x), float(p.y))
+        if (exact_float.x, exact_float.y) == (p.x, p.y):
+            assert exact_float == p and hash(exact_float) == hash(p)
 
 
 def _ref_float_line(p, q):
