@@ -1,7 +1,9 @@
 """Droz-Farny lines: construction from a perpendicular pair through the
-orthocentre, the converse from a circumcircle point, the envelope conic
-with foci at orthocentre and circumcentre, the associated parabola, the
-equilateral case, and the Miquel / reflected-line background theorems.
+orthocentre, the converse from a circumcircle point (the pair as the null
+lines of one quadratic form, exact when α² + β² is a rational square), the
+envelope conic with foci at orthocentre and circumcentre and its vertices
+on the Central Circle, the associated parabola, the equilateral case, and
+the Miquel / reflected-line background theorems.
 Each construction on a triangle reads its edges, orthocentre and
 circumcircle from one `Triangle`, so constructions that share it derive
 them once.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_EPS,
@@ -28,9 +30,11 @@ from .kernel import (
     PointNotOnEdgeLine,
     circumcircle,
     collinear,
+    is_exact,
     perpendicular_bisector,
     reflect_line_in_line,
     reflect_point_in_line,
+    sqrt_scalar,
 )
 from .quadrangle import Triangle, as_triangle
 
@@ -62,9 +66,11 @@ class DegenerateInstance(GeometryError):
 #: float tolerances besides ``DEFAULT_EPS``; each use scales a relative one
 _MIDPOINT_TOL = 1e-6          # collinearity of the three chord midpoints
 _COINCIDENCE_TOL = 1e-12      # two points closer than this are one
-_CHORD_END_TOL = 1e-7         # relative: a chord end on the first recovered line
-_SECOND_LINE_TOL = 1e-6       # relative: a chord end on the second recovered line
-_VERTEX_TANGENCY_TOL = 1e-6   # relative: the envelope's vertex tangents
+
+
+def _vanishes(residual: Number, tol: float) -> bool:
+    """An exact residual is 0; a float one is within ``tol``."""
+    return residual == 0 if is_exact(residual) else abs(residual) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +143,21 @@ class DFConverse:
     orthocentre: Point
     m: Point
     df: Line
-    pair: Tuple[Line, Line]          # Approx representatives
+    pair: Tuple[Line, Line]          # exact when α² + β² is a rational square
 
 
 def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     """The perpendicular bisector of HM is a Droz-Farny line whenever M is
-    on the circumcircle; circles centred at its edge cuts through H cut
-    the edges in chords whose ends pair into two perpendicular lines
-    through H."""
+    on the circumcircle. A perpendicular pair through H is the null pair
+    of a form Q(u) = α(u_x² − u_y²) + 2β·u_x·u_y; it cuts an edge of
+    direction d, which the line cuts at p = H + v, in a chord with
+    midpoint p exactly when B(v, d) = α(v_x·d_x − v_y·d_y)
+    + β(v_x·d_y + v_y·d_x) vanishes. The first edge fixes (α, β); B must
+    vanish on the other two, within ``DEFAULT_EPS``·|(α, β)|·|v|·|d| for
+    floats, else IdentityViolated. The chord ends p ± (|v|/|d|)·d then lie
+    on the pair, as Q(v)|d|² + |v|²Q(d) = 2(v·d)·B(v, d). The pair runs
+    along u = (α, β ± √(α² + β²)), signed as β to avoid cancellation, and
+    along u turned by 90°."""
     tri = as_triangle(tri)
     h = tri.orthocentre
     if not tri.circumcircle.contains(m):
@@ -153,47 +166,26 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
         if reflect_point_in_line(h, e).close_to(m, _COINCIDENCE_TOL):
             raise DegenerateChoice("M is a reflection of H in an edge")
     df = perpendicular_bisector(h, m)
-    chords: List[Tuple[Point, Point, Number]] = []
+    forms = []
     for e in tri.edges:
         if df.is_parallel(e):
             raise EdgeParallel("Droz-Farny line parallel to an edge")
-        p = df.intersect(e)
-        d = e.direction()
-        # circle centred at p through h meets the edge at p ± √s · d
-        s = p.dist2(h) / d.norm2()
-        chords.append((p, d, s))
-        # the chord ends seen from H are perpendicular: with v = h − p,
-        # (v + √s d)·(v − √s d) = |v|² − s|d|² = 0 by the choice of s
-    pair = _recovered_pair(h, chords)
+        v, d = df.intersect(e) - h, e.direction()
+        # (sym, skew) has length |v|·|d|
+        forms.append((v.x * d.x - v.y * d.y, v.x * d.y + v.y * d.x))
+    (sym, skew), *others = forms
+    alpha, beta = skew, -sym
+    for sym, skew in others:
+        tol = DEFAULT_EPS * math.hypot(alpha, beta) * math.hypot(sym, skew)
+        if not _vanishes(alpha * sym + beta * skew, tol):
+            raise IdentityViolated("the pair from one edge misses another edge's chord")
+    root = sqrt_scalar(alpha * alpha + beta * beta)
+    u = Point(alpha, beta + root if beta >= 0 else beta - root)
+    pair = (
+        Line.from_point_direction(h, u),
+        Line.from_point_direction(h, Point(-u.y, u.x)),
+    )
     return DFConverse(tri, h, m, df, pair)
-
-
-def _recovered_pair(h: Point, chords) -> Tuple[Line, Line]:
-    """Float representatives of the two perpendicular lines through H
-    formed by the six chord ends."""
-    ends: List[Point] = []
-    for p, d, s in chords:
-        root = math.sqrt(float(s))
-        for sgn in (1.0, -1.0):
-            ends.append(
-                Point(float(p.x) + sgn * root * float(d.x),
-                      float(p.y) + sgn * root * float(d.y))
-            )
-    hf = Point(float(h.x), float(h.y))
-    first = ends[0]
-    scale = max(1.0, math.hypot(float(first.x - hf.x), float(first.y - hf.y)))
-    l1 = Line.through(hf, first)
-    on_l1 = [e for e in ends if abs(float(l1.evaluate(e))) < _CHORD_END_TOL * scale]
-    off = [e for e in ends if abs(float(l1.evaluate(e))) >= _CHORD_END_TOL * scale]
-    if len(on_l1) != 3 or len(off) != 3:
-        raise DegenerateInstance("chord ends do not split into two lines")
-    l2 = Line.through(hf, off[0])
-    for e in off[1:]:
-        if abs(float(l2.evaluate(e))) > _SECOND_LINE_TOL * scale:
-            raise DegenerateInstance("chord ends do not split into two lines")
-    if abs(float(l1.a * l2.a + l1.b * l2.b)) > DEFAULT_EPS:
-        raise DegenerateInstance("recovered pair is not perpendicular")
-    return (l1, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +231,26 @@ def envelope_tangency(env: EnvelopeConic, inst: DFInstance) -> bool:
 def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     """The edges and the perpendicular bisectors of HA, HB, HC are all
     tangent to the envelope, and the Central Circle tangents at the
-    Euler-line intersections touch it (the vertices of the conic)."""
+    Euler-line intersections touch it: that circle has the conic's centre
+    and radius R/2, so it meets the focal axis at the conic's vertices,
+    and both curves being symmetric about the axis, its tangents there
+    are the vertex tangents. Float residuals of squared lengths are
+    compared within ``DEFAULT_EPS``·R², the centres within
+    ``DEFAULT_EPS``·R."""
     tri = as_triangle(tri)
     env = df_envelope(tri)
     if env.conic is None:
         raise DegenerateInstance("degenerate envelope")
     h = tri.orthocentre
+    a, b, c = tri
+    central = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
     lines = [*tri.edges, *(perpendicular_bisector(h, v) for v in tri)]
-    if not all(env.conic.is_tangent(l) for l in lines):
-        return False
-    # conic vertices: on the focal axis at distance R/2 from the centre —
-    # also on the Central Circle, whose tangents there are the last pair
-    o = tri.circumcircle.center
-    cf = Point(float(env.center.x), float(env.center.y))
-    ax = Point(float(o.x) - float(h.x), float(o.y) - float(h.y))
-    n = math.hypot(float(ax.x), float(ax.y))
-    half_r = math.sqrt(float(env.axis2)) / 2
-    for sgn in (1.0, -1.0):
-        v = Point(cf.x + sgn * half_r * float(ax.x) / n,
-                  cf.y + sgn * half_r * float(ax.y) / n)
-        tangent = Line.from_point_direction(v, Point(-float(ax.y), float(ax.x)))
-        residual = abs(float(env.conic.tangency_residual(tangent)))
-        if residual > _VERTEX_TANGENCY_TOL * float(env.axis2):
-            return False
-    return True
+    tol = DEFAULT_EPS * env.axis2
+    return (
+        all(_vanishes(env.conic.tangency_residual(l), tol) for l in lines)
+        and _vanishes(4 * central.r2 - env.axis2, tol)
+        and _vanishes(central.center.dist2(env.center), DEFAULT_EPS * tol)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,10 @@ def _perspector(
 ) -> Point:
     """Common point of the joins of each contact point to the midpoint of
     the same edge (the contact triangle is the medial one scaled about it).
-    Where one contact point is its midpoint, that point is the perspector.
+    Where one contact point is its midpoint, that point is the perspector;
+    else, over floats, the two joins closest to perpendicular meet there.
+    A join runs from its midpoint along contact − midpoint, so a short one
+    keeps its offset within a roundoff of the coordinates.
     IdentityViolated if a join misses the perspector: exactly for exact
     data, within ``DEFAULT_EPS`` relative to the coordinates for floats.
     Float data whose rounding alone could leave a residual past that
@@ -398,12 +401,16 @@ def _perspector(
     near-equilateral triangles, where a contact point nearly is its
     midpoint, and slivers."""
     pairs = [(c, m) for c, m in zip(contacts, mids) if c != m]
-    joins = [Line.through(c, m) for c, m in pairs]
+    joins = [Line.from_point_direction(m, c - m) for c, m in pairs]
     if len(joins) < 2:
         raise DegenerateInput("two contact points are their edge midpoints")
     if len(joins) == 2:
         pt = next(c for c, m in zip(contacts, mids) if c == m)
     else:
+        if not contacts[0].is_exact():
+            k = max(range(3), key=lambda k: _sin(joins[k - 2], joins[k - 1]))
+            pairs = [pairs[k - 2], pairs[k - 1], pairs[k]]
+            joins = [joins[k - 2], joins[k - 1], joins[k]]
         pt = joins[0].intersect(joins[1])
     coords = (abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
     scale = max(1.0, *coords)
@@ -433,8 +440,10 @@ def _join_error(
     ]
     if len(errs) == 2:
         return max(errs)
+    j0, j1, j2 = joins
+    return (errs[0] * _sin(j1, j2) + errs[1] * _sin(j0, j2)) / _sin(j0, j1) + errs[2]
 
-    def sin(i: int, j: int) -> float:
-        return abs(joins[i].a * joins[j].b - joins[i].b * joins[j].a)
 
-    return (errs[0] * sin(1, 2) + errs[1] * sin(0, 2)) / sin(0, 1) + errs[2]
+def _sin(l1: Line, l2: Line) -> float:
+    """|sine| of the angle between two float lines (unit normals)."""
+    return abs(l1.a * l2.b - l1.b * l2.a)

@@ -1,6 +1,7 @@
 """Droz-Farny line, converse, envelope conic, inscribed parabola, locus
 theorems, and the Miquel / reflected-line background results."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -28,6 +29,7 @@ from quadgeo.drozfarny import (
 )
 from quadgeo.kernel import (
     DEFAULT_EPS,
+    Conic,
     IdentityViolated,
     Line,
     Point,
@@ -37,7 +39,7 @@ from quadgeo.kernel import (
     foot_of_perpendicular,
     reflect_point_in_line,
 )
-from quadgeo.quadrangle import orthocentre, quadrate
+from quadgeo.quadrangle import as_triangle, orthocentre, quadrate
 from quadgeo.wallace import rational_circle_point, wallace_line
 
 TRI = (Point(F(-204), F(-77)), Point(F(132), F(-77)), Point(F(36), F(103)))
@@ -187,6 +189,93 @@ class TestConverse:
                 break
         assert count == 100
 
+    def test_exact_round_trip(self):
+        # α² + β² is a square here, so the pair comes back exact and so
+        # does the Droz-Farny line it cuts out
+        face = quadrate(*TRI).face(7)
+        m = Point(F(-61116, 313), F(2651, 313))
+        assert face.circumcircle.contains(m)
+        conv = df_converse(face, m)
+        assert conv.pair == (Line(2, 1, 123), Line(1, -2, -66))
+        inst = df_line(face, conv.pair)
+        assert inst.df == conv.df
+        assert inst.m == m
+
+    def test_shifted_edge_cut_raises(self, monkeypatch):
+        tri = as_triangle(TRI)
+        tri.orthocentre, tri.circumcircle  # derived before the patch
+        moved = tri.edges[1]
+        real = Line.intersect
+
+        def shifted(line, other):
+            p = real(line, other)
+            return Point(p.x + F(1, 7), p.y) if other == moved else p
+
+        monkeypatch.setattr(Line, "intersect", shifted)
+        with pytest.raises(IdentityViolated):
+            df_converse(tri, Point(F(-62), F(117)))
+
+    @staticmethod
+    def first_edge_form(tri, m):
+        """(α, β) of the pair's form, as fixed by the first edge."""
+        h = tri.orthocentre
+        e = tri.edges[0]
+        v, d = drozfarny.perpendicular_bisector(h, m).intersect(e) - h, e.direction()
+        return v.x * d.y + v.y * d.x, v.y * d.y - v.x * d.x
+
+    @pytest.mark.parametrize(
+        "order, negative", [((0, 1, 2), True), ((2, 0, 1), False)],
+        ids=["beta<0", "beta>=0"],
+    )
+    def test_near_axis_pair_keeps_its_digits(self, order, negative):
+        # a pair a 1e-6 turn off the axes has |α| ≪ |β|, where β − √(α² + β²)
+        # would cancel for β > 0 (and β + √ for β < 0); the rational M just
+        # off it makes α² + β² a non-square, so the pair comes back in floats
+        tri = as_triangle(tuple(TRI[i] for i in order))
+        h = tri.orthocentre
+        d = Point(1, F(1, 10**6))
+        m0 = df_line(tri, (
+            Line.from_point_direction(h, d),
+            Line.from_point_direction(h, Point(-d.y, d.x)),
+        )).m
+        base = Point(F(-62), F(117))
+        slope = (m0.y - base.y) / (m0.x - base.x) + F(1, 10**9)
+        m = rational_circle_point(tri.circumcircle, base, slope)
+        alpha, beta = self.first_edge_form(tri, m)
+        assert (beta < 0) == negative
+        assert abs(alpha) < 1e-5 * abs(beta)
+        norm = math.hypot(alpha, beta)
+        conv = df_converse(tri, m)
+        for line in conv.pair:
+            assert line.contains(h, 1e-12)
+            # Q on the line's exact float direction: 2|γ| times its turn
+            u = Point(F(line.b), F(-line.a))
+            q = alpha * (u.x * u.x - u.y * u.y) + 2 * beta * u.x * u.y
+            assert abs(q) <= 1e-15 * norm * u.norm2()
+
+    def test_float_draws_on_the_circumcircle(self):
+        # M by cos/sin on the float circumcircle: the draws that pass its
+        # exact containment test give back their Droz-Farny line
+        rng = random.Random(2)
+        accepted = 0
+        for _ in range(500):
+            tri = as_triangle([
+                Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)
+            ])
+            th = rng.uniform(0, 2 * math.pi)
+            circ = tri.circumcircle
+            r = math.sqrt(circ.r2)
+            m = Point(circ.center.x + r * math.cos(th), circ.center.y + r * math.sin(th))
+            if not circ.contains(m):
+                continue
+            accepted += 1
+            conv = df_converse(tri, m)
+            inst = df_line(tri, conv.pair)
+            size = max(1.0, *(abs(c) for p in tri for c in (p.x, p.y)))
+            for p in inst.midpoints:
+                assert abs(conv.df.evaluate(p)) <= 1e-9 * size
+        assert accepted == 162
+
 
 class TestEnvelope:
     def test_canonical_ellipse(self):
@@ -216,6 +305,31 @@ class TestEnvelope:
 
     def test_special_tangents(self):
         assert envelope_special_tangents(TRI)
+
+    def test_special_tangents_float(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            tri = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+            assert envelope_special_tangents(tri)
+
+    @pytest.mark.parametrize("tri", [TRI, tuple(Point(float(p.x), float(p.y)) for p in TRI)],
+                             ids=["exact", "float"])
+    @pytest.mark.parametrize("conic_too", [True, False], ids=["conic", "vertex"])
+    def test_special_tangents_miss_a_moved_axis(self, monkeypatch, tri, conic_too):
+        # the conic's axis moved fails the tangencies, the stored axis
+        # alone fails the vertex check
+        real = drozfarny.df_envelope
+
+        def moved(t):
+            env = real(t)
+            axis2 = env.axis2 * (1 + F(1, 10**6))
+            c = env.conic
+            conic = Conic(c.focus1, c.focus2, axis2, c.kind) if conic_too else c
+            return drozfarny.EnvelopeConic(conic, env.kind, env.center, axis2)
+
+        assert envelope_special_tangents(tri)
+        monkeypatch.setattr(drozfarny, "df_envelope", moved)
+        assert not envelope_special_tangents(tri)
 
     def test_obtuse_hyperbola(self):
         tri = (Point(F(0), F(0)), Point(F(10), F(0)), Point(F(1), F(2)))

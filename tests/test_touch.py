@@ -11,6 +11,7 @@ from quadgeo import touch
 from quadgeo.kernel import (
     Circle,
     DegenerateInput,
+    IdentityViolated,
     Line,
     Point,
     Tangency,
@@ -345,10 +346,35 @@ class TestHexaflex:
         with pytest.raises(DegenerateInput):
             hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
 
-    @pytest.mark.parametrize("apex", [(5.01, 5 * math.sqrt(3)), (9.7, 1e-5)])
+    # the third apex puts the incircle's contact on the base 2.8e-8 from its
+    # midpoint
+    @pytest.mark.parametrize(
+        "apex",
+        [(5.01, 5 * math.sqrt(3)), (9.7, 1e-5), (4.992326460654154, 8.664594409659772)],
+    )
     def test_nearly_ill_conditioned_float_passes(self, apex):
         hd = hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
         assert len(hd.perspectors) == 4
+
+    def test_sweep_raises_no_false_miss(self):
+        # near-equilateral apexes on odd draws, slivers on even ones: each
+        # triangle passes or is rejected as ill-conditioned, and the joins'
+        # rounding never shows as a failed concurrence
+        rng = random.Random(11)
+        passed = 0
+        for i in range(3000):
+            if i % 2:
+                apex = (rng.uniform(4.9, 5.1), 5 * math.sqrt(3) * rng.uniform(0.999, 1.001))
+            else:
+                apex = (rng.uniform(-5, 15), 10 ** rng.uniform(-7, -2))
+            try:
+                hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
+            except DegenerateInput:
+                continue
+            except IdentityViolated as exc:
+                pytest.fail(f"apex {apex}: {exc}")
+            passed += 1
+        assert passed >= 2299
 
     def test_contact_at_midpoint_is_perspector(self):
         # isosceles: the incircle and the C-excircle touch the base at its
