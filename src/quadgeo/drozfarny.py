@@ -148,11 +148,12 @@ class DFConverse:
 
 def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     """The perpendicular bisector of HM is a Droz-Farny line whenever M is
-    on the circumcircle. A perpendicular pair through H is the null pair
-    of a form Q(u) = α(u_x² − u_y²) + 2β·u_x·u_y; it cuts an edge of
-    direction d, which the line cuts at p = H + v, in a chord with
-    midpoint p exactly when B(v, d) = α(v_x·d_x − v_y·d_y)
-    + β(v_x·d_y + v_y·d_x) vanishes. The first edge fixes (α, β); B must
+    on the circumcircle: exactly for exact data, with its power within
+    ``DEFAULT_EPS``·R² for floats, else PointNotOnCircumcircle. A
+    perpendicular pair through H is the null pair of a form
+    Q(u) = α(u_x² − u_y²) + 2β·u_x·u_y; it cuts an edge of direction d,
+    which the line cuts at p = H + v, in a chord with midpoint p exactly
+    when B(v, d) = α(v_x·d_x − v_y·d_y) + β(v_x·d_y + v_y·d_x) vanishes. The first edge fixes (α, β); B must
     vanish on the other two, within ``DEFAULT_EPS``·|(α, β)|·|v|·|d| for
     floats, else IdentityViolated. The chord ends p ± (|v|/|d|)·d then lie
     on the pair, as Q(v)|d|² + |v|²Q(d) = 2(v·d)·B(v, d). The pair runs
@@ -160,7 +161,8 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     along u turned by 90°."""
     tri = as_triangle(tri)
     h = tri.orthocentre
-    if not tri.circumcircle.contains(m):
+    circ = tri.circumcircle
+    if not circ.contains(m, eps=DEFAULT_EPS * circ.r2):
         raise PointNotOnCircumcircle("M must lie on the circumcircle")
     for e in tri.edges:
         if reflect_point_in_line(h, e).close_to(m, _COINCIDENCE_TOL):

@@ -3,9 +3,13 @@ Thrice Sixteen, and the inside-out trebler construction.
 
 Angle trisection is not rational, so everything driven by actual beam
 angles runs on the float backend with fixed tolerances scaled from
-``DEFAULT_EPS``; statements about rational edge *lengths* (the Pythagorean
-and two-parameter families, the 1001-jigsaw) are checked exactly, working
-in Q(√3) where sines of the relevant angles are √3 times a rational.
+``DEFAULT_EPS``. The lighthouse works on plain floats: each beam is the
+unit-normal triple a `Line` would hold, the n² meets are the only `Point`s
+it makes, and ``lighthouse_verify`` reads each n-gon's coordinates once
+and computes what `Circle.contains` would on them. Statements about
+rational edge *lengths* (the Pythagorean and two-parameter families, the
+1001-jigsaw) are checked exactly, working in Q(√3) where sines of the
+relevant angles are √3 times a rational.
 Thrice Sixteen is field-generic: exact input whose chords are rational
 (vertices w² for rational points w of a circle) keeps all 16 centres
 rational and every check exact, and float input keeps the float
@@ -29,6 +33,7 @@ from .kernel import (
     Line,
     Number,
     Point,
+    _normalize_abc,
     circumcircle,
     collinear,
     is_exact,
@@ -98,22 +103,11 @@ class LighthouseConfig:
     parallel_flag: bool                   # some beam pair met at infinity
 
 
-def _beam_lines(
-    b: Point, c: Point, beta: float, gamma: float, n: int
-) -> Tuple[List[Line], List[Line]]:
-    """Beams numbered 0..n-1 cyclically towards the baseline, the two
-    lighthouses turning in opposite senses."""
-    theta_b = _angle_of(c - b)
-    theta_c = _angle_of(b - c)
-    beams_b = [
-        Line.from_point_direction(b, _dir(theta_b + beta - j * math.pi / n))
-        for j in range(n)
-    ]
-    beams_c = [
-        Line.from_point_direction(c, _dir(theta_c - gamma + k * math.pi / n))
-        for k in range(n)
-    ]
-    return beams_b, beams_c
+def _beam(x: float, y: float, theta: float) -> Tuple[float, float, float]:
+    """The beam through (x, y) at angle θ as the unit-normal triple (a, b, c)
+    of a·x + b·y = c, the one ``Line.from_point_direction`` makes."""
+    s, t = math.sin(theta), math.cos(theta)
+    return _normalize_abc(s, -t, s * x - t * y)
 
 
 def lighthouse(
@@ -121,27 +115,33 @@ def lighthouse(
 ) -> LighthouseConfig:
     """Two pencils of n equally spaced beams meet in n² points forming n
     regular n-gons whose circumcircles all pass through both lighthouses
-    (a coaxal system with radical axis BC)."""
+    (a coaxal system with radical axis BC). Beams are numbered 0..n-1
+    cyclically towards the baseline, the two lighthouses turning in
+    opposite senses; they are met as coefficient triples, and only the
+    meets become Points."""
     if n < 2:
         raise InvalidParameters("need n >= 2")
     if b == c:
         raise DegenerateInput("coincident lighthouses")
     b, c = _fp(b), _fp(c)
-    beams_b, beams_c = _beam_lines(b, c, beta, gamma, n)
+    bx, by, cx, cy = b.x, b.y, c.x, c.y
+    theta_b = math.atan2(cy - by, cx - bx)
+    theta_c = math.atan2(by - cy, bx - cx)
+    beams_b = [_beam(bx, by, theta_b + beta - j * math.pi / n) for j in range(n)]
+    beams_c = [_beam(cx, cy, theta_c - gamma + k * math.pi / n) for k in range(n)]
     parallel = False
     grid: List[List[Optional[Point]]] = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            cross = beams_b[j].a * beams_c[k].b - beams_b[j].b * beams_c[k].a
-            if abs(cross) < 1e-12:
+    ngons: List[List[Point]] = [[] for _ in range(n)]
+    for j, (a1, b1, c1) in enumerate(beams_b):
+        for k, (a2, b2, c2) in enumerate(beams_c):
+            det = a1 * b2 - b1 * a2
+            if abs(det) < 1e-12:
                 parallel = True
                 continue
-            grid[j][k] = beams_b[j].intersect(beams_c[k])
-    ngons: List[List[Point]] = [[] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            if grid[j][k] is not None:
-                ngons[(j + k) % n].append(grid[j][k])
+            # Line.intersect's expression
+            p = Point((c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det)
+            grid[j][k] = p
+            ngons[(j + k) % n].append(p)
     circles: List[Optional[Circle]] = []
     for gon in ngons:
         if len(gon) < 3:
@@ -151,22 +151,21 @@ def lighthouse(
     return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
 
 
-def ngon_is_regular(gon: Sequence[Point]) -> bool:
-    """Vertices concyclic and equally spaced by 2π/n around the centre."""
+def ngon_is_regular(gon: Sequence[Tuple[float, float]]) -> bool:
+    """Vertices, given as float pairs, concyclic and equally spaced by 2π/n
+    around the centre."""
     n = len(gon)
     if n < 2:
         return True
-    cx = sum(float(p.x) for p in gon) / n
-    cy = sum(float(p.y) for p in gon) / n
-    radii = [math.hypot(float(p.x) - cx, float(p.y) - cy) for p in gon]
+    cx = sum(x for x, _ in gon) / n
+    cy = sum(y for _, y in gon) / n
+    radii = [math.hypot(x - cx, y - cy) for x, y in gon]
     r = sum(radii) / n
     if r < DEFAULT_EPS:
         return False
     if max(abs(x - r) for x in radii) > DEFAULT_EPS * max(1.0, r):
         return False
-    angles = sorted(
-        math.atan2(float(p.y) - cy, float(p.x) - cx) % (2 * math.pi) for p in gon
-    )
+    angles = sorted(math.atan2(y - cy, x - cx) % (2 * math.pi) for x, y in gon)
     gaps = [
         (angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)
     ]
@@ -175,23 +174,31 @@ def ngon_is_regular(gon: Sequence[Point]) -> bool:
 
 def lighthouse_verify(cfg: LighthouseConfig) -> bool:
     """Regularity, coaxality through both lighthouses, and the parallel-edge
-    lemma (all edge directions congruent mod π/n)."""
-    scale2 = _scale([cfg.b, cfg.c] + [p for g in cfg.ngons for p in g]) ** 2
-    for gon, circ in zip(cfg.ngons, cfg.circles):
+    lemma (all edge directions congruent mod π/n), on the float coordinates
+    read once from the points. A vertex is on its circle when its power
+    |p − centre|² − r2 is within ``DEFAULT_EPS``·scale²·100."""
+    gons = [[(float(p.x), float(p.y)) for p in gon] for gon in cfg.ngons]
+    lights = [(float(p.x), float(p.y)) for p in (cfg.b, cfg.c)]
+    coords = (abs(v) for xy in lights + [q for g in gons for q in g] for v in xy)
+    scale = max(1.0, *coords)
+    tol = DEFAULT_EPS * scale ** 2 * 100
+    for gon, circ in zip(gons, cfg.circles):
         if len(gon) != cfg.n:
             continue
         if not ngon_is_regular(gon):
             return False
         if circ is None:
             return False
-        for p in list(gon) + [cfg.b, cfg.c]:
-            if not circ.contains(p, eps=DEFAULT_EPS * scale2 * 100):
+        ox, oy, r2 = float(circ.center.x), float(circ.center.y), circ.r2
+        for x, y in gon + lights:
+            dx, dy = x - ox, y - oy
+            if not abs(dx * dx + dy * dy - r2) <= tol:
                 return False
     # the Lighthouse Lemma: every edge of every n-gon in n direction classes
     base = None
-    for gon in cfg.ngons:
-        for p, q in combinations(gon, 2):
-            ang = _angle_of(q - p) % (math.pi / cfg.n)
+    for gon in gons:
+        for (px, py), (qx, qy) in combinations(gon, 2):
+            ang = math.atan2(qy - py, qx - px) % (math.pi / cfg.n)
             if base is None:
                 base = ang
                 continue

@@ -167,10 +167,17 @@ class GergonneNagelData:
 
 
 def _cevian_point(tri: Sequence[Point], cuts: Sequence[Point]) -> Point:
+    """The meet of the first two cevians, which the third must pass through:
+    exactly for exact data, within ``DEFAULT_EPS`` relative to the
+    coordinates for floats."""
     l1 = Line.through(tri[0], cuts[0])
     l2 = Line.through(tri[1], cuts[1])
     pt = l1.intersect(l2)
-    if not Line.through(tri[2], cuts[2]).contains(pt):
+    tol = 0.0
+    if not pt.is_exact():
+        coords = (abs(v) for p in (*tri, *cuts, pt) for v in (p.x, p.y))
+        tol = DEFAULT_EPS * max(1.0, *coords)
+    if not Line.through(tri[2], cuts[2]).contains(pt, tol):
         raise DegenerateInput("cevians do not concur")
     return pt
 

@@ -276,6 +276,30 @@ class TestConverse:
                 assert abs(conv.df.evaluate(p)) <= 1e-9 * size
         assert accepted == 162
 
+    def test_every_float_draw_on_the_circumcircle(self):
+        # the same 500 draws, unfiltered: a float M whose power is within
+        # DEFAULT_EPS·R² is on the circle, and gives back its Droz-Farny line;
+        # moved off the circle by 1e-6·R it is not
+        rng = random.Random(2)
+        for _ in range(500):
+            tri = as_triangle([
+                Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)
+            ])
+            th = rng.uniform(0, 2 * math.pi)
+            circ = tri.circumcircle
+            r = math.sqrt(circ.r2)
+            on, off = (
+                Point(circ.center.x + k * math.cos(th), circ.center.y + k * math.sin(th))
+                for k in (r, r * (1 + 1e-6))
+            )
+            conv = df_converse(tri, on)
+            inst = df_line(tri, conv.pair)
+            size = max(1.0, *(abs(c) for p in tri for c in (p.x, p.y)))
+            for p in inst.midpoints:
+                assert abs(conv.df.evaluate(p)) <= 1e-9 * size
+            with pytest.raises(PointNotOnCircumcircle):
+                df_converse(tri, off)
+
 
 class TestEnvelope:
     def test_canonical_ellipse(self):

@@ -2,6 +2,7 @@
 Conway labels, rational Morley families, the 1001-jigsaw, Thrice Sixteen,
 and the exact inside-out trebler construction."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
-from quadgeo.kernel import IdentityViolated, Point, circumcircle
+from quadgeo.kernel import DEFAULT_EPS, IdentityViolated, Line, Point, circumcircle
 from quadgeo.morley import (
     FULL,
     SIXTY,
     InvalidParameters,
     JIGSAW_INNER,
     JIGSAW_OUTER,
+    LighthouseConfig,
     ParallelBeams,
     Sqrt3Angle,
     altitude_quadrangle,
@@ -93,6 +95,221 @@ class TestLighthouse:
         cfg = lighthouse(b, c, beta, gamma, 3)
         q = cfg.points[0][0]
         assert math.hypot(float(q.x - p.x), float(q.y - p.y)) < 1e-9 * 10
+
+
+# ---------------------------------------------------------------------------
+# the float lighthouse against its Point-based reference
+# ---------------------------------------------------------------------------
+
+
+def reference_lighthouse(b, c, beta, gamma, n):
+    """Reference construction on kernel objects: each beam a `Line` from
+    its lighthouse and direction, each meet a `Line.intersect`."""
+    b, c = Point(float(b.x), float(b.y)), Point(float(c.x), float(c.y))
+    d, e = c - b, b - c
+    theta_b, theta_c = math.atan2(d.y, d.x), math.atan2(e.y, e.x)
+
+    def beam(p, t):
+        return Line.from_point_direction(p, Point(math.cos(t), math.sin(t)))
+
+    beams_b = [beam(b, theta_b + beta - j * math.pi / n) for j in range(n)]
+    beams_c = [beam(c, theta_c - gamma + k * math.pi / n) for k in range(n)]
+    grid = [[None] * n for _ in range(n)]
+    ngons = [[] for _ in range(n)]
+    parallel = False
+    for j, lb in enumerate(beams_b):
+        for k, lc in enumerate(beams_c):
+            if abs(lb.a * lc.b - lb.b * lc.a) < 1e-12:
+                parallel = True
+                continue
+            grid[j][k] = lb.intersect(lc)
+            ngons[(j + k) % n].append(grid[j][k])
+    circles = [
+        circumcircle(*g[:3]) if len(g) >= 3 else circumcircle(b, c, g[0]) if g else None
+        for g in ngons
+    ]
+    return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
+
+
+def reference_regular(gon):
+    """Reference regularity test on `Point`s, about the centroid."""
+    n = len(gon)
+    if n < 2:
+        return True
+    cx = sum(float(p.x) for p in gon) / n
+    cy = sum(float(p.y) for p in gon) / n
+    radii = [math.hypot(float(p.x) - cx, float(p.y) - cy) for p in gon]
+    r = sum(radii) / n
+    if r < DEFAULT_EPS or max(abs(x - r) for x in radii) > DEFAULT_EPS * max(1.0, r):
+        return False
+    angles = sorted(
+        math.atan2(float(p.y) - cy, float(p.x) - cx) % (2 * math.pi) for p in gon
+    )
+    gaps = [(angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)]
+    return max(abs(g - 2 * math.pi / n) for g in gaps) < DEFAULT_EPS * 10
+
+
+def reference_verify(cfg):
+    """Reference checks on kernel objects: `reference_regular`,
+    `Circle.contains` on every vertex and both lighthouses, and the Lemma
+    on `Point` differences."""
+    pts = [cfg.b, cfg.c] + [p for g in cfg.ngons for p in g]
+    scale = max(1.0, *(abs(float(v)) for p in pts for v in (p.x, p.y)))
+    for gon, circ in zip(cfg.ngons, cfg.circles):
+        if len(gon) != cfg.n:
+            continue
+        if not reference_regular(gon) or circ is None:
+            return False
+        for p in list(gon) + [cfg.b, cfg.c]:
+            if not circ.contains(p, eps=DEFAULT_EPS * scale ** 2 * 100):
+                return False
+    base = None
+    for gon in cfg.ngons:
+        for p, q in itertools.combinations(gon, 2):
+            d = q - p
+            ang = math.atan2(float(d.y), float(d.x)) % (math.pi / cfg.n)
+            if base is None:
+                base = ang
+                continue
+            diff = (ang - base) % (math.pi / cfg.n)
+            if min(diff, math.pi / cfg.n - diff) > DEFAULT_EPS * 100:
+                return False
+    return True
+
+
+def _bits(cfg):
+    """Every float the configuration holds, as hex strings, so that 0.0 and
+    -0.0 differ."""
+    def xy(p):
+        return None if p is None else (p.x.hex(), p.y.hex())
+
+    return (
+        xy(cfg.b), xy(cfg.c), cfg.parallel_flag,
+        [[xy(p) for p in row] for row in cfg.points],
+        [[xy(p) for p in gon] for gon in cfg.ngons],
+        [None if k is None else (xy(k.center), k.r2.hex()) for k in cfg.circles],
+    )
+
+
+def _lighthouse_draws(rng, count):
+    """(B, C, beta, gamma, n): B and C up to 1e3, n from 2 to 12, and every
+    third draw phased within 1e-11 of a multiple of π/n, where the
+    parallel test decides."""
+    for i in range(count):
+        n = rng.randint(2, 12)
+        size = rng.choice((1.0, 30.0, 1e3))
+        b, c = (Point(rng.uniform(-size, size), rng.uniform(-size, size)) for _ in "bc")
+        beta = rng.uniform(-math.pi, math.pi)
+        if i % 3 == 0:
+            gamma = rng.randint(-n, 2 * n) * math.pi / n - beta + rng.uniform(-1e-11, 1e-11)
+        else:
+            gamma = rng.uniform(-math.pi, math.pi)
+        yield b, c, beta, gamma, n
+
+
+class TestLighthouseAgainstReference:
+    DRAWS = 2100
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        draws = _lighthouse_draws(random.Random(25), self.DRAWS)
+        return [(reference_lighthouse(*d), lighthouse(*d)) for d in draws]
+
+    def test_same_floats(self, pairs):
+        assert len(pairs) == self.DRAWS
+        assert sum(new.parallel_flag for _, new in pairs) > 50
+        for ref, new in pairs:
+            assert _bits(new) == _bits(ref)
+
+    def test_same_decisions(self, pairs):
+        decisions = [lighthouse_verify(new) for _, new in pairs]
+        assert decisions == [reference_verify(ref) for ref, _ in pairs]
+        assert all(d is True or d is False for d in decisions)
+        # beams within 1e-11 of parallel but not flagged meet 1e6 or more
+        # away, where the float checks give up
+        assert 0 < decisions.count(False) < len(pairs) // 3
+
+    def test_same_decisions_perturbed(self, pairs):
+        # one vertex of an accepted configuration moved by 1e-15 to 1e-5
+        # of the coordinates' size
+        rng = random.Random(26)
+        decisions = []
+        for _, cfg in pairs[:1200]:
+            if not lighthouse_verify(cfg):
+                continue
+            gons = [list(g) for g in cfg.ngons]
+            g = rng.choice([g for g in gons if g])
+            i = rng.randrange(len(g))
+            size = max(1.0, *(abs(v) for p in g for v in (p.x, p.y)))
+            offset = size * 10.0 ** rng.uniform(-15, -5)
+            dx, dy = (offset * rng.uniform(-1, 1) for _ in "xy")
+            g[i] = Point(g[i].x + dx, g[i].y + dy)
+            moved = dataclasses.replace(cfg, ngons=gons)
+            decisions.append(lighthouse_verify(moved))
+            assert decisions[-1] is reference_verify(moved)
+        assert len(decisions) > 800
+        assert 200 < decisions.count(False) < len(decisions) - 200
+
+    def test_integer_lighthouses_read_as_floats(self):
+        ref = reference_lighthouse(Point(-1.0, 0.0), Point(1.0, 0.0), 0.7, 0.4, 3)
+        assert _bits(lighthouse(Point(-1, 0), Point(1, 0), 0.7, 0.4, 3)) == _bits(ref)
+
+
+def _turned(p, o, t):
+    """p turned by t radians about o."""
+    dx, dy, cos, sin = p.x - o.x, p.y - o.y, math.cos(t), math.sin(t)
+    return Point(o.x + dx * cos - dy * sin, o.y + dx * sin + dy * cos)
+
+
+class TestLighthouseVerifyRejects:
+    """Each check returns False on its own: a vertex moved along the
+    circle fails regularity, a scaled n-gon fails only the circle, and a
+    rotated one fails only the Lemma. n-gon 1 is changed, so n-gon 0 still
+    sets the Lemma's base direction."""
+
+    @pytest.fixture
+    def cfg(self):
+        cfg = lighthouse(Point(-1.0, 0.0), Point(1.0, 0.0), 0.7, 0.4, 5)
+        assert lighthouse_verify(cfg) is True
+        return cfg
+
+    @staticmethod
+    def replaced(cfg, gon):
+        gons = list(cfg.ngons)
+        gons[1] = gon
+        return dataclasses.replace(cfg, ngons=gons)
+
+    @staticmethod
+    def on_circle(gon, circ):
+        return all(abs(circ.power(p)) < 1e-12 for p in gon)
+
+    @staticmethod
+    def regular(gon):
+        return morley.ngon_is_regular([(p.x, p.y) for p in gon])
+
+    def test_moved_vertex(self, cfg):
+        # one vertex slides 1e-3 rad along the circle: not regular
+        circ = cfg.circles[1]
+        gon = [_turned(cfg.ngons[1][0], circ.center, 1e-3), *cfg.ngons[1][1:]]
+        assert self.on_circle(gon, circ) and not self.regular(gon)
+        assert lighthouse_verify(self.replaced(cfg, gon)) is False
+
+    def test_scaled_ngon(self, cfg):
+        # scaled by 1.01 about its centre: regular, its edges keep their
+        # directions, and it leaves the circle
+        circ = cfg.circles[1]
+        o, k = circ.center, 1.01
+        gon = [Point(o.x + k * (p.x - o.x), o.y + k * (p.y - o.y)) for p in cfg.ngons[1]]
+        assert self.regular(gon) and not self.on_circle(gon, circ)
+        assert lighthouse_verify(self.replaced(cfg, gon)) is False
+
+    def test_rotated_ngon(self, cfg):
+        # turned 1e-2 rad about its circle's centre: regular and on the
+        # circle, but its edges leave the n direction classes
+        circ = cfg.circles[1]
+        gon = [_turned(p, circ.center, 1e-2) for p in cfg.ngons[1]]
+        assert self.regular(gon) and self.on_circle(gon, circ)
+        assert lighthouse_verify(self.replaced(cfg, gon)) is False
 
 
 class TestDuplication:

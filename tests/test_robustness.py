@@ -1,13 +1,14 @@
 """Special triangle families against the triangle-taking entry points:
 each call returns or raises a typed `GeometryError`, never a bare
-exception."""
+exception, and the entry points of `RETURNS` return on the families
+listed there."""
 
 import math
 
 import pytest
 
 from quadgeo import drozfarny, malfatti, morley, quadrangle, touch, wallace
-from quadgeo.kernel import GeometryError, Point, circumcircle
+from quadgeo.kernel import CoincidentPoints, GeometryError, Point, circumcircle
 
 
 def _triangle(*xy):
@@ -65,3 +66,25 @@ def test_returns_or_raises_typed_error(family, entry):
         ENTRY_POINTS[entry](FAMILIES[family])
     except GeometryError:
         pass
+
+
+#: the families each entry point must return a result on, not only a
+#: typed error
+RETURNS = {
+    "gergonne_nagel": set(FAMILIES) - {"sliver-1e-7"},
+    "soddy": set(FAMILIES) - {"equilateral-float"},
+}
+
+
+@pytest.mark.parametrize(
+    "entry, family",
+    [(e, f) for e, families in RETURNS.items() for f in FAMILIES if f in families],
+)
+def test_returns(family, entry):
+    ENTRY_POINTS[entry](FAMILIES[family])
+
+
+def test_soddy_on_the_equilateral_triangle():
+    # the incentre is the Gergonne point, so there is no Soddy line
+    with pytest.raises(CoincidentPoints):
+        touch.soddy(FAMILIES["equilateral-float"])
