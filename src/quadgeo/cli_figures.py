@@ -24,6 +24,7 @@ from .kernel import (
     is_exact,
     radical_axis,
     reflect_point_in_line,
+    residual_ratio,
     tangency_classify,
 )
 from . import drozfarny, malfatti, morley, touch, wallace
@@ -721,10 +722,6 @@ def _suite_wallace_sweep(rng, count) -> Iterator[Check]:
     )
 
 
-#: relative side spread below which a star-of-David triangle is equilateral
-_STAR_EQUILATERAL_TOL = 1e-12
-
-
 def _suite_deltoid(rng, count) -> Iterator[Check]:
     for _ in range(count):
         t = F(rng.randint(1, 400), rng.randint(1, 400))
@@ -732,8 +729,9 @@ def _suite_deltoid(rng, count) -> Iterator[Check]:
     star = wallace.star_of_david(fixture_quadrangle("t0"))
     for tri in star.triangles:
         resid = morley.equilateral_residual(tri)
+        # tighter than DEFAULT_EPS: the closed form's spread is far below it
         yield Check(
-            resid <= _STAR_EQUILATERAL_TOL,
+            resid <= 1e-12,
             f"star-of-David triangle side spread {resid}",
             exact=False,
             residual=resid,
@@ -779,8 +777,7 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
     # the converse: the pair recovered from M gives back the bisector of HM
     conv = drozfarny.df_converse(tri, Point(F(-62), F(117)))
     inst = drozfarny.df_line(tri, conv.pair)
-    df = conv.df
-    miss = max(abs(df.evaluate(p)) for p in inst.midpoints) / math.hypot(df.a, df.b)
+    miss = max(residual_ratio(*conv.df.residual(p)) for p in inst.midpoints)
     yield Check(
         miss <= DEFAULT_EPS,
         f"Droz-Farny converse: recovered pair misses the bisector of HM by {miss:.3e}",
@@ -880,14 +877,14 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     circles, touch_points = malfatti.malfatti_circles(*face)
     miss = malfatti.verify_malfatti(circles, *face)
     yield Check(
-        miss <= malfatti._TANGENCY_TOL,
+        miss <= DEFAULT_EPS,
         f"Malfatti circles of face 7 not mutually and edge tangent: {miss:.3e}",
         exact=False,
         residual=miss,
     )
     miss = malfatti.variant_contact_circle(circles, touch_points, *face)
     yield Check(
-        miss <= malfatti._CONTACT_CIRCLE_TOL,
+        miss <= DEFAULT_EPS,
         f"variant contact circle of face 7 misses a Malfatti contact: {miss:.3e}",
         exact=False,
         residual=miss,
@@ -1003,8 +1000,8 @@ def _suite_morley(rng, count) -> Iterator[Check]:
         Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
     )
     yield Check(
-        miss < DEFAULT_EPS * 1000,
-        f"Morley triangles of the orthocentric quadrangle not parallel: {miss:.3e} rad",
+        miss <= DEFAULT_EPS,
+        f"Morley triangles of the orthocentric quadrangle not parallel: {miss:.3e}",
         exact=False,
         residual=miss,
     )
@@ -1036,7 +1033,7 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
     ):
         miss = morley.is_orthocentric(pts)
         yield Check(
-            miss <= DEFAULT_EPS * 100,
+            miss <= DEFAULT_EPS,
             f"n=2 {name} grid not orthocentric: {miss:.3e}",
             exact=False,
             residual=miss,
@@ -1064,7 +1061,8 @@ def _suite_thrice_sixteen(rng, count) -> Iterator[Check]:
         r = rng.uniform(3, 20)
         quad = [Point(r * math.cos(t), r * math.sin(t)) for t in ths]
         rep = morley.thrice_sixteen(quad)
-        yield Check(_thrice_sixteen_holds(rep), "thrice-sixteen failure", exact=False)
+        yield Check(_thrice_sixteen_holds(rep), "thrice-sixteen failure",
+                    exact=False, residual=rep.worst)
     # exact quadrangles: their 16 centres are rational, every check an identity
     done = 0
     while done < count // 10:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .kernel import (
-    DEFAULT_EPS,
     Conic,
     ConicKind,
     DegenerateInput,
@@ -30,11 +29,12 @@ from .kernel import (
     PointNotOnEdgeLine,
     circumcircle,
     collinear,
-    is_exact,
     perpendicular_bisector,
     reflect_line_in_line,
     reflect_point_in_line,
+    residual_ratio,
     sqrt_scalar,
+    vanishes,
 )
 from .quadrangle import Triangle, as_triangle
 
@@ -61,16 +61,6 @@ class LineNotThroughOrthocentre(GeometryError):
 
 class DegenerateInstance(GeometryError):
     pass
-
-
-#: float tolerances besides ``DEFAULT_EPS``; each use scales a relative one
-_MIDPOINT_TOL = 1e-6          # collinearity of the three chord midpoints
-_COINCIDENCE_TOL = 1e-12      # two points closer than this are one
-
-
-def _vanishes(residual: Number, tol: float) -> bool:
-    """An exact residual is 0; a float one is within ``tol``."""
-    return residual == 0 if is_exact(residual) else abs(residual) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +97,14 @@ def df_line(tri: Sequence[Point], pair: Tuple[Line, Line]) -> DFInstance:
     tri = as_triangle(tri)
     h = tri.orthocentre
     l1, l2 = pair
-    if not l1.is_perpendicular(l2, DEFAULT_EPS):
+    if not l1.is_perpendicular(l2):
         raise NotPerpendicular("pair is not perpendicular")
     for line in pair:
-        if not line.contains(h, DEFAULT_EPS):
+        if not line.contains(h):
             raise NotThroughVertex("pair must pass through the orthocentre")
     cuts = _edge_cuts(tri.edges, pair)
     mids = tuple(cuts[f"{n}1"].midpoint(cuts[f"{n}2"]) for n in "XYZ")
-    if not collinear(*mids, eps=_MIDPOINT_TOL):
+    if not collinear(*mids):
         raise IdentityViolated("Droz-Farny midpoints are not collinear")
     df = Line.through(mids[0], mids[1])
     m = reflect_point_in_line(h, df)
@@ -129,7 +119,8 @@ def verify_instance(inst: DFInstance) -> bool:
     ``edge_triangle_circumcircle_through_focus``, and the midpoints'
     collinearity is checked by ``df_line``.)"""
     h, m = inst.orthocentre, inst.m
-    return all(p.dist2(h) == p.dist2(m) for p in inst.midpoints)
+    gaps = [(p.dist2(h), p.dist2(m)) for p in inst.midpoints]
+    return all(vanishes(s - t, s + t) for s, t in gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +139,23 @@ class DFConverse:
 
 def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     """The perpendicular bisector of HM is a Droz-Farny line whenever M is
-    on the circumcircle: exactly for exact data, with its power within
-    ``DEFAULT_EPS``·R² for floats, else PointNotOnCircumcircle. A
+    on the circumcircle (`Circle.contains`), else PointNotOnCircumcircle. A
     perpendicular pair through H is the null pair of a form
     Q(u) = α(u_x² − u_y²) + 2β·u_x·u_y; it cuts an edge of direction d,
     which the line cuts at p = H + v, in a chord with midpoint p exactly
     when B(v, d) = α(v_x·d_x − v_y·d_y) + β(v_x·d_y + v_y·d_x) vanishes. The first edge fixes (α, β); B must
-    vanish on the other two, within ``DEFAULT_EPS``·|(α, β)|·|v|·|d| for
-    floats, else IdentityViolated. The chord ends p ± (|v|/|d|)·d then lie
+    vanish on the other two, against |(α, β)|·|v|·|d| for floats, else
+    IdentityViolated. The chord ends p ± (|v|/|d|)·d then lie
     on the pair, as Q(v)|d|² + |v|²Q(d) = 2(v·d)·B(v, d). The pair runs
     along u = (α, β ± √(α² + β²)), signed as β to avoid cancellation, and
     along u turned by 90°."""
     tri = as_triangle(tri)
     h = tri.orthocentre
     circ = tri.circumcircle
-    if not circ.contains(m, eps=DEFAULT_EPS * circ.r2):
+    if not circ.contains(m):
         raise PointNotOnCircumcircle("M must lie on the circumcircle")
     for e in tri.edges:
-        if reflect_point_in_line(h, e).close_to(m, _COINCIDENCE_TOL):
+        if reflect_point_in_line(h, e).close_to(m):
             raise DegenerateChoice("M is a reflection of H in an edge")
     df = perpendicular_bisector(h, m)
     forms = []
@@ -178,8 +168,8 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     (sym, skew), *others = forms
     alpha, beta = skew, -sym
     for sym, skew in others:
-        tol = DEFAULT_EPS * math.hypot(alpha, beta) * math.hypot(sym, skew)
-        if not _vanishes(alpha * sym + beta * skew, tol):
+        m = math.hypot(alpha, beta) * math.hypot(sym, skew)
+        if not vanishes(alpha * sym + beta * skew, m):
             raise IdentityViolated("the pair from one edge misses another edge's chord")
     root = sqrt_scalar(alpha * alpha + beta * beta)
     u = Point(alpha, beta + root if beta >= 0 else beta - root)
@@ -216,18 +206,18 @@ def df_envelope(tri: Sequence[Point]) -> EnvelopeConic:
     oh2 = o.dist2(h)
     center = o.midpoint(h)
     conj = r2 - oh2
-    if conj == 0:
+    if vanishes(conj, r2 + oh2):
         return EnvelopeConic(None, "point", center, r2)
     kind = ConicKind.ELLIPSE if conj > 0 else ConicKind.HYPERBOLA
     return EnvelopeConic(Conic(h, o, r2, kind), kind.value, center, r2)
 
 
 def envelope_tangency(env: EnvelopeConic, inst: DFInstance) -> bool:
-    """Exact focal tangency: the reflection of the orthocentre-focus in
-    the Droz-Farny line lies at distance R from the circumcentre."""
+    """Focal tangency: the reflection of the orthocentre-focus in the
+    Droz-Farny line lies at distance R from the circumcentre."""
     if env.conic is None:
         raise DegenerateInstance("degenerate envelope")
-    return env.conic.tangency_residual(inst.df) == 0
+    return env.conic.is_tangent(inst.df)
 
 
 def envelope_special_tangents(tri: Sequence[Point]) -> bool:
@@ -236,9 +226,8 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     Euler-line intersections touch it: that circle has the conic's centre
     and radius R/2, so it meets the focal axis at the conic's vertices,
     and both curves being symmetric about the axis, its tangents there
-    are the vertex tangents. Float residuals of squared lengths are
-    compared within ``DEFAULT_EPS``·R², the centres within
-    ``DEFAULT_EPS``·R."""
+    are the vertex tangents. A squared length vanishes against the sum of
+    its terms, and the centres must be `Point.close_to`."""
     tri = as_triangle(tri)
     env = df_envelope(tri)
     if env.conic is None:
@@ -247,11 +236,10 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     a, b, c = tri
     central = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
     lines = [*tri.edges, *(perpendicular_bisector(h, v) for v in tri)]
-    tol = DEFAULT_EPS * env.axis2
     return (
-        all(_vanishes(env.conic.tangency_residual(l), tol) for l in lines)
-        and _vanishes(4 * central.r2 - env.axis2, tol)
-        and _vanishes(central.center.dist2(env.center), DEFAULT_EPS * tol)
+        all(env.conic.is_tangent(l) for l in lines)
+        and vanishes(4 * central.r2 - env.axis2, 4 * central.r2 + env.axis2)
+        and central.center.close_to(env.center)
     )
 
 
@@ -267,11 +255,11 @@ def df_parabola(inst: DFInstance) -> Parabola:
     Droz-Farny line."""
     refs = [reflect_point_in_line(inst.m, e) for e in inst.triangle.edges]
     directrix = Line.through(refs[0], refs[1])
-    if not directrix.contains(refs[2], DEFAULT_EPS):
+    if not directrix.contains(refs[2]):
         raise IdentityViolated("reflections of M in the edges are not collinear")
-    if not directrix.contains(inst.orthocentre, DEFAULT_EPS):
+    if not directrix.contains(inst.orthocentre):
         raise IdentityViolated("directrix misses the orthocentre")
-    if directrix.contains(inst.m, DEFAULT_EPS):
+    if directrix.contains(inst.m):
         raise DegenerateInstance("focus on directrix")
     return Parabola(inst.m, directrix)
 
@@ -312,11 +300,11 @@ EQUILATERAL_DIRECTIONS = 36
 def equilateral_df_check() -> float:
     """For an equilateral triangle every Droz-Farny line is tangent to the
     incircle (foot of the perpendicular from the centre on the incircle):
-    the worst miss |dist(centre, line) − r| over the sweep."""
+    the worst miss |d − r|/(d + r), d the centre's distance from the line."""
     side, count = EQUILATERAL_SIDE, EQUILATERAL_DIRECTIONS
     r = side / (2 * math.sqrt(3.0))
     tri = Triangle((Point(-side / 2, -r), Point(side / 2, -r), Point(0.0, 2 * r)))
-    h = Point(0.0, 0.0)
+    h = tri.orthocentre   # the centre, (0, 0) up to rounding
     misses = []
     for i in range(count):
         th = math.pi * (i + 0.5) / count
@@ -325,7 +313,8 @@ def equilateral_df_check() -> float:
             Line.from_point_direction(h, d),
             Line.from_point_direction(h, Point(-d.y, d.x)),
         ))
-        misses.append(abs(abs(float(inst.df.evaluate(h))) - r))
+        d = abs(float(inst.df.evaluate(h)))
+        misses.append(residual_ratio(d - r, d + r))
     return max(misses)
 
 
@@ -346,12 +335,12 @@ def miquel_point(tri: Sequence[Point], x: Point, y: Point, z: Point) -> Point:
     c3 = circumcircle(c, x, y)
     # c1 and c2 share z; the second intersection is the reflection of z in
     # the line of centres
-    if c1.center.close_to(c2.center, _COINCIDENCE_TOL):
+    if c1.center.close_to(c2.center):
         raise DegenerateInput("coincident circles")
     p = reflect_point_in_line(z, Line.through(c1.center, c2.center))
-    if p.close_to(z, _COINCIDENCE_TOL):
+    if p.close_to(z):
         p = z  # tangent circles: Miquel point is the shared point itself
-    if not c3.contains(p, DEFAULT_EPS):
+    if not c3.contains(p):
         raise IdentityViolated("circle CXY misses the Miquel point")
     return p
 
@@ -365,8 +354,8 @@ def theorem_r(tri: Sequence[Point], line: Line) -> Point:
         raise LineNotThroughOrthocentre("line must pass through the orthocentre")
     reflected = [reflect_line_in_line(line, e) for e in tri.edges]
     p = reflected[0].intersect(reflected[1])
-    if not reflected[2].contains(p, DEFAULT_EPS):
+    if not reflected[2].contains(p):
         raise IdentityViolated("reflected lines fail to concur")
-    if not tri.circumcircle.contains(p, DEFAULT_EPS):
+    if not tri.circumcircle.contains(p):
         raise IdentityViolated("concurrence point misses the circumcircle")
     return p

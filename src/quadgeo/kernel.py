@@ -13,9 +13,9 @@ scalar it returns (`divide`), and a predicate builds none, since it
 compares cross-multiplied ints. All predicates that must
 stay exact are phrased in squared quantities so the exact backend never
 takes a square root; square roots appear only in the approximate backend
-(or when the radicand happens to be a perfect square). A tolerance applies
-only to a float residual: an exact residual is compared with 0 whatever
-``eps`` is.
+(or when the radicand happens to be a perfect square). Every predicate
+decides through `vanishes`: an exact residual is compared with 0, and a
+float one with ``DEFAULT_EPS`` times the magnitude of its own expression.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
-#: default absolute tolerance for approximate comparisons (on data
-#: normalized so the relevant circumradius is 1)
+#: relative precision of every float decision: a float residual vanishes
+#: when it is at most this times the magnitude of its own expression
 DEFAULT_EPS = 1e-9
 
 
@@ -87,6 +87,24 @@ def is_exact(x: Number) -> bool:
     # a plain type test: isinstance against Fraction is an ABC lookup, slow
     # on the float paths, and type() also leaves out bool
     return type(x) is Fraction or type(x) is int
+
+
+def vanishes(r: Number, m: Number) -> bool:
+    """An exact residual r is 0; a float one is at most ``DEFAULT_EPS``·m,
+    m the magnitude of r's own expression (Shewchuk, DCG 18, 1997): a dot,
+    cross or determinant term counts as the product of its factors' norms,
+    any other term as its absolute value."""
+    if type(r) is not float:
+        return r == 0
+    return abs(r) <= DEFAULT_EPS * m
+
+
+def residual_ratio(r: Number, m: Number) -> Number:
+    """|r|/m, the miss a check reports: 0 when r is, infinite for an exact
+    r ≠ 0, which has no m."""
+    if not r:
+        return abs(r)
+    return divide(abs(r), m) if m else math.inf
 
 
 def divide(n: Number, d: Number) -> Number:
@@ -196,10 +214,12 @@ class Point:
     def is_exact(self) -> bool:
         return is_exact(self.x) and is_exact(self.y)
 
-    def close_to(self, other: "Point", eps: float = DEFAULT_EPS) -> bool:
+    def close_to(self, other: "Point") -> bool:
+        """Equal, exactly or with |p − q| vanishing against |p| + |q|."""
         if self.is_exact() and other.is_exact():
             return self == other
-        return abs(self.x - other.x) <= eps and abs(self.y - other.y) <= eps
+        d = math.hypot(self.x - other.x, self.y - other.y)
+        return vanishes(d, math.hypot(self.x, self.y) + math.hypot(other.x, other.y))
 
 
 class _TriplePoint(Point):
@@ -318,14 +338,19 @@ def _hom(p: Point) -> Tuple[Number, Number, int]:
     return float(x), float(y), 1
 
 
-def collinear(p: Point, q: Point, r: Point, eps: float = 0.0) -> bool:
-    """The determinant of the three triples is 0: exactly when it is an
-    int, else within eps·w₁w₂w₃, that is, (q − p)×(r − p) within eps."""
+def collinear(p: Point, q: Point, r: Point) -> bool:
+    """(q − p)×(r − p), over the triples B×C with B ∝ q − p, C ∝ r − p,
+    vanishes against (|p| + |q|)·|r − p| + |q − p|·(|p| + |r|): a difference
+    of points is rounded to the sum of their norms."""
     (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
-    det = x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3) + w1 * (x2 * y3 - y2 * x3)
+    bx, by = x2 * w1 - x1 * w2, y2 * w1 - y1 * w2
+    cx, cy = x3 * w1 - x1 * w3, y3 * w1 - y1 * w3
+    det = bx * cy - by * cx
     if type(det) is not float:
         return det == 0
-    return abs(det) <= eps * w1 * w2 * w3
+    n1, n2, n3 = math.hypot(x1, y1), math.hypot(x2, y2), math.hypot(x3, y3)
+    m = (w2 * n1 + w1 * n2) * math.hypot(cx, cy) + math.hypot(bx, by) * (w3 * n1 + w1 * n3)
+    return vanishes(det, m)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +417,17 @@ class Line:
     def evaluate(self, p: Point) -> Number:
         return self.a * p.x + self.b * p.y - self.c
 
-    def contains(self, p: Point, eps: float = 0.0) -> bool:
-        """a·X + b·Y − c·W is 0: exactly when it is an int, else within
-        eps·W·|(a, b)|, that is, p lies within eps of the line."""
+    def residual(self, p: Point) -> Tuple[Number, float]:
+        """(r, m) for p on the line: r = a·X + b·Y − c·W, and m =
+        |(a, b)|·|(X, Y)| + |c·W| for a float r (0 for an exact one)."""
         x, y, w = _hom(p)
         v = self.a * x + self.b * y - self.c * w
         if type(v) is not float:
-            return v == 0
-        return abs(v) <= eps * w * math.hypot(self.a, self.b)
+            return v, 0
+        return v, math.hypot(self.a, self.b) * math.hypot(x, y) + abs(self.c * w)
+
+    def contains(self, p: Point) -> bool:
+        return vanishes(*self.residual(p))
 
     def direction(self) -> Point:
         return Point(self.b, -self.a)
@@ -412,13 +440,17 @@ class Line:
             return None
         return divide(-self.a, self.b)
 
-    def is_parallel(self, other: "Line", eps: float = 0.0) -> bool:
-        v = self.a * other.b - self.b * other.a
-        return v == 0 if eps == 0.0 or not isinstance(v, float) else abs(v) <= eps
+    def is_parallel(self, other: "Line") -> bool:
+        return self._normals_vanish(other, self.a * other.b - self.b * other.a)
 
-    def is_perpendicular(self, other: "Line", eps: float = 0.0) -> bool:
-        v = self.a * other.a + self.b * other.b
-        return v == 0 if eps == 0.0 or not isinstance(v, float) else abs(v) <= eps
+    def is_perpendicular(self, other: "Line") -> bool:
+        return self._normals_vanish(other, self.a * other.a + self.b * other.b)
+
+    def _normals_vanish(self, other: "Line", v: Number) -> bool:
+        """v, a product of the normals, vanishes against their norms."""
+        if type(v) is not float:
+            return v == 0
+        return vanishes(v, math.hypot(self.a, self.b) * math.hypot(other.a, other.b))
 
     def intersect(self, other: "Line") -> Point:
         det = self.a * other.b - self.b * other.a
@@ -455,16 +487,20 @@ class Circle:
     def power(self, p: Point) -> Number:
         return p.dist2(self.center) - self.r2
 
-    def contains(self, p: Point, eps: float = 0.0) -> bool:
-        """|p − centre|² = r2 = n/d over the triples: with w = W_p·W_c the
-        residual d·(dX² + dY²) − n·w² is 0 exactly when it is an int, else
-        within eps·d·w², that is, the power of p within eps."""
+    def residual(self, p: Point) -> Tuple[Number, float]:
+        """(r, m) for p on the circle, the power of p against |p − c|² + r2:
+        over the triples, with D = (dX, dY), w = W_p·W_c and r2 = n/d,
+        r = d·|D|² − n·w² and m = d·|D|² + |n|·w² (0 for an exact r)."""
         (x1, y1, w1), (x2, y2, w2), (n, d) = _hom(p), _hom(self.center), _ratio(self.r2)
         dx, dy, w = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2
-        v = d * (dx * dx + dy * dy) - n * w * w
+        s, t = d * (dx * dx + dy * dy), n * w * w
+        v = s - t
         if type(v) is not float:
-            return v == 0
-        return abs(v) <= eps * d * w * w
+            return v, 0
+        return v, s + abs(t)
+
+    def contains(self, p: Point) -> bool:
+        return vanishes(*self.residual(p))
 
     def radius(self) -> Number:
         return sqrt_scalar(self.r2)
@@ -498,10 +534,6 @@ class Conic:
         return Circle(self.focus2, self.axis2).contains(
             reflect_point_in_line(self.focus1, line)
         )
-
-    def tangency_residual(self, line: Line) -> Number:
-        m = reflect_point_in_line(self.focus1, line)
-        return m.dist2(self.focus2) - self.axis2
 
 
 @dataclass(frozen=True)
@@ -664,10 +696,10 @@ def cross_ratio(p1: Point, p2: Point, p3: Point, p4: Point) -> Number:
         for j in range(i + 1, 4):
             if pts[i] == pts[j]:
                 raise CoincidentPoints("cross-ratio needs distinct points")
-    d = p2 - p1
     for p in (p3, p4):
-        if d.cross(p - p1) != 0:
+        if not collinear(p1, p2, p):
             raise NotCollinear("cross-ratio needs collinear points")
+    d = p2 - p1
     t = [_line_parameter(p, p1, d) for p in pts]
     num = (t[0] - t[2]) * (t[1] - t[3])
     den = (t[0] - t[3]) * (t[1] - t[2])

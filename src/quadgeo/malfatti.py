@@ -32,9 +32,9 @@ from .kernel import (
     Number,
     Point,
     _ratio,
-    divide,
     foot_of_perpendicular,
     primitive_integers,
+    residual_ratio,
     sqrt_scalar,
 )
 from .quadrangle import Triangle
@@ -727,38 +727,28 @@ def malfatti_circles(
     return tuple(circles), touch
 
 
-#: relative tolerances of the float checks on Malfatti circles
-_TANGENCY_TOL = 1e-7
-_CONTACT_CIRCLE_TOL = 1e-6
-
-
 def _distance(p: Point, q: Point) -> Number:
     return sqrt_scalar(p.dist2(q))
 
 
-def _relative(misses: Sequence[Number], tri: Triangle) -> Number:
-    """The worst miss relative to max(1, the largest vertex coordinate)."""
-    return divide(max(misses), max(1, *(abs(v) for p in tri for v in (p.x, p.y))))
-
-
 def verify_malfatti(circles: Sequence[Circle], a: Point, b: Point, c: Point) -> Number:
     """The worst miss of the three mutual tangencies and the six edge
-    tangencies (each circle with the two edges at its vertex), relative to
-    the largest vertex coordinate: exactly 0 for exact circles that touch,
-    within ``_TANGENCY_TOL`` for floats."""
+    tangencies (each circle with the two edges at its vertex), a distance d
+    that should equal r missing by |d − r|/(d + r): exactly 0 for exact
+    circles that touch, within ``DEFAULT_EPS`` for floats."""
     tri = Triangle((a, b, c))
     radii = [sqrt_scalar(circle.r2) for circle in circles]
     misses = [
-        abs(abs(e.evaluate(circle.center)) / sqrt_scalar(e.a * e.a + e.b * e.b) - r)
+        (abs(e.evaluate(circle.center)) / sqrt_scalar(e.a * e.a + e.b * e.b), r)
         for i, (circle, r) in enumerate(zip(circles, radii))
         for j, e in enumerate(tri.edges)
         if j != i
     ]
     misses += [
-        abs(_distance(circles[i].center, circles[j].center) - radii[i] - radii[j])
+        (_distance(circles[i].center, circles[j].center), radii[i] + radii[j])
         for i, j in ((1, 2), (2, 0), (0, 1))
     ]
-    return _relative(misses, tri)
+    return max(residual_ratio(d - r, d + r) for d, r in misses)
 
 
 def variant_contact_circle(
@@ -770,9 +760,9 @@ def variant_contact_circle(
 ) -> Number:
     """The worst miss of the circle centred at X with radius r(1 + u)/2
     through the contacts of the B- and C-Malfatti circles with BC and with
-    each other (cyclically for Y and Z), relative to the largest vertex
-    coordinate: exactly 0 for exact circles, within ``_CONTACT_CIRCLE_TOL``
-    for floats."""
+    each other (cyclically for Y and Z), each distance d missing the radius
+    r by |d − r|/(d + r): exactly 0 for exact circles, within
+    ``DEFAULT_EPS`` for floats."""
     tri = Triangle((a, b, c))
     r = tri.metrics.r
     radii = [sqrt_scalar(circle.r2) for circle in circles]
@@ -787,5 +777,5 @@ def variant_contact_circle(
             ci + (cj - ci).scale(radii[i] / _distance(ci, cj)),
         )
         rad = r * (1 + t) / 2
-        misses += [abs(_distance(p, centre) - rad) for p in contacts]
-    return _relative(misses, tri)
+        misses += [(_distance(p, centre), rad) for p in contacts]
+    return max(residual_ratio(d - r, d + r) for d, r in misses)

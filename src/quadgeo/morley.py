@@ -2,18 +2,17 @@
 Thrice Sixteen, and the inside-out trebler construction.
 
 Angle trisection is not rational, so everything driven by actual beam
-angles runs on the float backend with fixed tolerances scaled from
-``DEFAULT_EPS``. The lighthouse works on plain floats: each beam is the
-unit-normal triple a `Line` would hold, the n² meets are the only `Point`s
-it makes, and ``lighthouse_verify`` reads each n-gon's coordinates once
-and computes what `Circle.contains` would on them. Statements about
-rational edge *lengths* (the Pythagorean and two-parameter families, the
-1001-jigsaw) are checked exactly, working in Q(√3) where sines of the
-relevant angles are √3 times a rational.
+angles runs on the float backend, where each decision is `kernel.vanishes`
+of a residual against its own magnitude. The lighthouse works on plain
+floats: each beam is the unit-normal triple a `Line` would hold, the n²
+meets are the only `Point`s it makes, and ``lighthouse_verify`` reads each
+n-gon's coordinates once and computes what `Circle.contains` would on
+them. Statements about rational edge *lengths* (the Pythagorean and
+two-parameter families, the 1001-jigsaw) are checked exactly, working in
+Q(√3) where sines of the relevant angles are √3 times a rational.
 Thrice Sixteen is field-generic: exact input whose chords are rational
 (vertices w² for rational points w of a circle) keeps all 16 centres
-rational and every check exact, and float input keeps the float
-tolerances.
+rational and every check exact.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from .kernel import (
     primitive_integers,
     reflect_line_in_line,
     reflect_point_in_line,
+    residual_ratio,
     sqrt_scalar,
+    vanishes,
 )
 from .quadrangle import as_triangle, orthocentre
 from .touch import touch_circles
@@ -76,12 +77,6 @@ def _signed_angle(u: Point, v: Point) -> float:
     return math.atan2(
         float(u.x) * float(v.y) - float(u.y) * float(v.x),
         float(u.x) * float(v.x) + float(u.y) * float(v.y),
-    )
-
-
-def _scale(points: Sequence[Point]) -> float:
-    return max(
-        1.0, max(abs(float(p.x)) for p in points), max(abs(float(p.y)) for p in points)
     )
 
 
@@ -135,7 +130,7 @@ def lighthouse(
     for j, (a1, b1, c1) in enumerate(beams_b):
         for k, (a2, b2, c2) in enumerate(beams_c):
             det = a1 * b2 - b1 * a2
-            if abs(det) < 1e-12:
+            if vanishes(det, 1.0):   # |n₁|·|n₂| = 1: unit normals
                 parallel = True
                 continue
             # Line.intersect's expression
@@ -151,9 +146,10 @@ def lighthouse(
     return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
 
 
-def ngon_is_regular(gon: Sequence[Tuple[float, float]]) -> bool:
+def ngon_is_regular(gon: Sequence[Tuple[float, float]], conditioning: float) -> bool:
     """Vertices, given as float pairs, concyclic and equally spaced by 2π/n
-    around the centre."""
+    around the centroid: the worst r/m of r_i = r̄ and of each gap = 2π/n
+    vanishes against the vertices' ``conditioning``; r̄ ≈ 0 is a point."""
     n = len(gon)
     if n < 2:
         return True
@@ -161,50 +157,56 @@ def ngon_is_regular(gon: Sequence[Tuple[float, float]]) -> bool:
     cy = sum(y for _, y in gon) / n
     radii = [math.hypot(x - cx, y - cy) for x, y in gon]
     r = sum(radii) / n
-    if r < DEFAULT_EPS:
+    if vanishes(r, math.hypot(cx, cy)):
         return False
-    if max(abs(x - r) for x in radii) > DEFAULT_EPS * max(1.0, r):
+    if not vanishes(max(abs(x - r) / (x + r) for x in radii), conditioning):
         return False
     angles = sorted(math.atan2(y - cy, x - cx) % (2 * math.pi) for x, y in gon)
-    gaps = [
-        (angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)
-    ]
-    return max(abs(g - 2 * math.pi / n) for g in gaps) < DEFAULT_EPS * 10
+    gaps = [(angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)]
+    step = 2 * math.pi / n
+    return vanishes(max(abs(g - step) / (g + step) for g in gaps), conditioning)
 
 
 def lighthouse_verify(cfg: LighthouseConfig) -> bool:
     """Regularity, coaxality through both lighthouses, and the parallel-edge
     lemma (all edge directions congruent mod π/n), on the float coordinates
-    read once from the points. A vertex is on its circle when its power
-    |p − centre|² − r2 is within ``DEFAULT_EPS``·scale²·100."""
+    read once from the points. Per n-gon, the worst power r/m (against
+    |p − centre|² + r2, as `Circle.contains`) and turn from the first edge
+    (against π/n each) vanish against its conditioning, the 1/|sin| of the
+    angle β + γ − gπ/n at which its beams meet."""
     gons = [[(float(p.x), float(p.y)) for p in gon] for gon in cfg.ngons]
     lights = [(float(p.x), float(p.y)) for p in (cfg.b, cfg.c)]
-    coords = (abs(v) for xy in lights + [q for g in gons for q in g] for v in xy)
-    scale = max(1.0, *coords)
-    tol = DEFAULT_EPS * scale ** 2 * 100
-    for gon, circ in zip(gons, cfg.circles):
+    step = math.pi / cfg.n
+    kappas = [1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), DEFAULT_EPS)
+              for g in range(cfg.n)]
+    for gon, circ, kappa in zip(gons, cfg.circles, kappas):
         if len(gon) != cfg.n:
             continue
-        if not ngon_is_regular(gon):
-            return False
-        if circ is None:
+        if not ngon_is_regular(gon, kappa) or circ is None:
             return False
         ox, oy, r2 = float(circ.center.x), float(circ.center.y), circ.r2
+        worst = 0.0
         for x, y in gon + lights:
             dx, dy = x - ox, y - oy
-            if not abs(dx * dx + dy * dy - r2) <= tol:
-                return False
+            d2 = dx * dx + dy * dy
+            miss = abs(d2 - r2) / (d2 + r2)
+            if miss > worst:
+                worst = miss
+        if not vanishes(worst, kappa):
+            return False
     # the Lighthouse Lemma: every edge of every n-gon in n direction classes
     base = None
-    for gon in gons:
+    for gon, kappa in zip(gons, kappas):
+        worst = 0.0
         for (px, py), (qx, qy) in combinations(gon, 2):
-            ang = math.atan2(qy - py, qx - px) % (math.pi / cfg.n)
+            ang = math.atan2(qy - py, qx - px) % step
             if base is None:
-                base = ang
-                continue
-            diff = (ang - base) % (math.pi / cfg.n)
-            if min(diff, math.pi / cfg.n - diff) > DEFAULT_EPS * 100:
-                return False
+                base, base_kappa = ang, kappa
+            turn = min(abs(ang - base), step - abs(ang - base))
+            if turn > worst:
+                worst = turn
+        if base is not None and not vanishes(worst, step * (base_kappa + kappa)):
+            return False
     return True
 
 
@@ -218,7 +220,7 @@ def phases_through(b: Point, c: Point, p: Point) -> Tuple[float, float]:
 def duplication(b: Point, c: Point, beta: float, gamma: float, n: int) -> float:
     """Edges of one n-gon through a vertex P cut the parallel edge of the
     neighbouring n-gon at points lying on beams of doubled phase; returns
-    the relative distance of the cut points from the doubled beams."""
+    the worst r/m of the cut points on the doubled beams (`Line.residual`)."""
     cfg = lighthouse(b, c, beta, gamma, n)
     if cfg.parallel_flag:
         raise ParallelBeams("duplication needs all finite intersections")
@@ -235,8 +237,7 @@ def duplication(b: Point, c: Point, beta: float, gamma: float, n: int) -> float:
     theta_c = _angle_of(cfg.b - cfg.c)
     beam2b = Line.from_point_direction(cfg.b, _dir(theta_b + 2 * beta))
     beam2c = Line.from_point_direction(cfg.c, _dir(theta_c - 2 * gamma))
-    scale = _scale([p, u, v, x, y])
-    return max(abs(beam2b.evaluate(r)) / scale, abs(beam2c.evaluate(q)) / scale)
+    return max(residual_ratio(*beam2b.residual(r)), residual_ratio(*beam2c.residual(q)))
 
 
 def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:
@@ -260,16 +261,14 @@ def bisector_quadrangle(d: Point, e: Point, f: Point) -> Dict[str, Point]:
 
 def is_orthocentric(points: Sequence[Point]) -> float:
     """The worst distance from one of four points to the orthocentre of the
-    other three, relative to max(1, the largest coordinate): 0 up to
-    rounding when each point is the orthocentre of the other three."""
+    other three, against the sum of the norms of the four, which both come
+    from: 0 up to rounding when each point is the orthocentre of the rest."""
     pts = [_fp(p) for p in points]
     if len(pts) != 4:
         raise DegenerateInput("an orthocentric quadrangle has four points")
-    misses = []
-    for i in range(4):
-        h = orthocentre(*(pts[j] for j in range(4) if j != i))
-        misses.append(math.hypot(h.x - pts[i].x, h.y - pts[i].y))
-    return max(misses) / _scale(pts)
+    size = sum(math.hypot(p.x, p.y) for p in pts)
+    hs = [orthocentre(*(pts[:i] + pts[i + 1:])) for i in range(4)]
+    return max(residual_ratio(math.hypot(h.x - p.x, h.y - p.y), size) for p, h in zip(pts, hs))
 
 
 def altitude_quadrangle(a: Point, b: Point, c: Point) -> Dict[str, Point]:
@@ -394,7 +393,8 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
     or a GF circle misses a lighthouse or the associated point."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     verts = {"A": a, "B": b, "C": c}
-    if abs((b - a).cross(c - a)) < DEFAULT_EPS:
+    u, v = b - a, c - a
+    if vanishes(u.cross(v), math.hypot(u.x, u.y) * math.hypot(v.x, v.y)):
         raise DegenerateInput("degenerate triangle")
     angles = {
         "A": abs(_signed_angle(b - a, c - a)),
@@ -420,12 +420,11 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
         for x, y, j, k, label in _POINT_LABELS
     }
 
-    scale = _scale(list(points.values()))
     lines: Dict[str, Line] = {}
     for label, members in _LINE_POINTS.items():
         pts = [points[m] for m in members]
         line = Line.through(pts[0], pts[1])
-        if any(abs(line.evaluate(p)) >= DEFAULT_EPS * scale * 100 for p in pts[2:]):
+        if not all(line.contains(p) for p in pts[2:]):
             raise IdentityViolated(f"point off Morley line {label}")
         lines[label] = line
 
@@ -445,7 +444,7 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
     for name, labels in _GF_TRIANGLES.items():
         circ = circumcircle(*(points[l] for l in labels))
         for v in name[:2]:
-            if not circ.contains(verts[v], eps=DEFAULT_EPS * scale * scale * 1000):
+            if not circ.contains(verts[v]):
                 raise IdentityViolated(f"GF circle {name} misses a lighthouse")
         gf_circles[name] = circ
 
@@ -454,7 +453,7 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
         (v,) = set(n1[:2]) & set(n2[:2])
         c1, c2 = gf_circles[n1], gf_circles[n2]
         pt = reflect_point_in_line(verts[v], Line.through(c1.center, c2.center))
-        if abs(gf_circles[n3].power(pt)) >= DEFAULT_EPS * scale * scale * 1000:
+        if not gf_circles[n3].contains(pt):
             raise IdentityViolated(
                 f"third GF circle misses the associated point of line {label}"
             )
@@ -483,17 +482,25 @@ def equilateral_residual(tri: Sequence[Point]) -> float:
 
 
 def edge_direction_classes(tris: Dict[str, Tuple[Point, Point, Point]]) -> int:
-    """Number of distinct edge directions mod π/3 over all triangles."""
-    classes: List[float] = []
-    for tri in tris.values():
-        for i in range(3):
-            ang = _angle_of(tri[(i + 1) % 3] - tri[i]) % (math.pi / 3)
-            if not any(
-                min(abs(ang - cl), math.pi / 3 - abs(ang - cl)) < DEFAULT_EPS * 1000
-                for cl in classes
-            ):
-                classes.append(ang)
+    """Number of distinct edge directions mod π/3 over all triangles: two
+    are one when their turn vanishes against the sum of their magnitudes."""
+    third = math.pi / 3
+    classes: List[Tuple[float, float]] = []
+    for ang, m in _edge_angles(tris):
+        if not any(vanishes(min(abs(ang - c), third - abs(ang - c)), m + k) for c, k in classes):
+            classes.append((ang, m))
     return len(classes)
+
+
+def _edge_angles(tris: Dict[str, Tuple[Point, Point, Point]]) -> List[Tuple[float, float]]:
+    """Each edge pq of the triangles as its angle mod π/3 and that angle's
+    magnitude (|p| + |q|)/|q − p|, as rounding moves the ends by their size."""
+    return [
+        (_angle_of(q - p) % (math.pi / 3),
+         (math.hypot(p.x, p.y) + math.hypot(q.x, q.y)) / math.hypot(q.x - p.x, q.y - p.y))
+        for tri in tris.values()
+        for p, q in zip(tri, tri[1:] + tri[:1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +740,8 @@ def _trisection_check(inner, outer, assembled) -> bool:
 def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> float:
     """The four triangles of the orthocentric quadrangle {A, B, C, H} have
     mutually parallel Morley triangles (72 triangles in 1 direction class
-    mod π/3): the worst angle mod π/3 between one of their edges and the
-    first, which `edge_direction_classes` puts in one class when it is
-    below ``DEFAULT_EPS * 1000``."""
+    mod π/3): the worst turn mod π/3 between one of their edges and the
+    first, as r/m with the magnitudes of `edge_direction_classes`."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     h = orthocentre(a, b, c)
     tris: Dict[str, Tuple[Point, Point, Point]] = {}
@@ -749,12 +755,8 @@ def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> float:
         for key, tri in cfg.morley_triangles.items():
             tris[f"{name}:{key}"] = tri
     third = math.pi / 3
-    angles = [
-        _angle_of(tri[(i + 1) % 3] - tri[i]) % third
-        for tri in tris.values()
-        for i in range(3)
-    ]
-    return max(min(abs(t - angles[0]), third - abs(t - angles[0])) for t in angles)
+    (first, k), *rest = _edge_angles(tris)
+    return max(residual_ratio(min(abs(a - first), third - abs(a - first)), m + k) for a, m in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +771,7 @@ class ThriceSixteenReport:
     latin_square: bool                   # one centre of each triangle per line
     circumcentres_reflect: bool
     circumcircles_congruent: bool
+    worst: Number = 0.0                  # largest r/m of the float checks
 
 
 # The 8 lines of the Thrice Sixteen grid, in two perpendicular families of
@@ -795,16 +798,6 @@ _MIDPOINTS = (
 )
 
 
-def _within(x: Number, tol: float) -> bool:
-    """x == 0 for an exact x, |x| <= tol for a float."""
-    return x == 0 if is_exact(x) else abs(x) <= tol
-
-
-def _close(p: Point, q: Point, tol: float) -> bool:
-    """p == q for exact points, else Euclidean distance at most tol."""
-    return p == q if p.is_exact() and q.is_exact() else p.dist2(q) <= tol * tol
-
-
 def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     """For four concyclic points: the 16 in/excentres of the four inscribed
     triangles form a rectangular 4×4 grid; the 24 segment midpoints coincide
@@ -818,14 +811,25 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     raised if one fails; ``midpoint_pairs`` counts the tabled pairs that
     coincide on the circumcircle.  Field-generic:
     the centres are those of ``touch_circles``, exact when every chord of
-    the quadrangle is rational, and each check compares an exact residual
-    with 0 and a float one with its tolerance."""
+    the quadrangle is rational, and each check is `kernel.vanishes`.
+    ``worst`` is the largest float r/m but those of the `Line` predicates."""
     pts = list(quad)
     if len(pts) != 4:
         raise DegenerateInput("need four points")
+    misses: List[Number] = [0.0]
+
+    def holds(r: Number, m: Number) -> bool:
+        if type(r) is float:
+            misses.append(residual_ratio(r, m))
+        return vanishes(r, m)
+
+    def coincide(p: Point, q: Point) -> bool:   # against the centres' norms
+        if p.is_exact() and q.is_exact():
+            return p == q
+        return holds(math.hypot(p.x - q.x, p.y - q.y), size)
+
     base = circumcircle(pts[0], pts[1], pts[2])
-    scale = _scale(pts)
-    if not base.contains(pts[3], eps=DEFAULT_EPS * scale * scale * 100):
+    if not holds(*base.residual(pts[3])):
         raise DegenerateInput("points are not concyclic")
 
     centers: Dict[str, Point] = {}
@@ -836,8 +840,9 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
         for v_idx, exc in zip(others, excs):
             centers[f"{omit}{v_idx}"] = exc.circle.center
 
+    size = sum(math.hypot(p.x, p.y) for p in (base.center, base.center, *centers.values()))
+
     # the two perpendicular quadruples of parallel 4-point lines
-    tol = DEFAULT_EPS * scale * 1e4
     ccw = sorted(range(4), key=lambda i: _angle_of(pts[i] - base.center))
 
     def tabled(row: str) -> List[str]:
@@ -850,26 +855,21 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
             members = tabled(row)
             on = [centers[m] for m in members]
             line = Line.through(on[0], on[1])
-            if not all(line.contains(p, tol) for p in on[2:]):
+            if not all([holds(*line.residual(p)) for p in on[2:]]):
                 raise DegenerateInput(f"centres {' '.join(members)} not collinear")
-            if lines and not line.is_parallel(lines[0], DEFAULT_EPS * 100):
+            if lines and not line.is_parallel(lines[0]):
                 raise DegenerateInput("grid families are not parallel")
             lines.append(line)
         firsts.append(lines[0])
-    if not firsts[0].is_perpendicular(firsts[1], DEFAULT_EPS * 100):
+    if not firsts[0].is_perpendicular(firsts[1]):
         raise DegenerateInput("grid families are not perpendicular")
 
-    circle_tol = DEFAULT_EPS * scale * scale * 1e4
     pair_count = 0
     for row in _MIDPOINTS:
         p, q, r, s = (centers[m] for m in tabled(row))
         m1, m2 = p.midpoint(q), r.midpoint(s)
-        if (
-            _close(m1, m2, tol)
-            and base.contains(m1, circle_tol)
-            and base.contains(m2, circle_tol)
-        ):
-            pair_count += 1
+        on_circle = [holds(*base.residual(m1)), holds(*base.residual(m2))]
+        pair_count += coincide(m1, m2) and all(on_circle)
 
     # circumcentres reflect through the 16-point centre; circles congruent.
     # Each centre is the orthocentre of the other three of its triangle.
@@ -882,12 +882,12 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
         for lab in own:
             circ = circumcircle(*(centers[m] for m in own if m != lab))
             mirrored = centre.scale(2) - centers[lab]
-            if not _close(circ.center, mirrored, tol):
+            if not coincide(circ.center, mirrored):
                 reflect_ok = False
             r = circ.radius()
             if r_big is None:
                 r_big = r
-            elif not _within(r - r_big, DEFAULT_EPS * scale * 100):
+            elif not holds(r - r_big, r + r_big):
                 congruent_ok = False
     return ThriceSixteenReport(
         centers,
@@ -895,6 +895,7 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
         True,  # every _GRID row holds one centre of each triangle
         reflect_ok,
         congruent_ok,
+        max(misses),
     )
 
 
@@ -915,7 +916,7 @@ def inside_out(tri: Sequence[Point]) -> InsideOutData:
     proximal treblers α', β', γ' are the reflections of the vertices in the
     opposite edges, and Aα', Bβ', Cγ' concur at the orthocentre; four triads
     of the cross points α, β, γ are collinear.  IdentityViolated if any of
-    these exact incidences fails."""
+    these incidences fails, by the kernel predicates."""
     tri = as_triangle(tri)
     a, b, c = tri
     bc, ca, ab = tri.edges
@@ -931,7 +932,7 @@ def inside_out(tri: Sequence[Point]) -> InsideOutData:
     o = Line.through(a, a_p).intersect(Line.through(b, b_p))
     if not Line.through(c, c_p).contains(o):
         raise IdentityViolated("AA', BB', CC' fail to concur")
-    if tri.circumcircle.center != o:
+    if not tri.circumcircle.center.close_to(o):
         raise IdentityViolated("concurrence is not the circumcentre")
     h = tri.orthocentre
     for v, vp in ((a, alpha_p), (b, beta_p), (c, gamma_p)):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
-    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -34,6 +33,7 @@ from .kernel import (
     radical_axis,
     reflect_line_in_line,
     tangency_classify,
+    vanishes,
 )
 from .quadrangle import LABELS, LabeledQuadrangle, Triangle, as_triangle
 
@@ -155,8 +155,9 @@ class GergonneNagelData:
 
     def incidence_checks(self) -> Dict[str, bool]:
         return {
-            "nagel=3G-2I": self.nagel
-            == self.centroid.scale(3) - self.incentre.scale(2),
+            "nagel=3G-2I": self.nagel.close_to(
+                self.centroid.scale(3) - self.incentre.scale(2)
+            ),
             "nagel-incentre-centroid": collinear(
                 self.nagel, self.incentre, self.centroid
             ),
@@ -167,17 +168,12 @@ class GergonneNagelData:
 
 
 def _cevian_point(tri: Sequence[Point], cuts: Sequence[Point]) -> Point:
-    """The meet of the first two cevians, which the third must pass through:
-    exactly for exact data, within ``DEFAULT_EPS`` relative to the
-    coordinates for floats."""
+    """The meet of the first two cevians, which the third must contain
+    (`Line.contains`)."""
     l1 = Line.through(tri[0], cuts[0])
     l2 = Line.through(tri[1], cuts[1])
     pt = l1.intersect(l2)
-    tol = 0.0
-    if not pt.is_exact():
-        coords = (abs(v) for p in (*tri, *cuts, pt) for v in (p.x, p.y))
-        tol = DEFAULT_EPS * max(1.0, *coords)
-    if not Line.through(tri[2], cuts[2]).contains(pt, tol):
+    if not Line.through(tri[2], cuts[2]).contains(pt):
         raise DegenerateInput("cevians do not concur")
     return pt
 
@@ -233,9 +229,9 @@ def classify_soddy(a: Number, b: Number, c: Number) -> str:
     if q_val <= 0:
         return SoddyClass.INTERNAL
     lhs, rhs = 4 * area2, q_val * q_val  # (2Δ)² vs Q²
-    if lhs > rhs:
-        return SoddyClass.INTERNAL
-    return SoddyClass.CRITICAL if lhs == rhs else SoddyClass.EXTERNAL
+    if vanishes(lhs - rhs, lhs + rhs):
+        return SoddyClass.CRITICAL
+    return SoddyClass.INTERNAL if lhs > rhs else SoddyClass.EXTERNAL
 
 
 @dataclass(frozen=True)
@@ -292,7 +288,7 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
     gergonne_line = radical_axis(incircle.circle, inner)
 
     outer = None
-    if outer_curv != 0:
+    if not vanishes(outer_curv, inner_curv):   # k₁ + k₂ + k₃ + 2/r
         rho_out = 1 / outer_curv  # may be negative: enclosing circle
         abs_rho = -rho_out if rho_out < 0 else rho_out
         # enclosing: |P-Vi| = |rho| - radii[i]; external: |P-Vi| = rho + radii[i]
@@ -401,12 +397,12 @@ def _perspector(
     A join runs from its midpoint along contact − midpoint, so a short one
     keeps its offset within a roundoff of the coordinates.
     IdentityViolated if a join misses the perspector: exactly for exact
-    data, within ``DEFAULT_EPS`` relative to the coordinates for floats.
-    Float data whose rounding alone could leave a residual past that
-    tolerance (``_join_error``, with the contact points off by ``lever``
-    roundoffs of the coordinates) raise DegenerateInput instead:
-    near-equilateral triangles, where a contact point nearly is its
-    midpoint, and slivers."""
+    data; for floats its residual, made from the perspector, contacts and
+    midpoints, must vanish against the sum of their norms. Float data whose
+    rounding alone could leave one that does not (``_join_error``, with the
+    contact points off by ``lever`` roundoffs of the coordinates) raise
+    DegenerateInput instead: near-equilateral triangles, where a contact
+    point nearly is its midpoint, and slivers."""
     pairs = [(c, m) for c, m in zip(contacts, mids) if c != m]
     joins = [Line.from_point_direction(m, c - m) for c, m in pairs]
     if len(joins) < 2:
@@ -419,14 +415,14 @@ def _perspector(
             pairs = [pairs[k - 2], pairs[k - 1], pairs[k]]
             joins = [joins[k - 2], joins[k - 1], joins[k]]
         pt = joins[0].intersect(joins[1])
-    coords = (abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
-    scale = max(1.0, *coords)
-    tol = DEFAULT_EPS * scale
+    size = 0   # an exact residual has no magnitude
     if not pt.is_exact():
-        e = sys.float_info.epsilon / 2 * scale * lever
-        if _join_error(pt, pairs, joins, e) > tol:
+        coords = (abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
+        e = sys.float_info.epsilon / 2 * max(1.0, *coords) * lever
+        size = sum(math.hypot(v.x, v.y) for v in (pt, *contacts, *mids))
+        if not vanishes(_join_error(pt, pairs, joins, e), size):
             raise DegenerateInput("contact/midpoint joins ill-conditioned in floats")
-    if not all(j.contains(pt, tol) for j in joins):
+    if not all(vanishes(j.residual(pt)[0], size) for j in joins):
         raise IdentityViolated("contact/midpoint joins fail to concur")
     return pt
 

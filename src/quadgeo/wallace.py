@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
-    DEFAULT_EPS,
     Circle,
     DegenerateInput,
     GeometryError,
@@ -60,13 +59,13 @@ class WallaceData:
     orthocentre: Point
 
 
-def wallace_line(tri: Sequence[Point], s: Point, eps: float = 0.0) -> WallaceData:
+def wallace_line(tri: Sequence[Point], s: Point) -> WallaceData:
     """Feet of the perpendiculars from a circumcircle point are collinear;
     the Steiner line is the 2x homothety of that line from the source and
     passes through the orthocentre; the source-orthocentre midpoint lies on
     the Central Circle."""
     tri = as_triangle(tri)
-    if not tri.circumcircle.contains(s, eps=eps):
+    if not tri.circumcircle.contains(s):
         raise PointNotOnCircumcircle("source must lie on the circumcircle")
     h = tri.orthocentre
     feet = tuple(foot_of_perpendicular(s, e) for e in tri.edges)
@@ -348,10 +347,6 @@ def deltoid_tangency_check(t: Number) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: distance off the circumcircle allowed for star_of_david's float sources, times r²
-_STAR_SOURCE_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class StarOfDavid:
     tangent_lines: List[Line]
@@ -376,7 +371,7 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
 
     def wl(theta: float) -> Line:
         s = Point(cx + rad * math.cos(theta), cy + rad * math.sin(theta))
-        return wallace_line(tri, s, eps=_STAR_SOURCE_TOL * rad * rad).line
+        return wallace_line(tri, s).line
 
     neg_abc = -math.prod(complex(p.x - cx, p.y - cy) / rad for p in tri)
     thetas = sorted(
@@ -429,7 +424,7 @@ def line_circle_intersections(line: Line, circle: Circle) -> List[Point]:
     """Both intersection points (exact when the discriminant is a perfect
     square); raises NoIntersection when the line misses the circle."""
     f = foot_of_perpendicular(circle.center, line)
-    h2 = circle.r2 - f.dist2(circle.center)
+    h2 = -circle.power(f)
     if h2 < 0:
         raise NoIntersection("line misses the circle")
     d = line.direction()
@@ -474,9 +469,7 @@ def fit_triangle(circle: Circle, p: Point, line: Line, a: Point) -> FitTriangleD
     f_c, f_b = feet
     b = second_intersection(circle, a, f_c - a)
     c = second_intersection(circle, a, f_b - a)
-    wd = wallace_line((a, b, c), p, eps=DEFAULT_EPS * float(circle.r2))
-    if wd.line != line and not (
-        wd.line.contains(f_b, DEFAULT_EPS) and wd.line.contains(f_c, DEFAULT_EPS)
-    ):
+    wd = wallace_line((a, b, c), p)
+    if not (wd.line.contains(f_b) and wd.line.contains(f_c)):
         raise DegenerateInput("constructed triangle has a different Wallace line")
     return FitTriangleData((a, b, c), wd)

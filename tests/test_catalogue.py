@@ -13,10 +13,16 @@ counts as reached when its name is read as an ``ast.Attribute`` anywhere in
 a read.
 
 No module of the package or of the tests imports a name it never uses;
-no linter is installed, so the same ``ast`` scan checks that too."""
+no linter is installed, so the same ``ast`` scan checks that too.
+
+Every float decision goes through ``kernel.vanishes``: outside
+``kernel.py`` no module holds a ``1e-`` literal, a ``DEFAULT_EPS *``
+product or a ``*_TOL`` name, save the sites of ``TOLERANCE_SITES``."""
 
 import ast
+import io
 import pathlib
+import tokenize
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -129,3 +135,43 @@ def test_no_unused_imports():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p) for p in paths}
     assert {p: names for p, names in found.items() if names} == {}
+
+
+#: (module, token) -> (count, reason): the tolerance-like tokens allowed
+#: outside kernel.py, whose own 1e-15 in ``_normalize_abc`` picks a sign, not
+#: a residual bound
+TOLERANCE_SITES = {
+    ("cli_figures.py", "1e-12"): (
+        1, "the star-of-David side spread: a tighter check on the closed "
+        "form's r/m, as no false miss shows at DEFAULT_EPS"),
+    ("morley.py", "_EDGE_REL_TOL"): (
+        2, "the accuracy of the rational reconstruction of Morley edges, "
+        "which ROADMAP item 7 removes"),
+    ("morley.py", "1e-12"): (1, "the value of _EDGE_REL_TOL"),
+    ("morley.py", "1e-30"): (1, "the floor of _EDGE_REL_TOL's scale"),
+}
+
+
+def tolerance_tokens(path):
+    """The ``1e-`` literals, ``*_TOL`` names and ``DEFAULT_EPS *`` products
+    of a module, as a Counter of their text."""
+    toks = list(tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline))
+    found = Counter()
+    for tok, nxt in zip(toks, toks[1:] + toks[-1:]):
+        if tok.type == tokenize.NUMBER and tok.string.lower().startswith("1e-"):
+            found[tok.string] += 1
+        elif tok.type == tokenize.NAME and tok.string.endswith("_TOL"):
+            found[tok.string] += 1
+        elif tok.string == "DEFAULT_EPS" and nxt.string == "*":
+            found["DEFAULT_EPS *"] += 1
+    return found
+
+
+def test_float_decisions_go_through_vanishes():
+    found = {
+        (path.name, text): count
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "kernel.py"
+        for text, count in tolerance_tokens(path).items()
+    }
+    assert found == {site: count for site, (count, _) in TOLERANCE_SITES.items()}

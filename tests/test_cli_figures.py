@@ -271,7 +271,7 @@ class TestSuites:
         "suite, module, name, bound",
         [
             ("droz-farny", drozfarny, "equilateral_df_check", DEFAULT_EPS),
-            ("morley", morley, "orthocentric_morley_parallel", DEFAULT_EPS * 1000),
+            ("morley", morley, "orthocentric_morley_parallel", DEFAULT_EPS),
         ],
     )
     def test_float_check_reports_its_miss(self, monkeypatch, suite, module, name, bound):

@@ -144,7 +144,7 @@ class TestConverse:
         conv = df_converse(TRI, Point(F(-62), F(117)))
         # the six chord ends split into two perpendicular lines through H
         for line in conv.pair:
-            assert line.contains(conv.orthocentre, 1e-9)
+            assert abs(line.evaluate(conv.orthocentre)) <= 1e-9
         dot = conv.pair[0].a * conv.pair[1].a + conv.pair[0].b * conv.pair[1].b
         assert abs(float(dot)) < 1e-12
 
@@ -247,15 +247,15 @@ class TestConverse:
         norm = math.hypot(alpha, beta)
         conv = df_converse(tri, m)
         for line in conv.pair:
-            assert line.contains(h, 1e-12)
+            assert abs(line.evaluate(h)) <= 1e-12
             # Q on the line's exact float direction: 2|γ| times its turn
             u = Point(F(line.b), F(-line.a))
             q = alpha * (u.x * u.x - u.y * u.y) + 2 * beta * u.x * u.y
             assert abs(q) <= 1e-15 * norm * u.norm2()
 
     def test_float_draws_on_the_circumcircle(self):
-        # M by cos/sin on the float circumcircle: the draws that pass its
-        # exact containment test give back their Droz-Farny line
+        # M by cos/sin on the float circumcircle: every draw passes its
+        # containment test and gives back its Droz-Farny line
         rng = random.Random(2)
         accepted = 0
         for _ in range(500):
@@ -274,12 +274,11 @@ class TestConverse:
             size = max(1.0, *(abs(c) for p in tri for c in (p.x, p.y)))
             for p in inst.midpoints:
                 assert abs(conv.df.evaluate(p)) <= 1e-9 * size
-        assert accepted == 162
+        assert accepted == 500
 
     def test_every_float_draw_on_the_circumcircle(self):
-        # the same 500 draws, unfiltered: a float M whose power is within
-        # DEFAULT_EPS·R² is on the circle, and gives back its Droz-Farny line;
-        # moved off the circle by 1e-6·R it is not
+        # the same 500 draws: a float M on the circle gives back its
+        # Droz-Farny line; moved off the circle by 1e-6·R it is not
         rng = random.Random(2)
         for _ in range(500):
             tri = as_triangle([

@@ -35,7 +35,9 @@ from quadgeo.kernel import (
     radical_axis,
     reflect_line_in_line,
     reflect_point_in_line,
+    residual_ratio,
     tangency_classify,
+    vanishes,
 )
 from quadgeo.quadrangle import orthocentre
 
@@ -91,7 +93,7 @@ class TestReflection:
         line, mirror = Line(1.0, 2.0, 3.0), Line(-0.5, 1.5, 0.25)
         image = reflect_line_in_line(line, mirror)
         for p in (Point(3.0, 0.0), Point(-1.0, 2.0)):
-            assert image.contains(reflect_point_in_line(p, mirror), eps=1e-12)
+            assert abs(image.evaluate(reflect_point_in_line(p, mirror))) <= 1e-12
 
 
 class TestCircumcircle:
@@ -141,8 +143,8 @@ class TestClosedFormCentres:
             return
         closed = (circumcircle(p, q, r).center, orthocentre(p, q, r))
         for got, want in zip(closed, _oracle_centres(p, q, r)):
-            scale = max(1.0, *(abs(v) for pt in (p, q, r, want) for v in (pt.x, pt.y)))
-            assert got.close_to(want, DEFAULT_EPS * scale)
+            tol = DEFAULT_EPS * max(1.0, *(abs(v) for pt in (p, q, r, want) for v in (pt.x, pt.y)))
+            assert abs(got.x - want.x) <= tol and abs(got.y - want.y) <= tol
 
 
 class TestPower:
@@ -165,12 +167,57 @@ class TestPower:
 def test_eps_applies_to_float_residuals_only(num, tolerated):
     d, zero, one = num(1) / num(10**12), num(0), num(1)
     checks = (
-        Line(one, zero, zero).contains(Point(d, zero), eps=1e-9),
-        Circle(Point(zero, zero), one).contains(Point(one + d, zero), eps=1e-9),
-        Line(one, zero, zero).is_perpendicular(Line(d, one, zero), eps=1e-9),
-        collinear(Point(zero, zero), Point(one, zero), Point(one, d), eps=1e-9),
+        Line(one, zero, zero).contains(Point(d, one)),
+        Circle(Point(zero, zero), one).contains(Point(one + d, zero)),
+        Line(one, zero, zero).is_perpendicular(Line(d, one, zero)),
+        collinear(Point(zero, zero), Point(one, zero), Point(one, d)),
     )
     assert checks == (tolerated,) * 4
+
+
+def _off_by(k):
+    """Each float predicate on data whose residual is k·DEFAULT_EPS times the
+    magnitude m of its expression (r/m = k up to rounding)."""
+    t = k * DEFAULT_EPS
+    c = Circle(Point(1.0, 2.0), 25.0)           # m = |p − c|² + r2 = 50
+    return {
+        "vanishes": vanishes(t * 7.0, 7.0),
+        # (3, 4) is on 0.6x + 0.8y = 5; m = |p| + |c| = 10
+        "Line.contains": Line(0.6, 0.8, 5.0).contains(Point(3 + 6 * t, 4 + 8 * t)),
+        "Circle.contains": c.contains(Point(1 + math.sqrt(25 + 50 * t), 2.0)),
+        # B×C = 3h against (|p| + |q|)·|C| + |B|·(|p| + |r|) = 100
+        "collinear": collinear(Point(0.0, 0.0), Point(3.0, 4.0), Point(6.0, 8 + 100 * t / 3)),
+        # unit normals: m = 1
+        "Line.is_parallel": Line(1.0, 0.0, 0.0).is_parallel(Line(1.0, t, 0.0)),
+        "Line.is_perpendicular": Line(1.0, 0.0, 0.0).is_perpendicular(Line(t, 1.0, 0.0)),
+        # m = |p| + |q| = 10
+        "Point.close_to": Point(3.0, 4.0).close_to(Point(3.0, 4 + 10 * t)),
+    }
+
+
+@pytest.mark.parametrize("k, holds", [(0.5, True), (2.0, False)])
+def test_float_residual_boundary(k, holds):
+    """A float residual at half of DEFAULT_EPS·m passes; at twice it fails."""
+    got = _off_by(k)
+    assert got == dict.fromkeys(got, holds)
+
+
+def test_exact_residual_of_1e_minus_30_fails():
+    d = F(1, 10**30)
+    assert not vanishes(d, 10**40)
+    assert not Line(1, 0, 0).contains(Point(d, 1))
+    assert not Circle(Point(0, 0), 1).contains(Point(1 + d, 0))
+    assert not collinear(Point(0, 0), Point(1, 0), Point(1, d))
+    assert not Line(1, 0, 0).is_parallel(Line(1, d, 0))
+    assert not Line(1, 0, 0).is_perpendicular(Line(d, 1, 0))
+    assert not Point(F(1), F(1)).close_to(Point(1 + d, F(1)))
+
+
+def test_residual_ratio():
+    assert residual_ratio(0.0, 0.0) == 0.0 and residual_ratio(F(0), 0) == 0
+    assert residual_ratio(-3.0, 2.0) == 1.5 and residual_ratio(F(-3), 2) == F(3, 2)
+    # an exact residual carries no magnitude: nonzero, it is infinitely off
+    assert residual_ratio(*Line(1, 0, 0).residual(Point(F(1, 10**30), 1))) == math.inf
 
 
 class TestRadical:
@@ -590,8 +637,7 @@ class TestIntegerPaths:
         assert type(circumcircle(half, q, r).r2) is float
         # the float predicates agree with their float residuals
         assert line.contains(Point(0.75, 1.0)) and collinear(q, r, Point(1.5, 2.0))
-        assert not line.contains(Point(0.3, 0.4))
-        assert line.contains(Point(0.3, 0.4), eps=1e-12)
+        assert line.contains(Point(0.3, 0.4))
         assert Circle(Point(0.0, 0.0), 25.0).contains(r)
         assert not Circle(Point(0, 0), 25).contains(Point(5.0, 1e-3))
 
@@ -701,34 +747,40 @@ class TestFloatInput:
     @settings(max_examples=200)
     def test_circle_contains(self, c, r, theta, delta):
         p = Point(c.x + (r + delta) * math.cos(theta), c.y + (r + delta) * math.sin(theta))
-        eps = DEFAULT_EPS * r
-        power = (p.x - c.x) ** 2 + (p.y - c.y) ** 2 - r * r
-        assert Circle(c, r * r).contains(p, eps) == (abs(power) <= eps)
+        d2 = (p.x - c.x) * (p.x - c.x) + (p.y - c.y) * (p.y - c.y)
+        power = d2 - r * r
+        assert Circle(c, r * r).contains(p) == (abs(power) <= DEFAULT_EPS * (d2 + r * r))
 
     @pytest.mark.parametrize("k", [-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0])
     def test_exact_circle_with_denominator_against_float_point(self, k):
         """Centre (1/3, 2/3) and r² = 25/4: the triple residual carries the
-        factor d·w² = 4·9, which the tolerance must carry too."""
-        eps = 1e-6
+        factor d·w² = 4·9, which its magnitude must carry too, so that the
+        power of p vanishes against |p − centre|² + r² = 12.5."""
+        eps = DEFAULT_EPS * 12.5
         circle = Circle(Point(F(1, 3), F(2, 3)), F(25, 4))
         p = Point(1 / 3 + math.sqrt(6.25 + k * eps), 2 / 3)
         power = (p.x - 1 / 3) ** 2 + (p.y - 2 / 3) ** 2 - 6.25
         assert abs(abs(power) / eps - abs(k)) < 0.01
-        assert circle.contains(p, eps) == (abs(k) < 1)
+        assert circle.contains(p) == (abs(k) < 1)
 
     @pytest.mark.parametrize("k", [-2.0, -1.1, -0.9, -0.5, 0.5, 0.9, 1.1, 2.0])
     def test_exact_point_with_denominator_against_float_line(self, k):
         """p = (1/7, 2/7): the triple residual a·X + b·Y − c·W carries the
-        factor W = 7, which the tolerance must carry too."""
-        eps = 1e-6
+        factor W = 7, which its magnitude must carry too, so that the plain
+        residual vanishes against |p| + |c|."""
+        c = 0.6 / 7 + 0.8 * 2 / 7
+        eps = DEFAULT_EPS * (math.sqrt(5) / 7 + c)
         p = Point(F(1, 7), F(2, 7))
-        line = Line(0.6, 0.8, 0.6 / 7 + 0.8 * 2 / 7 + k * eps)
+        line = Line(0.6, 0.8, c + k * eps)
         plain = line.a * (1 / 7) + line.b * (2 / 7) - line.c
         assert abs(abs(plain) / eps - abs(k)) < 0.01
-        assert line.contains(p, eps) == (abs(k) < 1)
-        # the plain cross product (q − p)×(r − p) is −k·eps
+        assert line.contains(p) == (abs(k) < 1)
+        # the plain cross product (q − p)×(r − p) is −h/7, against
+        # (|p| + |q|)·|r − p| + |q − p|·(|p| + |r|) with |p| = |q − p| = √5/7,
+        # |r − p| = √180/7 and |r| = √5
+        eps = DEFAULT_EPS * (math.sqrt(5) * math.sqrt(180) / 49 + 5 / 49 + 5 / 7)
         r = Point(1.0, 2 + 7 * k * eps)
-        assert collinear(p, Point(0.0, 0.0), r, eps=eps) == (abs(k) < 1)
+        assert collinear(p, Point(0.0, 0.0), r) == (abs(k) < 1)
 
 
 def test_no_assert_statements_in_package():

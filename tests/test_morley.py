@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
-from quadgeo.kernel import DEFAULT_EPS, IdentityViolated, Line, Point, circumcircle
+from quadgeo.kernel import (
+    DEFAULT_EPS,
+    IdentityViolated,
+    Line,
+    Point,
+    circumcircle,
+    residual_ratio,
+    vanishes,
+)
 from quadgeo.morley import (
     FULL,
     SIXTY,
@@ -119,7 +127,7 @@ def reference_lighthouse(b, c, beta, gamma, n):
     parallel = False
     for j, lb in enumerate(beams_b):
         for k, lc in enumerate(beams_c):
-            if abs(lb.a * lc.b - lb.b * lc.a) < 1e-12:
+            if lb.is_parallel(lc):
                 parallel = True
                 continue
             grid[j][k] = lb.intersect(lc)
@@ -131,7 +139,7 @@ def reference_lighthouse(b, c, beta, gamma, n):
     return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
 
 
-def reference_regular(gon):
+def reference_regular(gon, kappa):
     """Reference regularity test on `Point`s, about the centroid."""
     n = len(gon)
     if n < 2:
@@ -140,39 +148,46 @@ def reference_regular(gon):
     cy = sum(float(p.y) for p in gon) / n
     radii = [math.hypot(float(p.x) - cx, float(p.y) - cy) for p in gon]
     r = sum(radii) / n
-    if r < DEFAULT_EPS or max(abs(x - r) for x in radii) > DEFAULT_EPS * max(1.0, r):
+    if vanishes(r, math.hypot(cx, cy)):
+        return False
+    if not vanishes(max(abs(x - r) / (x + r) for x in radii), kappa):
         return False
     angles = sorted(
         math.atan2(float(p.y) - cy, float(p.x) - cx) % (2 * math.pi) for p in gon
     )
     gaps = [(angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)]
-    return max(abs(g - 2 * math.pi / n) for g in gaps) < DEFAULT_EPS * 10
+    step = 2 * math.pi / n
+    return vanishes(max(abs(g - step) / (g + step) for g in gaps), kappa)
 
 
 def reference_verify(cfg):
-    """Reference checks on kernel objects: `reference_regular`,
-    `Circle.contains` on every vertex and both lighthouses, and the Lemma
-    on `Point` differences."""
-    pts = [cfg.b, cfg.c] + [p for g in cfg.ngons for p in g]
-    scale = max(1.0, *(abs(float(v)) for p in pts for v in (p.x, p.y)))
-    for gon, circ in zip(cfg.ngons, cfg.circles):
+    """Reference checks on kernel objects: `reference_regular`, the worst
+    r/m of `Circle.residual` over every vertex and both lighthouses, and the
+    Lemma on `Point` differences, each against the n-gon's conditioning:
+    1/|sin| of the angle at which its beams meet."""
+    step = math.pi / cfg.n
+    kappas = [
+        1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), DEFAULT_EPS)
+        for g in range(cfg.n)
+    ]
+    for gon, circ, kappa in zip(cfg.ngons, cfg.circles, kappas):
         if len(gon) != cfg.n:
             continue
-        if not reference_regular(gon) or circ is None:
+        if not reference_regular(gon, kappa) or circ is None:
             return False
-        for p in list(gon) + [cfg.b, cfg.c]:
-            if not circ.contains(p, eps=DEFAULT_EPS * scale ** 2 * 100):
-                return False
+        misses = [residual_ratio(*circ.residual(p)) for p in list(gon) + [cfg.b, cfg.c]]
+        if not vanishes(max(misses), kappa):
+            return False
     base = None
-    for gon in cfg.ngons:
+    for gon, kappa in zip(cfg.ngons, kappas):
         for p, q in itertools.combinations(gon, 2):
             d = q - p
-            ang = math.atan2(float(d.y), float(d.x)) % (math.pi / cfg.n)
+            ang = math.atan2(float(d.y), float(d.x)) % step
             if base is None:
-                base = ang
+                base, base_kappa = ang, kappa
                 continue
-            diff = (ang - base) % (math.pi / cfg.n)
-            if min(diff, math.pi / cfg.n - diff) > DEFAULT_EPS * 100:
+            turn = abs(ang - base)
+            if not vanishes(min(turn, step - turn), step * (base_kappa + kappa)):
                 return False
     return True
 
@@ -225,9 +240,9 @@ class TestLighthouseAgainstReference:
         decisions = [lighthouse_verify(new) for _, new in pairs]
         assert decisions == [reference_verify(ref) for ref, _ in pairs]
         assert all(d is True or d is False for d in decisions)
-        # beams within 1e-11 of parallel but not flagged meet 1e6 or more
-        # away, where the float checks give up
-        assert 0 < decisions.count(False) < len(pairs) // 3
+        # beams within 1e-11 of parallel are flagged, so every configuration
+        # verifies
+        assert decisions.count(False) == 0
 
     def test_same_decisions_perturbed(self, pairs):
         # one vertex of an accepted configuration moved by 1e-15 to 1e-5
@@ -285,7 +300,7 @@ class TestLighthouseVerifyRejects:
 
     @staticmethod
     def regular(gon):
-        return morley.ngon_is_regular([(p.x, p.y) for p in gon])
+        return morley.ngon_is_regular([(p.x, p.y) for p in gon], 1.0)
 
     def test_moved_vertex(self, cfg):
         # one vertex slides 1e-3 rad along the circle: not regular
@@ -333,7 +348,7 @@ class TestNEqualsTwo:
     def test_bisector_quadrangle_is_incentre_and_excentres(self):
         d, e, f = Point(0.0, 6.0), Point(-4.0, 0.0), Point(5.0, 0.0)
         out = bisector_quadrangle(d, e, f)
-        assert is_orthocentric(list(out.values())) <= EPS * 100
+        assert is_orthocentric(list(out.values())) <= EPS
         inc = out["incentre"]
         # the incentre is interior and equidistant from all three edges
         from quadgeo.kernel import Line
@@ -354,7 +369,7 @@ class TestNEqualsTwo:
             assert any(
                 math.hypot(float(g.x - w.x), float(g.y - w.y)) < 1e-7 for g in got
             )
-        assert is_orthocentric(got) <= EPS * 100
+        assert is_orthocentric(got) <= EPS
 
     def test_orthocentric_for_random_phase_pairs(self):
         # any two n=2 lighthouses give an orthocentric quadruple
@@ -370,16 +385,16 @@ class TestNEqualsTwo:
             if cfg.parallel_flag:
                 continue
             pts = [cfg.points[j][k] for j in range(2) for k in range(2)]
-            assert is_orthocentric(pts) <= EPS * 100
+            assert is_orthocentric(pts) <= EPS
 
     def test_orthocentric_residual(self):
         # the vertices and orthocentre of (0, 6), (-4, 0), (5, 0): H = (0, 10/3)
         pts = [Point(0, 6), Point(-4, 0), Point(5, 0), Point(0, Fraction(10, 3))]
-        assert is_orthocentric(pts) <= EPS * 100
+        assert is_orthocentric(pts) <= EPS
         # H moved by 1e-3 is 1e-3 from the orthocentre of the other three,
-        # relative to the scale 6
+        # against the sum 18.33 of the four points' norms
         pts[3] = Point(1e-3, Fraction(10, 3))
-        assert is_orthocentric(pts) >= 1e-3 / 6
+        assert is_orthocentric(pts) >= 1e-3 / 18.34
         with pytest.raises(DegenerateInput):
             is_orthocentric(pts[:3])
 
@@ -484,7 +499,7 @@ class TestMorleyConfig:
     def test_orthocentric_family_parallel(self):
         assert orthocentric_morley_parallel(
             Point(0.0, 0.0), Point(7.0, 0.3), Point(2.0, 5.0)
-        ) < EPS * 1000
+        ) <= EPS
 
 
 def _rotated(tri, theta):

@@ -1,14 +1,21 @@
 """Special triangle families against the triangle-taking entry points:
 each call returns or raises a typed `GeometryError`, never a bare
 exception, and the entry points of `RETURNS` return on the families
-listed there."""
+listed there; `inside_out` returns the triangle's own centres."""
 
 import math
 
 import pytest
 
 from quadgeo import drozfarny, malfatti, morley, quadrangle, touch, wallace
-from quadgeo.kernel import CoincidentPoints, GeometryError, Point, circumcircle
+from quadgeo.kernel import (
+    CoincidentPoints,
+    GeometryError,
+    IdentityViolated,
+    Line,
+    Point,
+    circumcircle,
+)
 
 
 def _triangle(*xy):
@@ -69,10 +76,13 @@ def test_returns_or_raises_typed_error(family, entry):
 
 
 #: the families each entry point must return a result on, not only a
-#: typed error
+#: typed error. inside_out meets the reflections of an edge in the other
+#: two, which are parallel at a right or an isosceles apex, and the
+#: sliver-1e-7's circumcentre, 1e6 away, is a meet of nearly parallel lines.
 RETURNS = {
     "gergonne_nagel": set(FAMILIES) - {"sliver-1e-7"},
     "soddy": set(FAMILIES) - {"equilateral-float"},
+    "inside_out": {"sliver-1e-4", "near-right", "large-float", "large-int"},
 }
 
 
@@ -82,6 +92,27 @@ RETURNS = {
 )
 def test_returns(family, entry):
     ENTRY_POINTS[entry](FAMILIES[family])
+
+
+@pytest.mark.parametrize("family", sorted(RETURNS["inside_out"]))
+def test_inside_out_returns_the_centres(family):
+    tri = quadrangle.Triangle(FAMILIES[family])
+    io = morley.inside_out(tri)
+    assert io.circumcentre.close_to(tri.circumcircle.center)
+    assert io.orthocentre == tri.orthocentre
+
+
+def test_inside_out_rejects_a_shifted_reflection(monkeypatch):
+    # each reflected edge moved by 1e-6 of the coordinates' size
+    real = morley.reflect_line_in_line
+
+    def shifted(line, mirror):
+        image = real(line, mirror)
+        return Line(image.a, image.b, image.c + 1e-6 * 4.0)
+
+    monkeypatch.setattr(morley, "reflect_line_in_line", shifted)
+    with pytest.raises(IdentityViolated):
+        morley.inside_out(FAMILIES["near-right"])
 
 
 def test_soddy_on_the_equilateral_triangle():
