@@ -442,6 +442,11 @@ class Check:
 SKIP = Check(None, "")
 
 
+def _miss_check(miss: float, witness: str) -> Check:
+    """A float case that passes when its worst r/m is at most ``DEFAULT_EPS``."""
+    return Check(miss <= DEFAULT_EPS, witness, exact=False, residual=miss)
+
+
 @dataclass
 class SuiteResult:
     suite: str
@@ -778,11 +783,8 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
     conv = drozfarny.df_converse(tri, Point(F(-62), F(117)))
     inst = drozfarny.df_line(tri, conv.pair)
     miss = max(residual_ratio(*conv.df.residual(p)) for p in inst.midpoints)
-    yield Check(
-        miss <= DEFAULT_EPS,
-        f"Droz-Farny converse: recovered pair misses the bisector of HM by {miss:.3e}",
-        exact=False,
-        residual=miss,
+    yield _miss_check(
+        miss, f"Droz-Farny converse: recovered pair misses the bisector of HM by {miss:.3e}"
     )
     line = Line.from_point_direction(h, Point(1, 0))
     p = drozfarny.theorem_r(tri, line)
@@ -808,11 +810,8 @@ def _suite_droz_farny(rng, count) -> Iterator[Check]:
         "edges or bisectors of HA, HB, HC not tangent to the envelope",
     )
     miss = drozfarny.equilateral_df_check()
-    yield Check(
-        miss <= DEFAULT_EPS,
-        f"equilateral Droz-Farny line misses the incircle by {miss:.3e}",
-        exact=False,
-        residual=miss,
+    yield _miss_check(
+        miss, f"equilateral Droz-Farny line misses the incircle by {miss:.3e}"
     )
 
 
@@ -876,18 +875,12 @@ def _suite_malfatti(rng, count) -> Iterator[Check]:
     face = fixture_quadrangle("t0").face(7)
     circles, touch_points = malfatti.malfatti_circles(*face)
     miss = malfatti.verify_malfatti(circles, *face)
-    yield Check(
-        miss <= DEFAULT_EPS,
-        f"Malfatti circles of face 7 not mutually and edge tangent: {miss:.3e}",
-        exact=False,
-        residual=miss,
+    yield _miss_check(
+        miss, f"Malfatti circles of face 7 not mutually and edge tangent: {miss:.3e}"
     )
     miss = malfatti.variant_contact_circle(circles, touch_points, *face)
-    yield Check(
-        miss <= DEFAULT_EPS,
-        f"variant contact circle of face 7 misses a Malfatti contact: {miss:.3e}",
-        exact=False,
-        residual=miss,
+    yield _miss_check(
+        miss, f"variant contact circle of face 7 misses a Malfatti contact: {miss:.3e}"
     )
     for _ in range(count):
         v = F(rng.randint(1, 20), rng.randint(21, 60))
@@ -999,11 +992,8 @@ def _suite_morley(rng, count) -> Iterator[Check]:
     miss = morley.orthocentric_morley_parallel(
         Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)
     )
-    yield Check(
-        miss <= DEFAULT_EPS,
-        f"Morley triangles of the orthocentric quadrangle not parallel: {miss:.3e}",
-        exact=False,
-        residual=miss,
+    yield _miss_check(
+        miss, f"Morley triangles of the orthocentric quadrangle not parallel: {miss:.3e}"
     )
 
 
@@ -1023,7 +1013,7 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
                 continue
             yield Check(morley.lighthouse_verify(cfg), f"lighthouse n={n}", exact=False)
     dup = morley.duplication(b, c, 0.4, 0.7, 3)
-    yield Check(dup < DEFAULT_EPS, "duplication beams off", exact=False, residual=dup)
+    yield _miss_check(dup, "duplication beams off")
     tri = (Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
     quad = morley.bisector_quadrangle(*tri)
     alt = morley.altitude_quadrangle(*tri)
@@ -1032,11 +1022,8 @@ def _suite_lighthouse(rng, count) -> Iterator[Check]:
         ("altitude", [alt["orthocentre"], *alt["others"]]),
     ):
         miss = morley.is_orthocentric(pts)
-        yield Check(
-            miss <= DEFAULT_EPS,
-            f"n=2 {name} grid not orthocentric: {miss:.3e}",
-            exact=False,
-            residual=miss,
+        yield _miss_check(
+            miss, f"n=2 {name} grid not orthocentric: {miss:.3e}"
         )
 
 

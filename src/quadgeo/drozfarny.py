@@ -168,8 +168,8 @@ def df_converse(tri: Sequence[Point], m: Point) -> DFConverse:
     (sym, skew), *others = forms
     alpha, beta = skew, -sym
     for sym, skew in others:
-        m = math.hypot(alpha, beta) * math.hypot(sym, skew)
-        if not vanishes(alpha * sym + beta * skew, m):
+        mag = math.hypot(alpha, beta) * math.hypot(sym, skew)
+        if not vanishes(alpha * sym + beta * skew, mag):
             raise IdentityViolated("the pair from one edge misses another edge's chord")
     root = sqrt_scalar(alpha * alpha + beta * beta)
     u = Point(alpha, beta + root if beta >= 0 else beta - root)

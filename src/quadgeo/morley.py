@@ -146,46 +146,50 @@ def lighthouse(
     return LighthouseConfig(b, c, beta, gamma, n, grid, ngons, circles, parallel)
 
 
-def ngon_is_regular(gon: Sequence[Tuple[float, float]], conditioning: float) -> bool:
+def ngon_is_regular(gon: Sequence[Tuple[float, float]]) -> float:
     """Vertices, given as float pairs, concyclic and equally spaced by 2π/n
-    around the centroid: the worst r/m of r_i = r̄ and of each gap = 2π/n
-    vanishes against the vertices' ``conditioning``; r̄ ≈ 0 is a point."""
+    around the centroid: the worst r/m of r_i = r̄ and of each gap = 2π/n,
+    infinite when r̄ vanishes (the n-gon is a point)."""
     n = len(gon)
-    if n < 2:
-        return True
     cx = sum(x for x, _ in gon) / n
     cy = sum(y for _, y in gon) / n
     radii = [math.hypot(x - cx, y - cy) for x, y in gon]
     r = sum(radii) / n
     if vanishes(r, math.hypot(cx, cy)):
-        return False
-    if not vanishes(max(abs(x - r) / (x + r) for x in radii), conditioning):
-        return False
+        return math.inf
     angles = sorted(math.atan2(y - cy, x - cx) % (2 * math.pi) for x, y in gon)
     gaps = [(angles[(i + 1) % n] - angles[i]) % (2 * math.pi) for i in range(n)]
     step = 2 * math.pi / n
-    return vanishes(max(abs(g - step) / (g + step) for g in gaps), conditioning)
+    return max(max(abs(x - r) / (x + r) for x in radii),
+               max(abs(g - step) / (g + step) for g in gaps))
+
+
+#: the floor of |sin δ| in an n-gon's conditioning 1/|sin δ|: its bound
+#: stays within ∛DEFAULT_EPS = 1e-3, above the 2e-5 by which valid meets
+#: miss at the parallel flag, |sin δ| = DEFAULT_EPS
+_SIN_FLOOR = DEFAULT_EPS ** (2 / 3)
 
 
 def lighthouse_verify(cfg: LighthouseConfig) -> bool:
     """Regularity, coaxality through both lighthouses, and the parallel-edge
     lemma (all edge directions congruent mod π/n), on the float coordinates
-    read once from the points. Per n-gon, the worst power r/m (against
-    |p − centre|² + r2, as `Circle.contains`) and turn from the first edge
-    (against π/n each) vanish against its conditioning, the 1/|sin| of the
-    angle β + γ − gπ/n at which its beams meet."""
+    read once from the points. Per n-gon, the worst r/m of `ngon_is_regular`
+    and the power (against |p − centre|² + r2, as `Circle.contains`), and
+    the worst turn from the first edge (against π/n each), vanish against
+    its conditioning 1/max(|sin δ|, ``_SIN_FLOOR``), δ = β + γ − gπ/n the
+    angle at which its beams meet."""
     gons = [[(float(p.x), float(p.y)) for p in gon] for gon in cfg.ngons]
     lights = [(float(p.x), float(p.y)) for p in (cfg.b, cfg.c)]
     step = math.pi / cfg.n
-    kappas = [1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), DEFAULT_EPS)
+    kappas = [1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), _SIN_FLOOR)
               for g in range(cfg.n)]
     for gon, circ, kappa in zip(gons, cfg.circles, kappas):
         if len(gon) != cfg.n:
             continue
-        if not ngon_is_regular(gon, kappa) or circ is None:
+        if circ is None:
             return False
         ox, oy, r2 = float(circ.center.x), float(circ.center.y), circ.r2
-        worst = 0.0
+        worst = ngon_is_regular(gon)
         for x, y in gon + lights:
             dx, dy = x - ox, y - oy
             d2 = dx * dx + dy * dy

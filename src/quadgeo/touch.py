@@ -399,10 +399,11 @@ def _perspector(
     IdentityViolated if a join misses the perspector: exactly for exact
     data; for floats its residual, made from the perspector, contacts and
     midpoints, must vanish against the sum of their norms. Float data whose
-    rounding alone could leave one that does not (``_join_error``, with the
-    contact points off by ``lever`` roundoffs of the coordinates) raise
-    DegenerateInput instead: near-equilateral triangles, where a contact
-    point nearly is its midpoint, and slivers."""
+    rounding alone could leave one that does not vanish against the largest
+    coordinate, or 1 (``_join_error``, with the contact points off by
+    ``lever`` roundoffs of the coordinates), raise DegenerateInput instead:
+    near-equilateral triangles, where a contact point nearly is its
+    midpoint, and slivers."""
     pairs = [(c, m) for c, m in zip(contacts, mids) if c != m]
     joins = [Line.from_point_direction(m, c - m) for c, m in pairs]
     if len(joins) < 2:
@@ -418,10 +419,11 @@ def _perspector(
     size = 0   # an exact residual has no magnitude
     if not pt.is_exact():
         coords = (abs(float(v)) for p in (*contacts, *mids) for v in (p.x, p.y))
-        e = sys.float_info.epsilon / 2 * max(1.0, *coords) * lever
-        size = sum(math.hypot(v.x, v.y) for v in (pt, *contacts, *mids))
-        if not vanishes(_join_error(pt, pairs, joins, e), size):
+        scale = max(1.0, *coords)
+        e = sys.float_info.epsilon / 2 * scale * lever
+        if not vanishes(_join_error(pt, pairs, joins, e), scale):
             raise DegenerateInput("contact/midpoint joins ill-conditioned in floats")
+        size = sum(math.hypot(v.x, v.y) for v in (pt, *contacts, *mids))
     if not all(vanishes(j.residual(pt)[0], size) for j in joins):
         raise IdentityViolated("contact/midpoint joins fail to concur")
     return pt

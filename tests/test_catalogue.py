@@ -16,8 +16,9 @@ No module of the package or of the tests imports a name it never uses;
 no linter is installed, so the same ``ast`` scan checks that too.
 
 Every float decision goes through ``kernel.vanishes``: outside
-``kernel.py`` no module holds a ``1e-`` literal, a ``DEFAULT_EPS *``
-product or a ``*_TOL`` name, save the sites of ``TOLERANCE_SITES``."""
+``kernel.py`` no module holds a ``1e-`` literal or a ``*_TOL`` name, or uses
+``DEFAULT_EPS`` other than to import it or as the bound of a ``<``/``<=``
+on a returned r/m, save the sites of ``TOLERANCE_SITES``."""
 
 import ast
 import io
@@ -149,21 +150,35 @@ TOLERANCE_SITES = {
         "which ROADMAP item 7 removes"),
     ("morley.py", "1e-12"): (1, "the value of _EDGE_REL_TOL"),
     ("morley.py", "1e-30"): (1, "the floor of _EDGE_REL_TOL's scale"),
+    ("morley.py", "DEFAULT_EPS"): (
+        1, "_SIN_FLOOR, DEFAULT_EPS^(2/3): the floor of the sine in the "
+        "lighthouse n-gons' conditioning, a factor of a magnitude"),
 }
 
 
 def tolerance_tokens(path):
-    """The ``1e-`` literals, ``*_TOL`` names and ``DEFAULT_EPS *`` products
-    of a module, as a Counter of their text."""
+    """The ``1e-`` literals, ``*_TOL`` names and uses of ``DEFAULT_EPS``
+    (outside imports and the right side of ``<`` or ``<=``) of a module, as
+    a Counter of their text."""
     toks = list(tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline))
     found = Counter()
-    for tok, nxt in zip(toks, toks[1:] + toks[-1:]):
+    in_import = False
+    prev = start = None   # the last significant token, and its type
+    for tok in toks:
+        if tok.type == tokenize.NEWLINE:
+            in_import = False
+        elif tok.string in ("import", "from") and start in (
+            None, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT
+        ):
+            in_import = True
         if tok.type == tokenize.NUMBER and tok.string.lower().startswith("1e-"):
             found[tok.string] += 1
         elif tok.type == tokenize.NAME and tok.string.endswith("_TOL"):
             found[tok.string] += 1
-        elif tok.string == "DEFAULT_EPS" and nxt.string == "*":
-            found["DEFAULT_EPS *"] += 1
+        elif tok.string == "DEFAULT_EPS" and not in_import and prev not in ("<", "<="):
+            found["DEFAULT_EPS"] += 1
+        if tok.type not in (tokenize.NL, tokenize.COMMENT):
+            prev, start = tok.string, tok.type
     return found
 
 

@@ -196,6 +196,7 @@ class TestConverse:
         m = Point(F(-61116, 313), F(2651, 313))
         assert face.circumcircle.contains(m)
         conv = df_converse(face, m)
+        assert conv.m == m
         assert conv.pair == (Line(2, 1, 123), Line(1, -2, -66))
         inst = df_line(face, conv.pair)
         assert inst.df == conv.df
@@ -292,6 +293,7 @@ class TestConverse:
                 for k in (r, r * (1 + 1e-6))
             )
             conv = df_converse(tri, on)
+            assert conv.m == on
             inst = df_line(tri, conv.pair)
             size = max(1.0, *(abs(c) for p in tri for c in (p.x, p.y)))
             for p in inst.midpoints:

@@ -164,10 +164,10 @@ def reference_verify(cfg):
     """Reference checks on kernel objects: `reference_regular`, the worst
     r/m of `Circle.residual` over every vertex and both lighthouses, and the
     Lemma on `Point` differences, each against the n-gon's conditioning:
-    1/|sin| of the angle at which its beams meet."""
+    1/|sin| of the angle at which its beams meet, at most DEFAULT_EPS^(-2/3)."""
     step = math.pi / cfg.n
     kappas = [
-        1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), DEFAULT_EPS)
+        1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), DEFAULT_EPS ** (2 / 3))
         for g in range(cfg.n)
     ]
     for gon, circ, kappa in zip(cfg.ngons, cfg.circles, kappas):
@@ -300,7 +300,7 @@ class TestLighthouseVerifyRejects:
 
     @staticmethod
     def regular(gon):
-        return morley.ngon_is_regular([(p.x, p.y) for p in gon], 1.0)
+        return morley.ngon_is_regular([(p.x, p.y) for p in gon]) <= DEFAULT_EPS
 
     def test_moved_vertex(self, cfg):
         # one vertex slides 1e-3 rad along the circle: not regular

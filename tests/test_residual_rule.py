@@ -16,10 +16,12 @@ from quadgeo.kernel import (
     DegenerateInput,
     IdentityViolated,
     Line,
+    NotCollinear,
     Point,
     PointNotOnCircumcircle,
+    cross_ratio,
 )
-from quadgeo.quadrangle import Triangle
+from quadgeo.quadrangle import Triangle, quadrate
 
 #: t0's face 7 in floats; its coordinates are about 200 in size
 TRI = Triangle((Point(36.0, 103.0), Point(-204.0, -77.0), Point(132.0, -77.0)))
@@ -186,6 +188,38 @@ class TestLighthouse:
         cfg = morley.lighthouse(Point(-1.0, 0.0), Point(1.0, 0.0), 0.5, gamma, n)
         assert not cfg.parallel_flag and morley.lighthouse_verify(cfg) is True
 
+    @staticmethod
+    def near_parallel(delta, n=4):
+        """β + γ = π/2 + δ, a multiple of π/n plus δ: n-gon n/2's beams meet
+        at angle δ, so its conditioning is about 1/δ."""
+        cfg = morley.lighthouse(Point(-1.0, 0.0), Point(1.0, 0.0), 0.5, math.pi / 2 - 0.5 + delta, n)
+        assert not cfg.parallel_flag and morley.lighthouse_verify(cfg) is True
+        return cfg, n // 2
+
+    @staticmethod
+    def pushed(cfg, g, k):
+        """n-gon g with its first vertex moved out from its centre by k of
+        its radius."""
+        o = cfg.circles[g].center
+        gon = list(cfg.ngons[g])
+        p = gon[0]
+        gon[0] = Point(o.x + (1 + k) * (p.x - o.x), o.y + (1 + k) * (p.y - o.y))
+        return dataclasses.replace(cfg, ngons=[*cfg.ngons[:g], gon, *cfg.ngons[g + 1:]])
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    def test_moved_vertex_near_parallel(self, delta):
+        # at conditioning 1/δ the bound is DEFAULT_EPS/δ of the n-gon's
+        # size: a vertex moved by ten times that fails
+        cfg, g = self.near_parallel(delta)
+        assert morley.lighthouse_verify(self.pushed(cfg, g, 10 * DEFAULT_EPS / delta)) is False
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8])
+    def test_moved_vertex_nearly_parallel(self, delta):
+        # past 1e-6 rad the conditioning stops at 1e6, so a vertex moved by
+        # 1% fails however near parallel the beams are
+        cfg, g = self.near_parallel(delta)
+        assert morley.lighthouse_verify(self.pushed(cfg, g, 1e-2)) is False
+
     def test_power(self, cfg):
         # scaled by 1 + 1e-6 about its centre: still regular, off its circle
         def scaled(p, o):
@@ -203,13 +237,13 @@ class TestLighthouse:
 
     def test_regular(self, cfg):
         gon = [(p.x, p.y) for p in cfg.ngons[1]]
-        assert morley.ngon_is_regular(gon, 1.0)
+        assert morley.ngon_is_regular(gon) <= DEFAULT_EPS
         circ = cfg.circles[1]
         x, y = gon[0]
         t = math.atan2(y - circ.center.y, x - circ.center.x) + 1e-6
         r = math.sqrt(circ.r2)
         gon[0] = (circ.center.x + r * math.cos(t), circ.center.y + r * math.sin(t))
-        assert not morley.ngon_is_regular(gon, 1.0)
+        assert morley.ngon_is_regular(gon) > DEFAULT_EPS
 
     def test_duplication(self, monkeypatch):
         b, c = Point(-1.0, 0.0), Point(1.0, 0.0)
@@ -339,3 +373,83 @@ class TestWallace:
         wallace.wallace_line(TRI, _circle_point(circ, 1.0))
         with pytest.raises(PointNotOnCircumcircle):
             wallace.wallace_line(TRI, _circle_point(circ, 1.0, 1 + 1e-6))
+
+
+class TestSitesThatComparedFloatsWithZero:
+    """Sites whose predicate once took the default eps of 0, so that a float
+    residual had to be exactly 0: valid float data they rejected now passes,
+    and the same data moved by about 1e-6 of its size still fails."""
+
+    #: t0 divided by 7, so that no coordinate is an integer
+    Q = quadrate(Point(36 / 7, 103 / 7), Point(-204 / 7, -77 / 7), Point(132 / 7, -77 / 7))
+    ABC = (Point(0.0, 0.0), Point(7.0, 0.3), Point(2.0, 5.0))
+    #: three points of the line through (1/3, 2/7) along (0.3, 0.7), and P off it
+    LMN = tuple(Point(1 / 3 + 0.3 * t, 2 / 7 + 0.7 * t) for t in (0.1, 1.3, -2.9))
+    P = Point(2.2, -1.1)
+
+    def test_wallace_quadrated(self):
+        circ = self.Q.face(7).circumcircle
+        wallace.wallace_quadrated(self.Q, _circle_point(circ, 1.0))
+        with pytest.raises(PointNotOnCircumcircle):
+            wallace.wallace_quadrated(self.Q, _circle_point(circ, 1.0, 1 + 1e-6))
+
+    def test_trisequence(self):
+        circ = self.Q.face(7).circumcircle
+        res = wallace.trisequence(self.Q, "7B", _circle_point(circ, 2.0), 5)
+        assert len(res.lines) == 5
+        with pytest.raises(PointNotOnCircumcircle):
+            wallace.trisequence(self.Q, "7B", _circle_point(circ, 2.0, 1 + 1e-6), 5)
+
+    def test_converse_simson(self):
+        l, m, n = self.LMN
+        wallace.converse_simson(self.P, l, m, n)
+        with pytest.raises(DegenerateInput, match="collinear"):
+            wallace.converse_simson(self.P, l, m, Point(n.x + 1e-6, n.y))
+
+    def test_fit_triangle(self):
+        circ = Circle(Point(0.1, 0.2), 9.7)
+        line = Line.from_point_direction(Point(0.3, 0.1), Point(1.0, 0.37))
+        a = _circle_point(circ, 2.9)
+        wallace.fit_triangle(circ, _circle_point(circ, 1.0), line, a)
+        with pytest.raises(PointNotOnCircumcircle):
+            wallace.fit_triangle(circ, _circle_point(circ, 1.0, 1 + 1e-6), line, a)
+
+    def test_gergonne_nagel_incidences(self):
+        data = touch.gergonne_nagel(self.ABC)
+        assert all(data.incidence_checks().values())
+        assert touch.extraverted_gergonne_concurrence(self.ABC)
+        nagel = Point(data.nagel.x + 1e-5, data.nagel.y)
+        moved = dataclasses.replace(data, nagel=nagel).incidence_checks()
+        assert not moved["nagel=3G-2I"] and not moved["nagel-incentre-centroid"]
+
+    def test_miquel_point(self):
+        a, b, c = self.ABC
+        x = Point(b.x + 0.37 * (c.x - b.x), b.y + 0.37 * (c.y - b.y))
+        y = Point(c.x * 0.61, c.y * 0.61)
+        z = Point(b.x * 0.23, b.y * 0.23)
+        drozfarny.miquel_point(self.ABC, x, y, z)
+        with pytest.raises(drozfarny.PointNotOnEdgeLine):
+            drozfarny.miquel_point(self.ABC, Point(x.x, x.y + 1e-5), y, z)
+
+    def test_theorem_r(self):
+        line = Line.from_point_direction(Triangle(self.ABC).orthocentre, Point(1.0, 0.3))
+        drozfarny.theorem_r(self.ABC, line)
+        with pytest.raises(drozfarny.LineNotThroughOrthocentre):
+            drozfarny.theorem_r(self.ABC, _moved(line, 1e-5))
+
+    def test_cross_ratio(self):
+        l, m, n = self.LMN
+        fourth = Point(1 / 3 + 0.3 * 0.77, 2 / 7 + 0.7 * 0.77)
+        cross_ratio(l, m, n, fourth)
+        with pytest.raises(NotCollinear):
+            cross_ratio(l, m, n, Point(fourth.x + 1e-6, fourth.y))
+
+    def test_pair_line_nearly_parallel_to_an_edge(self):
+        # 1e-12 rad from the edge: `Line.is_parallel` holds within
+        # DEFAULT_EPS on the unit normals; with a bound of 0 the line cut the
+        # edge about 1e12 away, and the chord midpoints missed their line
+        h = TRI.orthocentre
+        e = TRI.edges[2]
+        d = Point(e.b + 1e-12 * e.a, -e.a + 1e-12 * e.b)
+        with pytest.raises(drozfarny.EdgeParallel):
+            drozfarny.df_line(TRI, _pair(h, d))

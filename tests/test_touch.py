@@ -360,6 +360,15 @@ class TestHexaflex:
         # near-equilateral apexes on odd draws, slivers on even ones: each
         # triangle passes or is rejected as ill-conditioned, and the joins'
         # rounding never shows as a failed concurrence
+        self.sweep(1.0)
+
+    def test_sweep_scaled_below_one(self):
+        # the same triangles pass, as the rejection is against the largest
+        # coordinate or 1
+        self.sweep(1e-4)
+
+    @staticmethod
+    def sweep(scale):
         rng = random.Random(11)
         passed = 0
         for i in range(3000):
@@ -367,14 +376,15 @@ class TestHexaflex:
                 apex = (rng.uniform(4.9, 5.1), 5 * math.sqrt(3) * rng.uniform(0.999, 1.001))
             else:
                 apex = (rng.uniform(-5, 15), 10 ** rng.uniform(-7, -2))
+            tri = [Point(x * scale, y * scale) for x, y in ((0.0, 0.0), (10.0, 0.0), apex)]
             try:
-                hexaflex((Point(0.0, 0.0), Point(10.0, 0.0), Point(*apex)))
+                hexaflex(tri)
             except DegenerateInput:
                 continue
             except IdentityViolated as exc:
                 pytest.fail(f"apex {apex}: {exc}")
             passed += 1
-        assert passed >= 2299
+        assert passed == 2320
 
     def test_contact_at_midpoint_is_perspector(self):
         # isosceles: the incircle and the C-excircle touch the base at its
