@@ -662,7 +662,9 @@ class Tangency(Enum):
 
 def tangency_classify(c1: Circle, c2: Circle) -> Tangency:
     """Classification via squared quantities only: with d² = |c₁c₂|²,
-    tangent iff (d² − r2₁ − r2₂)² = 4·r2₁·r2₂ (internal when d² < r2₁+r2₂)."""
+    tangent iff (d² − r2₁ − r2₂)² = 4·r2₁·r2₂ (internal when d² < r2₁+r2₂).
+    A float discriminant vanishes against (d² − r2₁ − r2₂)² + 4·|r2₁·r2₂|;
+    an exact one is compared with 0."""
     if c1 == c2:
         raise IdenticalCircles("cannot classify a circle against itself")
     # d², r2₁ and r2₂ scaled to one denominator l > 0
@@ -674,7 +676,11 @@ def tangency_classify(c1: Circle, c2: Circle) -> Tangency:
     d2, r1, r2 = (dx * dx + dy * dy) * (l // e0), n1 * (l // e1), n2 * (l // e2)
     lhs = d2 - r1 - r2
     disc = lhs * lhs - 4 * r1 * r2
-    if disc == 0:
+    if type(disc) is float:
+        tangent = vanishes(disc, lhs * lhs + 4 * abs(r1 * r2))
+    else:
+        tangent = disc == 0
+    if tangent:
         internal = d2 < r1 + r2
         return Tangency.INTERNAL_TANGENT if internal else Tangency.EXTERNAL_TANGENT
     if disc < 0:

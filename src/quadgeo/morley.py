@@ -7,12 +7,16 @@ of a residual against its own magnitude. The lighthouse works on plain
 floats: each beam is the unit-normal triple a `Line` would hold, the n²
 meets are the only `Point`s it makes, and ``lighthouse_verify`` reads each
 n-gon's coordinates once and computes what `Circle.contains` would on
-them. Statements about rational edge *lengths* (the Pythagorean and
+them. The Morley configuration is met the same way: its trisectors are
+such triples, each check computes on float coordinates what the kernel
+predicate would, and only the returned Points, Lines and Circles are
+built. Statements about rational edge *lengths* (the Pythagorean and
 two-parameter families, the 1001-jigsaw) are checked exactly, working in
 Q(√3) where sines of the relevant angles are √3 times a rational.
 Thrice Sixteen is field-generic: exact input whose chords are rational
 (vertices w² for rational points w of a circle) keeps all 16 centres
-rational and every check exact.
+rational and every check exact. Its centres are the side-weighted means of
+`touch._side_weighted`, with no touch circle built.
 """
 
 from __future__ import annotations
@@ -20,17 +24,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations, product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_EPS,
     Circle,
+    CoincidentPoints,
     DegenerateInput,
     GeometryError,
     IdentityViolated,
     Line,
     Number,
+    ParallelLines,
     Point,
     _normalize_abc,
     circumcircle,
@@ -43,8 +49,8 @@ from .kernel import (
     sqrt_scalar,
     vanishes,
 )
-from .quadrangle import as_triangle, orthocentre
-from .touch import touch_circles
+from .quadrangle import Triangle, as_triangle, orthocentre
+from .touch import _side_weighted
 
 
 class InvalidParameters(GeometryError):
@@ -384,6 +390,53 @@ _LINE_CIRCLES: Dict[str, Tuple[str, str, str]] = {
 }
 
 
+# Morley triangle pqr, p + q + r ≢ 1 (mod 3): the points *qr, p*r and pq*
+_MORLEY_TRIANGLES: Tuple[Tuple[str, Tuple[str, str, str]], ...] = tuple(
+    (f"{p}{q}{r}", (f"*{q}{r}", f"{p}*{r}", f"{p}{q}*"))
+    for p, q, r in product(range(3), repeat=3)
+    if (p + q + r) % 3 != 1
+)
+# per line: the vertex V its first two GF circles share, its three GF
+# circles and the label of its associated point
+_ASSOCIATIONS: Tuple[Tuple[str, str, Tuple[str, str, str], str], ...] = tuple(
+    (ll, v, names, _associated_label(ll))
+    for ll, names in _LINE_CIRCLES.items()
+    for (v,) in [set(names[0][:2]) & set(names[1][:2])]
+)
+
+
+def _gf_circle(p: Point, q: Point, r: Point) -> Circle:
+    """`circumcircle` of three float points, its expression on their
+    coordinates."""
+    x1, y1 = p.x, p.y
+    bx, by, cx, cy = q.x - x1, q.y - y1, r.x - x1, r.y - y1
+    cross = bx * cy - by * cx
+    if cross == 0:
+        raise DegenerateInput("collinear points have no circumcircle")
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    ox, oy = cy * bb - by * cc, bx * cc - cx * bb
+    d = 2 * cross
+    return Circle(Point((d * x1 + ox) / d, (d * y1 + oy) / d), (ox * ox + oy * oy) / (d * d))
+
+
+def _on_circle(circ: Circle, p: Point) -> bool:
+    """`Circle.contains` for a float circle and point: the power against
+    |p − centre|² + r2."""
+    dx, dy = p.x - circ.center.x, p.y - circ.center.y
+    s, t = dx * dx + dy * dy, circ.r2
+    return vanishes(s - t, s + abs(t))
+
+
+def _reflect(p: Point, line: Tuple[float, float, float]) -> Point:
+    """`reflect_point_in_line` of a float point in the unit-normal triple
+    (a, b, c) of a·x + b·y = c."""
+    a, b, c = line
+    x, y = p.x, p.y
+    n2 = a * a + b * b
+    kt = 2 * (a * x + b * y - c)
+    return Point((x * n2 - kt * a) / n2, (y * n2 - kt * b) / n2)
+
+
 def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
     """27 trisector intersections, 9 Morley lines carrying 6 points each,
     18 equilateral Morley triangles, 9 Guy Faux triangles whose circumcircles
@@ -394,74 +447,78 @@ def morley_config(a: Point, b: Point, c: Point) -> MorleyConfig:
     one vertex V; their second meet, the associated point, is the
     reflection of V in the line of their centres.  It coincides with V when
     V is a right angle.  IdentityViolated if a point leaves its Morley line
-    or a GF circle misses a lighthouse or the associated point."""
+    or a GF circle misses a lighthouse or the associated point.
+
+    The trisectors are met as the unit-normal triples of `_beam`, and each
+    check computes on float coordinates what the kernel predicate would:
+    only the returned Points, Lines and Circles are built."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     verts = {"A": a, "B": b, "C": c}
-    u, v = b - a, c - a
-    if vanishes(u.cross(v), math.hypot(u.x, u.y) * math.hypot(v.x, v.y)):
+    ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+    if vanishes(ux * vy - uy * vx, math.hypot(ux, uy) * math.hypot(vx, vy)):
         raise DegenerateInput("degenerate triangle")
-    angles = {
-        "A": abs(_signed_angle(b - a, c - a)),
-        "B": abs(_signed_angle(c - b, a - b)),
-        "C": abs(_signed_angle(a - c, b - c)),
-    }
+    angles: Dict[str, float] = {}
+    for x, p, q, r in (("A", a, b, c), ("B", b, c, a), ("C", c, a, b)):
+        # _signed_angle(q - p, r - p)
+        ux, uy, vx, vy = q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y
+        angles[x] = abs(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
 
-    def beams(x: str, y: str) -> List[Line]:
-        vx, vy = verts[x], verts[y]
-        vz = verts[({"A", "B", "C"} - {x, y}).pop()]
-        theta = _angle_of(vy - vx)
-        sigma = 1.0 if (vy - vx).cross(vz - vx) > 0 else -1.0
-        return [
-            Line.from_point_direction(
-                vx, _dir(theta + sigma * (angles[x] / 3 - j * math.pi / 3))
-            )
+    fans: Dict[Tuple[str, str], List[Tuple[float, float, float]]] = {}
+    for x, y, z in permutations("ABC"):
+        p, q, r = verts[x], verts[y], verts[z]
+        dx, dy = q.x - p.x, q.y - p.y
+        theta = math.atan2(dy, dx)
+        sigma = 1.0 if dx * (r.y - p.y) - dy * (r.x - p.x) > 0 else -1.0
+        fans[x, y] = [
+            _beam(p.x, p.y, theta + sigma * (angles[x] / 3 - j * math.pi / 3))
             for j in range(3)
         ]
-
-    fans = {(x, y): beams(x, y) for x in verts for y in verts if x != y}
-    points: Dict[str, Point] = {
-        label: fans[x, y][j].intersect(fans[y, x][k])
-        for x, y, j, k, label in _POINT_LABELS
-    }
+    points: Dict[str, Point] = {}
+    for x, y, j, k, label in _POINT_LABELS:
+        a1, b1, c1 = fans[x, y][j]
+        a2, b2, c2 = fans[y, x][k]
+        det = a1 * b2 - b1 * a2
+        if det == 0:
+            raise ParallelLines("lines are parallel or identical")
+        # Line.intersect's expression
+        points[label] = Point((c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det)
 
     lines: Dict[str, Line] = {}
     for label, members in _LINE_POINTS.items():
-        pts = [points[m] for m in members]
-        line = Line.through(pts[0], pts[1])
-        if not all(line.contains(p) for p in pts[2:]):
-            raise IdentityViolated(f"point off Morley line {label}")
+        p, q, *rest = (points[m] for m in members)
+        line = Line.through(p, q)
+        la, lb, lc = line.a, line.b, line.c
+        norm = math.hypot(la, lb)
+        for r in rest:   # Line.residual
+            x, y = r.x, r.y
+            if not vanishes(la * x + lb * y - lc, norm * math.hypot(x, y) + abs(lc)):
+                raise IdentityViolated(f"point off Morley line {label}")
         lines[label] = line
 
-    morley_tris: Dict[str, Tuple[Point, Point, Point]] = {}
-    for p in range(3):
-        for q in range(3):
-            for r in range(3):
-                if (p + q + r) % 3 == 1:
-                    continue
-                morley_tris[f"{p}{q}{r}"] = (
-                    points[f"*{q}{r}"],
-                    points[f"{p}*{r}"],
-                    points[f"{p}{q}*"],
-                )
+    morley_tris: Dict[str, Tuple[Point, Point, Point]] = {
+        key: (points[l1], points[l2], points[l3]) for key, (l1, l2, l3) in _MORLEY_TRIANGLES
+    }
 
     gf_circles: Dict[str, Circle] = {}
     for name, labels in _GF_TRIANGLES.items():
-        circ = circumcircle(*(points[l] for l in labels))
+        circ = _gf_circle(*(points[l] for l in labels))
         for v in name[:2]:
-            if not circ.contains(verts[v]):
+            if not _on_circle(circ, verts[v]):
                 raise IdentityViolated(f"GF circle {name} misses a lighthouse")
         gf_circles[name] = circ
 
     associated: Dict[str, Point] = {}
-    for label, (n1, n2, n3) in _LINE_CIRCLES.items():
-        (v,) = set(n1[:2]) & set(n2[:2])
-        c1, c2 = gf_circles[n1], gf_circles[n2]
-        pt = reflect_point_in_line(verts[v], Line.through(c1.center, c2.center))
-        if not gf_circles[n3].contains(pt):
+    for label, v, (n1, n2, n3), assoc in _ASSOCIATIONS:
+        p, q = gf_circles[n1].center, gf_circles[n2].center
+        if p == q:
+            raise CoincidentPoints("cannot make line through a single point")
+        # the unit-normal triple of Line.through(p, q)
+        pt = _reflect(verts[v], _normalize_abc(q.y - p.y, p.x - q.x, p.x * q.y - p.y * q.x))
+        if not _on_circle(gf_circles[n3], pt):
             raise IdentityViolated(
                 f"third GF circle misses the associated point of line {label}"
             )
-        associated[_associated_label(label)] = pt
+        associated[assoc] = pt
 
     return MorleyConfig(
         verts,
@@ -490,21 +547,26 @@ def edge_direction_classes(tris: Dict[str, Tuple[Point, Point, Point]]) -> int:
     are one when their turn vanishes against the sum of their magnitudes."""
     third = math.pi / 3
     classes: List[Tuple[float, float]] = []
-    for ang, m in _edge_angles(tris):
+    for ang, m in _edge_angles(tris.values()):
         if not any(vanishes(min(abs(ang - c), third - abs(ang - c)), m + k) for c, k in classes):
             classes.append((ang, m))
     return len(classes)
 
 
-def _edge_angles(tris: Dict[str, Tuple[Point, Point, Point]]) -> List[Tuple[float, float]]:
-    """Each edge pq of the triangles as its angle mod π/3 and that angle's
-    magnitude (|p| + |q|)/|q − p|, as rounding moves the ends by their size."""
-    return [
-        (_angle_of(q - p) % (math.pi / 3),
-         (math.hypot(p.x, p.y) + math.hypot(q.x, q.y)) / math.hypot(q.x - p.x, q.y - p.y))
-        for tri in tris.values()
-        for p, q in zip(tri, tri[1:] + tri[:1])
-    ]
+def _edge_angles(tris: Iterable[Tuple[Point, Point, Point]]) -> List[Tuple[float, float]]:
+    """Each edge pq of the float triangles as its angle mod π/3 and that
+    angle's magnitude (|p| + |q|)/|q − p|, as rounding moves the ends by
+    their size. Each vertex's coordinates and norm are read once."""
+    third = math.pi / 3
+    out = []
+    for tri in tris:
+        xy = [(float(p.x), float(p.y)) for p in tri]
+        norms = [math.hypot(x, y) for x, y in xy]
+        for i in range(3):
+            j = (i + 1) % 3
+            dx, dy = xy[j][0] - xy[i][0], xy[j][1] - xy[i][1]
+            out.append((math.atan2(dy, dx) % third, (norms[i] + norms[j]) / math.hypot(dx, dy)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -748,16 +810,11 @@ def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> float:
     first, as r/m with the magnitudes of `edge_direction_classes`."""
     a, b, c = _fp(a), _fp(b), _fp(c)
     h = orthocentre(a, b, c)
-    tris: Dict[str, Tuple[Point, Point, Point]] = {}
-    for name, (p, q, r) in {
-        "ABC": (a, b, c),
-        "BHC": (b, h, c),
-        "CHA": (c, h, a),
-        "AHB": (a, h, b),
-    }.items():
-        cfg = morley_config(p, q, r)
-        for key, tri in cfg.morley_triangles.items():
-            tris[f"{name}:{key}"] = tri
+    tris = [
+        tri
+        for p, q, r in ((a, b, c), (b, h, c), (c, h, a), (a, h, b))
+        for tri in morley_config(p, q, r).morley_triangles.values()
+    ]
     third = math.pi / 3
     (first, k), *rest = _edge_angles(tris)
     return max(residual_ratio(min(abs(a - first), third - abs(a - first)), m + k) for a, m in rest)
@@ -802,6 +859,14 @@ _MIDPOINTS = (
 )
 
 
+def _index_pairs(row: str) -> Tuple[Tuple[int, int], ...]:
+    return tuple((int(a), int(b)) for a, b in row.split())
+
+
+_GRID_ROWS = tuple(tuple(_index_pairs(row) for row in family) for family in _GRID)
+_MIDPOINT_ROWS = tuple(_index_pairs(row) for row in _MIDPOINTS)
+
+
 def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     """For four concyclic points: the 16 in/excentres of the four inscribed
     triangles form a rectangular 4×4 grid; the 24 segment midpoints coincide
@@ -814,8 +879,9 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     and the perpendicularity between them are checked, and DegenerateInput
     raised if one fails; ``midpoint_pairs`` counts the tabled pairs that
     coincide on the circumcircle.  Field-generic:
-    the centres are those of ``touch_circles``, exact when every chord of
-    the quadrangle is rational, and each check is `kernel.vanishes`.
+    the centres are those of ``touch_circles``, read from its side weights
+    (``touch._side_weighted``), exact when every chord of the quadrangle is
+    rational, and each check is `kernel.vanishes`.
     ``worst`` is the largest float r/m but those of the `Line` predicates."""
     pts = list(quad)
     if len(pts) != 4:
@@ -836,31 +902,31 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     if not holds(*base.residual(pts[3])):
         raise DegenerateInput("points are not concyclic")
 
+    # own[t][v]: the centre of triangle omit-t that is "tv" in ``centers``
     centers: Dict[str, Point] = {}
+    own: List[List[Optional[Point]]] = [[None] * 4 for _ in range(4)]
     for omit in range(4):
         others = [i for i in range(4) if i != omit]
-        inc, *excs = touch_circles([pts[i] for i in others])
-        centers[f"{omit}{omit}"] = inc.circle.center
-        for v_idx, exc in zip(others, excs):
-            centers[f"{omit}{v_idx}"] = exc.circle.center
+        (a, b, c), centre = _side_weighted(Triangle([pts[i] for i in others]))
+        for v, weights in zip([omit] + others, ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))):
+            own[omit][v] = centers[f"{omit}{v}"] = centre(*weights)
 
     size = sum(math.hypot(p.x, p.y) for p in (base.center, base.center, *centers.values()))
 
-    # the two perpendicular quadruples of parallel 4-point lines
+    # the two perpendicular quadruples of parallel 4-point lines, over the
+    # centres relabelled counterclockwise
     ccw = sorted(range(4), key=lambda i: _angle_of(pts[i] - base.center))
-
-    def tabled(row: str) -> List[str]:
-        return [f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split()]
+    at = [[own[t][v] for v in ccw] for t in ccw]
 
     firsts: List[Line] = []
-    for family in _GRID:
+    for family in _GRID_ROWS:
         lines = []
         for row in family:
-            members = tabled(row)
-            on = [centers[m] for m in members]
+            on = [at[i][j] for i, j in row]
             line = Line.through(on[0], on[1])
             if not all([holds(*line.residual(p)) for p in on[2:]]):
-                raise DegenerateInput(f"centres {' '.join(members)} not collinear")
+                members = " ".join(f"{ccw[i]}{ccw[j]}" for i, j in row)
+                raise DegenerateInput(f"centres {members} not collinear")
             if lines and not line.is_parallel(lines[0]):
                 raise DegenerateInput("grid families are not parallel")
             lines.append(line)
@@ -869,24 +935,24 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
         raise DegenerateInput("grid families are not perpendicular")
 
     pair_count = 0
-    for row in _MIDPOINTS:
-        p, q, r, s = (centers[m] for m in tabled(row))
+    for row in _MIDPOINT_ROWS:
+        p, q, r, s = (at[i][j] for i, j in row)
         m1, m2 = p.midpoint(q), r.midpoint(s)
         on_circle = [holds(*base.residual(m1)), holds(*base.residual(m2))]
         pair_count += coincide(m1, m2) and all(on_circle)
 
     # circumcentres reflect through the 16-point centre; circles congruent.
     # Each centre is the orthocentre of the other three of its triangle.
-    centre = base.center
+    twice = base.center.scale(2)
     reflect_ok = True
     congruent_ok = True
     r_big = None
     for omit in range(4):
-        own = [f"{omit}{omit}"] + [f"{omit}{v}" for v in range(4) if v != omit]
-        for lab in own:
-            circ = circumcircle(*(centers[m] for m in own if m != lab))
-            mirrored = centre.scale(2) - centers[lab]
-            if not coincide(circ.center, mirrored):
+        row = own[omit]
+        order = [omit] + [v for v in range(4) if v != omit]
+        for lab in order:
+            circ = circumcircle(*(row[v] for v in order if v != lab))
+            if not coincide(circ.center, twice - row[lab]):
                 reflect_ok = False
             r = circ.radius()
             if r_big is None:

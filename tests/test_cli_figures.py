@@ -254,13 +254,13 @@ class TestSuites:
         assert any(f.startswith("peG incidence: peG") for f in res.failures)
 
     def test_morley_incidence_failure_recorded(self, monkeypatch):
-        real = morley.reflect_point_in_line
+        real = morley._reflect
 
         def shifted(p, line):
             q = real(p, line)
             return Point(q.x + 0.1, q.y)
 
-        monkeypatch.setattr(morley, "reflect_point_in_line", shifted)
+        monkeypatch.setattr(morley, "_reflect", shifted)
         res = run_suite("morley", count=5)
         assert not res.passed
         assert any(

@@ -4,6 +4,7 @@ import ast
 import copy
 import math
 import pathlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -276,6 +277,26 @@ class TestTangency:
         c = Circle(Point(F(0), F(0)), F(1))
         with pytest.raises(IdenticalCircles):
             tangency_classify(c, c)
+
+    def test_float_tangent_pairs(self):
+        """Float circles at distance r1 + r2 or |r1 − r2| are tangent up to
+        rounding, and 1e-6 off that distance they are not."""
+        rng = random.Random(1)
+        want = {
+            "external": (Tangency.SECANT, Tangency.EXTERNAL_TANGENT, Tangency.DISJOINT),
+            "internal": (Tangency.NESTED, Tangency.INTERNAL_TANGENT, Tangency.SECANT),
+        }
+        for kind, classes in want.items():
+            for _ in range(300):
+                c = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                r1, r2 = rng.uniform(1, 5), rng.uniform(1, 5)
+                if kind == "internal":
+                    r2 = r1 + rng.uniform(0.5, 2.5)
+                d = r1 + r2 if kind == "external" else r2 - r1
+                t = rng.uniform(0, 2 * math.pi)
+                for off, cls in zip((-1e-6, 0.0, 1e-6), classes):
+                    o = Point(c.x + (d + off) * math.cos(t), c.y + (d + off) * math.sin(t))
+                    assert tangency_classify(Circle(c, r1 * r1), Circle(o, r2 * r2)) == cls
 
     @given(
         st.fractions(min_value=0, max_value=20, max_denominator=10),

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
+import quadgeo.kernel as kernel
+import quadgeo.touch as touch
 from quadgeo.kernel import (
     DEFAULT_EPS,
     IdentityViolated,
     Line,
     Point,
     circumcircle,
+    reflect_point_in_line,
     residual_ratio,
     vanishes,
 )
@@ -570,26 +573,248 @@ class TestMorleyIdentityChecks:
             morley_config(*self.TRI)
 
     def test_gf_circle_misses_lighthouse(self, monkeypatch):
-        real = morley.circumcircle
+        real = morley._gf_circle
 
         def grown(p, q, r):
             c = real(p, q, r)
             return type(c)(c.center, c.r2 + 1.0)
 
-        monkeypatch.setattr(morley, "circumcircle", grown)
+        monkeypatch.setattr(morley, "_gf_circle", grown)
         with pytest.raises(IdentityViolated, match="lighthouse"):
             morley_config(*self.TRI)
 
     def test_third_circle_misses_associated_point(self, monkeypatch):
-        real = morley.reflect_point_in_line
+        real = morley._reflect
 
         def shifted(p, line):
             q = real(p, line)
             return Point(q.x + 0.1, q.y)
 
-        monkeypatch.setattr(morley, "reflect_point_in_line", shifted)
+        monkeypatch.setattr(morley, "_reflect", shifted)
         with pytest.raises(IdentityViolated, match="third GF circle"):
             morley_config(*self.TRI)
+
+
+# ---------------------------------------------------------------------------
+# the float Morley configuration against its kernel-object reference
+# ---------------------------------------------------------------------------
+
+
+def reference_morley_config(a, b, c):
+    """Reference construction on kernel objects: each trisector a `Line`
+    from its vertex and direction, each meet a `Line.intersect`, each check
+    a kernel predicate, and each associated point a `reflect_point_in_line`
+    in the `Line` through two GF centres."""
+    a, b, c = morley._fp(a), morley._fp(b), morley._fp(c)
+    verts = {"A": a, "B": b, "C": c}
+    u, v = b - a, c - a
+    if vanishes(u.cross(v), math.hypot(u.x, u.y) * math.hypot(v.x, v.y)):
+        raise DegenerateInput("degenerate triangle")
+    angles = {
+        "A": abs(morley._signed_angle(b - a, c - a)),
+        "B": abs(morley._signed_angle(c - b, a - b)),
+        "C": abs(morley._signed_angle(a - c, b - c)),
+    }
+
+    def beams(x, y):
+        vx, vy = verts[x], verts[y]
+        vz = verts[({"A", "B", "C"} - {x, y}).pop()]
+        theta = morley._angle_of(vy - vx)
+        sigma = 1.0 if (vy - vx).cross(vz - vx) > 0 else -1.0
+        return [
+            Line.from_point_direction(
+                vx, morley._dir(theta + sigma * (angles[x] / 3 - j * math.pi / 3))
+            )
+            for j in range(3)
+        ]
+
+    fans = {(x, y): beams(x, y) for x in verts for y in verts if x != y}
+    points = {
+        label: fans[x, y][j].intersect(fans[y, x][k])
+        for x, y, j, k, label in morley._POINT_LABELS
+    }
+    lines = {}
+    for label, members in morley._LINE_POINTS.items():
+        pts = [points[m] for m in members]
+        line = Line.through(pts[0], pts[1])
+        if not all(line.contains(p) for p in pts[2:]):
+            raise IdentityViolated(f"point off Morley line {label}")
+        lines[label] = line
+    morley_tris = {}
+    for p, q, r in itertools.product(range(3), repeat=3):
+        if (p + q + r) % 3 != 1:
+            morley_tris[f"{p}{q}{r}"] = (points[f"*{q}{r}"], points[f"{p}*{r}"], points[f"{p}{q}*"])
+    gf_circles = {}
+    for name, labels in morley._GF_TRIANGLES.items():
+        circ = circumcircle(*(points[l] for l in labels))
+        for v in name[:2]:
+            if not circ.contains(verts[v]):
+                raise IdentityViolated(f"GF circle {name} misses a lighthouse")
+        gf_circles[name] = circ
+    associated = {}
+    for label, (n1, n2, n3) in morley._LINE_CIRCLES.items():
+        (v,) = set(n1[:2]) & set(n2[:2])
+        c1, c2 = gf_circles[n1], gf_circles[n2]
+        pt = reflect_point_in_line(verts[v], Line.through(c1.center, c2.center))
+        if not gf_circles[n3].contains(pt):
+            raise IdentityViolated(f"third GF circle misses the associated point of line {label}")
+        associated[morley._associated_label(label)] = pt
+    return morley.MorleyConfig(
+        verts, points, lines, dict(morley._LINE_POINTS), morley_tris, gf_circles, associated
+    )
+
+
+def reference_edge_angles(tris):
+    """Each edge's angle mod π/3 and magnitude, on `Point` differences."""
+    return [
+        (morley._angle_of(q - p) % (math.pi / 3),
+         (math.hypot(p.x, p.y) + math.hypot(q.x, q.y)) / math.hypot(q.x - p.x, q.y - p.y))
+        for tri in tris
+        for p, q in zip(tri, tri[1:] + tri[:1])
+    ]
+
+
+def _hex_point(p):
+    return p.x.hex(), p.y.hex()
+
+
+def _hex_circle(c):
+    return _hex_point(c.center), c.r2.hex()
+
+
+def _outcome(build, bits, *args):
+    """Every float of the result as float.hex(), in dict order, or the type
+    and message of the error raised."""
+    try:
+        return bits(build(*args))
+    except Exception as exc:   # the reference's error must match exactly
+        return type(exc), str(exc)
+
+
+def _morley_bits(cfg):
+    return (
+        [(k, _hex_point(p)) for k, p in cfg.vertices.items()],
+        [(k, _hex_point(p)) for k, p in cfg.points.items()],
+        [(k, (l.a.hex(), l.b.hex(), l.c.hex())) for k, l in cfg.lines.items()],
+        list(cfg.line_points.items()),
+        [(k, [_hex_point(p) for p in t]) for k, t in cfg.morley_triangles.items()],
+        [(k, _hex_circle(c)) for k, c in cfg.gf_circles.items()],
+        [(k, _hex_point(p)) for k, p in cfg.associated_points.items()],
+        [(ang.hex(), m.hex()) for ang, m in morley._edge_angles(cfg.morley_triangles.values())],
+    )
+
+
+def _reference_morley_bits(cfg):
+    bits = list(_morley_bits(cfg))
+    bits[-1] = [(ang.hex(), m.hex())
+                for ang, m in reference_edge_angles(cfg.morley_triangles.values())]
+    return tuple(bits)
+
+
+def _morley_draws(rng, count):
+    """Float triangles: uniform in [−10, 10]², slivers of height 1e-7 to
+    1e-1 over a base of 10 and coordinates up to 1e6, every tenth draw an
+    isosceles or a near-equilateral one."""
+    for i in range(count):
+        kind = i % 10
+        if kind == 0:
+            r, t, w = rng.uniform(1, 10), rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 2.9)
+            yield (Point(0.0, 0.0), Point(r * math.cos(t), r * math.sin(t)),
+                   Point(r * math.cos(t + w), r * math.sin(t + w)))
+        elif kind == 1:
+            t = rng.uniform(0, 2 * math.pi)
+            yield tuple(Point(5 * math.cos(t + k * 2 * math.pi / 3) + rng.uniform(-1e-6, 1e-6),
+                              5 * math.sin(t + k * 2 * math.pi / 3)) for k in range(3))
+        elif kind == 2:
+            yield (Point(0.0, 0.0), Point(10.0, 0.0),
+                   Point(rng.uniform(-5, 15), 10 ** rng.uniform(-7, -1)))
+        elif kind == 3:
+            size = 10 ** rng.uniform(2, 6)
+            yield tuple(Point(rng.uniform(-size, size), rng.uniform(-size, size)) for _ in "abc")
+        else:
+            yield tuple(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in "abc")
+
+
+MORLEY_SPECIAL = {
+    # the three right triangles of the float-configs benchmark workload
+    "3-4-5": RIGHT_345,
+    "5-12-13": ((0.0, 0.0), (12.0, 0.0), (0.0, 5.0)),
+    "isosceles-right": ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+    "equilateral": ((0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3))),
+    "isosceles": ((0.0, 0.0), (4.0, 0.0), (2.0, 7.0)),
+    "integer": ((0, 0), (7, 0), (2, 5)),
+    "sliver": SLIVER,
+    "collinear": ((0.0, 0.0), (1.0, 1.0), (3.0, 3.0)),
+    # 1e-6 from collinear: trisectors meet too obliquely for the Morley lines
+    "near-collinear": ((0.0, 0.0), (1.0, 1.0), (3.0, 3.0 + 3e-6)),
+}
+
+
+class TestMorleyAgainstReference:
+    DRAWS = 600
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        draws = list(_morley_draws(random.Random(27), self.DRAWS))
+        return [
+            (_outcome(reference_morley_config, _reference_morley_bits, *tri),
+             _outcome(morley_config, _morley_bits, *tri))
+            for tri in draws
+        ]
+
+    def test_same_floats_and_errors(self, outcomes):
+        assert len(outcomes) == self.DRAWS
+        for ref, new in outcomes:
+            assert new == ref
+        raised = [new for _, new in outcomes if type(new[0]) is type]
+        # slivers and large coordinates reach the Morley-line check
+        assert 10 < len(raised) < self.DRAWS // 4
+
+    @pytest.mark.parametrize("name", list(MORLEY_SPECIAL))
+    def test_special_triangles(self, name):
+        tri = [Point(x, y) for x, y in MORLEY_SPECIAL[name]]
+        want = _outcome(reference_morley_config, _reference_morley_bits, *tri)
+        assert _outcome(morley_config, _morley_bits, *tri) == want
+        raises = {"collinear": DegenerateInput, "near-collinear": IdentityViolated}
+        assert want[0] is raises.get(name, want[0])
+
+    def test_orthocentric_parallel(self):
+        rng = random.Random(28)
+        for _ in range(5):
+            a, b, c = random_triangle(rng)
+            h = orthocentre(a, b, c)
+            tris = [
+                t
+                for p, q, r in ((a, b, c), (b, h, c), (c, h, a), (a, h, b))
+                for t in reference_morley_config(p, q, r).morley_triangles.values()
+            ]
+            (first, k), *rest = reference_edge_angles(tris)
+            third = math.pi / 3
+            want = max(residual_ratio(min(abs(x - first), third - abs(x - first)), m + k)
+                       for x, m in rest)
+            assert orthocentric_morley_parallel(a, b, c).hex() == want.hex()
+
+    def test_builds_only_what_it_returns(self, monkeypatch):
+        """One float configuration makes its 9 Morley lines and no other
+        `Line`, meets no `Line`s and calls no `circumcircle`."""
+        made = []
+        post_init = Line.__post_init__
+
+        def counted(line):
+            made.append(line)
+            post_init(line)
+
+        def forbidden(*args):
+            raise AssertionError("morley_config went through a kernel construction")
+
+        monkeypatch.setattr(Line, "__post_init__", counted)
+        monkeypatch.setattr(Line, "intersect", forbidden)
+        monkeypatch.setattr(kernel, "circumcircle", forbidden)
+        monkeypatch.setattr(morley, "circumcircle", forbidden)
+        monkeypatch.setattr(morley, "reflect_point_in_line", forbidden)
+        cfg = morley_config(Point(0.0, 0.0), Point(7.0, 0.3), Point(2.0, 5.0))
+        assert len(made) == 9
+        assert set(map(id, made)) == set(map(id, cfg.lines.values()))
 
 
 class TestRationalMorley:
@@ -758,6 +983,173 @@ class TestThriceSixteen:
         assert rep.latin_square
         assert rep.circumcentres_reflect
         assert rep.circumcircles_congruent
+
+
+# ---------------------------------------------------------------------------
+# Thrice Sixteen against its touch_circles reference
+# ---------------------------------------------------------------------------
+
+
+def reference_thrice_sixteen(quad):
+    """Reference report: the 16 centres from four `touch_circles` calls,
+    and the grid and midpoint tables relabelled by f-strings per row."""
+    pts = list(quad)
+    if len(pts) != 4:
+        raise DegenerateInput("need four points")
+    misses = [0.0]
+
+    def holds(r, m):
+        if type(r) is float:
+            misses.append(residual_ratio(r, m))
+        return vanishes(r, m)
+
+    def coincide(p, q):
+        if p.is_exact() and q.is_exact():
+            return p == q
+        return holds(math.hypot(p.x - q.x, p.y - q.y), size)
+
+    base = circumcircle(pts[0], pts[1], pts[2])
+    if not holds(*base.residual(pts[3])):
+        raise DegenerateInput("points are not concyclic")
+    centers = {}
+    for omit in range(4):
+        others = [i for i in range(4) if i != omit]
+        inc, *excs = touch.touch_circles([pts[i] for i in others])
+        centers[f"{omit}{omit}"] = inc.circle.center
+        for v_idx, exc in zip(others, excs):
+            centers[f"{omit}{v_idx}"] = exc.circle.center
+    size = sum(math.hypot(p.x, p.y) for p in (base.center, base.center, *centers.values()))
+    ccw = sorted(range(4), key=lambda i: morley._angle_of(pts[i] - base.center))
+
+    def tabled(row):
+        return [f"{ccw[int(a)]}{ccw[int(b)]}" for a, b in row.split()]
+
+    firsts = []
+    for family in morley._GRID:
+        lines = []
+        for row in family:
+            members = tabled(row)
+            on = [centers[m] for m in members]
+            line = Line.through(on[0], on[1])
+            if not all([holds(*line.residual(p)) for p in on[2:]]):
+                raise DegenerateInput(f"centres {' '.join(members)} not collinear")
+            if lines and not line.is_parallel(lines[0]):
+                raise DegenerateInput("grid families are not parallel")
+            lines.append(line)
+        firsts.append(lines[0])
+    if not firsts[0].is_perpendicular(firsts[1]):
+        raise DegenerateInput("grid families are not perpendicular")
+    pair_count = 0
+    for row in morley._MIDPOINTS:
+        p, q, r, s = (centers[m] for m in tabled(row))
+        m1, m2 = p.midpoint(q), r.midpoint(s)
+        on_circle = [holds(*base.residual(m1)), holds(*base.residual(m2))]
+        pair_count += coincide(m1, m2) and all(on_circle)
+    centre = base.center
+    reflect_ok = congruent_ok = True
+    r_big = None
+    for omit in range(4):
+        own = [f"{omit}{omit}"] + [f"{omit}{v}" for v in range(4) if v != omit]
+        for lab in own:
+            circ = circumcircle(*(centers[m] for m in own if m != lab))
+            if not coincide(circ.center, centre.scale(2) - centers[lab]):
+                reflect_ok = False
+            r = circ.radius()
+            if r_big is None:
+                r_big = r
+            elif not holds(r - r_big, r + r_big):
+                congruent_ok = False
+    return morley.ThriceSixteenReport(
+        centers, pair_count, True, reflect_ok, congruent_ok, max(misses)
+    )
+
+
+def _scalar_bits(x):
+    return x.hex() if type(x) is float else (type(x), x)
+
+
+def _thrice_bits(rep):
+    return (
+        [(k, type(p), _scalar_bits(p.x), _scalar_bits(p.y)) for k, p in rep.centers.items()],
+        rep.midpoint_pairs, rep.latin_square, rep.circumcentres_reflect,
+        rep.circumcircles_congruent, _scalar_bits(rep.worst),
+    )
+
+
+def _concyclic_draws(rng, count):
+    """Four points on a circle of radius 0.1 to 50 about a centre in
+    [−20, 20]², in random order; in every fifth draw two of them are 1e-7
+    to 0.1 rad apart, where the grid checks start to fail."""
+    for i in range(count):
+        ths = [rng.uniform(0, 2 * math.pi) for _ in range(4)]
+        if i % 5 == 0:
+            ths[1] = ths[0] + 10 ** rng.uniform(-7, -1)
+        r, cx, cy = rng.uniform(0.1, 50), rng.uniform(-20, 20), rng.uniform(-20, 20)
+        yield [Point(cx + r * math.cos(t), cy + r * math.sin(t)) for t in ths]
+
+
+def _w2_quadrangle(ts):
+    """The points w² for the rational unit points w of the parameters ts."""
+    out = []
+    for t in ts:
+        d = 1 + t * t
+        x, y = (1 - t * t) / d, 2 * t / d
+        out.append(Point(x * x - y * y, 2 * x * y))
+    return out
+
+
+class TestThriceSixteenAgainstReference:
+    DRAWS = 300
+
+    def test_float_quadrangles(self):
+        raised = 0
+        for quad in _concyclic_draws(random.Random(29), self.DRAWS):
+            want = _outcome(reference_thrice_sixteen, _thrice_bits, quad)
+            assert _outcome(thrice_sixteen, _thrice_bits, quad) == want
+            raised += want[0] is DegenerateInput
+        assert 10 < raised < self.DRAWS // 4
+
+    @pytest.mark.parametrize("degrees", [(0, 60, 180, 300), (0, 90, 180, 270)],
+                             ids=["kite", "square"])
+    def test_symmetric_quadrangles(self, degrees):
+        quad = [Point(5 * math.cos(math.radians(d)), 5 * math.sin(math.radians(d)))
+                for d in degrees]
+        want = _outcome(reference_thrice_sixteen, _thrice_bits, quad)
+        assert _outcome(thrice_sixteen, _thrice_bits, quad) == want
+
+    def test_rejections(self):
+        for quad in (
+            [Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), Point(7.0, 7.0)],
+            [Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)],
+        ):
+            want = _outcome(reference_thrice_sixteen, _thrice_bits, quad)
+            assert want[0] is DegenerateInput
+            assert _outcome(thrice_sixteen, _thrice_bits, quad) == want
+
+    def test_exact_quadrangles(self):
+        rng = random.Random(30)
+        done = 0
+        while done < 20:
+            quad = _w2_quadrangle(
+                [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(4)]
+            )
+            if len(set(quad)) < 4:
+                continue
+            want = _outcome(reference_thrice_sixteen, _thrice_bits, quad)
+            assert all(t is Fraction for _, _, (t, _), _ in want[0])
+            assert _outcome(thrice_sixteen, _thrice_bits, quad) == want
+            done += 1
+
+    def test_no_touch_circles(self, monkeypatch):
+        """The 16 centres come from the side weights alone: no
+        `touch_circles` call builds circles that are thrown away."""
+        def forbidden(*args):
+            raise AssertionError("thrice_sixteen called touch_circles")
+
+        monkeypatch.setattr(touch, "touch_circles", forbidden)
+        monkeypatch.setattr(morley, "touch_circles", forbidden, raising=False)
+        rep = thrice_sixteen(TestThriceSixteen.square_quad())
+        assert rep.midpoint_pairs == 12
 
 
 class TestInsideOut:

@@ -265,23 +265,22 @@ class TestMorley:
 
     def test_trisectors(self, monkeypatch):
         morley.morley_config(*self.ABC)
-        real = morley._dir
-        monkeypatch.setattr(morley, "_dir", lambda theta: real(theta + 1e-6))
+        real = morley._beam
+        monkeypatch.setattr(morley, "_beam", lambda x, y, theta: real(x, y, theta + 1e-6))
         with pytest.raises(IdentityViolated, match="Morley line"):
             morley.morley_config(*self.ABC)
 
     def test_gf_circle_through_the_lighthouses(self, monkeypatch):
-        real = morley.circumcircle
+        real = morley._gf_circle
         monkeypatch.setattr(
-            morley, "circumcircle",
+            morley, "_gf_circle",
             lambda *pts: (lambda c: Circle(c.center, c.r2 * (1 + 2e-6)))(real(*pts)),
         )
         with pytest.raises(IdentityViolated, match="lighthouse"):
             morley.morley_config(*self.ABC)
 
     def test_associated_point(self, monkeypatch):
-        _shift_calls(monkeypatch, morley, "reflect_point_in_line", lambda p, l: True,
-                     by=self.DELTA)
+        _shift_calls(monkeypatch, morley, "_reflect", lambda p, l: True, by=self.DELTA)
         with pytest.raises(IdentityViolated, match="third GF circle"):
             morley.morley_config(*self.ABC)
 
@@ -314,15 +313,18 @@ class TestThriceSixteen:
             morley.thrice_sixteen(off)
 
     def test_grid_line(self, monkeypatch):
-        real = morley.touch_circles
+        real = morley._side_weighted
 
         def shifted(tri):
-            inc, *exs = real(tri)
-            c = inc.circle
-            moved = Circle(Point(c.center.x + self.DELTA, c.center.y), c.r2)
-            return [dataclasses.replace(inc, circle=moved), *exs]
+            sides, centre = real(tri)
 
-        monkeypatch.setattr(morley, "touch_circles", shifted)
+            def moved(*weights):   # the incentre, weighted by the sides
+                p = centre(*weights)
+                return Point(p.x + self.DELTA, p.y) if weights == sides else p
+
+            return sides, moved
+
+        monkeypatch.setattr(morley, "_side_weighted", shifted)
         with pytest.raises(DegenerateInput, match="not collinear"):
             morley.thrice_sixteen(self.QUAD)
 
