@@ -58,20 +58,19 @@ class UnknownSuite(GeometryError):
 
 F = Fraction
 
-#: seed triangles; quadration adjoins the orthocentre and the labels
-FIXTURES: Dict[str, Tuple[Point, Point, Point]] = {
-    "t0": (Point(F(36), F(103)), Point(F(-204), F(-77)), Point(F(132), F(-77))),
+#: fixture name -> its seed triangle quadrated once per process: quadration
+#: adjoins the orthocentre and the labels, and every recipe, table and suite
+#: shares the faces, twins and Central Circle it derives on first use
+FIXTURES: Dict[str, LabeledQuadrangle] = {
+    "t0": quadrate(Point(F(36), F(103)), Point(F(-204), F(-77)), Point(F(132), F(-77))),
 }
 
 
-def fixture(name: str) -> Tuple[Point, Point, Point]:
-    if name not in FIXTURES:
-        raise UnknownFixture(f"unknown fixture {name!r}")
-    return FIXTURES[name]
-
-
 def fixture_quadrangle(name: str) -> LabeledQuadrangle:
-    return quadrate(*fixture(name))
+    try:
+        return FIXTURES[name]
+    except KeyError:
+        raise UnknownFixture(f"unknown fixture {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +173,11 @@ def _clip_line(line: Line, window: Window) -> Optional[tuple]:
 T0_WINDOW: Window = (-310.0, -310.0, 310.0, 310.0)
 
 
-def _recipe_empty(name: str) -> Scene:
+def _recipe_empty(q: LabeledQuadrangle) -> Scene:
     return Scene((-1.0, -1.0, 1.0, 1.0))
 
 
-def _recipe_twins(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_twins(q: LabeledQuadrangle) -> Scene:
     scene = Scene(T0_WINDOW)
     for a, b in combinations(LABELS, 2):
         scene.add_line(q.edge(a, b))
@@ -199,8 +197,7 @@ def _recipe_twins(name: str) -> Scene:
     return scene
 
 
-def _recipe_touch32(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_touch32(q: LabeledQuadrangle) -> Scene:
     scene = Scene(T0_WINDOW)
     for quad in (q, q.twin_quadrangle):
         for a, b in combinations(LABELS, 2):
@@ -213,8 +210,7 @@ def _recipe_touch32(name: str) -> Scene:
     return scene
 
 
-def _recipe_gergonne16(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_gergonne16(q: LabeledQuadrangle) -> Scene:
     scene = Scene(T0_WINDOW)
     for a, b in combinations(LABELS, 2):
         scene.add_line(q.edge(a, b), stroke="dotted")
@@ -228,8 +224,7 @@ def _recipe_gergonne16(name: str) -> Scene:
     return scene
 
 
-def _recipe_trisequence(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_trisequence(q: LabeledQuadrangle) -> Scene:
     seq = wallace.trisequence(q, "7B", Point(F(-62), F(117)), 11)
     scene = Scene(T0_WINDOW)
     for lab in LABELS:
@@ -244,8 +239,7 @@ def _recipe_trisequence(name: str) -> Scene:
     return scene
 
 
-def _recipe_star_of_david(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_star_of_david(q: LabeledQuadrangle) -> Scene:
     star = wallace.star_of_david(q)
     scene = Scene(T0_WINDOW)
     for line in star.tangent_lines:
@@ -259,8 +253,7 @@ def _recipe_star_of_david(name: str) -> Scene:
     return scene
 
 
-def _recipe_df_envelope(name: str) -> Scene:
-    q = fixture_quadrangle(name)
+def _recipe_df_envelope(q: LabeledQuadrangle) -> Scene:
     tri = q.face(7)
     env = drozfarny.df_envelope(tri)
     scene = Scene(T0_WINDOW)
@@ -302,7 +295,7 @@ def _recipe_df_envelope(name: str) -> Scene:
     return scene
 
 
-RECIPES: Dict[str, Callable[[str], Scene]] = {
+RECIPES: Dict[str, Callable[[LabeledQuadrangle], Scene]] = {
     "empty": _recipe_empty,
     "twins": _recipe_twins,
     "touch32": _recipe_touch32,
@@ -314,10 +307,10 @@ RECIPES: Dict[str, Callable[[str], Scene]] = {
 
 
 def build_scene(fixture_name: str, recipe: str) -> Scene:
-    fixture(fixture_name)
+    q = fixture_quadrangle(fixture_name)
     if recipe not in RECIPES:
         raise UnknownRecipe(f"unknown recipe {recipe!r}")
-    return RECIPES[recipe](fixture_name)
+    return RECIPES[recipe](q)
 
 
 # ---------------------------------------------------------------------------

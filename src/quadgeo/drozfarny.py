@@ -227,7 +227,9 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     and radius R/2, so it meets the focal axis at the conic's vertices,
     and both curves being symmetric about the axis, its tangents there
     are the vertex tangents. A squared length vanishes against the sum of
-    its terms, and the centres must be `Point.close_to`."""
+    its terms, and the centres must coincide: equal when exact, else their
+    distance vanishes against their norms and the vertices', since both
+    centres may lie near the origin, far smaller than the vertices."""
     tri = as_triangle(tri)
     env = df_envelope(tri)
     if env.conic is None:
@@ -236,10 +238,16 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     a, b, c = tri
     central = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
     lines = [*tri.edges, *(perpendicular_bisector(h, v) for v in tri)]
+    p, q = central.center, env.center
+    if p.is_exact() and q.is_exact():
+        same_centre = p == q
+    else:
+        size = sum(math.hypot(v.x, v.y) for v in (p, q, *tri))
+        same_centre = vanishes(math.hypot(p.x - q.x, p.y - q.y), size)
     return (
         all(env.conic.is_tangent(l) for l in lines)
         and vanishes(4 * central.r2 - env.axis2, 4 * central.r2 + env.axis2)
-        and central.center.close_to(env.center)
+        and same_centre
     )
 
 

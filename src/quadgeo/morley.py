@@ -999,14 +999,28 @@ def inside_out(tri: Sequence[Point]) -> InsideOutData:
     alpha_p = reflect_point_in_line(a, bc)
     beta_p = reflect_point_in_line(b, ca)
     gamma_p = reflect_point_in_line(c, ab)
+    # a float miss counts against the vertices' norms too: the centres may
+    # lie near the origin, far smaller than the data they are built from
+    size = sum(math.hypot(v.x, v.y) for v in tri)
+
+    def on(line: Line, p: Point) -> bool:
+        r, m = line.residual(p)    # |(a, b)| = 1 for a float line
+        return vanishes(r, m + size)
+
     o = Line.through(a, a_p).intersect(Line.through(b, b_p))
-    if not Line.through(c, c_p).contains(o):
+    if not on(Line.through(c, c_p), o):
         raise IdentityViolated("AA', BB', CC' fail to concur")
-    if not tri.circumcircle.center.close_to(o):
+    centre = tri.circumcircle.center
+    if centre.is_exact() and o.is_exact():
+        at_centre = centre == o
+    else:
+        gap = math.hypot(centre.x - o.x, centre.y - o.y)
+        at_centre = vanishes(gap, math.hypot(centre.x, centre.y) + math.hypot(o.x, o.y) + size)
+    if not at_centre:
         raise IdentityViolated("concurrence is not the circumcentre")
     h = tri.orthocentre
     for v, vp in ((a, alpha_p), (b, beta_p), (c, gamma_p)):
-        if not Line.through(v, vp).contains(h):
+        if not on(Line.through(v, vp), h):
             raise IdentityViolated("treblers miss the orthocentre")
     for triad in (
         (alpha, beta, gamma),

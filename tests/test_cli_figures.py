@@ -4,12 +4,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from quadgeo.cli import main
 from quadgeo.cli_figures import (
+    FIXTURES,
+    RECIPES,
     SUITES,
     Scene,
     UnknownFixture,
@@ -21,8 +24,9 @@ from quadgeo.cli_figures import (
     run_suite,
     table_text,
 )
-from quadgeo import drozfarny, morley, wallace
+from quadgeo import cli_figures, drozfarny, morley, quadrangle, wallace
 from quadgeo.kernel import DEFAULT_EPS, Barycentric, Circle, Line, Point
+from quadgeo.quadrangle import LABELS, quadrate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_RECIPES = (
@@ -58,6 +62,8 @@ class TestScene:
     def test_unknown_fixture(self):
         with pytest.raises(UnknownFixture):
             build_scene("t1", "twins")
+        with pytest.raises(UnknownFixture, match="unknown fixture 't1'"):
+            fixture_quadrangle("t1")
 
     def test_unknown_recipe(self):
         with pytest.raises(UnknownRecipe):
@@ -85,6 +91,51 @@ class TestScene:
                     for x, y in ((ax, ay), (bx, by)):
                         assert x0 - 1e-6 <= x <= x1 + 1e-6
                         assert y0 - 1e-6 <= y <= y1 + 1e-6
+
+
+T0_VERTICES = (Point(Fraction(36), Fraction(103)), Point(Fraction(-204), Fraction(-77)),
+               Point(Fraction(132), Fraction(-77)))
+
+
+def derived(q):
+    """Everything a recipe, table or suite reads off a quadrangle."""
+    faces = [
+        (tuple(f), f.edges, f.orthocentre, f.circumcircle, f.metrics)
+        for f in map(q.face, LABELS)
+    ]
+    return (q.vertices, q.twins, q.midpoints, q.diagonals, q.central_circle, faces)
+
+
+class TestSharedFixture:
+    """t0 is quadrated once per process and shared, so no reader may quadrate
+    it again or change what it derives."""
+
+    def test_lookup_returns_the_shared_quadrangle(self):
+        assert fixture_quadrangle("t0") is FIXTURES["t0"]
+
+    def test_recipes_and_rendering_quadrate_nothing(self, monkeypatch):
+        calls = []
+        real = quadrangle.quadrate
+
+        def counted(*pts):
+            calls.append(pts)
+            return real(*pts)
+
+        monkeypatch.setattr(quadrangle, "quadrate", counted)
+        monkeypatch.setattr(cli_figures, "quadrate", counted)
+        for recipe in sorted(RECIPES):
+            build_scene("t0", recipe)
+        assert run_suite("rendering").passed
+        assert calls == []
+
+    def test_readers_leave_the_fixture_as_quadrated(self):
+        for recipe in sorted(RECIPES):
+            render_svg(build_scene("t0", recipe))
+        for name in sorted(SUITES):
+            assert run_suite(name, count=10).passed, name
+        for name in ("trisequence", "apocrypha", "guylines"):
+            table_text(name)
+        assert derived(FIXTURES["t0"]) == derived(quadrate(*T0_VERTICES))
 
 
 class TestGolden:
@@ -325,6 +376,15 @@ class TestCLI:
         )
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "twins.svg").read_bytes()
+
+    def test_render_unknown_fixture(self, tmp_path):
+        out = tmp_path / "x.svg"
+        result = CliRunner().invoke(
+            main, ["render", "--fixture", "t1", "--recipe", "twins", "-o", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "unknown fixture 't1'" in result.output
+        assert not out.exists()
 
     def test_verify_same_under_optimize(self):
         # every check is an `if` or a returned value, never an `assert`,

@@ -356,6 +356,36 @@ class TestEnvelope:
         monkeypatch.setattr(drozfarny, "df_envelope", moved)
         assert not envelope_special_tangents(tri)
 
+    @staticmethod
+    def t0_about_the_origin(rng):
+        """A float copy of t0 turned and scaled about the origin, where its
+        Centre, the envelope's centre, lies."""
+        th, k = rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-2, 2)
+        c, s = k * math.cos(th), k * math.sin(th)
+        return [Point(c * float(p.x) - s * float(p.y), s * float(p.x) + c * float(p.y))
+                for p in TRI]
+
+    def test_special_tangents_about_the_origin(self):
+        # both centres are about 1e-14 from the origin: their own norms
+        # would reject the rounding between them
+        rng = random.Random(0)
+        for _ in range(200):
+            assert envelope_special_tangents(self.t0_about_the_origin(rng))
+
+    def test_special_tangents_miss_a_moved_centre(self, monkeypatch):
+        tri = self.t0_about_the_origin(random.Random(0))
+        size = sum(math.hypot(p.x, p.y) for p in tri)
+        real = drozfarny.df_envelope
+
+        def moved(t):
+            env = real(t)
+            centre = Point(env.center.x + 1e-6 * size, env.center.y)
+            return drozfarny.EnvelopeConic(env.conic, env.kind, centre, env.axis2)
+
+        assert envelope_special_tangents(tri)
+        monkeypatch.setattr(drozfarny, "df_envelope", moved)
+        assert not envelope_special_tangents(tri)
+
     def test_obtuse_hyperbola(self):
         tri = (Point(F(0), F(0)), Point(F(10), F(0)), Point(F(1), F(2)))
         env = df_envelope(tri)

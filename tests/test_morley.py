@@ -1174,6 +1174,54 @@ class TestInsideOut:
             io = inside_out((a, b, c))  # concurrences checked internally
             assert io.orthocentre == orthocentre(a, b, c)
 
+    @staticmethod
+    def inscribed(rng, gap=0.05):
+        """A float triangle on a circle about the origin, its circumcentre,
+        of radius in [1, 100], whose vertices are at least ``gap`` rad
+        apart on the circle."""
+        r = rng.uniform(1, 100)
+        while True:
+            ths = sorted(rng.uniform(0, 2 * math.pi) for _ in range(3))
+            if min((ths[i - 2] - ths[i - 3]) % (2 * math.pi) for i in range(3)) >= gap:
+                return [Point(r * math.cos(t), r * math.sin(t)) for t in ths]
+
+    def test_circumcentre_at_the_origin(self):
+        # the concurrence is about 1e-14 from the origin: its own norm
+        # would reject the rounding of the lines through it
+        rng = random.Random(1)
+        for _ in range(200):
+            tri = quadrangle.Triangle(self.inscribed(rng))
+            io = inside_out(tri)
+            assert math.hypot(io.circumcentre.x, io.circumcentre.y) <= 1e-9 * 100
+            assert io.orthocentre == tri.orthocentre
+
+    @pytest.mark.parametrize(
+        "module, name, match",
+        [
+            (morley, "reflect_line_in_line", "fail to concur"),
+            (quadrangle, "circumcircle", "not the circumcentre"),
+            (quadrangle, "orthocentre", "miss the orthocentre"),
+        ],
+    )
+    def test_origin_misses_raise(self, monkeypatch, module, name, match):
+        # one construction moved by 1e-6 of the data's size still fails
+        tri = self.inscribed(random.Random(1))
+        by = 1e-6 * sum(math.hypot(p.x, p.y) for p in tri)
+        inside_out(tri)
+        real = getattr(module, name)
+
+        def moved(*args):
+            out = real(*args)
+            if isinstance(out, Line):
+                return Line(out.a, out.b, out.c + by)
+            if isinstance(out, kernel.Circle):
+                return kernel.Circle(Point(out.center.x + by, out.center.y), out.r2)
+            return Point(out.x + by, out.y)
+
+        monkeypatch.setattr(module, name, moved)
+        with pytest.raises(IdentityViolated, match=match):
+            inside_out(tri)
+
     def test_missed_orthocentre_raises(self, monkeypatch):
         monkeypatch.setattr(
             quadrangle, "orthocentre", lambda a, b, c: Point(Fraction(1), Fraction(1))
