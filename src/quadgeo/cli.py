@@ -29,7 +29,7 @@ def main() -> None:
 @click.option("--suite", "suites", multiple=True,
               help="Suite name; repeat for several, omit for all.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=100, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=100, show_default=True)
 def verify(suites, seed, count) -> None:
     """Run verification suites; exit 0 iff everything passes."""
     names = list(suites) if suites else sorted(SUITES)

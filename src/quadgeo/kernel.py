@@ -3,19 +3,21 @@
 Every other module builds on these. Scalars are either exact
 (`fractions.Fraction` / `int`, arbitrary precision, canonical lowest
 terms) or approximate (`float`). An exact `Line` holds a coprime `int`
-triple. Each primitive reads a point as a homogeneous triple (X, Y, W) with
-p = (X/W, Y/W) (`_hom`): the reduced integer triple of an exact point,
-(x, y, 1) for a point with a float coordinate. One formula then serves
-both, and the scalar type alone decides exactness. Over ints a
-construction returns a point stored as its reduced triple (`_point_of`:
-one gcd, no `Fraction`; x and y are read on demand) and one `Fraction` per
-scalar it returns (`divide`), and a predicate builds none, since it
-compares cross-multiplied ints. All predicates that must
-stay exact are phrased in squared quantities so the exact backend never
-takes a square root; square roots appear only in the approximate backend
-(or when the radicand happens to be a perfect square). Every predicate
-decides through `vanishes`: an exact residual is compared with 0, and a
-float one with ``DEFAULT_EPS`` times the magnitude of its own expression.
+triple, and every exact point is stored as its reduced integer triple
+(X, Y, W), p = (X/W, Y/W): `Point(x, y)` over the rationals finds it from
+the denominators and keeps the x and y it was given, and a construction
+over ints makes it with one gcd and no `Fraction` (`_point_of`; x and y
+are built on first read). Each primitive reads a point as a triple through
+`_hom`: the stored one, or (x, y, 1) for a point with a float coordinate.
+One formula then serves both, and the scalar type alone decides exactness.
+A construction builds one `Fraction` per scalar it returns (`divide`), and
+a predicate builds none, since it compares cross-multiplied ints. All
+predicates that must stay exact are phrased in squared quantities so the
+exact backend never takes a square root; square roots appear only in the
+approximate backend (or when the radicand happens to be a perfect square).
+Every predicate decides through `vanishes`: an exact residual is compared
+with 0, and a float one with ``DEFAULT_EPS`` times the magnitude of its own
+expression.
 """
 
 from __future__ import annotations
@@ -172,17 +174,32 @@ def format_scalar(x: Number) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
-    """A point (x, y). ``Point(x, y)`` keeps the coordinates it is given;
-    an exact construction returns a `_TriplePoint`, stored as its reduced
-    homogeneous triple, whose x and y are `Fraction`s read on demand. Both
-    kinds read as a triple through `_hom`, and equal points compare and
-    hash alike whichever kind they are; a point with a float coordinate
-    compares by its coordinates."""
+    """A point (x, y). ``Point(x, y)`` keeps the coordinates it is given.
+    With both exact (`int` or `Fraction`) it is a `_TriplePoint`, which also
+    stores its reduced homogeneous triple; a point with a float coordinate
+    stays a plain `Point` and reads as the triple (x, y, 1). Both kinds read
+    as a triple through `_hom`, and equal points compare and hash alike
+    whichever kind they are."""
 
     x: Number
     y: Number
+
+    def __init__(self, x: Number, y: Number) -> None:
+        tx, ty = type(x), type(y)
+        if (tx is int or tx is Fraction) and (ty is int or ty is Fraction):
+            object.__setattr__(self, "__class__", _TriplePoint)
+            # a/b and c/e in lowest terms are (a·l/b, c·l/e, l) over
+            # l = lcm(b, e): reduced with no gcd
+            a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
+            l = b if b == e else math.lcm(b, e)
+            d = self.__dict__
+            d["x"], d["y"], d["_t"] = x, y, (a * (l // b), c * (l // e), l)
+        else:
+            # set, not written to __dict__, which would slow every later read
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -212,7 +229,7 @@ class Point:
         return _combine(self, 1, other, 2)
 
     def is_exact(self) -> bool:
-        return is_exact(self.x) and is_exact(self.y)
+        return type(self) is _TriplePoint
 
     def close_to(self, other: "Point") -> bool:
         """Equal, exactly or with |p − q| vanishing against |p| + |q|."""
@@ -222,40 +239,43 @@ class Point:
         return vanishes(d, math.hypot(self.x, self.y) + math.hypot(other.x, other.y))
 
 
+class _Coordinate:
+    """x or y of a `_TriplePoint`, built from the triple on first read and
+    kept in ``__dict__``, which Python reads before this descriptor."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, p: "_TriplePoint", owner: type) -> Fraction:
+        x, y, w = p._t
+        d = p.__dict__
+        d["x"], d["y"] = Fraction(x, w), Fraction(y, w)
+        return d[self.name]
+
+
 class _TriplePoint(Point):
-    """An exact point made by `_point_of`: it stores only its reduced triple
-    ``_t`` = (X, Y, W), gcd(X, Y, W) = 1 and W > 0, and its arithmetic with
-    another exact point runs on the triples. x and y are `Fraction`s built
-    on first read and then kept. A point given by its coordinates stays a
-    plain `Point`, so the float paths never see a triple; the operators
-    here take precedence over `Point`'s, as a subclass's reflected operators
-    do in Python."""
+    """An exact point: it stores its reduced triple ``_t`` = (X, Y, W),
+    gcd(X, Y, W) = 1 and W > 0, and its arithmetic with another exact point
+    runs on the triples. ``Point(x, y)`` keeps the x and y it was given; a
+    construction (`_point_of`) stores only the triple, and its x and y are
+    `Fraction`s. The operators here take precedence over `Point`'s, as a
+    subclass's reflected operators do in Python."""
 
-    def __new__(cls, x: Number, y: Number) -> Point:
-        # dataclasses.replace remakes the point from its coordinates
-        return Point(x, y)
+    x, y = _Coordinate(), _Coordinate()
 
-    def __reduce__(self):
-        return _point_of, self._t
-
-    def _coordinates(self) -> Tuple[Fraction, Fraction]:
-        d = self.__dict__
-        if "xy" not in d:
-            x, y, w = self._t
-            d["xy"] = Fraction(x, w), Fraction(y, w)
-        return d["xy"]
-
-    x = property(lambda self: self._coordinates()[0])
-    y = property(lambda self: self._coordinates()[1])
+    def __init__(self, x: Number, y: Number) -> None:
+        # dataclasses.replace: the new coordinates choose the form again
+        object.__setattr__(self, "__class__", Point)
+        Point.__init__(self, x, y)
 
     def __repr__(self) -> str:
         return f"Point(x={self.x!r}, y={self.y!r})"
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is _TriplePoint:
+            return self._t == other._t
         if not isinstance(other, Point):
             return NotImplemented
-        if other.is_exact():
-            return self._t == _hom(other)
         return (self.x, self.y) == (other.x, other.y)
 
     __hash__ = Point.__hash__
@@ -281,16 +301,13 @@ class _TriplePoint(Point):
         x, y, w = self._t
         return Fraction(x * x + y * y, w * w)
 
-    def is_exact(self) -> bool:
-        return True
-
 
 def _combine(p: Point, k: int, q: Point, d: int = 1) -> Point:
     """(p + k·q)/d for k = ±1: on the triples when both points are exact,
     else coordinate by coordinate."""
-    if not (p.is_exact() and q.is_exact()):
+    if type(p) is not _TriplePoint or type(q) is not _TriplePoint:
         return Point((p.x + k * q.x) / d, (p.y + k * q.y) / d)
-    (x1, y1, w1), (x2, y2, w2) = _hom(p), _hom(q)
+    (x1, y1, w1), (x2, y2, w2) = p._t, q._t
     return _point_of(x1 * w2 + k * x2 * w1, y1 * w2 + k * y2 * w1, d * w1 * w2)
 
 
@@ -309,32 +326,13 @@ def _point_of(x: Number, y: Number, w: Number) -> Point:
 
 
 def _hom(p: Point) -> Tuple[Number, Number, int]:
-    """(X, Y, W) with W > 0 and p = (X/W, Y/W). For an exact point it is
-    the reduced integer triple: the stored one, or for coordinates a/b and
-    c/d in lowest terms (a·l/b, c·l/d, l) with l = lcm(b, d), which needs
-    no gcd. A point with a float coordinate is already a triple,
-    (float(x), float(y), 1)."""
+    """(X, Y, W) with W > 0 and p = (X/W, Y/W): the stored reduced integer
+    triple of an exact point, (float(x), float(y), 1) for any other."""
     if type(p) is _TriplePoint:
         return p._t
     x, y = p.x, p.y
     if type(x) is float and type(y) is float:
         return x, y, 1
-    if type(x) is int:
-        if type(y) is int:
-            return x, y, 1
-        if type(y) is Fraction:
-            w = y.denominator
-            return x * w, y.numerator, w
-    elif type(x) is Fraction:
-        w = x.denominator
-        if type(y) is int:
-            return x.numerator, y * w, w
-        if type(y) is Fraction:
-            v = y.denominator
-            if v == w:
-                return x.numerator, y.numerator, w
-            l = math.lcm(w, v)
-            return x.numerator * (l // w), y.numerator * (l // v), l
     return float(x), float(y), 1
 
 

@@ -18,7 +18,11 @@ no linter is installed, so the same ``ast`` scan checks that too.
 Every float decision goes through ``kernel.vanishes``: outside
 ``kernel.py`` no module holds a ``1e-`` literal or a ``*_TOL`` name, or uses
 ``DEFAULT_EPS`` other than to import it or as the bound of a ``<``/``<=``
-on a returned r/m, save the sites of ``TOLERANCE_SITES``."""
+on a returned r/m, save the sites of ``TOLERANCE_SITES``.
+
+How an exact point is stored is the kernel's decision alone: outside
+``kernel.py`` no module names ``_TriplePoint`` or reads an attribute ``_t``;
+``kernel._hom`` gives any point's triple."""
 
 import ast
 import io
@@ -190,3 +194,30 @@ def test_float_decisions_go_through_vanishes():
         for text, count in tolerance_tokens(path).items()
     }
     assert found == {site: count for site, (count, _) in TOLERANCE_SITES.items()}
+
+
+def storage_names(tree):
+    """The ``_TriplePoint`` names (imported, read or as an attribute) and
+    ``._t`` reads of a module, sorted."""
+    found = []
+    for n in ast.walk(tree):
+        name = (
+            n.id if isinstance(n, ast.Name)
+            else n.name if isinstance(n, ast.alias)
+            else n.attr if isinstance(n, ast.Attribute)
+            else None
+        )
+        if name == "_TriplePoint" or (name == "_t" and isinstance(n, ast.Attribute)):
+            found.append(name)
+    return sorted(found)
+
+
+def test_point_storage_stays_in_kernel():
+    probe = "from .kernel import _TriplePoint\n_t = 0\nkernel._TriplePoint\np._t\n"
+    assert storage_names(ast.parse(probe)) == ["_TriplePoint", "_TriplePoint", "_t"]
+    found = {
+        path.name: storage_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "kernel.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -363,6 +363,11 @@ class TestCLI:
         result = runner.invoke(main, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
 
+    def test_verify_rejects_negative_count(self):
+        result = CliRunner().invoke(main, ["verify", "--suite", "morley", "--count", "-1"])
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
+
     def test_verify_has_no_eps_option(self):
         result = CliRunner().invoke(main, ["verify", "--eps", "1e-9"])
         assert result.exit_code == 2

@@ -4,6 +4,7 @@ import ast
 import copy
 import math
 import pathlib
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,7 @@ from quadgeo.kernel import (
     NotCollinear,
     Point,
     Tangency,
+    _TriplePoint,
     _hom,
     _point_of,
     circumcircle,
@@ -721,6 +723,50 @@ class TestTriplePoints:
         exact_float = Point(float(p.x), float(p.y))
         if (exact_float.x, exact_float.y) == (p.x, p.y):
             assert exact_float == p and hash(exact_float) == hash(p)
+
+
+class TestOneExactForm:
+    """Every exact point is a `_TriplePoint` that keeps the coordinates it
+    was given, and a point with a float coordinate stays a plain `Point`;
+    copying, pickling and `dataclasses.replace` land on the same form."""
+
+    def test_exact_coordinates_make_a_triple_point(self):
+        for x, y, t in ((F(1, 2), F(-1, 3), (3, -2, 6)), (3, 4, (3, 4, 1)), (F(5, 4), -2, (5, -8, 4))):
+            p = Point(x, y)
+            assert type(p) is _TriplePoint and p.is_exact()
+            assert p._t == t and _hom(p) is p._t
+            assert p.x is x and p.y is y
+
+    def test_float_coordinate_stays_plain(self):
+        for p in (Point(F(1, 2), 0.25), Point(0.5, 0.25), Point(3, 4.0)):
+            assert type(p) is Point and not p.is_exact() and "_t" not in vars(p)
+            assert _hom(p) == (float(p.x), float(p.y), 1)
+
+    @pytest.mark.parametrize("p", [Point(3, 4), Point(F(1, 2), F(-1, 3)), _point_of(2, -4, 6)])
+    def test_copy_pickle_and_replace(self, p):
+        for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(q) is _TriplePoint and q == p and q._t == p._t
+            assert (type(q.x), type(q.y)) == (type(p.x), type(p.y))
+        moved = replace(p, y=F(7, 5))
+        assert type(moved) is _TriplePoint and moved.y == F(7, 5)
+        assert moved._t == Point(F(p.x), F(7, 5))._t
+        floated = replace(p, x=0.5)
+        assert type(floated) is Point and "_t" not in vars(floated)
+        assert (floated.x, floated.y) == (0.5, p.y)
+        back = replace(floated, x=p.x)
+        assert type(back) is _TriplePoint and back._t == p._t
+
+    def test_eq_and_hash_agree_across_forms(self):
+        pairs = [
+            (Point(3, 4), _point_of(6, 8, 2)),
+            (Point(3, 4), Point(F(3), F(4))),
+            (Point(3, 4), Point(3.0, 4.0)),
+            (Point(F(1, 2), F(-1, 4)), Point(0.5, -0.25)),
+            (Point(F(1, 2), 0.25), _point_of(2, 1, 4)),
+        ]
+        for p, q in pairs:
+            assert p == q and q == p and hash(p) == hash(q)
+        assert Point(F(1, 3), 0) != Point(1 / 3, 0.0)
 
 
 def _ref_float_line(p, q):
