@@ -34,6 +34,9 @@ Number = Union[int, Fraction, float]
 #: when it is at most this times the magnitude of its own expression
 DEFAULT_EPS = 1e-9
 
+#: sets a field of a frozen instance; bound once, as every point and line use it
+_setattr = object.__setattr__
+
 
 # ---------------------------------------------------------------------------
 # errors
@@ -176,12 +179,10 @@ def format_scalar(x: Number) -> str:
 
 @dataclass(frozen=True, init=False)
 class Point:
-    """A point (x, y). ``Point(x, y)`` keeps the coordinates it is given.
-    With both exact (`int` or `Fraction`) it is a `_TriplePoint`, which also
-    stores its reduced homogeneous triple; a point with a float coordinate
-    stays a plain `Point` and reads as the triple (x, y, 1). Both kinds read
-    as a triple through `_hom`, and equal points compare and hash alike
-    whichever kind they are."""
+    """A point (x, y) that keeps the coordinates it is given. With both exact
+    (`int` or `Fraction`) it is a `_TriplePoint` that also stores its reduced
+    triple; with a float coordinate it reads as the triple (x, y, 1) (`_hom`).
+    Equal points compare and hash alike whichever kind they are."""
 
     x: Number
     y: Number
@@ -189,17 +190,16 @@ class Point:
     def __init__(self, x: Number, y: Number) -> None:
         tx, ty = type(x), type(y)
         if (tx is int or tx is Fraction) and (ty is int or ty is Fraction):
-            object.__setattr__(self, "__class__", _TriplePoint)
-            # a/b and c/e in lowest terms are (a·l/b, c·l/e, l) over
-            # l = lcm(b, e): reduced with no gcd
+            _setattr(self, "__class__", _TriplePoint)
+            # a/b, c/e in lowest terms: (a·l/b, c·l/e, l), l = lcm(b, e), is reduced
             a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
             l = b if b == e else math.lcm(b, e)
             d = self.__dict__
             d["x"], d["y"], d["_t"] = x, y, (a * (l // b), c * (l // e), l)
         else:
             # set, not written to __dict__, which would slow every later read
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
+            _setattr(self, "x", x)
+            _setattr(self, "y", y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -256,16 +256,15 @@ class _Coordinate:
 class _TriplePoint(Point):
     """An exact point: it stores its reduced triple ``_t`` = (X, Y, W),
     gcd(X, Y, W) = 1 and W > 0, and its arithmetic with another exact point
-    runs on the triples. ``Point(x, y)`` keeps the x and y it was given; a
-    construction (`_point_of`) stores only the triple, and its x and y are
-    `Fraction`s. The operators here take precedence over `Point`'s, as a
-    subclass's reflected operators do in Python."""
+    runs on the triples. A construction (`_point_of`) stores only the triple,
+    and its x and y are `Fraction`s. These operators take precedence over
+    `Point`'s, as a subclass's reflected operators do in Python."""
 
     x, y = _Coordinate(), _Coordinate()
 
     def __init__(self, x: Number, y: Number) -> None:
         # dataclasses.replace: the new coordinates choose the form again
-        object.__setattr__(self, "__class__", Point)
+        _setattr(self, "__class__", Point)
         Point.__init__(self, x, y)
 
     def __repr__(self) -> str:
@@ -383,9 +382,9 @@ class Line:
         if self.a == 0 and self.b == 0:
             raise DegenerateInput("line with zero normal vector")
         a, b, c = _normalize_abc(self.a, self.b, self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
 
     # -- constructors -------------------------------------------------
 

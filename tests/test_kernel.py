@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadgeo.kernel import (
     DEFAULT_EPS,
@@ -685,11 +685,16 @@ class TestTriplePoints:
     and arithmetic, and float and mixed points compare as before."""
 
     @given(triples, exact_scalars)
+    @example((6, 8, 2), 0)
     @settings(max_examples=200)
     def test_same_point_as_its_fractions(self, t, d):
         x, y, w = t
         p, q = _point_of(x, y, w), Point(F(x, w), F(y, w))
         assert p == q and q == p and hash(p) == hash(q)
+        if x % w == 0 and y % w == 0:
+            # the same point given by int coordinates
+            n = Point(x // w, y // w)
+            assert n == p and p == n and n == q and hash(n) == hash(p)
         assert _is_fraction_point(p) and (p.x, p.y) == (q.x, q.y)
         assert repr(p) == repr(q) and copy.deepcopy(p) == p
         # stored reduced with W > 0; coordinates read as the same triple
@@ -702,23 +707,33 @@ class TestTriplePoints:
     @settings(max_examples=200)
     def test_arithmetic_matches_fractions(self, t, q, k):
         p = _point_of(*t)
-        fp = Point(p.x, p.y)
+        # the reference is Fraction arithmetic on the coordinates
+        (a, b), (c, d) = (p.x, p.y), (F(q.x), F(q.y))
         pairs = [
-            (p + q, fp + q), (q + p, q + fp), (p - q, fp - q), (q - p, q - fp),
-            (-p, -fp), (p.scale(k), fp.scale(k)), (p.midpoint(q), fp.midpoint(q)),
+            (p + q, (a + c, b + d)), (q + p, (c + a, d + b)),
+            (p - q, (a - c, b - d)), (q - p, (c - a, d - b)),
+            (-p, (-a, -b)), (p.scale(k), (k * a, k * b)),
+            (p.midpoint(q), ((a + c) / 2, (b + d) / 2)),
+            (q.midpoint(p), ((c + a) / 2, (d + b) / 2)),
         ]
         for got, want in pairs:
-            assert got == want and _is_fraction_point(got)
-        assert (p.dot(q), p.cross(q), p.norm2()) == (fp.dot(q), fp.cross(q), fp.norm2())
-        assert p.dist2(q) == fp.dist2(q) == q.dist2(p)
+            assert (got.x, got.y) == want and got == Point(*want)
+            assert _is_fraction_point(got)
+        assert (p.dot(q), p.cross(q)) == (a * c + b * d, a * d - b * c)
+        assert (p.norm2(), q.norm2()) == (a * a + b * b, c * c + d * d)
+        assert p.dist2(q) == q.dist2(p) == (a - c) ** 2 + (b - d) ** 2
 
     @given(triples, float_coords, float_coords)
+    @example((1, 0, 3), 1 / 3, 0.0)
+    @example((2, -1, 4), 0.5, 0.25)
+    @example((3, 4, 1), 3.0, 4.0)
     @settings(max_examples=200)
     def test_float_and_mixed_points_compare_by_coordinates(self, t, fx, fy):
         p = _point_of(*t)
         for other in (Point(fx, fy), Point(p.x, fy), Point(fx, p.y)):
             want = (p.x, p.y) == (other.x, other.y)
             assert (p == other) == want and (other == p) == want
+            assert not want or hash(p) == hash(other)
             assert (p + other) == Point(p.x + other.x, p.y + other.y)
         exact_float = Point(float(p.x), float(p.y))
         if (exact_float.x, exact_float.y) == (p.x, p.y):
@@ -755,18 +770,6 @@ class TestOneExactForm:
         assert (floated.x, floated.y) == (0.5, p.y)
         back = replace(floated, x=p.x)
         assert type(back) is _TriplePoint and back._t == p._t
-
-    def test_eq_and_hash_agree_across_forms(self):
-        pairs = [
-            (Point(3, 4), _point_of(6, 8, 2)),
-            (Point(3, 4), Point(F(3), F(4))),
-            (Point(3, 4), Point(3.0, 4.0)),
-            (Point(F(1, 2), F(-1, 4)), Point(0.5, -0.25)),
-            (Point(F(1, 2), 0.25), _point_of(2, 1, 4)),
-        ]
-        for p, q in pairs:
-            assert p == q and q == p and hash(p) == hash(q)
-        assert Point(F(1, 3), 0) != Point(1 / 3, 0.0)
 
 
 def _ref_float_line(p, q):
