@@ -506,6 +506,15 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
     for lab in LABELS:
         er = euler_range(q, lab)
         yield Check(er.harmonic(), f"range {lab} not harmonic")
+        # euler_range places O, G and deL from H and the Centre, harmonic
+        # by construction: the face's own points tell whether they are right
+        face = q.face(lab)
+        o = face.circumcircle.center
+        yield Check(
+            (er.circumcentre, er.centroid, er.de_longchamps)
+            == (o, (face[0] + face[1] + face[2]).scale(F(1, 3)), o.scale(2) - face.orthocentre),
+            f"range {lab}: O, G, deL are not the circumcentre, centroid and 2O − H of its face",
+        )
     er = euler_range(q, 7)
     yield Check(
         er.de_longchamps == Point(F(-108), F(-153)),
@@ -934,6 +943,23 @@ def _exact_malfatti_checks(tri: Sequence[Point], at: str) -> Iterator[Check]:
     )
 
 
+def _rational_morley_draw(rng, family: str):
+    """The parameters of a member of a rational Morley family and its
+    report, redrawn until valid: t = ±n/d, or such x₁ and x₂ with
+    x₃ = 3(x₁ + x₂)/(x₁x₂ − 3)."""
+    while True:
+        params = _random_tangent(rng)
+        if family == "general":
+            x1, x2 = params, _random_tangent(rng)
+            if x1 * x2 == 3:
+                continue
+            params = (x1, x2, 3 * (x1 + x2) / (x1 * x2 - 3))
+        try:
+            return params, morley.rational_morley(family, params)
+        except morley.InvalidParameters:
+            continue
+
+
 def _suite_morley(rng, count) -> Iterator[Check]:
     for _ in range(count):
         pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
@@ -969,8 +995,12 @@ def _suite_morley(rng, count) -> Iterator[Check]:
     yield Check(
         len(rep.rational_variants) == 2 and len(general.rational_variants) == 18,
         "rational Morley triangles: not 2 of 18 at t=1/4 and all 18 at (7, 2, 27/11)",
-        exact=False,
     )
+    for family, want in (("pythagorean", 2), ("general", 18)):
+        for _ in range(count // 50):
+            params, member = _rational_morley_draw(rng, family)
+            got = len(member.rational_variants)
+            yield Check(got == want, f"{family} {params}: {got} rational Morley edges, not {want}")
     jig = morley.jigsaw_check()
     yield Check(
         jig.area_matches and jig.vertex_sums and jig.trisection,

@@ -11,8 +11,9 @@ them. The Morley configuration is met the same way: its trisectors are
 such triples, each check computes on float coordinates what the kernel
 predicate would, and only the returned Points, Lines and Circles are
 built. Statements about rational edge *lengths* (the Pythagorean and
-two-parameter families, the 1001-jigsaw) are checked exactly, working in
-Q(√3) where sines of the relevant angles are √3 times a rational.
+two-parameter families, the 1001-jigsaw) are checked exactly in Q(√3): an
+angle is a `Sqrt3Angle` whose cosine and sine are `Surd`s p + q√3, and a
+Morley edge of a family member is rational when its √3 part vanishes.
 Thrice Sixteen is field-generic: exact input whose chords are rational
 (vertices w² for rational points w of a circle) keeps all 16 centres
 rational and every check exact. Its centres are the side-weighted means of
@@ -574,125 +575,67 @@ def _edge_angles(tris: Iterable[Tuple[Point, Point, Point]]) -> List[Tuple[float
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalMorleyReport:
-    edges: Tuple[Fraction, Fraction, Fraction]
-    integer_edges: Tuple[int, int, int]
-    is_pythagorean: bool
-    rational_variants: Dict[Tuple[int, int, int], Fraction]
-
-
-def rational_morley(family: str, params) -> RationalMorleyReport:
-    """Rational-edged triangles with rational Morley triangles: the
-    one-parameter Pythagorean family (exactly 2 of the 18 rational) or the
-    two-parameter general family (all 18 rational)."""
-    if family == "pythagorean":
-        t = Fraction(params)
-        edges = (
-            2 * t * (3 - t * t) * (1 - 3 * t * t),
-            (1 - t * t) * (1 - 14 * t * t + t ** 4),
-            (1 + t * t) ** 3,
-        )
-    elif family == "general":
-        xs = [Fraction(x) for x in params]
-        if len(xs) != 3 or 3 * sum(xs) != xs[0] * xs[1] * xs[2]:
-            raise InvalidParameters("need 3(x1+x2+x3) = x1 x2 x3")
-        edges = tuple(
-            x * (x * x - 1) * (x * x - 9) / (x * x + 3) ** 3 for x in xs
-        )
-    else:
-        raise InvalidParameters(f"unknown family {family!r}")
-    edges = tuple(abs(e) for e in edges)
-    if any(e == 0 for e in edges):
-        raise InvalidParameters("family parameters give a zero edge")
-    s = sorted(edges)
-    if s[0] + s[1] <= s[2]:
-        raise InvalidParameters("edges violate the triangle inequality")
-    ints = primitive_integers(edges)
-    si = sorted(ints)
-    pyth = si[0] ** 2 + si[1] ** 2 == si[2] ** 2
-    return RationalMorleyReport(
-        edges, ints, pyth, morley_edge_rationality([float(v) for v in ints])
-    )
-
-
-def morley_edge_variants(edges: Sequence[float]) -> Dict[Tuple[int, int, int], float]:
-    """Edge lengths of the 18 Morley triangles of a triangle given by edges:
-    |8R sin((A+2πi)/3) sin((B+2πj)/3) sin((C+2πk)/3)| over the extraversion
-    triples with i + j + k ≢ 1 (mod 3)."""
-    a, b, c = edges
-    ca = (b * b + c * c - a * a) / (2 * b * c)
-    cb = (c * c + a * a - b * b) / (2 * c * a)
-    cc = (a * a + b * b - c * c) / (2 * a * b)
-    aa, ab_, ac = math.acos(ca), math.acos(cb), math.acos(cc)
-    r = a / (2 * math.sin(aa))
-    out: Dict[Tuple[int, int, int], float] = {}
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if (i + j + k) % 3 == 1:
-                    continue
-                out[(i, j, k)] = abs(
-                    8
-                    * r
-                    * math.sin((aa + 2 * math.pi * i) / 3)
-                    * math.sin((ab_ + 2 * math.pi * j) / 3)
-                    * math.sin((ac + 2 * math.pi * k) / 3)
-                )
-    return out
-
-
-#: relative accuracy and largest denominator of the rational
-#: reconstruction in ``morley_edge_rationality``
-_EDGE_REL_TOL = 1e-12
-_EDGE_MAX_DEN = 10 ** 6
-
-
-def morley_edge_rationality(edges: Sequence[float]) -> Dict[Tuple[int, int, int], Fraction]:
-    """The Morley-triangle edges recognisably rational at the scale of the
-    given (integer) edge lengths: the reconstruction must be far more
-    accurate than a generic continued-fraction convergent of that size."""
-    out: Dict[Tuple[int, int, int], Fraction] = {}
-    for key, e in morley_edge_variants(edges).items():
-        f = Fraction(e).limit_denominator(_EDGE_MAX_DEN)
-        if (
-            abs(float(f) - e) <= _EDGE_REL_TOL * max(1e-30, e)
-            and f.denominator <= _EDGE_MAX_DEN // 10
-        ):
-            out[key] = f
-    return out
-
-
 # -- exact angle algebra in Q(√3) -------------------------------------------
 
 
 @dataclass(frozen=True)
-class Sqrt3Angle:
-    """cos θ = c, sin θ = s·√3, both rational: the closure containing all
-    angles of rational triangles with area a rational multiple of √3, and
-    closed under adding multiples of π/3."""
+class Surd:
+    """p + q·√3 with p and q rational."""
 
-    c: Fraction
-    s: Fraction
+    p: Fraction
+    q: Fraction = Fraction(0)
+
+    def __add__(self, other: "Surd") -> "Surd":
+        return Surd(self.p + other.p, self.q + other.q)
+
+    def __neg__(self) -> "Surd":
+        return Surd(-self.p, -self.q)
+
+    def __sub__(self, other: "Surd") -> "Surd":
+        return self + -other
+
+    def __mul__(self, other: "Surd") -> "Surd":
+        return Surd(self.p * other.p + 3 * self.q * other.q, self.p * other.q + self.q * other.p)
+
+    def __truediv__(self, other: "Surd") -> "Surd":
+        n = Fraction(other.p * other.p - 3 * other.q * other.q)   # the norm, 0 only at 0
+        return self * Surd(other.p / n, -other.q / n)
+
+    def sign(self) -> int:
+        """-1, 0 or 1: p² = 3q² only at 0, so the larger of |p| and |q|√3
+        carries the sign."""
+        big = self.p if self.p * self.p > 3 * self.q * self.q else self.q
+        return (big > 0) - (big < 0)
+
+
+@dataclass(frozen=True)
+class Sqrt3Angle:
+    """cos θ = c and sin θ = s in Q(√3), and ``*`` adds two angles: holds
+    the multiples of π/6 and every angle of a rational triangle whose area
+    is rational or √3 times a rational."""
+
+    c: Surd
+    s: Surd
 
     def __post_init__(self):
-        if self.c * self.c + 3 * self.s * self.s != 1:
+        if self.c * self.c + self.s * self.s != Surd(1):
             raise InvalidParameters("not a unit Q(√3) angle")
 
     def __mul__(self, other: "Sqrt3Angle") -> "Sqrt3Angle":
         return Sqrt3Angle(
-            self.c * other.c - 3 * self.s * other.s,
+            self.c * other.c - self.s * other.s,
             self.c * other.s + self.s * other.c,
         )
 
 
-SIXTY = Sqrt3Angle(Fraction(1, 2), Fraction(1, 2))
-FULL = Sqrt3Angle(Fraction(1), Fraction(0))
+_HALF = Surd(Fraction(1, 2))
+SIXTY = Sqrt3Angle(_HALF, Surd(0, Fraction(1, 2)))
+FULL = Sqrt3Angle(Surd(1), Surd(0))
+_TWELFTH = Sqrt3Angle(Surd(0, Fraction(1, 2)), _HALF)                     # π/6
+_THIRD_TURN = Sqrt3Angle(Surd(Fraction(-1, 2)), Surd(0, Fraction(1, 2)))   # 2π/3
 
 
-def triangle_angles_sqrt3(
-    edges: Sequence[int],
-) -> Tuple[Sqrt3Angle, Sqrt3Angle, Sqrt3Angle]:
+def triangle_angles_sqrt3(edges: Sequence[int]) -> Tuple[Sqrt3Angle, Sqrt3Angle, Sqrt3Angle]:
     """Exact angles of an integer triangle whose squared area is 3 times a
     rational square (so each sine is √3 times a rational)."""
     a, b, c = (Fraction(e) for e in edges)
@@ -701,7 +644,7 @@ def triangle_angles_sqrt3(
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         cos_x = (y * y + z * z - x * x) / (2 * y * z)
         sin_s = 2 * area_s / (y * z)
-        out.append(Sqrt3Angle(cos_x, sin_s))
+        out.append(Sqrt3Angle(Surd(cos_x), Surd(0, sin_s)))
     return tuple(out)
 
 
@@ -719,6 +662,88 @@ def _sqrt3_area(edges: Sequence[int]) -> Fraction:
     return root / 4
 
 
+@dataclass(frozen=True)
+class RationalMorleyReport:
+    edges: Tuple[Fraction, Fraction, Fraction]
+    integer_edges: Tuple[int, int, int]
+    is_pythagorean: bool
+    rational_variants: Dict[Tuple[int, int, int], Fraction]
+
+
+def rational_morley(family: str, params) -> RationalMorleyReport:
+    """Rational-edged triangles with rational Morley triangles: the
+    one-parameter Pythagorean family (exactly 2 of the 18 rational) or the
+    two-parameter general family (all 18 rational). Each angle's third is
+    ±β + mπ/6 for a base angle β in Q(√3): 2φ with tan φ = t for the legs'
+    angles and 0 for the right angle, or 2αᵢ with tan αᵢ = xᵢ/√3."""
+    if family == "pythagorean":
+        t = Fraction(params)
+        edges = (
+            2 * t * (3 - t * t) * (1 - 3 * t * t),
+            (1 - t * t) * (1 - 14 * t * t + t ** 4),
+            (1 + t * t) ** 3,
+        )
+        two_phi = Sqrt3Angle(Surd((1 - t * t) / (1 + t * t)), Surd(2 * t / (1 + t * t)))
+        bases = (two_phi, two_phi, FULL)
+    elif family == "general":
+        xs = [Fraction(x) for x in params]
+        if len(xs) != 3 or 3 * sum(xs) != xs[0] * xs[1] * xs[2]:
+            raise InvalidParameters("need 3(x1+x2+x3) = x1 x2 x3")
+        edges = tuple(x * (x * x - 1) * (x * x - 9) / (x * x + 3) ** 3 for x in xs)
+        bases = [Sqrt3Angle(Surd((3 - x * x) / (3 + x * x)), Surd(0, 2 * x / (3 + x * x)))
+                 for x in xs]
+    else:
+        raise InvalidParameters(f"unknown family {family!r}")
+    edges = tuple(abs(e) for e in edges)
+    if any(e == 0 for e in edges):
+        raise InvalidParameters("family parameters give a zero edge")
+    s = sorted(edges)
+    if s[0] + s[1] <= s[2]:
+        raise InvalidParameters("edges violate the triangle inequality")
+    ints = primitive_integers(edges)
+    si = sorted(ints)
+    pyth = si[0] ** 2 + si[1] ** 2 == si[2] ** 2
+    return RationalMorleyReport(edges, ints, pyth, _rational_edges(ints, bases))
+
+
+def _rational_edges(
+    edges: Sequence[int], bases: Sequence[Sqrt3Angle]
+) -> Dict[Tuple[int, int, int], Fraction]:
+    """The rational edges among |8R sin(θ_A + 2πi/3) sin(θ_B + 2πj/3)
+    sin(θ_C + 2πk/3)| over the extraversion triples with i + j + k ≢ 1
+    (mod 3), θ_X the third of angle X and 8R = 4a / sin A: exactly, in
+    Q(√3), keeping those with no √3 part."""
+    a, b, c = (Fraction(e) for e in edges)
+    thirds = [
+        _third((y * y + z * z - x * x) / (2 * y * z), base)
+        for (x, y, z), base in zip(((a, b, c), (b, c, a), (c, a, b)), bases)
+    ]
+    sines = [[th.s, (th * _THIRD_TURN).s, (th * _THIRD_TURN * _THIRD_TURN).s] for th in thirds]
+    eight_r = Surd(4 * a) / (thirds[0] * thirds[0] * thirds[0]).s
+    out: Dict[Tuple[int, int, int], Fraction] = {}
+    for i, j, k in product(range(3), repeat=3):
+        if (i + j + k) % 3 != 1:
+            e = eight_r * sines[0][i] * sines[1][j] * sines[2][k]
+            if e.q == 0:
+                out[i, j, k] = abs(e.p)
+    return out
+
+
+def _third(cos_x: Fraction, base: Sqrt3Angle) -> Sqrt3Angle:
+    """The θ in (0, π/3) with cos 3θ = cos_x and sin 3θ > 0, among ±β + mπ/6
+    for β = base: the cube ±3β + mπ/2 picks the sign and m mod 4, and one
+    of θ + 2kπ/3 lies in (0, π/3)."""
+    for b in (base, Sqrt3Angle(base.c, -base.s)):
+        cube = b * b * b
+        for c, s in ((cube.c, cube.s), (-cube.s, cube.c), (-cube.c, -cube.s), (cube.s, -cube.c)):
+            if c == Surd(cos_x) and s.sign() > 0:
+                while not (b.s.sign() > 0 and (b.c - _HALF).sign() > 0):
+                    b = b * _THIRD_TURN
+                return b
+            b = b * _TWELFTH   # and the cube turns by π/2
+    raise IdentityViolated("no third of the angle among ±base + mπ/6")
+
+
 JIGSAW_EQUILATERAL = 1001
 JIGSAW_INNER = ((1001, 1716, 1859), (1001, 9464, 9555), (1001, 2695, 2464))
 JIGSAW_OUTER = ((9555, 2695, 12005), (2464, 1716, 3740), (1859, 9464, 10985))
@@ -733,74 +758,47 @@ class JigsawReport:
 
 def jigsaw_check() -> JigsawReport:
     """The Conway-Doyle seven-piece jigsaw: an equilateral triangle of edge
-    1001, three pieces sharing that edge, and three outer pieces assemble
-    exactly into one big triangle.  All angle sums are verified in Q(√3)."""
-    m = Fraction(JIGSAW_EQUILATERAL)
-    inner = [triangle_angles_sqrt3(t) for t in JIGSAW_INNER]
-    outer = [triangle_angles_sqrt3(t) for t in JIGSAW_OUTER]
-    # angle of each inner piece opposite the shared 1001 edge
-    inner_opp = [ang[0] for ang in inner]   # edge order (1001, u, v)
-    # the assembled triangle's edges are the outer pieces' longest edges
-    assembled = tuple(max(t) for t in JIGSAW_OUTER)
+    1001, three inner pieces (1001, u, x) on its edges and three outer
+    pieces (u, v, w) assemble exactly into one big triangle of sides w,
+    checked in Q(√3). The assembly is read off the edges the pieces share."""
+    # each piece's angles keyed by the edge they face
+    inner = [dict(zip(t, triangle_angles_sqrt3(t))) for t in JIGSAW_INNER]
+    outer = [dict(zip(t, triangle_angles_sqrt3(t))) for t in JIGSAW_OUTER]
+    assembled = tuple(w for _, _, w in JIGSAW_OUTER)
+    big = dict(zip(assembled, triangle_angles_sqrt3(assembled)))
+    # shared edge -> the angles of the inner or outer piece on it, and that
+    # piece's other shared edge
+    on_inner, on_outer = {}, {}
+    for (_, u, x), ang in zip(JIGSAW_INNER, inner):
+        on_inner[u], on_inner[x] = (ang, x), (ang, u)
+    for (u, v, _), ang in zip(JIGSAW_OUTER, outer):
+        on_outer[u], on_outer[v] = (ang, v), (ang, u)
 
     # area: Δ(assembled) = Δ(equilateral) + Σ Δ(pieces), all as s·√3
-    total = m * m / 4  # Δ_eq = (√3/4)·1001², recorded as s with Δ = s·√3
+    total = Fraction(JIGSAW_EQUILATERAL) ** 2 / 4   # Δ_eq = (√3/4)·1001²
     for t in JIGSAW_INNER + JIGSAW_OUTER:
         total += _sqrt3_area(t)
     area_ok = total == _sqrt3_area(assembled)
 
-    # each inner angle opposite 1001 is 60° more than an outer piece angle:
-    # around each vertex of the equilateral, 60° + two inner angles + one
-    # outer angle close up to 360°
-    sums_ok = _vertex_sums(inner, outer)
+    # outer piece (u, v, w) fills the corner of the equilateral between the
+    # inner pieces on u and on v: 60°, the inner angles facing their edges
+    # other than 1001 and the shared one, and the angle facing w make 360°
+    sums_ok = True
+    for (u, v, w), ang in zip(JIGSAW_OUTER, outer):
+        (pu, xu), (pv, xv) = on_inner[u], on_inner[v]
+        sums_ok &= SIXTY * pu[xu] * pv[xv] * ang[w] == FULL
 
-    # trisection: each assembled-triangle vertex angle splits into three
-    # equal parts contributed by the adjacent pieces
-    tris_ok = _trisection_check(inner, outer, assembled)
+    # trisection: at the apex of inner piece (1001, u, x), its angle facing
+    # 1001 and each outer neighbour's angle facing that neighbour's other
+    # shared edge are equal, and their triple is the assembled angle facing
+    # the side of the outer piece the inner one does not touch
+    tris_ok = True
+    for (e, u, x), ang in zip(JIGSAW_INNER, inner):
+        third = ang[e]
+        far = next(w for p, q, w in JIGSAW_OUTER if not {p, q} & {u, x})
+        tris_ok &= all(o[y] == third for o, y in (on_outer[u], on_outer[x]))
+        tris_ok &= third * third * third == big[far]
     return JigsawReport(area_ok, sums_ok, tris_ok)
-
-
-def _closes_circle(angles: Sequence[Sqrt3Angle]) -> bool:
-    acc = FULL
-    for ang in angles:
-        acc = acc * ang
-    return acc == FULL
-
-
-def _vertex_sums(inner, outer) -> bool:
-    """At each corner of the central equilateral piece three pieces meet:
-    60° + one angle from each adjacent inner piece + one outer angle = 360°.
-    Discover the matching combinatorially and require all three corners to
-    close up exactly."""
-    found = 0
-    for i1, i2 in combinations(range(3), 2):
-        closed = False
-        for j1 in (1, 2):
-            for j2 in (1, 2):
-                for o in range(3):
-                    for jo in range(3):
-                        if not closed and _closes_circle(
-                            [SIXTY, inner[i1][j1], inner[i2][j2], outer[o][jo]]
-                        ):
-                            closed = True
-        if closed:
-            found += 1
-    return found == 3
-
-
-def _trisection_check(inner, outer, assembled) -> bool:
-    """The assembled triangle's angles are exactly trisected: at each vertex
-    the three meeting piece angles are equal, and their triple equals the
-    corresponding angle of the assembled triangle."""
-    big = triangle_angles_sqrt3(assembled)
-    matched = 0
-    all_angles = [a for tri in list(inner) + list(outer) for a in tri]
-    for big_angle in big:
-        for small in all_angles:
-            if small * small * small == big_angle:
-                matched += 1
-                break
-    return matched == 3
 
 
 def orthocentric_morley_parallel(a: Point, b: Point, c: Point) -> float:

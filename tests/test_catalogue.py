@@ -149,11 +149,6 @@ TOLERANCE_SITES = {
     ("cli_figures.py", "1e-12"): (
         1, "the star-of-David side spread: a tighter check on the closed "
         "form's r/m, as no false miss shows at DEFAULT_EPS"),
-    ("morley.py", "_EDGE_REL_TOL"): (
-        2, "the accuracy of the rational reconstruction of Morley edges, "
-        "which ROADMAP item 7 removes"),
-    ("morley.py", "1e-12"): (1, "the value of _EDGE_REL_TOL"),
-    ("morley.py", "1e-30"): (1, "the floor of _EDGE_REL_TOL's scale"),
     ("morley.py", "DEFAULT_EPS"): (
         1, "_SIN_FLOOR, DEFAULT_EPS^(2/3): the floor of the sine in the "
         "lighthouse n-gons' conditioning, a factor of a magnitude"),
@@ -194,6 +189,19 @@ def test_float_decisions_go_through_vanishes():
         for text, count in tolerance_tokens(path).items()
     }
     assert found == {site: count for site, (count, _) in TOLERANCE_SITES.items()}
+
+
+def test_no_float_rational_reconstruction():
+    # a rational fact is computed exactly, not guessed from a float
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "limit_denominator" in {
+            n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute)
+        }
+    ]
+    assert found == []
 
 
 def storage_names(tree):

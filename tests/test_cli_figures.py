@@ -197,12 +197,12 @@ CASE_COUNTS = {
     "apocrypha-table": (18, 0, 0, 18),
     "deltoid": (100, 2, 0, 102),
     "droz-farny": (105, 2, 0, 107),
-    "euler-harmonic": (11, 0, 0, 11),
+    "euler-harmonic": (15, 0, 0, 15),
     "feuerbach32": (32, 0, 0, 32),
     "hexaflex": (8, 0, 0, 8),
     "lighthouse": (0, 503, 0, 503),
     "malfatti": (144, 2, 0, 146),
-    "morley": (3, 101, 1, 105),
+    "morley": (8, 100, 1, 109),
     "rendering": (7, 0, 0, 7),
     "soddy": (114, 0, 0, 114),
     "three-cycles": (7, 0, 0, 7),
@@ -239,9 +239,24 @@ class TestSuites:
         # seed-0 draw 10 has twice-area 0.014 < 1 and is not checked
         res = run_suite("morley", seed=0, count=100)
         assert (res.exact_passes, res.approx_passes, res.skipped, res.cases) == (
-            3, 101, 1, 105
+            8, 100, 1, 109
         )
-        assert "3 exact + 101 approx + 1 skipped of 105 cases" in res.summary()
+        assert "8 exact + 100 approx + 1 skipped of 109 cases" in res.summary()
+
+    def test_euler_range_checked_against_its_face(self, monkeypatch):
+        # a range built consistently about a wrong centre is still harmonic:
+        # only the face's own circumcentre, centroid and 2O − H catch it
+        def off_centre(q, label):
+            h, n = q.vertices[label], q.center + Point(Fraction(1), Fraction(0))
+            o = n - (h - n)
+            return quadrangle.EulerRange(
+                h, o, n - (h - n).scale(Fraction(1, 3)), n - (h - n).scale(3), Line.through(h, o)
+            )
+
+        monkeypatch.setattr(cli_figures, "euler_range", off_centre)
+        failures = run_suite("euler-harmonic").failures
+        assert not any("not harmonic" in f for f in failures)
+        assert sum("not the circumcentre, centroid and 2O − H" in f for f in failures) == 4
 
     def test_determinism(self):
         a = run_suite("soddy", seed=3, count=20)
@@ -362,6 +377,11 @@ class TestCLI:
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "--suite", "nope"])
         assert result.exit_code == 2
+
+    def test_verify_checks_every_suite_name_first(self):
+        result = CliRunner().invoke(main, ["verify", "--suite", "feuerbach32", "--suite", "nope"])
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
 
     def test_verify_rejects_negative_count(self):
         result = CliRunner().invoke(main, ["verify", "--suite", "morley", "--count", "-1"])

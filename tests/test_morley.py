@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadgeo.cli_figures as cli_figures
 import quadgeo.morley as morley
 import quadgeo.quadrangle as quadrangle
 import quadgeo.kernel as kernel
@@ -35,6 +36,7 @@ from quadgeo.morley import (
     LighthouseConfig,
     ParallelBeams,
     Sqrt3Angle,
+    Surd,
     altitude_quadrangle,
     bisector_quadrangle,
     duplication,
@@ -46,7 +48,6 @@ from quadgeo.morley import (
     lighthouse,
     lighthouse_verify,
     morley_config,
-    morley_edge_rationality,
     orthocentric_morley_parallel,
     phases_through,
     rational_morley,
@@ -57,7 +58,7 @@ from quadgeo.kernel import DegenerateInput
 from quadgeo.quadrangle import orthocentre
 
 EPS = 1e-9
-STRAIGHT = Sqrt3Angle(Fraction(-1), Fraction(0))
+STRAIGHT = Sqrt3Angle(Surd(-1), Surd(0))
 
 
 def random_triangle(rng, lo=-10.0, hi=10.0, min_area=2.0):
@@ -817,13 +818,42 @@ class TestMorleyAgainstReference:
         assert set(map(id, made)) == set(map(id, cfg.lines.values()))
 
 
+def reference_edge_variants(edges):
+    """The edges of the 18 Morley triangles of the triangle with these float
+    edges: |8R sin((A+2πi)/3) sin((B+2πj)/3) sin((C+2πk)/3)| over the
+    extraversion triples with i + j + k ≢ 1 (mod 3)."""
+    a, b, c = edges
+    ca = (b * b + c * c - a * a) / (2 * b * c)
+    cb = (c * c + a * a - b * b) / (2 * c * a)
+    cc = (a * a + b * b - c * c) / (2 * a * b)
+    aa, ab_, ac = math.acos(ca), math.acos(cb), math.acos(cc)
+    r = a / (2 * math.sin(aa))
+    return {
+        (i, j, k): abs(
+            8 * r
+            * math.sin((aa + 2 * math.pi * i) / 3)
+            * math.sin((ab_ + 2 * math.pi * j) / 3)
+            * math.sin((ac + 2 * math.pi * k) / 3)
+        )
+        for i, j, k in itertools.product(range(3), repeat=3)
+        if (i + j + k) % 3 != 1
+    }
+
+
 class TestRationalMorley:
     def test_pythagorean_member(self):
         rep = rational_morley("pythagorean", Fraction(1, 4))
         assert sorted(rep.integer_edges) == [495, 4888, 4913]
         assert rep.is_pythagorean
-        assert len(rep.rational_variants) == 2
-        assert set(rep.rational_variants.values()) == {Fraction(4080)}
+        assert rep.rational_variants == {(0, 2, 0): 4080, (0, 2, 1): 4080}
+
+    def test_pythagorean_t_one_third(self):
+        # four more Morley edges are irrational, though a continued fraction
+        # with denominator below 10⁵ matches each to 1e-12 relative:
+        # 80√3 − 60, |120 − 90√3|, 120 + 90√3 and 60 + 80√3
+        rep = rational_morley("pythagorean", Fraction(1, 3))
+        assert rep.integer_edges == (117, 44, 125)
+        assert rep.rational_variants == {(1, 1, 0): 120, (1, 1, 1): 120}
 
     def test_general_member_all_eighteen(self):
         x1, x2 = Fraction(7), Fraction(2)
@@ -832,13 +862,19 @@ class TestRationalMorley:
         assert not rep.is_pythagorean
         assert len(rep.rational_variants) == 18
 
-    def test_equilateral_six_congruent(self):
-        variants = morley_edge_rationality([1001.0, 1001.0, 1001.0])
-        assert len(variants) == 6
-        assert set(variants.values()) == {Fraction(1001)}
+    @pytest.mark.parametrize("family, want", [("pythagorean", 2), ("general", 18)])
+    def test_random_members(self, family, want):
+        rng = random.Random(17)
+        for _ in range(100):
+            params, rep = cli_figures._rational_morley_draw(rng, family)
+            assert len(rep.rational_variants) == want, params
+            floats = reference_edge_variants([float(e) for e in rep.integer_edges])
+            for key, edge in rep.rational_variants.items():
+                assert abs(edge - floats[key]) <= 1e-12 * edge, (params, key)
 
-    def test_generic_triangle_has_none(self):
-        assert morley_edge_rationality([7.0, 8.0, 9.0]) == {}
+    def test_no_float_functions(self, monkeypatch):
+        monkeypatch.setattr(morley, "math", None)
+        assert len(rational_morley("general", (7, 2, Fraction(27, 11))).rational_variants) == 18
 
     def test_constraint_enforced(self):
         with pytest.raises(InvalidParameters):
@@ -854,7 +890,32 @@ class TestJigsaw:
         assert SIXTY * SIXTY * SIXTY == STRAIGHT
         assert STRAIGHT * STRAIGHT == FULL
         with pytest.raises(InvalidParameters):
-            Sqrt3Angle(Fraction(1, 2), Fraction(1, 3))
+            Sqrt3Angle(Surd(Fraction(1, 2)), Surd(0, Fraction(1, 3)))
+
+    def test_surd_arithmetic(self):
+        two_plus = Surd(2, 1)                            # 2 + √3
+        assert two_plus * Surd(2, -1) == Surd(1)
+        assert Surd(1) / two_plus == Surd(2, -1)
+        assert two_plus - two_plus == Surd(0) == -Surd(0)
+        rng = random.Random(3)
+        for _ in range(200):
+            x = Surd(Fraction(rng.randint(-99, 99), rng.randint(1, 9)), rng.randint(-20, 20))
+            y = Surd(Fraction(rng.randint(-99, 99), rng.randint(1, 9)), rng.randint(-20, 20))
+            fx, fy = (float(v.p) + float(v.q) * math.sqrt(3) for v in (x, y))
+            for got, want in ((x + y, fx + fy), (x * y, fx * fy)):
+                assert math.isclose(float(got.p) + float(got.q) * math.sqrt(3), want, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("p, q, sign", [
+        (97, -56, 1),            # 1/(97 + 56√3) ≈ 5.2e-3
+        (-97, 56, -1),
+        (18817, -10864, 1),      # 1/(18817 + 10864√3) ≈ 2.7e-5
+        (-18817, 10864, -1),
+        (0, -1, -1),
+        (0, 0, 0),
+        (-1, 0, -1),
+    ])
+    def test_surd_sign(self, p, q, sign):
+        assert Surd(p, q).sign() == sign
 
     def test_piece_angles_live_in_q_sqrt3(self):
         for t in JIGSAW_INNER + JIGSAW_OUTER:
@@ -869,6 +930,19 @@ class TestJigsaw:
         assert rep.area_matches
         assert rep.vertex_sums
         assert rep.trisection
+
+    @pytest.mark.parametrize("piece", [JIGSAW_OUTER[0], JIGSAW_INNER[1]])
+    def test_swapped_angles_break_the_assembly(self, monkeypatch, piece):
+        real = morley.triangle_angles_sqrt3
+
+        def swapped(edges):
+            a, b, c = real(edges)
+            return (a, c, b) if tuple(edges) == piece else (a, b, c)
+
+        monkeypatch.setattr(morley, "triangle_angles_sqrt3", swapped)
+        rep = jigsaw_check()
+        assert rep.area_matches
+        assert not (rep.vertex_sums and rep.trisection)
 
 
 class TestThriceSixteen:

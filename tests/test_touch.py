@@ -19,7 +19,7 @@ from quadgeo.kernel import (
     foot_of_perpendicular,
     tangency_classify,
 )
-from quadgeo.quadrangle import quadrate, triangle_metrics
+from quadgeo.quadrangle import as_triangle, quadrate, triangle_metrics
 from quadgeo.touch import (
     DegenerateParameters,
     NotATriangle,
@@ -396,6 +396,23 @@ class TestHexaflex:
             "b": Point(F(142, 89), F(200, 89)),
             "c": Point(F(3), F(0)),
         }
+
+    @pytest.mark.parametrize("face", ["t0 face 7", "6-5-5"])
+    def test_perspector_closed_form(self, q, face):
+        # each perspector is where its touch circle touches the Central
+        # Circle (centre N, radius ρ = abc/(8Δ)): N + (C − N)·ρ/(ρ − r) for
+        # the incircle, N + (C − N)·ρ/(ρ + r_x) for an excircle
+        tri = q.face(7) if face == "t0 face 7" else as_triangle(
+            (Point(F(0), F(0)), Point(F(6), F(0)), Point(F(3), F(4)))
+        )
+        m = tri.metrics
+        n = tri.circumcircle.center.midpoint(tri.orthocentre)
+        rho = m.a * m.b * m.c / (8 * m.area)
+        signed = {"o": -m.r, "a": m.r1, "b": m.r2, "c": m.r3}
+        got = hexaflex(tri).perspectors
+        for tc in touch_circles(tri):
+            ext = tc.label[1]
+            assert got[ext] == n + (tc.circle.center - n).scale(rho / (rho + signed[ext]))
 
     def test_reflected_edges_parallel(self):
         hd = hexaflex((V1, V2, V4))
