@@ -31,6 +31,7 @@ from . import drozfarny, malfatti, morley, touch, wallace
 from .quadrangle import (
     LABELS,
     LabeledQuadrangle,
+    Triangle,
     acute_census,
     altitudes,
     euler_range,
@@ -506,13 +507,12 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
     for lab in LABELS:
         er = euler_range(q, lab)
         yield Check(er.harmonic(), f"range {lab} not harmonic")
-        # euler_range places O, G and deL from H and the Centre, harmonic
-        # by construction: the face's own points tell whether they are right
+        # the twin is the circumcentre of its face: its own circle tells
         face = q.face(lab)
         o = face.circumcircle.center
         yield Check(
             (er.circumcentre, er.centroid, er.de_longchamps)
-            == (o, (face[0] + face[1] + face[2]).scale(F(1, 3)), o.scale(2) - face.orthocentre),
+            == (o, face.point(1, 1, 1), o.scale(2) - face.orthocentre),
             f"range {lab}: O, G, deL are not the circumcentre, centroid and 2O − H of its face",
         )
     er = euler_range(q, 7)
@@ -926,14 +926,9 @@ def _exact_malfatti_checks(tri: Sequence[Point], at: str) -> Iterator[Check]:
     state = malfatti.quarter_angles(*tri)
     ok = all(map(is_exact, state)) and malfatti.validate(*state)
     if ok:
-        # ⟨000⟩ = (x, y, z) in barycentrics, the point (xA + yB + zC)/(x + y + z)
+        # ⟨000⟩ = (x, y, z) in barycentrics
         p = malfatti.point_coords((0, 0, 0), state)
-        weights = (p.x, p.y, p.z)
-        total = sum(weights)
-        radpoint = Point(
-            sum(k * v.x for k, v in zip(weights, tri)) / total,
-            sum(k * v.y for k, v in zip(weights, tri)) / total,
-        )
+        radpoint = Triangle(tri).point(p.x, p.y, p.z)
         axes = [radical_axis(circles[i], circles[i - 1]) for i in (1, 2)]
         ok = radpoint == axes[0].intersect(axes[1])
     yield Check(

@@ -238,16 +238,11 @@ def envelope_special_tangents(tri: Sequence[Point]) -> bool:
     a, b, c = tri
     central = circumcircle(b.midpoint(c), c.midpoint(a), a.midpoint(b))
     lines = [*tri.edges, *(perpendicular_bisector(h, v) for v in tri)]
-    p, q = central.center, env.center
-    if p.is_exact() and q.is_exact():
-        same_centre = p == q
-    else:
-        size = sum(math.hypot(v.x, v.y) for v in (p, q, *tri))
-        same_centre = vanishes(math.hypot(p.x - q.x, p.y - q.y), size)
+    size = sum(math.hypot(v.x, v.y) for v in tri)
     return (
         all(env.conic.is_tangent(l) for l in lines)
         and vanishes(4 * central.r2 - env.axis2, 4 * central.r2 + env.axis2)
-        and same_centre
+        and central.center.close_to(env.center, size)
     )
 
 

@@ -231,12 +231,15 @@ class Point:
     def is_exact(self) -> bool:
         return type(self) is _TriplePoint
 
-    def close_to(self, other: "Point") -> bool:
-        """Equal, exactly or with |p − q| vanishing against |p| + |q|."""
+    def close_to(self, other: "Point", size: float = 0.0) -> bool:
+        """Equal, exactly or with |p − q| vanishing against |p| + |q| + size,
+        ``size`` the norms of the data both points were built from: they may
+        lie near the origin, far smaller than that data."""
         if self.is_exact() and other.is_exact():
             return self == other
         d = math.hypot(self.x - other.x, self.y - other.y)
-        return vanishes(d, math.hypot(self.x, self.y) + math.hypot(other.x, other.y))
+        m = math.hypot(self.x, self.y) + math.hypot(other.x, other.y) + size
+        return vanishes(d, m)
 
 
 class _Coordinate:

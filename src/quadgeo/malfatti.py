@@ -38,7 +38,6 @@ from .kernel import (
     sqrt_scalar,
 )
 from .quadrangle import Triangle
-from .touch import touch_circles
 
 State = Tuple[Fraction, Fraction, Fraction]
 #: a rational n/d as (n, d) in lowest terms with d > 0
@@ -713,7 +712,7 @@ def malfatti_circles(
     IA, IB and IC are rational.  Returns the circles and (X, Y, Z)."""
     tri = Triangle((a, b, c))
     m = tri.metrics
-    incentre = touch_circles(tri)[0].circle.center
+    incentre = tri.point(*tri.sides)
     gaps, dists = _tangent_lengths(tri)
     total = sum(dists)
     circles = []

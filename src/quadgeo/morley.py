@@ -16,8 +16,9 @@ angle is a `Sqrt3Angle` whose cosine and sine are `Surd`s p + q√3, and a
 Morley edge of a family member is rational when its √3 part vanishes.
 Thrice Sixteen is field-generic: exact input whose chords are rational
 (vertices w² for rational points w of a circle) keeps all 16 centres
-rational and every check exact. Its centres are the side-weighted means of
-`touch._side_weighted`, with no touch circle built.
+rational and every check exact. Its centres are the barycentric points
+(±a : ±b : ±c) of each triangle, `Triangle.point` weighted by its
+`Triangle.sides`, with no touch circle built.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .kernel import (
     vanishes,
 )
 from .quadrangle import Triangle, as_triangle, orthocentre
-from .touch import _side_weighted
 
 
 class InvalidParameters(GeometryError):
@@ -877,9 +877,9 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     and the perpendicularity between them are checked, and DegenerateInput
     raised if one fails; ``midpoint_pairs`` counts the tabled pairs that
     coincide on the circumcircle.  Field-generic:
-    the centres are those of ``touch_circles``, read from its side weights
-    (``touch._side_weighted``), exact when every chord of the quadrangle is
-    rational, and each check is `kernel.vanishes`.
+    the centres are those of ``touch_circles``, the points of each triangle
+    weighted by its sides (`Triangle.point`), exact when every chord of the
+    quadrangle is rational, and each check is `kernel.vanishes`.
     ``worst`` is the largest float r/m but those of the `Line` predicates."""
     pts = list(quad)
     if len(pts) != 4:
@@ -905,9 +905,10 @@ def thrice_sixteen(quad: Sequence[Point]) -> ThriceSixteenReport:
     own: List[List[Optional[Point]]] = [[None] * 4 for _ in range(4)]
     for omit in range(4):
         others = [i for i in range(4) if i != omit]
-        (a, b, c), centre = _side_weighted(Triangle([pts[i] for i in others]))
+        tri = Triangle([pts[i] for i in others])
+        a, b, c = tri.sides
         for v, weights in zip([omit] + others, ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))):
-            own[omit][v] = centers[f"{omit}{v}"] = centre(*weights)
+            own[omit][v] = centers[f"{omit}{v}"] = tri.point(*weights)
 
     size = sum(math.hypot(p.x, p.y) for p in (base.center, base.center, *centers.values()))
 
@@ -1008,13 +1009,7 @@ def inside_out(tri: Sequence[Point]) -> InsideOutData:
     o = Line.through(a, a_p).intersect(Line.through(b, b_p))
     if not on(Line.through(c, c_p), o):
         raise IdentityViolated("AA', BB', CC' fail to concur")
-    centre = tri.circumcircle.center
-    if centre.is_exact() and o.is_exact():
-        at_centre = centre == o
-    else:
-        gap = math.hypot(centre.x - o.x, centre.y - o.y)
-        at_centre = vanishes(gap, math.hypot(centre.x, centre.y) + math.hypot(o.x, o.y) + size)
-    if not at_centre:
+    if not tri.circumcircle.center.close_to(o, size):
         raise IdentityViolated("concurrence is not the circumcentre")
     h = tri.orthocentre
     for v, vp in ((a, alpha_p), (b, beta_p), (c, gamma_p)):

@@ -1,5 +1,6 @@
 """Triangles and orthocentric quadrangles: the `Triangle` value that
-carries a triangle's edges, orthocentre, circumcircle and metrics; the
+carries a triangle's edges, orthocentre, circumcircle and metrics and gives
+each of its centres as a barycentric point (`Triangle.point`); the
 `LabeledQuadrangle` value that stores the four labelled vertices of a
 quadrated triangle and derives its twins, Centre, Central Circle, midpoints,
 diagonal points and faces from them; Euler-line harmonic ranges, the median
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
@@ -24,6 +26,7 @@ from .kernel import (
     _edge_vectors,
     _hom,
     _point_of,
+    _ratio,
     circle_from_diameter,
     circumcircle,
     cross_ratio,
@@ -55,11 +58,21 @@ def orthocentre(p: Point, q: Point, r: Point) -> Point:
     return _point_of(x, y, l * cross)
 
 
+def _integers(values: Sequence[Number]) -> Tuple[Number, ...]:
+    """``values`` times the lcm of their denominators: integers for
+    rationals, the floats themselves for floats."""
+    ks = [_ratio(v) for v in values]
+    k = math.lcm(*[d for _, d in ks])
+    return tuple([n * (k // d) for n, d in ks])
+
+
 class Triangle(tuple):
     """The vertices A, B, C of a triangle. The data that the constructions
     on it read are derived on first use and then kept: the edge lines BC,
-    CA, AB, the orthocentre, the circumcircle and the metrics. A face of a
-    quadrangle is one, so the constructions on a face share them."""
+    CA, AB, the orthocentre, the circumcircle, the metrics, the sides and
+    the vertex triples on their common denominator. A face of a quadrangle
+    is one, so the constructions on a face share them. Every triangle
+    centre of the package is a barycentric `point` of its triangle."""
 
     @cached_property
     def edges(self) -> Tuple[Line, Line, Line]:
@@ -77,6 +90,34 @@ class Triangle(tuple):
     @cached_property
     def metrics(self) -> TriangleMetrics:
         return triangle_metrics(*self)
+
+    @cached_property
+    def sides(self) -> Tuple[Number, Number, Number]:
+        """The side lengths a, b, c up to one positive factor: integers when
+        they are rational."""
+        m = self.metrics
+        return _integers((m.a, m.b, m.c))
+
+    @cached_property
+    def _frame(self) -> Tuple[List[Number], List[Number], int]:
+        """The vertex triples over their common denominator l: the xs, the
+        ys and l."""
+        hs = [_hom(v) for v in self]
+        l = math.lcm(*[w for _, _, w in hs])
+        return [x * (l // w) for x, _, w in hs], [y * (l // w) for _, y, w in hs], l
+
+    def point(self, wa: Number, wb: Number, wc: Number) -> Point:
+        """The point with barycentric weights (wa, wb, wc), Σ wᵢ·vᵢ / Σ wᵢ:
+        summed over the vertex triples on their common denominator, with
+        exact weights scaled to integers first."""
+        if type(wa) is Fraction or type(wb) is Fraction or type(wc) is Fraction:
+            wa, wb, wc = _integers((wa, wb, wc))
+        xs, ys, l = self._frame
+        return _point_of(
+            wa * xs[0] + wb * xs[1] + wc * xs[2],
+            wa * ys[0] + wb * ys[1] + wc * ys[2],
+            (wa + wb + wc) * l,
+        )
 
 
 def as_triangle(pts: Sequence[Point]) -> Triangle:
@@ -218,15 +259,13 @@ class EulerRange:
 
 
 def euler_range(q: LabeledQuadrangle, label: int) -> EulerRange:
-    """Euler range of the face opposite `label`: with d the displacement of
-    the orthocentre from the Centre, O = −d, G = −d/3, deL = −3d."""
-    h = q.vertices[label]
-    d = h - q.center
-    o = q.center - d
-    x, y, w = _hom(d)
-    g = q.center - _point_of(x, y, 3 * w)
-    del_ = q.center - d.scale(3)
-    return EulerRange(h, o, g, del_, Line.through(h, o))
+    """Euler range of the face opposite `label`: its orthocentre H is the
+    vertex `label`, its circumcentre O the twin of that vertex, its centroid
+    G the face's vertex mean and its de Longchamps point 2O − H. The range
+    is harmonic because G = (H + 2O)/3."""
+    h, o = q.vertices[label], q.twins[label]
+    g = q.face(label).point(1, 1, 1)
+    return EulerRange(h, o, g, o.scale(2) - h, Line.through(h, o))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ circles with exact classification, number-theoretic triangle generators,
 and the bisector-reflection (hexaflex) tangency construction. Each
 construction takes one triangle and reads its metrics, edges, orthocentre
 and circumcircle from one `Triangle`, so constructions that share it
-derive them once."""
+derive them once; its centres (in/excentres, Nagel point, centroid, Soddy
+centres) are barycentric points of it, `Triangle.point`, weighted by its
+`Triangle.sides`."""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .kernel import (
     Circle,
@@ -22,9 +24,6 @@ from .kernel import (
     Number,
     Point,
     Tangency,
-    _hom,
-    _point_of,
-    _ratio,
     collinear,
     divide,
     foot_of_perpendicular,
@@ -72,7 +71,7 @@ def touch_circles(
     triangles (rational side lengths)."""
     tri = as_triangle(tri)
     m = tri.metrics
-    (a, b, c), centre = _side_weighted(tri)
+    a, b, c = tri.sides
     weight_sets = {
         "o": (a, b, c),
         "a": (-a, b, c),
@@ -83,33 +82,9 @@ def touch_circles(
     out = []
     for ext in EXTRAVERSIONS:
         rad = radii[ext]
-        circle = Circle(centre(*weight_sets[ext]), rad * rad)
+        circle = Circle(tri.point(*weight_sets[ext]), rad * rad)
         out.append(TouchCircle((triangle_label, ext), circle, tri))
     return out
-
-
-def _side_weighted(
-    tri: Triangle,
-) -> Tuple[Tuple[Number, Number, Number], Callable[[Number, Number, Number], Point]]:
-    """The sides a, b, c over their common denominator, and the map from
-    weights (wa, wb, wc) to the point Σ wᵢ·vᵢ / Σ wᵢ, summed over the
-    vertex triples on their common denominator l."""
-    m = tri.metrics
-    hs, ks = [_hom(v) for v in tri], (_ratio(m.a), _ratio(m.b), _ratio(m.c))
-    k = math.lcm(*[d for _, d in ks])
-    sides = tuple([n * (k // d) for n, d in ks])
-    l = math.lcm(*[w for _, _, w in hs])
-    xs = [x * (l // w) for x, _, w in hs]
-    ys = [y * (l // w) for _, y, w in hs]
-
-    def centre(wa: Number, wb: Number, wc: Number) -> Point:
-        return _point_of(
-            wa * xs[0] + wb * xs[1] + wc * xs[2],
-            wa * ys[0] + wb * ys[1] + wc * ys[2],
-            (wa + wb + wc) * l,
-        )
-
-    return sides, centre
 
 
 @dataclass(frozen=True)
@@ -193,11 +168,11 @@ def gergonne_nagel(tri: Sequence[Point]) -> GergonneNagelData:
         gergonnes[tc.label[1]] = _cevian_point(tri, tc.touch_points)
     # the Nagel point weighs each vertex by s less its opposite side, in
     # proportion to −a + b + c, a − b + c, a + b − c
-    (a, b, c), centre = _side_weighted(tri)
-    nagel = centre(b + c - a, c + a - b, a + b - c)
+    a, b, c = tri.sides
+    nagel = tri.point(b + c - a, c + a - b, a + b - c)
     incentre = tcs[0].circle.center
     return GergonneNagelData(
-        gergonnes, nagel, incentre, centre(1, 1, 1), _de_longchamps(tri)
+        gergonnes, nagel, incentre, tri.point(1, 1, 1), _de_longchamps(tri)
     )
 
 
@@ -246,29 +221,15 @@ class SoddyData:
     de_longchamps: Point
 
 
-def _tangent_circle_center(
-    tri: Sequence[Point], radii: Sequence[Number], rho: Number, signs: Sequence[int]
-) -> Point:
-    """Centre P with |P−Vᵢ|² = (rho + signs[i]·radii[i])² for all i, solved
-    from the two pairwise-difference linear equations (rational)."""
-    targets = [(rho + signs[i] * radii[i]) ** 2 for i in range(3)]
-    lines = []
-    for i, j in ((0, 1), (0, 2)):
-        vi, vj = tri[i], tri[j]
-        # |P-vi|² - |P-vj|² = targets[i]-targets[j]
-        # → 2(vj-vi)·P = targets[i]-targets[j] + |vj|²-|vi|²
-        d = vj - vi
-        rhs = (targets[i] - targets[j] + vj.norm2() - vi.norm2()) / 2
-        lines.append(Line(d.x, d.y, rhs))
-    return lines[0].intersect(lines[1])
-
-
 def soddy(tri: Sequence[Point]) -> SoddyData:
     """Soddy circles of the triangle: the three mutually tangent circles
     centred at the vertices (radii s−a, s−b, s−c), the inner and outer
-    tangent circles via Descartes (the radical √(Σkᵢkⱼ) equals 1/r exactly,
-    so everything is rational for Heronian triangles), and the Soddy /
-    Gergonne line pair."""
+    tangent circles, and the Soddy / Gergonne line pair. The radii come
+    from Descartes (the radical √(Σkᵢkⱼ) equals 1/r exactly, so everything
+    is rational for Heronian triangles), and the centres, with r_a the
+    exradii, are (a + r_a : b + r_b : c + r_c) and (a − r_a : b − r_b :
+    c − r_c), X(176) and X(175) of Kimberling's Encyclopedia of Triangle
+    Centers; the outer one exists unless 4R + r = a + b + c."""
     tri = as_triangle(tri)
     m = tri.metrics
     radii = (m.s - m.a, m.s - m.b, m.s - m.c)
@@ -278,8 +239,7 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
     inner_curv = k1 + k2 + k3 + 2 * root
     outer_curv = k1 + k2 + k3 - 2 * root
     rho_in = 1 / inner_curv
-    inner_center = _tangent_circle_center(tri, radii, rho_in, (1, 1, 1))
-    inner = Circle(inner_center, rho_in * rho_in)
+    inner = Circle(tri.point(m.a + m.r1, m.b + m.r2, m.c + m.r3), rho_in * rho_in)
 
     incircle = touch_circles(tri)[0]
     incentre = incircle.circle.center
@@ -289,12 +249,9 @@ def soddy(tri: Sequence[Point]) -> SoddyData:
 
     outer = None
     if not vanishes(outer_curv, inner_curv):   # k₁ + k₂ + k₃ + 2/r
-        rho_out = 1 / outer_curv  # may be negative: enclosing circle
-        abs_rho = -rho_out if rho_out < 0 else rho_out
-        # enclosing: |P-Vi| = |rho| - radii[i]; external: |P-Vi| = rho + radii[i]
-        signs = (-1, -1, -1) if rho_out < 0 else (1, 1, 1)
-        outer_center = _tangent_circle_center(tri, radii, abs_rho, signs)
-        outer = Circle(outer_center, abs_rho * abs_rho)
+        rho_out = 1 / outer_curv  # negative for an enclosing circle
+        centre = tri.point(m.a - m.r1, m.b - m.r2, m.c - m.r3)
+        outer = Circle(centre, rho_out * rho_out)
 
     return SoddyData(
         tangent_circles=tangent,

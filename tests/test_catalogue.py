@@ -22,7 +22,11 @@ on a returned r/m, save the sites of ``TOLERANCE_SITES``.
 
 How an exact point is stored is the kernel's decision alone: outside
 ``kernel.py`` no module names ``_TriplePoint`` or reads an attribute ``_t``;
-``kernel._hom`` gives any point's triple."""
+``kernel._hom`` gives any point's triple.
+
+A module of the package imports private (``_``-prefixed) names from
+``kernel`` only: a helper that two modules share is public, or a kernel
+primitive."""
 
 import ast
 import io
@@ -227,5 +231,27 @@ def test_point_storage_stays_in_kernel():
         path.name: storage_names(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "kernel.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def private_imports(tree):
+    """(module, name) of each private name imported from a module other than
+    ``kernel``, sorted."""
+    return sorted(
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module not in ("kernel", "__future__")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_names_come_from_kernel_only():
+    probe = "from .kernel import _hom\nfrom .touch import _perspector, Line\n"
+    assert private_imports(ast.parse(probe)) == [("touch", "_perspector")]
+    found = {
+        path.name: private_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -258,6 +258,21 @@ class TestSuites:
         assert not any("not harmonic" in f for f in failures)
         assert sum("not the circumcentre, centroid and 2O − H" in f for f in failures) == 4
 
+    def test_centroid_moved_along_its_euler_line(self, monkeypatch):
+        # G moved by 1e-6·(G − H) stays on the Euler line, so the four
+        # points stay collinear and only the harmonic range can tell
+        real = quadrangle.Triangle.point
+
+        def moved(tri, *weights):
+            p = real(tri, *weights)
+            if weights != (1, 1, 1):
+                return p
+            return p + (p - tri.orthocentre).scale(Fraction(1, 10**6))
+
+        monkeypatch.setattr(quadrangle.Triangle, "point", moved)
+        failures = run_suite("euler-harmonic").failures
+        assert failures == [f"range {l} not harmonic" for l in (1, 2, 4, 7)]
+
     def test_determinism(self):
         a = run_suite("soddy", seed=3, count=20)
         b = run_suite("soddy", seed=3, count=20)

@@ -6,8 +6,6 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ import quadgeo.malfatti as malfatti
 from quadgeo.cli_figures import _unit_circle_power, run_suite
 from quadgeo.kernel import (
     Barycentric,
-    Circle,
     DEFAULT_EPS,
     DegenerateInput,
     Point,
@@ -57,6 +54,7 @@ from quadgeo.malfatti import (
     zero_points,
     zerocoord,
 )
+from quadgeo.quadrangle import Triangle
 
 STATE = (F(2, 9), F(1, 4), F(1, 3))
 
@@ -854,15 +852,13 @@ class TestMalfattiCircles:
     def test_shifted_incentre_is_a_failed_exact_case(self, monkeypatch):
         # a shift of 1e-12 moves every circle by less than the float
         # tolerances, so only the exact w⁴ cases can see it
-        real = malfatti.touch_circles
+        real = Triangle.point
 
-        def shifted(tri):
-            incircle, *rest = real(tri)
-            c = incircle.circle
-            moved = Circle(Point(c.center.x + F(1, 10**12), c.center.y), c.r2)
-            return [replace(incircle, circle=moved), *rest]
+        def shifted(tri, *weights):   # the incentre, weighted by the sides
+            p = real(tri, *weights)
+            return Point(p.x + F(1, 10**12), p.y) if weights == tri.sides else p
 
-        monkeypatch.setattr(malfatti, "touch_circles", shifted)
+        monkeypatch.setattr(Triangle, "point", shifted)
         res = run_suite("malfatti", count=10)
         assert not res.passed
         assert res.approx_passes == 2

@@ -313,18 +313,13 @@ class TestThriceSixteen:
             morley.thrice_sixteen(off)
 
     def test_grid_line(self, monkeypatch):
-        real = morley._side_weighted
+        real = Triangle.point
 
-        def shifted(tri):
-            sides, centre = real(tri)
+        def shifted(tri, *weights):   # the incentre, weighted by the sides
+            p = real(tri, *weights)
+            return Point(p.x + self.DELTA, p.y) if weights == tri.sides else p
 
-            def moved(*weights):   # the incentre, weighted by the sides
-                p = centre(*weights)
-                return Point(p.x + self.DELTA, p.y) if weights == sides else p
-
-            return sides, moved
-
-        monkeypatch.setattr(morley, "_side_weighted", shifted)
+        monkeypatch.setattr(Triangle, "point", shifted)
         with pytest.raises(DegenerateInput, match="not collinear"):
             morley.thrice_sixteen(self.QUAD)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadgeo import touch
+from quadgeo.cli_figures import _random_tangent, _unit_circle_power
 from quadgeo.kernel import (
     Circle,
     DegenerateInput,
@@ -18,6 +19,7 @@ from quadgeo.kernel import (
     circumcircle,
     foot_of_perpendicular,
     tangency_classify,
+    vanishes,
 )
 from quadgeo.quadrangle import as_triangle, quadrate, triangle_metrics
 from quadgeo.touch import (
@@ -251,6 +253,78 @@ class TestSoddy:
         g = sd.gergonne_line
         for circ in sd.tangent_circles:
             assert g.evaluate(circ.center) ** 2 == circ.r2 * (g.a * g.a + g.b * g.b)
+
+
+def reference_tangent_circle_center(tri, radii, rho, signs):
+    """Centre P with |P−Vᵢ|² = (rho + signs[i]·radii[i])² for all i, solved
+    from the two pairwise-difference linear equations: the construction
+    that the closed forms of `soddy` replaced."""
+    targets = [(rho + signs[i] * radii[i]) ** 2 for i in range(3)]
+    lines = []
+    for i, j in ((0, 1), (0, 2)):
+        vi, vj = tri[i], tri[j]
+        # |P-vi|² - |P-vj|² = targets[i]-targets[j]
+        # → 2(vj-vi)·P = targets[i]-targets[j] + |vj|²-|vi|²
+        d = vj - vi
+        rhs = (targets[i] - targets[j] + vj.norm2() - vi.norm2()) / 2
+        lines.append(Line(d.x, d.y, rhs))
+    return lines[0].intersect(lines[1])
+
+
+def reference_soddy_centres(tri):
+    """The inner and outer Soddy centres (None for the outer one in the
+    critical case) by the linear solve, with radii from Descartes."""
+    m = triangle_metrics(*tri)
+    radii = (m.s - m.a, m.s - m.b, m.s - m.c)
+    k = sum(1 / x for x in radii)
+    inner_curv, outer_curv = k + 2 / m.r, k - 2 / m.r
+    inner = reference_tangent_circle_center(tri, radii, 1 / inner_curv, (1, 1, 1))
+    if vanishes(outer_curv, inner_curv):
+        return inner, None
+    rho_out = 1 / outer_curv
+    # enclosing: |P-Vi| = |rho| - radii[i]; external: |P-Vi| = rho + radii[i]
+    signs = (-1, -1, -1) if rho_out < 0 else (1, 1, 1)
+    return inner, reference_tangent_circle_center(tri, radii, abs(rho_out), signs)
+
+
+#: the (45, 40, 13) critical triangle, whose outer Soddy circle is a line
+CRITICAL = (Point(F(33, 5), F(56, 5)), Point(F(0), F(0)), Point(F(45), F(0)))
+
+
+class TestSoddyAgainstReference:
+    """`soddy`'s closed-form centres X(176) and X(175) equal the linear
+    solve's, and the outer circle is missing in the same cases."""
+
+    def test_exact_equal(self):
+        rng = random.Random(7)
+        tris = [CRITICAL]
+        while len(tris) < 200:
+            tri = [_unit_circle_power(_random_tangent(rng), 1) for _ in range(3)]
+            if len(set(tri)) == 3:
+                tris.append(tri)
+        for tri in tris:
+            sd = soddy(tri)
+            inner, outer = reference_soddy_centres(tri)
+            assert sd.inner.center == inner
+            assert (sd.outer is None) == (outer is None)
+            if outer is not None:
+                assert sd.outer.center == outer
+        assert soddy(CRITICAL).outer is None
+
+    def test_float_close(self):
+        rng = random.Random(7)
+        done = 0
+        while done < 500:
+            tri = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+            if abs((tri[1] - tri[0]).cross(tri[2] - tri[0])) < 1:
+                continue
+            done += 1
+            sd = soddy(tri)
+            inner, outer = reference_soddy_centres(tri)
+            assert sd.inner.center.close_to(inner)
+            assert (sd.outer is None) == (outer is None)
+            if outer is not None:
+                assert sd.outer.center.close_to(outer)
 
 
 class TestClassify:
