@@ -507,7 +507,7 @@ def _suite_euler(rng, count: int) -> Iterator[Check]:
     for lab in LABELS:
         er = euler_range(q, lab)
         yield Check(er.harmonic(), f"range {lab} not harmonic")
-        # the twin is the circumcentre of its face: its own circle tells
+        # the range's O is the twin, which must be the face's circumcentre
         face = q.face(lab)
         o = face.circumcircle.center
         yield Check(
