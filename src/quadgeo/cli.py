@@ -18,6 +18,16 @@ from .cli_figures import (
 )
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``; a path that cannot be opened (say, in a
+    missing directory) is reported through click, without a traceback."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise click.FileError(path, hint=exc.strerror) from None
+
+
 @click.group()
 def main() -> None:
     """Exact verification and figure rendering for orthocentric-quadrangle
@@ -54,8 +64,7 @@ def render(fixture_name, recipe_name, output) -> None:
     except (UnknownFixture, UnknownRecipe) as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
-    with open(output, "wb") as fh:
-        fh.write(render_svg(scene))
+    _write(output, render_svg(scene))
     click.echo(f"wrote {output}")
 
 
@@ -65,8 +74,7 @@ def render(fixture_name, recipe_name, output) -> None:
 @click.option("-o", "output", type=click.Path(dir_okay=False), required=True)
 def table(name, output) -> None:
     """Write a plain-text table to a file."""
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(table_text(name))
+    _write(output, table_text(name).encode("utf-8"))
     click.echo(f"wrote {output}")
 
 

@@ -19,6 +19,8 @@ from .kernel import (
     Line,
     Point,
     Tangency,
+    _normalize_abc,
+    float_xy,
     foot_of_perpendicular,
     format_scalar,
     is_exact,
@@ -101,7 +103,7 @@ class Scene:
 
     def add_point(self, p: Point, layer: int = 2) -> None:
         self.elements.append(
-            SceneElement("point", (float(p.x), float(p.y)), "solid", layer)
+            SceneElement("point", float_xy(p), "solid", layer)
         )
 
     def add_line(self, line: Line, stroke: str = "solid", layer: int = 0) -> None:
@@ -113,7 +115,7 @@ class Scene:
         self.elements.append(
             SceneElement(
                 "circle",
-                (float(c.center.x), float(c.center.y), math.sqrt(float(c.r2))),
+                (*float_xy(c.center), math.sqrt(float(c.r2))),
                 stroke,
                 layer,
             )
@@ -123,32 +125,37 @@ class Scene:
         self, pts: Sequence[Point], stroke: str = "solid", layer: int = 1,
         closed: bool = False,
     ) -> None:
-        coords = tuple((float(p.x), float(p.y)) for p in pts)
+        coords = tuple(map(float_xy, pts))
         if closed:
             coords = coords + (coords[0],)
         self.elements.append(SceneElement("polyline", coords, stroke, layer))
 
     def add_label(self, p: Point, text: str, layer: int = 3) -> None:
         self.elements.append(
-            SceneElement("label", (float(p.x), float(p.y), text), "solid", layer)
+            SceneElement("label", (*float_xy(p), text), "solid", layer)
         )
 
 
 def _clip_line(line: Line, window: Window) -> Optional[tuple]:
-    """Liang-Barsky clip of an infinite line to the window rectangle."""
+    """Liang-Barsky clip of an infinite line to the window rectangle, from
+    the foot (px, py) of the window centre on the line. In floats, the foot
+    takes `kernel._project`'s arithmetic on the coefficients a float `Line`
+    would hold."""
     x0, y0, x1, y1 = window
-    a, b, c = float(line.a), float(line.b), float(line.c)
-    px = foot_of_perpendicular(Point((x0 + x1) / 2, (y0 + y1) / 2),
-                               Line(a, b, c))
+    a, b, c = _normalize_abc(float(line.a), float(line.b), float(line.c))
+    mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+    n2 = a * a + b * b
+    t = a * mx + b * my - c
+    px, py = (mx * n2 - t * a) / n2, (my * n2 - t * b) / n2
     dx, dy = -b, a
     n = math.hypot(dx, dy)
     dx, dy = dx / n, dy / n
     t0, t1 = -math.inf, math.inf
     for p, q in (
-        (-dx, float(px.x) - x0),
-        (dx, x1 - float(px.x)),
-        (-dy, float(px.y) - y0),
-        (dy, y1 - float(px.y)),
+        (-dx, px - x0),
+        (dx, x1 - px),
+        (-dy, py - y0),
+        (dy, y1 - py),
     ):
         if p == 0:
             if q < 0:
@@ -161,10 +168,7 @@ def _clip_line(line: Line, window: Window) -> Optional[tuple]:
             t1 = min(t1, r)
     if t0 >= t1:
         return None
-    return (
-        float(px.x) + t0 * dx, float(px.y) + t0 * dy,
-        float(px.x) + t1 * dx, float(px.y) + t1 * dy,
-    )
+    return px + t0 * dx, py + t0 * dy, px + t1 * dx, py + t1 * dy
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +279,20 @@ def _recipe_df_envelope(q: LabeledQuadrangle) -> Scene:
         scene.add_line(inst.df, stroke="dotted")
     # the envelope ellipse as a sampled polyline
     f1, f2 = env.conic.focus1, env.conic.focus2
-    cx, cy = float(env.center.x), float(env.center.y)
+    cx, cy = float_xy(env.center)
     a = math.sqrt(float(env.axis2)) / 2
     c2 = float(f1.dist2(f2)) / 4
     b = math.sqrt(a * a - c2)
-    ux, uy = float(f1.x) - cx, float(f1.y) - cy
+    fx, fy = float_xy(f1)
+    ux, uy = fx - cx, fy - cy
     n = math.hypot(ux, uy)
     ux, uy = ux / n, uy / n
     pts = []
     for i in range(256):
         th = 2 * math.pi * i / 256
         e1, e2 = a * math.cos(th), b * math.sin(th)
-        pts.append(Point(cx + e1 * ux - e2 * uy, cy + e1 * uy + e2 * ux))
-    scene.add_polyline(pts, stroke="thick", closed=True)
+        pts.append((cx + e1 * ux - e2 * uy, cy + e1 * uy + e2 * ux))
+    scene.elements.append(SceneElement("polyline", (*pts, pts[0]), "thick", 1))
     for p in (f1, f2):
         scene.add_point(p)
     scene.add_label(f1, "H")

@@ -7,8 +7,10 @@ triple, and every exact point is stored as its reduced integer triple
 (X, Y, W), p = (X/W, Y/W): `Point(x, y)` over the rationals finds it from
 the denominators and keeps the x and y it was given, and a construction
 over ints makes it with one gcd and no `Fraction` (`_point_of`; x and y
-are built on first read). Each primitive reads a point as a triple through
-`_hom`: the stored one, or (x, y, 1) for a point with a float coordinate.
+are built on first read). Its floats (`float_xy`) and its hash come from
+the triple too, and build no `Fraction`. Each primitive reads a point as
+a triple through `_hom`: the stored one, or (x, y, 1) for a point with a
+float coordinate.
 One formula then serves both, and the scalar type alone decides exactness.
 A construction builds one `Fraction` per scalar it returns (`divide`), and
 a predicate builds none, since it compares cross-multiplied ints. All
@@ -23,6 +25,7 @@ expression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,6 +39,9 @@ DEFAULT_EPS = 1e-9
 
 #: sets a field of a frozen instance; bound once, as every point and line use it
 _setattr = object.__setattr__
+
+#: the prime P of Python's numeric hash
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +286,16 @@ class _TriplePoint(Point):
             return NotImplemented
         return (self.x, self.y) == (other.x, other.y)
 
-    __hash__ = Point.__hash__
+    def __hash__(self) -> int:
+        """hash((x, y)), found from the triple by `Fraction`'s own rule, so
+        it equals that of any equal point: n/W hashes as ±(|n|·W⁻¹ mod P)
+        with n's sign, −1 read as −2, which the tuple's hash of an int does."""
+        (x, y, w), m = self._t, _HASH_MODULUS
+        if w % m == 0:
+            return hash((self.x, self.y))
+        winv = pow(w, -1, m)
+        hx, hy = hash(abs(x)) * winv % m, hash(abs(y)) * winv % m
+        return hash((hx if x >= 0 else -hx, hy if y >= 0 else -hy))
 
     def __add__(self, other: Point) -> Point:
         return _combine(self, 1, other)
@@ -302,6 +317,16 @@ class _TriplePoint(Point):
     def norm2(self) -> Fraction:
         x, y, w = self._t
         return Fraction(x * x + y * y, w * w)
+
+
+def float_xy(p: Point) -> Tuple[float, float]:
+    """(float(x), float(y)). An exact point divides its triple, X/W and Y/W:
+    int true division is correctly rounded, so the bits are those of the
+    `Fraction`s, and none is built."""
+    if type(p) is _TriplePoint:
+        x, y, w = p._t
+        return x / w, y / w
+    return float(p.x), float(p.y)
 
 
 def _combine(p: Point, k: int, q: Point, d: int = 1) -> Point:

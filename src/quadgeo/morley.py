@@ -43,6 +43,7 @@ from .kernel import (
     _normalize_abc,
     circumcircle,
     collinear,
+    float_xy,
     is_exact,
     primitive_integers,
     reflect_line_in_line,
@@ -68,11 +69,12 @@ class ParallelBeams(GeometryError):
 
 
 def _fp(p: Point) -> Point:
-    return Point(float(p.x), float(p.y))
+    return Point(*float_xy(p))
 
 
 def _angle_of(d: Point) -> float:
-    return math.atan2(float(d.y), float(d.x))
+    x, y = float_xy(d)
+    return math.atan2(y, x)
 
 
 def _dir(theta: float) -> Point:
@@ -81,10 +83,8 @@ def _dir(theta: float) -> Point:
 
 def _signed_angle(u: Point, v: Point) -> float:
     """Signed angle turning u onto v, in (-pi, pi]."""
-    return math.atan2(
-        float(u.x) * float(v.y) - float(u.y) * float(v.x),
-        float(u.x) * float(v.x) + float(u.y) * float(v.y),
-    )
+    (ux, uy), (vx, vy) = float_xy(u), float_xy(v)
+    return math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,8 @@ def lighthouse_verify(cfg: LighthouseConfig) -> bool:
     the worst turn from the first edge (against π/n each), vanish against
     its conditioning 1/max(|sin δ|, ``_SIN_FLOOR``), δ = β + γ − gπ/n the
     angle at which its beams meet."""
-    gons = [[(float(p.x), float(p.y)) for p in gon] for gon in cfg.ngons]
-    lights = [(float(p.x), float(p.y)) for p in (cfg.b, cfg.c)]
+    gons = [list(map(float_xy, gon)) for gon in cfg.ngons]
+    lights = [float_xy(cfg.b), float_xy(cfg.c)]
     step = math.pi / cfg.n
     kappas = [1 / max(abs(math.sin(cfg.beta + cfg.gamma - g * step)), _SIN_FLOOR)
               for g in range(cfg.n)]
@@ -195,7 +195,7 @@ def lighthouse_verify(cfg: LighthouseConfig) -> bool:
             continue
         if circ is None:
             return False
-        ox, oy, r2 = float(circ.center.x), float(circ.center.y), circ.r2
+        (ox, oy), r2 = float_xy(circ.center), circ.r2
         worst = ngon_is_regular(gon)
         for x, y in gon + lights:
             dx, dy = x - ox, y - oy
@@ -561,7 +561,7 @@ def _edge_angles(tris: Iterable[Tuple[Point, Point, Point]]) -> List[Tuple[float
     third = math.pi / 3
     out = []
     for tri in tris:
-        xy = [(float(p.x), float(p.y)) for p in tri]
+        xy = list(map(float_xy, tri))
         norms = [math.hypot(x, y) for x, y in xy]
         for i in range(3):
             j = (i + 1) % 3

@@ -28,6 +28,7 @@ from .kernel import (
     _point_of,
     circle_from_diameter,
     collinear,
+    float_xy,
     foot_of_perpendicular,
     is_exact,
     reflect_point_in_line,
@@ -363,11 +364,11 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
     With the face-7 vertices a, b, c as complex numbers on the unit
     circumcircle, the Wallace line of s touches the Central Circle exactly
     when s³ = −abc, so the three positions are arg(−abc)/3 + 2πk/3."""
-    tri = Triangle(Point(float(p.x), float(p.y)) for p in q.face(7))
+    tri = Triangle(Point(*float_xy(p)) for p in q.face(7))
     circ = tri.circumcircle
-    cx, cy = float(circ.center.x), float(circ.center.y)
+    cx, cy = float_xy(circ.center)
     rad = math.sqrt(float(circ.r2))
-    c0x, c0y = float(q.center.x), float(q.center.y)
+    centre = Point(*float_xy(q.center))
 
     def wl(theta: float) -> Line:
         s = Point(cx + rad * math.cos(theta), cy + rad * math.sin(theta))
@@ -379,7 +380,7 @@ def star_of_david(q: LabeledQuadrangle) -> StarOfDavid:
         for k in range(3)
     )
     primary = [wl(th) for th in thetas]
-    mirrored = [_homothety_line(l, Point(c0x, c0y), -1) for l in primary]
+    mirrored = [_homothety_line(l, centre, -1) for l in primary]
     lines = primary + mirrored
 
     def corners(ls):

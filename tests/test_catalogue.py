@@ -22,7 +22,10 @@ on a returned r/m, save the sites of ``TOLERANCE_SITES``.
 
 How an exact point is stored is the kernel's decision alone: outside
 ``kernel.py`` no module names ``_TriplePoint`` or reads an attribute ``_t``;
-``kernel._hom`` gives any point's triple.
+``kernel._hom`` gives any point's triple, and outside ``kernel.py`` no
+module applies ``float()`` to an ``.x`` or ``.y`` attribute:
+``kernel.float_xy`` reads a point's floats, from the triple of an exact
+one.
 
 A module of the package imports private (``_``-prefixed) names from
 ``kernel`` only: a helper that two modules share is public, or a kernel
@@ -229,6 +232,29 @@ def test_point_storage_stays_in_kernel():
     assert storage_names(ast.parse(probe)) == ["_TriplePoint", "_TriplePoint", "_t"]
     found = {
         path.name: storage_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "kernel.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def coordinate_floats(tree):
+    """The line of each ``float()`` call on an ``.x`` or ``.y`` attribute."""
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name) and n.func.id == "float"
+        and len(n.args) == 1
+        and isinstance(n.args[0], ast.Attribute) and n.args[0].attr in ("x", "y")
+    ]
+
+
+def test_point_floats_come_from_kernel():
+    probe = "float(p.x) + float(c.center.y) + float(p.x - q.x) + float(r2) + float(p.z)\n"
+    assert coordinate_floats(ast.parse(probe)) == [1, 1]
+    found = {
+        path.name: coordinate_floats(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "kernel.py"
     }

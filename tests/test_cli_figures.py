@@ -25,7 +25,7 @@ from quadgeo.cli_figures import (
     table_text,
 )
 from quadgeo import cli_figures, drozfarny, morley, quadrangle, wallace
-from quadgeo.kernel import DEFAULT_EPS, Barycentric, Circle, Line, Point
+from quadgeo.kernel import DEFAULT_EPS, Barycentric, Circle, Line, Point, _point_of
 from quadgeo.quadrangle import LABELS, quadrate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -58,6 +58,14 @@ class TestScene:
         assert svg.count("<circle") == 1
         assert 'r="1.000000"' in svg
         assert 'viewBox="-2.000000 -2.000000 4.000000 4.000000"' in svg
+
+    def test_exact_points_drawn_without_their_fractions(self):
+        scene = Scene((-2.0, -2.0, 2.0, 2.0))
+        p = _point_of(3, -5, 7)
+        scene.add_point(p)
+        scene.add_label(p, "P")
+        assert "x" not in vars(p) and "y" not in vars(p)
+        assert [e.data[:2] for e in scene.elements] == [(3 / 7, -5 / 7)] * 2
 
     def test_unknown_fixture(self):
         with pytest.raises(UnknownFixture):
@@ -425,6 +433,18 @@ class TestCLI:
         assert result.exit_code == 2
         assert "unknown fixture 't1'" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["render", "--recipe", "twins", "-o"],
+        ["table", "--name", "guylines", "-o"],
+    ])
+    def test_output_in_missing_directory(self, tmp_path, args):
+        out = tmp_path / "missing" / "x.out"
+        result = CliRunner().invoke(main, [*args, str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Could not open file '{out}': No such file or directory" in result.output
+        assert "Traceback" not in result.output and not out.exists()
 
     def test_verify_same_under_optimize(self):
         # every check is an `if` or a returned value, never an `assert`,

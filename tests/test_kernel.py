@@ -6,6 +6,7 @@ import math
 import pathlib
 import pickle
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from quadgeo.kernel import (
     circumcircle,
     collinear,
     cross_ratio,
+    float_xy,
     foot_of_perpendicular,
     format_scalar,
     is_exact,
@@ -675,8 +677,15 @@ def _triples(bits):
     return st.tuples(ints, ints, ints.filter(bool))
 
 
-#: (X, Y, W) with W ≠ 0, not necessarily reduced, at 4-bit and 64-bit sizes
-triples = st.one_of(_triples(4), _triples(64))
+#: (X, Y, W) with W ≠ 0, not necessarily reduced, at 4-, 64- and 256-bit sizes
+triples = st.one_of(_triples(4), _triples(64), _triples(256))
+
+#: the prime of Python's numeric hash: a W that it divides has no inverse mod M
+M = sys.hash_info.modulus
+
+
+def _hex(xy):
+    return [c.hex() for c in xy]
 
 
 class TestTriplePoints:
@@ -686,10 +695,18 @@ class TestTriplePoints:
 
     @given(triples, exact_scalars)
     @example((6, 8, 2), 0)
+    @example((-1, -3, 3), 0)
+    @example((1, 2, M), 0)
+    @example((M, -2, M), 0)
+    @example((3 * M, 1, 2 * M), 0)
     @settings(max_examples=200)
     def test_same_point_as_its_fractions(self, t, d):
         x, y, w = t
         p, q = _point_of(x, y, w), Point(F(x, w), F(y, w))
+        # floats and hash come from the triple, equal to the Fractions' own
+        assert _hex(float_xy(p)) == _hex((float(q.x), float(q.y)))
+        assert hash(p) == hash((q.x, q.y))
+        assert "x" not in vars(p) or _hom(p)[2] % M == 0
         assert p == q and q == p and hash(p) == hash(q)
         if x % w == 0 and y % w == 0:
             # the same point given by int coordinates
@@ -731,6 +748,7 @@ class TestTriplePoints:
     def test_float_and_mixed_points_compare_by_coordinates(self, t, fx, fy):
         p = _point_of(*t)
         for other in (Point(fx, fy), Point(p.x, fy), Point(fx, p.y)):
+            assert _hex(float_xy(other)) == _hex((float(other.x), float(other.y)))
             want = (p.x, p.y) == (other.x, other.y)
             assert (p == other) == want and (other == p) == want
             assert not want or hash(p) == hash(other)
